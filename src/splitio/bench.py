@@ -157,6 +157,10 @@ def validate_config(cfg: BenchConfig) -> None:
         raise ConfigInvalid("need at least one connection")
     if cfg.duration_s <= 0:
         raise ConfigInvalid("duration must be positive")
+    if cfg.rate_pps * cfg.duration_s < 1:
+        raise ConfigInvalid(
+            f"{cfg.rate_pps} pps for {cfg.duration_s} s sends no packet on a connection"
+        )
     if cfg.exits_per_packet < 0:
         raise ConfigInvalid("exits per packet cannot be negative")
     if cfg.notification.exit_cost_ns < 0:

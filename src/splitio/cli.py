@@ -195,9 +195,12 @@ def _adversary_protect_factory(seed: int):
 
 
 def _run_adversary_command(values: dict[str, Optional[str]], protected: bool) -> int:
+    try:
+        seed = int(values["seed"], 0)
+        payload = min(int(values["payload"], 0), 256)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"bad numeric value: {exc}") from None
     plan = AdversaryPlan.load(values["adversary"])
-    seed = int(values["seed"], 0)
-    payload = min(int(values["payload"], 0), 256)
     factory = None
     secrets = None
     if protected:

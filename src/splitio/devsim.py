@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import enum
 import heapq
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .errors import BadPlan, DeviceAccessDenied, SplitioError, SymmetryRequired
+from .errors import BadPlan, DeviceAccessDenied, OutOfBounds, SplitioError, SymmetryRequired
 from .mem import Handle, MemorySystem, RegionKind, Side
 from .pools import PacketBuffer, PoolConfig, PortContext, port_new
 from .prng import Splitmix64
@@ -115,8 +116,12 @@ class AdversaryPlan:
 
     @staticmethod
     def load(path: str) -> "AdversaryPlan":
-        with open(path, "r", encoding="utf-8") as fh:
-            return AdversaryPlan.parse(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise BadPlan(f"cannot read plan {path}: {exc.strerror or exc}") from None
+        return AdversaryPlan.parse(text)
 
 
 class Outcome(enum.Enum):
@@ -160,7 +165,7 @@ class SimNic:
         self.peer: Optional[SimNic] = None
         self.prng = Splitmix64(link.jitter_seed)
         self.inbox: list[_FlightPacket] = []
-        self._rx_avail: list[RxView] = []
+        self._rx_avail: deque[RxView] = deque()
         self._seq = 0
         self.capture_enabled = capture
         self.capture: list[bytes] = []
@@ -170,7 +175,7 @@ class SimNic:
         self.drops = 0
         self.delivered = 0
         self._forced_drops = 0
-        self._pending_corrupt: list[int] = []
+        self._pending_corrupt: deque[int] = deque()
 
     # -- wiring ------------------------------------------------------------
 
@@ -218,16 +223,19 @@ class SimNic:
             length = min(claimed, view.address.length)
             payload: Optional[bytes] = None
             try:
-                payload = self.mem.read(
-                    Handle(view.address.region, view.address.offset, length), Side.DEVICE
+                payload = self.mem.read_at(
+                    view.address.region, view.address.offset, length, Side.DEVICE
                 )
-            except DeviceAccessDenied as exc:
+            except (DeviceAccessDenied, OutOfBounds) as exc:
+                # a forged descriptor can name private memory or no memory
                 self._violation("dma_read_denied", now, slot=view.slot, error=str(exc))
             if payload is not None:
-                if self._pending_corrupt:
-                    off = self._pending_corrupt.pop(0)
+                # an empty frame has no byte to flip; the corruption stays
+                # armed for the next frame that does
+                if self._pending_corrupt and payload:
+                    off = self._pending_corrupt.popleft()
                     mutable = bytearray(payload)
-                    mutable[off % max(1, len(mutable))] ^= 0xFF
+                    mutable[off % len(mutable)] ^= 0xFF
                     payload = bytes(mutable)
                     self._event("corrupt_applied", now, slot=view.slot, offset=off)
                 # always two draws per packet (jitter, then loss) so traces
@@ -262,11 +270,12 @@ class SimNic:
                 self.drops += 1
                 self._event("rx_no_buffer", now, length=len(pkt.payload))
                 continue
-            view = self._rx_avail.pop(0)
-            n = min(len(pkt.payload), view.packet_address.length)
+            view = self._rx_avail.popleft()
+            address = view.packet_address
+            n = min(len(pkt.payload), address.length)
             try:
-                self.mem.write(view.packet_address.sub(0, n), Side.DEVICE, pkt.payload[:n])
-            except DeviceAccessDenied as exc:
+                self.mem.write_at(address.region, address.offset, pkt.payload[:n], Side.DEVICE)
+            except (DeviceAccessDenied, OutOfBounds) as exc:
                 self._violation("dma_write_denied", now, slot=view.slot, error=str(exc))
                 continue
             self.port.rx_ring.device_writeback_rx(view.slot, length=n)

@@ -137,3 +137,7 @@ class ConfigInvalid(SplitioError):
 
 class ReportIoError(SplitioError):
     pass
+
+
+class EventBudgetExhausted(SplitioError):
+    """The echo rig's event loop hit its safety budget with work still queued."""

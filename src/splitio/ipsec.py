@@ -176,7 +176,8 @@ def esp_encrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
         raise SeqExhausted(f"sequence space of SPI {sa.spi:#x} exhausted")
 
     mem = sa.mem
-    raw = mem.read(buf.data.sub(0, pkt_len), Side.VM)
+    region, offset = buf.pool.data_at(buf.index, pkt_len)
+    raw = mem.read_at(region, offset, pkt_len, Side.VM)
     addressing, inner = raw[:ADDR_PREFIX_LEN], raw[ADDR_PREFIX_LEN:]
     pad_len = (-(len(inner) + 2)) % 4
     plaintext = inner + bytes(range(1, pad_len + 1)) + bytes([pad_len, NEXT_HEADER])
@@ -190,7 +191,7 @@ def esp_encrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
         ops_counter["aes_ops"] = ops_counter.get("aes_ops", 0) + 1
 
     frame = addressing + header + iv + sealed
-    mem.write(buf.data.sub(0, len(frame)), Side.VM, frame)
+    mem.write_at(region, offset, frame, Side.VM)  # fits: checked against ESP_OVERHEAD above
     buf.pkt_len = len(frame)
     buf.msg_type = MSG_TYPE_ESP
 
@@ -208,7 +209,8 @@ def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
     if frame_len < MIN_FRAME_LEN:
         raise Malformed(f"frame of {frame_len} B below minimum {MIN_FRAME_LEN}")
     mem = sa.mem
-    frame = mem.read(buf.data.sub(0, frame_len), Side.VM)
+    region, offset = buf.pool.data_at(buf.index, frame_len)
+    frame = mem.read_at(region, offset, frame_len, Side.VM)
     addressing = frame[:ADDR_PREFIX_LEN]
     header = frame[8:16]
     iv = frame[16:24]
@@ -239,7 +241,7 @@ def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
             sa.last_seq = seq64
 
     restored = addressing + inner
-    mem.write(buf.data.sub(0, len(restored)), Side.VM, restored)
+    mem.write_at(region, offset, restored, Side.VM)  # shorter than the frame read
     buf.pkt_len = len(restored)
     buf.msg_type = MSG_TYPE_PLAIN
 

@@ -3,8 +3,9 @@
 Memory is modeled as flat arenas of two kinds. PRIVATE arenas belong to the
 guest alone; the device side can never read or write them. SHARED arenas are
 visible to the device, but only while they are registered with the
-SharedRegionManager. Every byte access goes through MemorySystem.read/write
-and names which side is acting, so the device/VM trust boundary is enforced
+SharedRegionManager. Every byte access goes through MemorySystem (read/write
+for Handles, read_at/write_at/unpack_at/pack_at for absolute offsets) and
+names which side is acting, so the device/VM trust boundary is enforced
 in exactly one place and can be audited from the access log.
 
 Instrumentation (per-byte read tallies plus an access log) is optional: tests
@@ -14,6 +15,7 @@ turn it on, the benchmark fast path leaves it off.
 from __future__ import annotations
 
 import enum
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -25,6 +27,8 @@ from .errors import (
     OutOfBounds,
     ZeroSize,
 )
+
+_INCREMENT = (1).__add__
 
 
 class RegionKind(enum.Enum):
@@ -183,52 +187,60 @@ class MemorySystem:
         )
 
     # -- byte access (the single trust-boundary choke point) ---------------
+    #
+    # Every accessor below runs the same two checks, once per call: the
+    # range must lie inside an existing arena, and a device-side access must
+    # target a registered shared arena. Instrumented mode then logs the
+    # access and, for reads, bumps the per-byte read tallies. The offset
+    # forms let fixed-layout callers (rings, buffer metadata) name a field by
+    # absolute offset and decode it straight from the arena with a
+    # precompiled struct, instead of building a Handle per field.
 
-    def _resolve(self, h: Handle, length: int) -> Arena:
-        arena = self.arenas.get(h.region)
+    def _access(self, region: int, offset: int, length: int, side: Side, op: str) -> Arena:
+        arena = self.arenas.get(region)
         if arena is None:
-            raise OutOfBounds(f"no arena with id {h.region}")
-        if h.offset < 0 or length < 0 or h.offset + length > arena.size:
+            raise OutOfBounds(f"no arena with id {region}")
+        if offset < 0 or length < 0 or offset + length > arena.size:
             raise OutOfBounds(
-                f"[{h.offset}, {h.offset + length}) outside arena {arena.id} of size {arena.size}"
+                f"[{offset}, {offset + length}) outside arena {arena.id} of size {arena.size}"
             )
-        return arena
-
-    def _check_device(self, h: Handle, op: str, length: int) -> None:
-        if not self.is_device_accessible(h.region):
+        if side is Side.DEVICE and not self.is_device_accessible(region):
             if self.instrument:
                 self.access_log.append(
-                    AccessRecord(Side.DEVICE, op, h.region, h.offset, length, ok=False)
+                    AccessRecord(Side.DEVICE, op, region, offset, length, ok=False)
                 )
             raise DeviceAccessDenied(
-                f"device {op} of {length} B at region {h.region}+{h.offset} denied"
+                f"device {op} of {length} B at region {region}+{offset} denied"
             )
+        if self.instrument:
+            self.access_log.append(AccessRecord(side, op, region, offset, length, ok=True))
+            counters = arena.read_counters
+            if op == "read" and counters is not None:
+                end = offset + length
+                counters[offset:end] = array("I", map(_INCREMENT, counters[offset:end]))
+        return arena
+
+    def read_at(self, region: int, offset: int, length: int, side: Side) -> bytes:
+        data = self._access(region, offset, length, side, "read").data
+        return bytes(data[offset : offset + length])
+
+    def write_at(self, region: int, offset: int, data: bytes, side: Side) -> None:
+        n = len(data)
+        self._access(region, offset, n, side, "write").data[offset : offset + n] = data
+
+    def unpack_at(self, region: int, offset: int, fmt: struct.Struct, side: Side) -> tuple:
+        return fmt.unpack_from(self._access(region, offset, fmt.size, side, "read").data, offset)
+
+    def pack_at(self, region: int, offset: int, fmt: struct.Struct, side: Side, *values) -> None:
+        fmt.pack_into(self._access(region, offset, fmt.size, side, "write").data, offset, *values)
 
     def read(self, h: Handle, side: Side) -> bytes:
-        arena = self._resolve(h, h.length)
-        if side is Side.DEVICE:
-            self._check_device(h, "read", h.length)
-        if self.instrument:
-            self.access_log.append(
-                AccessRecord(side, "read", h.region, h.offset, h.length, ok=True)
-            )
-            if arena.read_counters is not None:
-                counters = arena.read_counters
-                for i in range(h.offset, h.offset + h.length):
-                    counters[i] += 1
-        return bytes(arena.data[h.offset : h.offset + h.length])
+        return self.read_at(h.region, h.offset, h.length, side)
 
     def write(self, h: Handle, side: Side, data: bytes) -> None:
         if len(data) > h.length:
             raise OutOfBounds(f"write of {len(data)} B into handle of length {h.length}")
-        arena = self._resolve(h, len(data))
-        if side is Side.DEVICE:
-            self._check_device(h, "write", len(data))
-        if self.instrument:
-            self.access_log.append(
-                AccessRecord(side, "write", h.region, h.offset, len(data), ok=True)
-            )
-        arena.data[h.offset : h.offset + len(data)] = data
+        self.write_at(h.region, h.offset, data, side)
 
     # -- audit helpers -----------------------------------------------------
 

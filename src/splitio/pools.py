@@ -32,6 +32,7 @@ from .errors import (
     ArenaTooSmall,
     ForeignBuffer,
     NotShared,
+    OutOfBounds,
     OversizePacket,
     PoolExhausted,
     QuarantinedArena,
@@ -57,6 +58,10 @@ META_OFF_APP = APP_PRIVATE_SIZE
 META_NEXT_NONE = 0xFFFFFFFF
 
 FLAG_SUSPECT = 0x0001
+
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_FLAGS_PKT_LEN = struct.Struct("<HI")  # 2..8
 
 
 class PoolKind(enum.Enum):
@@ -100,14 +105,19 @@ def pool_memory_footprint(cfg: PoolConfig) -> dict[str, int]:
 
 
 class PacketBuffer:
-    """Handle pair (meta, data) for one buffer in one pool. Field accessors go
-    through the memory system so metadata physically lives in its arena."""
+    """One buffer (metadata block plus data room) in one pool. Field
+    accessors go through the memory system so metadata physically lives in
+    its arena; they address fields by absolute offset, so no Handle is built
+    per access."""
 
-    __slots__ = ("pool", "index")
+    __slots__ = ("pool", "index", "meta_at")
 
     def __init__(self, pool: "PacketPool", index: int):
+        if not 0 <= index < pool.count:
+            raise OutOfBounds(f"buffer {index} outside a pool of {pool.count}")
         self.pool = pool
         self.index = index
+        self.meta_at = pool.meta_base + index * METADATA_OVERHEAD
 
     @property
     def meta(self) -> Handle:
@@ -125,54 +135,55 @@ class PacketBuffer:
     def pool_kind(self) -> PoolKind:
         return self.pool.kind
 
-    def _read_meta(self, off: int, size: int) -> bytes:
-        return self.pool.mem.read(self.meta.sub(off, size), Side.VM)
+    def _get(self, off: int, fmt: struct.Struct) -> int:
+        pool = self.pool
+        return pool.mem.unpack_at(pool.meta_region, self.meta_at + off, fmt, Side.VM)[0]
 
-    def _write_meta(self, off: int, data: bytes) -> None:
-        self.pool.mem.write(self.meta.sub(off, len(data)), Side.VM, data)
+    def _set(self, off: int, fmt: struct.Struct, value: int) -> None:
+        pool = self.pool
+        pool.mem.pack_at(pool.meta_region, self.meta_at + off, fmt, Side.VM, value)
 
     @property
     def pkt_len(self) -> int:
-        return struct.unpack("<I", self._read_meta(META_OFF_PKT_LEN, 4))[0]
+        return self._get(META_OFF_PKT_LEN, _U32)
 
     @pkt_len.setter
     def pkt_len(self, value: int) -> None:
-        self._write_meta(META_OFF_PKT_LEN, struct.pack("<I", value))
+        self._set(META_OFF_PKT_LEN, _U32, value)
 
     @property
     def msg_type(self) -> int:
-        return struct.unpack("<H", self._read_meta(META_OFF_MSG_TYPE, 2))[0]
+        return self._get(META_OFF_MSG_TYPE, _U16)
 
     @msg_type.setter
     def msg_type(self, value: int) -> None:
-        self._write_meta(META_OFF_MSG_TYPE, struct.pack("<H", value & 0xFFFF))
+        self._set(META_OFF_MSG_TYPE, _U16, value & 0xFFFF)
 
     @property
     def flags(self) -> int:
-        return struct.unpack("<H", self._read_meta(META_OFF_FLAGS, 2))[0]
+        return self._get(META_OFF_FLAGS, _U16)
 
     @flags.setter
     def flags(self, value: int) -> None:
-        self._write_meta(META_OFF_FLAGS, struct.pack("<H", value & 0xFFFF))
+        self._set(META_OFF_FLAGS, _U16, value & 0xFFFF)
 
     @property
     def rss(self) -> int:
-        return struct.unpack("<I", self._read_meta(META_OFF_RSS, 4))[0]
+        return self._get(META_OFF_RSS, _U32)
 
     @rss.setter
     def rss(self, value: int) -> None:
-        self._write_meta(META_OFF_RSS, struct.pack("<I", value & 0xFFFFFFFF))
+        self._set(META_OFF_RSS, _U32, value & 0xFFFFFFFF)
 
     @property
     def next_index(self) -> Optional[int]:
-        raw = struct.unpack("<I", self._read_meta(META_OFF_NEXT, 4))[0]
+        raw = self._get(META_OFF_NEXT, _U32)
         return None if raw == META_NEXT_NONE else raw
 
     def chain(self, nxt: Optional["PacketBuffer"]) -> None:
         if nxt is not None and nxt.pool is not self.pool:
             raise ForeignBuffer("segments of a chain must come from one pool")
-        raw = META_NEXT_NONE if nxt is None else nxt.index
-        self._write_meta(META_OFF_NEXT, struct.pack("<I", raw))
+        self._set(META_OFF_NEXT, _U32, META_NEXT_NONE if nxt is None else nxt.index)
 
     def segments(self) -> Iterator["PacketBuffer"]:
         buf: Optional[PacketBuffer] = self
@@ -191,20 +202,29 @@ class PacketBuffer:
     def write_app_private(self, data: bytes) -> None:
         if len(data) > APP_PRIVATE_SIZE:
             raise OversizePacket(f"app-private area is {APP_PRIVATE_SIZE} B")
-        self._write_meta(META_OFF_APP, data)
+        pool = self.pool
+        pool.mem.write_at(pool.meta_region, self.meta_at + META_OFF_APP, data, Side.VM)
 
     def read_app_private(self) -> bytes:
-        return self._read_meta(META_OFF_APP, APP_PRIVATE_SIZE)
+        pool = self.pool
+        return pool.mem.read_at(
+            pool.meta_region, self.meta_at + META_OFF_APP, APP_PRIVATE_SIZE, Side.VM
+        )
 
     def write_data(self, payload: bytes) -> None:
         """App helper: set payload and pkt_len in one go."""
         if len(payload) > self.data_room:
             raise OversizePacket(f"{len(payload)} B into a {self.data_room} B room")
-        self.pool.mem.write(self.data.sub(0, len(payload)), Side.VM, payload)
+        pool = self.pool
+        region, offset = pool.data_at(self.index)
+        pool.mem.write_at(region, offset, payload, Side.VM)
         self.pkt_len = len(payload)
 
     def read_data(self) -> bytes:
-        return self.pool.mem.read(self.data.sub(0, self.pkt_len), Side.VM)
+        length = self.pkt_len
+        pool = self.pool
+        region, offset = pool.data_at(self.index, length)
+        return pool.mem.read_at(region, offset, length, Side.VM)
 
 
 class PacketPool:
@@ -231,8 +251,14 @@ class PacketPool:
         self.data_room = data_room
         self.meta_slab = meta_slab
         self.data_slab = data_slab
+        self.meta_region = meta_slab.region
+        self.meta_base = meta_slab.offset
         self._bound_data = bound_data
         self.canary = canary
+        if canary is not None and kind is not PoolKind.SHARED:
+            self._app_fill = (canary * (APP_PRIVATE_SIZE // len(canary) + 1))[:APP_PRIVATE_SIZE]
+        else:
+            self._app_fill = bytes(APP_PRIVATE_SIZE)
         self._free: list[int] = list(range(count - 1, -1, -1))
         self._is_free = [True] * count
         self._init_meta_slab()
@@ -240,24 +266,21 @@ class PacketPool:
     def _init_meta_slab(self) -> None:
         """Build the whole metadata slab locally and write it in one call;
         per-buffer writes are too slow for six-figure pool counts."""
-        if self.canary is not None and self.kind is not PoolKind.SHARED:
-            app_fill = (self.canary * (APP_PRIVATE_SIZE // len(self.canary) + 1))[:APP_PRIVATE_SIZE]
-        else:
-            app_fill = bytes(APP_PRIVATE_SIZE)
         slab = bytearray(self.count * METADATA_OVERHEAD)
         for i in range(self.count):
             base = i * METADATA_OVERHEAD
             slab[base + META_OFF_DATA : base + META_OFF_DATA + 8] = encode_handle(self.data_handle(i))
             struct.pack_into("<I", slab, base + META_OFF_NEXT, META_NEXT_NONE)
-            slab[base + META_OFF_APP : base + META_OFF_APP + APP_PRIVATE_SIZE] = app_fill
+            slab[base + META_OFF_APP : base + META_OFF_APP + APP_PRIVATE_SIZE] = self._app_fill
         self.mem.write(self.meta_slab, Side.VM, bytes(slab))
 
     def _scrub_app_private(self, index: int) -> None:
-        if self.canary is not None and self.kind is not PoolKind.SHARED:
-            fill = (self.canary * (APP_PRIVATE_SIZE // len(self.canary) + 1))[:APP_PRIVATE_SIZE]
-        else:
-            fill = bytes(APP_PRIVATE_SIZE)
-        self.mem.write(self.meta_handle(index).sub(META_OFF_APP, APP_PRIVATE_SIZE), Side.VM, fill)
+        self.mem.write_at(
+            self.meta_region,
+            self.meta_base + index * METADATA_OVERHEAD + META_OFF_APP,
+            self._app_fill,
+            Side.VM,
+        )
 
     def meta_handle(self, index: int) -> Handle:
         return self.meta_slab.sub(index * METADATA_OVERHEAD, METADATA_OVERHEAD)
@@ -268,6 +291,17 @@ class PacketPool:
         assert self.data_slab is not None
         return self.data_slab.sub(index * self.data_room, self.data_room)
 
+    def data_at(self, index: int, length: int = 0) -> tuple[int, int]:
+        """(region, offset) of buffer index's data room, for an access of
+        length bytes from its start; the data-room bound is checked here."""
+        if length > self.data_room:
+            raise OutOfBounds(f"{length} B outside a data room of {self.data_room} B")
+        if self._bound_data is not None:
+            h = self._bound_data[index]
+            return h.region, h.offset
+        assert self.data_slab is not None
+        return self.data_slab.region, self.data_slab.offset + index * self.data_room
+
     def remaining(self) -> int:
         return len(self._free)
 
@@ -277,9 +311,10 @@ class PacketPool:
         index = self._free.pop()
         self._is_free[index] = False
         buf = PacketBuffer(self, index)
-        buf.pkt_len = 0
-        buf.flags = 0
-        buf.chain(None)
+        mem, region, at = self.mem, self.meta_region, buf.meta_at
+        # flags and pkt_len are adjacent (2..8): one write clears both
+        mem.pack_at(region, at + META_OFF_FLAGS, _FLAGS_PKT_LEN, Side.VM, 0, 0)
+        mem.pack_at(region, at + META_OFF_NEXT, _U32, Side.VM, META_NEXT_NONE)
         return buf
 
     def free(self, buf: PacketBuffer) -> None:
@@ -445,6 +480,8 @@ class PortContext:
         """Harvest ready RX slots, bounce each payload into a private shadow
         buffer (the single RX copy), repost the shared-side buffer, and hand
         the shadow buffers to the caller."""
+        mem = self.mem
+        temporary, shadow_pool = self.pools.temporary, self.pools.shadow
         out: list[PacketBuffer] = []
         for rec in self.rx_ring.vm_harvest_rx(max_count):
             temp = self._rx_slot_temp.pop(rec.slot)
@@ -455,16 +492,19 @@ class PortContext:
                     self._repost_rx(temp)
                     continue
             try:
-                shadow = self.pools.shadow.alloc()
+                shadow = shadow_pool.alloc()
             except PoolExhausted:
                 self.counters["drops"] += 1
                 self._repost_rx(temp)
                 continue
-            payload = self.mem.read(temp.data.sub(0, rec.length), Side.VM)
-            self.mem.write(shadow.data.sub(0, rec.length), Side.VM, payload)
+            length = rec.length
+            src_region, src_offset = temporary.data_at(temp.index, length)
+            dst_region, dst_offset = shadow_pool.data_at(shadow.index, length)
+            payload = mem.read_at(src_region, src_offset, length, Side.VM)
+            mem.write_at(dst_region, dst_offset, payload, Side.VM)
             self.counters["copies_rx"] += 1
-            self.counters["bytes_copied"] += rec.length
-            shadow.pkt_len = rec.length
+            self.counters["bytes_copied"] += length
+            shadow.pkt_len = length
             shadow.msg_type = rec.packet_info
             shadow.rss = rec.rss
             if rec.suspect:
@@ -476,38 +516,55 @@ class PortContext:
     def tx_burst(self, bufs: list[PacketBuffer]) -> int:
         """Queue shadow buffers for transmit. Each accepted packet is copied
         once (shadow -> temporary, flattening any chain) and its shadow
-        buffer(s) freed; returns the length of the accepted prefix."""
+        buffer(s) freed; returns the length of the accepted prefix.
+
+        Every buffer's pool and flattened length are checked before any of
+        them is posted, so a bad buffer raises with nothing on the ring."""
         self.reclaim_tx()
-        accepted = 0
+        shadow_pool, temporary = self.pools.shadow, self.pools.temporary
+        room = self.cfg.data_room
+        checked = []
         for buf in bufs:
-            if buf.pool is not self.pools.shadow:
+            if buf.pool is not shadow_pool:
                 raise ForeignBuffer("tx_burst takes shadow-pool buffers")
-            total = buf.total_len()
-            if total > self.cfg.data_room:
-                raise OversizePacket(f"{total} B exceeds {self.cfg.data_room} B data room")
+            segments = [(seg, seg.pkt_len) for seg in buf.segments()]
+            total = sum(length for _, length in segments)
+            if total > room:
+                raise OversizePacket(f"{total} B exceeds {room} B data room")
+            checked.append((segments, total))
+
+        mem = self.mem
+        accepted = 0
+        for segments, total in checked:
             try:
-                temp = self.pools.temporary.alloc()
+                temp = temporary.alloc()
             except PoolExhausted:
                 break
-            segments = list(buf.segments())
-            payload = b"".join(self.mem.read(s.data.sub(0, s.pkt_len), Side.VM) for s in segments)
+            # total fits the room, so each segment's length does too
+            payload = b"".join(
+                [
+                    mem.read_at(*shadow_pool.data_at(seg.index), length, Side.VM)
+                    for seg, length in segments
+                ]
+            )
+            region, offset = temporary.data_at(temp.index, total)
             try:
-                self.mem.write(temp.data.sub(0, total), Side.VM, payload)
+                mem.write_at(region, offset, payload, Side.VM)
                 slot = self.tx_ring.vm_post_tx(
                     TxDescriptor(
-                        address=temp.data.sub(0, total),
+                        address=Handle(region, offset, total),
                         cmd_type_len=(total & ringmod.TX_CMD_LEN_MASK) | ringmod.TX_CMD_EOP,
                         olinfo_status=0,
                     )
                 )
             except RingFull:
-                self.pools.temporary.free(temp)
+                temporary.free(temp)
                 break
             self._tx_slot_temp[slot] = temp
             self.counters["copies_tx"] += 1
             self.counters["bytes_copied"] += total
-            for seg in segments:
-                self.pools.shadow.free(seg)
+            for seg, _ in segments:
+                shadow_pool.free(seg)
             accepted += 1
         return accepted
 

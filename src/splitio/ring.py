@@ -47,6 +47,15 @@ DEFAULT_CAPACITY = 256
 MASK32 = 0xFFFFFFFF
 
 _HANDLE_FMT = struct.Struct("<HIH")
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+# multi-field spans read or written as one access
+_TX_FETCH = struct.Struct("<HIHII")  # 0..16: address handle, cmd_type_len, olinfo_status
+_RX_FETCH = struct.Struct("<HIHHIH")  # 0..16: packet handle, header handle
+_RX_INFO_RSS = struct.Struct("<HI")  # 16..22
+_RX_VLAN_LEN = struct.Struct("<HH")  # 24..28
+_RX_WRITEBACK_ZERO = bytes(16)  # 16..32
 
 # TX slot field offsets
 TX_OFF_ADDR = 0
@@ -153,6 +162,9 @@ class DescriptorRing:
         self.device_next = 0  # device fetch cursor, free-running
 
         cap = capacity
+        # fixed layout: every slot's absolute arena offset, computed once
+        self._region = backing.region
+        self._slot_at = [backing.offset + slot * SLOT_SIZE for slot in range(cap)]
         # VM-private shadow state; pointers and progress never live in shared
         # memory, only descriptor bytes do
         self._seen_free = [False] * cap
@@ -169,19 +181,20 @@ class DescriptorRing:
 
     def _init_slots(self) -> None:
         zero = bytes(SLOT_SIZE)
-        for slot in range(self.capacity):
-            self.mem.write(self._slot(slot), Side.VM, zero)
+        for at in self._slot_at:
+            self.mem.write_at(self._region, at, zero, Side.VM)
             if self.direction is Direction.TX:
-                self.mem.write(self._field(slot, TX_OFF_STATUS, 1), Side.VM, bytes([TX_STATUS_FREE]))
+                self.mem.pack_at(self._region, at + TX_OFF_STATUS, _U8, Side.VM, TX_STATUS_FREE)
 
-    def _slot(self, slot: int) -> Handle:
-        return self.backing.sub(slot * SLOT_SIZE, SLOT_SIZE)
-
-    def _field(self, slot: int, off: int, size: int) -> Handle:
-        return self.backing.sub(slot * SLOT_SIZE + off, size)
-
-    def _mask(self, counter: int) -> int:
-        return counter & (self.capacity - 1)
+    def _device_slot_at(self, slot: int) -> int:
+        """Absolute offset of a slot the device names. The device may name
+        any number, so it is checked against the backing like a sub-handle."""
+        start = slot * SLOT_SIZE
+        if slot < 0 or start + SLOT_SIZE > self.backing.length:
+            raise OutOfBounds(
+                f"slot {slot} outside ring backing of length {self.backing.length}"
+            )
+        return self.backing.offset + start
 
     def occupancy(self) -> int:
         return (self.head - self.tail) & MASK32
@@ -196,17 +209,12 @@ class DescriptorRing:
             desc.address, RegionKind.SHARED
         ):
             raise AddressNotShared(f"tx address {desc.address} not in a registered shared arena")
-        slot = self._mask(self.head)
-        self.mem.write(self._field(slot, TX_OFF_ADDR, 8), Side.VM, encode_handle(desc.address))
-        self.mem.write(
-            self._field(slot, TX_OFF_CMD, 4), Side.VM, struct.pack("<I", desc.cmd_type_len & MASK32)
-        )
-        self.mem.write(
-            self._field(slot, TX_OFF_OLINFO, 4),
-            Side.VM,
-            struct.pack("<I", desc.olinfo_status & MASK32),
-        )
-        self.mem.write(self._field(slot, TX_OFF_STATUS, 1), Side.VM, bytes([TX_STATUS_INFLIGHT]))
+        slot = self.head & (self.capacity - 1)
+        mem, region, at = self.mem, self._region, self._slot_at[slot]
+        mem.write_at(region, at + TX_OFF_ADDR, encode_handle(desc.address), Side.VM)
+        mem.pack_at(region, at + TX_OFF_CMD, _U32, Side.VM, desc.cmd_type_len & MASK32)
+        mem.pack_at(region, at + TX_OFF_OLINFO, _U32, Side.VM, desc.olinfo_status & MASK32)
+        mem.pack_at(region, at + TX_OFF_STATUS, _U8, Side.VM, TX_STATUS_INFLIGHT)
         self._seen_free[slot] = False
         self._device_done[slot] = False
         self._completion_seq.pop(slot, None)
@@ -221,19 +229,22 @@ class DescriptorRing:
         prefix.
         """
         assert self.direction is Direction.TX
+        mem, region, slot_at, seen_free = self.mem, self._region, self._slot_at, self._seen_free
+        mask = self.capacity - 1
         newly: list[int] = []
         idx = self.tail
         while idx != self.head:
-            slot = self._mask(idx)
-            if not self._seen_free[slot]:
-                raw = self.mem.read(self._field(slot, TX_OFF_STATUS, 1), Side.VM)
-                if raw[0] == TX_STATUS_FREE:
-                    self._seen_free[slot] = True
+            slot = idx & mask
+            if not seen_free[slot]:
+                (status,) = mem.unpack_at(region, slot_at[slot] + TX_OFF_STATUS, _U8, Side.VM)
+                if status == TX_STATUS_FREE:
+                    seen_free[slot] = True
                     newly.append(slot)
             idx = (idx + 1) & MASK32
-        newly.sort(key=lambda s: self._completion_seq.get(s, 1 << 62))
-        while self.tail != self.head and self._seen_free[self._mask(self.tail)]:
-            self._seen_free[self._mask(self.tail)] = False
+        if len(newly) > 1:
+            newly.sort(key=lambda s: self._completion_seq.get(s, 1 << 62))
+        while self.tail != self.head and seen_free[self.tail & mask]:
+            seen_free[self.tail & mask] = False
             self.tail = (self.tail + 1) & MASK32
         return newly
 
@@ -249,11 +260,12 @@ class DescriptorRing:
             raise AddressNotShared(f"rx buffer {packet} not in a registered shared arena")
         if header is None:
             header = packet  # no header split in this driver model
-        slot = self._mask(self.head)
-        self.mem.write(self._field(slot, RX_OFF_PKT, 8), Side.VM, encode_handle(packet))
-        self.mem.write(self._field(slot, RX_OFF_HDR, 8), Side.VM, encode_handle(header))
+        slot = self.head & (self.capacity - 1)
+        mem, region, at = self.mem, self._region, self._slot_at[slot]
+        mem.write_at(region, at + RX_OFF_PKT, encode_handle(packet), Side.VM)
+        mem.write_at(region, at + RX_OFF_HDR, encode_handle(header), Side.VM)
         # scrub stale writeback so a fresh slot never looks ready
-        self.mem.write(self._field(slot, RX_OFF_INFO, 16), Side.VM, bytes(16))
+        mem.write_at(region, at + RX_OFF_INFO, _RX_WRITEBACK_ZERO, Side.VM)
         self._posted_rx[slot] = (packet, header)
         self._device_done[slot] = False
         self.head = (self.head + 1) & MASK32
@@ -269,20 +281,18 @@ class DescriptorRing:
         it is reposted.
         """
         assert self.direction is Direction.RX
+        mem, region, slot_at = self.mem, self._region, self._slot_at
+        mask = self.capacity - 1
         out: list[RxHarvest] = []
         while len(out) < max_count and self.tail != self.head:
-            slot = self._mask(self.tail)
-            status = struct.unpack(
-                "<H", self.mem.read(self._field(slot, RX_OFF_STATUS, 2), Side.VM)
-            )[0]
+            slot = self.tail & mask
+            at = slot_at[slot]
+            (status,) = mem.unpack_at(region, at + RX_OFF_STATUS, _U16, Side.VM)
             if not status & RX_STATUS_READY:
                 break
-            info = struct.unpack("<H", self.mem.read(self._field(slot, RX_OFF_INFO, 2), Side.VM))[0]
-            rss = struct.unpack("<I", self.mem.read(self._field(slot, RX_OFF_RSS, 4), Side.VM))[0]
-            vlan = struct.unpack("<H", self.mem.read(self._field(slot, RX_OFF_VLAN, 2), Side.VM))[0]
-            length = struct.unpack(
-                "<H", self.mem.read(self._field(slot, RX_OFF_LEN, 2), Side.VM)
-            )[0]
+            # adjacent fields share one read; each byte is still read once
+            info, rss = mem.unpack_at(region, at + RX_OFF_INFO, _RX_INFO_RSS, Side.VM)
+            vlan, length = mem.unpack_at(region, at + RX_OFF_VLAN, _RX_VLAN_LEN, Side.VM)
             posted = self._posted_rx[slot]
             assert posted is not None, "ready slot without a posted buffer"
             packet, _header = posted
@@ -317,33 +327,44 @@ class DescriptorRing:
         accessible; the caller (the simulated NIC) records that as a
         violation instead of crashing.
         """
+        mem, region, slot_at = self.mem, self._region, self._slot_at
+        mask = self.capacity - 1
+        tx = self.direction is Direction.TX
         views: list = []
         while self.device_next != self.head:
-            slot = self._mask(self.device_next)
-            if self.direction is Direction.TX:
-                addr = decode_handle(self.mem.read(self._field(slot, TX_OFF_ADDR, 8), Side.DEVICE))
-                cmd = struct.unpack(
-                    "<I", self.mem.read(self._field(slot, TX_OFF_CMD, 4), Side.DEVICE)
-                )[0]
-                olinfo = struct.unpack(
-                    "<I", self.mem.read(self._field(slot, TX_OFF_OLINFO, 4), Side.DEVICE)
-                )[0]
-                views.append(TxView(slot, addr, cmd, olinfo))
+            slot = self.device_next & mask
+            if tx:
+                a_region, a_offset, a_length, cmd, olinfo = mem.unpack_at(
+                    region, slot_at[slot] + TX_OFF_ADDR, _TX_FETCH, Side.DEVICE
+                )
+                views.append(TxView(slot, Handle(a_region, a_offset, a_length), cmd, olinfo))
             else:
-                pkt = decode_handle(self.mem.read(self._field(slot, RX_OFF_PKT, 8), Side.DEVICE))
-                hdr = decode_handle(self.mem.read(self._field(slot, RX_OFF_HDR, 8), Side.DEVICE))
-                views.append(RxView(slot, pkt, hdr))
+                p_region, p_offset, p_length, h_region, h_offset, h_length = mem.unpack_at(
+                    region, slot_at[slot] + RX_OFF_PKT, _RX_FETCH, Side.DEVICE
+                )
+                views.append(
+                    RxView(
+                        slot,
+                        Handle(p_region, p_offset, p_length),
+                        Handle(h_region, h_offset, h_length),
+                    )
+                )
             self.device_next = (self.device_next + 1) & MASK32
         return views
 
     def _writeback_window_ok(self, slot: int) -> bool:
-        # slot must be fetched, not yet completed, and still in flight
-        idx = self.tail
-        while idx != self.device_next:
-            if self._mask(idx) == slot:
-                return not self._device_done[slot]
-            idx = (idx + 1) & MASK32
-        return False
+        """Slot must be fetched, not yet completed, and still in flight.
+
+        The window is the run of ring positions [tail, device_next); slot
+        lies in it iff its distance from tail, modulo capacity, is shorter
+        than the run. Should a forged status let tail overtake device_next,
+        the run is longer than the ring and every slot lies in it, which is
+        what a walk from tail to device_next would find.
+        """
+        if not 0 <= slot < self.capacity:
+            return False
+        window = (self.device_next - self.tail) & MASK32
+        return ((slot - self.tail) & (self.capacity - 1)) < window and not self._device_done[slot]
 
     def device_writeback_tx(self, slot: int) -> bool:
         """Mark a TX slot complete. Returns False (and logs) for a replayed or
@@ -351,7 +372,8 @@ class DescriptorRing:
         memory cannot be defended, only distrusted."""
         assert self.direction is Direction.TX
         ok = self._writeback_window_ok(slot)
-        self.mem.write(self._field(slot, TX_OFF_STATUS, 1), Side.DEVICE, bytes([TX_STATUS_FREE]))
+        at = self._device_slot_at(slot)
+        self.mem.pack_at(self._region, at + TX_OFF_STATUS, _U8, Side.DEVICE, TX_STATUS_FREE)
         if ok:
             self._device_done[slot] = True
             self._completion_seq[slot] = self._next_completion
@@ -371,12 +393,15 @@ class DescriptorRing:
     ) -> bool:
         assert self.direction is Direction.RX
         ok = self._writeback_window_ok(slot)
-        self.mem.write(self._field(slot, RX_OFF_INFO, 2), Side.DEVICE, struct.pack("<H", packet_info & 0xFFFF))
-        self.mem.write(self._field(slot, RX_OFF_RSS, 4), Side.DEVICE, struct.pack("<I", rss & MASK32))
-        self.mem.write(self._field(slot, RX_OFF_VLAN, 2), Side.DEVICE, struct.pack("<H", vlan_tag & 0xFFFF))
-        self.mem.write(self._field(slot, RX_OFF_LEN, 2), Side.DEVICE, struct.pack("<H", length & 0xFFFF))
+        mem, region, at = self.mem, self._region, self._device_slot_at(slot)
+        mem.pack_at(
+            region, at + RX_OFF_INFO, _RX_INFO_RSS, Side.DEVICE, packet_info & 0xFFFF, rss & MASK32
+        )
+        mem.pack_at(
+            region, at + RX_OFF_VLAN, _RX_VLAN_LEN, Side.DEVICE, vlan_tag & 0xFFFF, length & 0xFFFF
+        )
         # status goes last so a ready flag never precedes its payload fields
-        self.mem.write(self._field(slot, RX_OFF_STATUS, 2), Side.DEVICE, struct.pack("<H", status_error & 0xFFFF))
+        mem.pack_at(region, at + RX_OFF_STATUS, _U16, Side.DEVICE, status_error & 0xFFFF)
         if ok:
             self._device_done[slot] = True
         else:

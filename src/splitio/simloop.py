@@ -32,7 +32,7 @@ from .bench import (
     Workload,
 )
 from .devsim import LinkModel, SimNic
-from .errors import AuthFail, ConfigInvalid, Malformed, PoolExhausted
+from .errors import AuthFail, ConfigInvalid, EventBudgetExhausted, Malformed, PoolExhausted
 from .ipsec import (
     OffloadMode,
     SaDirection,
@@ -137,6 +137,9 @@ class _EchoRig:
 
         k_len = esp_frame_len(cfg.payload_len) if self.mode is not None else cfg.payload_len
         self.k_ns = self.profile.crypto_cost_ns(k_len)
+        # body byte i of packet s is (s*131 + i) & 0xFF: a slice of this ramp
+        self._body_len = cfg.payload_len - PACKET_ID_LEN
+        self._ramp = bytes(range(256)) * (self._body_len // 256 + 2)
 
     # -- event plumbing ----------------------------------------------------
 
@@ -167,9 +170,8 @@ class _EchoRig:
             self.exit_events.append((side, t, self.cfg.exits_per_packet))
 
     def _payload(self, serial: int) -> bytes:
-        head = serial.to_bytes(PACKET_ID_LEN, "big")
-        body = bytes((serial * 131 + i) & 0xFF for i in range(self.cfg.payload_len - PACKET_ID_LEN))
-        return head + body
+        start = (serial * 131) & 0xFF
+        return serial.to_bytes(PACKET_ID_LEN, "big") + self._ramp[start : start + self._body_len]
 
     # -- client send side --------------------------------------------------
 
@@ -375,7 +377,11 @@ class _EchoRig:
         # chained workload adds up to two follow-on sends per initial one
         budget = 10_000 + len(self.heap) * 150
         handlers = self._HANDLERS
-        while self.heap and budget:
+        while self.heap:
+            if not budget:
+                raise EventBudgetExhausted(
+                    f"event budget spent with {len(self.heap)} events still queued"
+                )
             budget -= 1
             t, _, kind, arg = heapq.heappop(self.heap)
             handlers[kind](self, t, arg)

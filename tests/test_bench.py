@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import json
 import math
 import random
@@ -30,10 +31,13 @@ from splitio.bench import (
     server_service_ns,
     validate_config,
 )
+from splitio.devsim import run_adversary
+from splitio import simloop
 from splitio.errors import (
     BadQuantile,
     ConfigInvalid,
     EmptySamples,
+    EventBudgetExhausted,
     ReportIoError,
     ZeroArgument,
 )
@@ -215,6 +219,14 @@ class TestConfigValidation:
     def test_defaults_valid(self):
         validate_config(BenchConfig())
 
+    @pytest.mark.parametrize("rate, duration", [(0.5, 1.0), (1000.0, 0.0005), (9.0, 0.1)])
+    def test_run_sending_no_packet_rejected(self, rate, duration):
+        with pytest.raises(ConfigInvalid, match="sends no packet"):
+            validate_config(BenchConfig(rate_pps=rate, duration_s=duration))
+
+    def test_one_packet_per_connection_accepted(self):
+        validate_config(BenchConfig(rate_pps=0.5, duration_s=2.0))
+
     def test_ipsec_load_defaults_to_lookaside(self):
         assert BenchConfig(workload=Workload.IPSEC_LOAD).effective_ipsec() is OffloadMode.LOOKASIDE
         assert (
@@ -320,6 +332,23 @@ class TestEchoClosedForm:
     def test_echo_rejects_load_workloads(self):
         with pytest.raises(ConfigInvalid):
             run_echo(bare_cfg(workload=Workload.UDP_LOAD))
+
+
+class TestEventBudget:
+    def test_spent_budget_with_work_queued_raises(self):
+        cfg = bare_cfg(duration_s=0.01)
+        rig = simloop._EchoRig(cfg)
+        # a send that schedules itself again never lets the heap drain
+        def resend(self, t, arg):
+            self.push(t + 1.0, "send", arg)
+
+        rig._HANDLERS = {**rig._HANDLERS, "send": resend}
+        with pytest.raises(EventBudgetExhausted):
+            rig.run()
+
+    def test_draining_run_completes(self):
+        result = run_echo_result(bare_cfg(duration_s=0.01))
+        assert result.sent == result.received == 10
 
 
 class TestDeterminism:
@@ -513,3 +542,75 @@ class TestWallClock:
         cfg = BenchConfig(workload=Workload.TCP_LIKE_LOAD, time_mode=TimeMode.WALL_CLOCK)
         with pytest.raises(ConfigInvalid):
             run_echo(cfg)
+
+
+def _echo_digest(result) -> str:
+    record = (
+        result.sent,
+        result.received,
+        result.drops,
+        result.samples,
+        sorted(result.counters_a.items()),
+        sorted(result.counters_b.items()),
+        sorted((result.worker_counters_a or {}).items()),
+        sorted((result.worker_counters_b or {}).items()),
+        result.link_drops_a,
+        result.link_drops_b,
+        result.server_payloads,
+        result.client_payloads,
+    )
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+class TestGoldenDigests:
+    """Seeded outputs pinned byte for byte. A change that only makes the
+    model faster must leave every one of these unchanged; a change that
+    means to move a modeled number updates the digest and says why."""
+
+    JITTER = replace(CostProfile(), jitter_ns=10_000)
+    CONFIGS = {
+        "plain_128": BenchConfig(duration_s=0.05, seed=11, profile=JITTER),
+        "lookaside_128": BenchConfig(
+            duration_s=0.05, seed=12, profile=JITTER, ipsec=OffloadMode.LOOKASIDE
+        ),
+        "inline_128": BenchConfig(
+            duration_s=0.05, seed=13, profile=JITTER, ipsec=OffloadMode.INLINE
+        ),
+        "plain_1500": BenchConfig(payload_len=1500, duration_s=0.05, seed=14, profile=JITTER),
+        "overload_50": BenchConfig(connections=50, mbuf_count=256, duration_s=0.004, seed=15),
+    }
+    DIGESTS = {
+        "plain_128": "16534b51f2722db2c35b4596061790e72a0c26dcff89a11a9cc3abd75f5775d4",
+        "lookaside_128": "bc367ceb8937e2ab4dead59282c16e117cfe7044a2ded3771a356764eadd62ce",
+        "inline_128": "555732cabba77dc41ff41931a122d879fee7d00844df5ac8745ac8640a1313b0",
+        "plain_1500": "1c106a2509897680f27ee90f791bf810ab0f2d119e3faad250531c579ac759bc",
+        "overload_50": "8b46e9ff6a911198090b7d531ce632ab10b0c70d7d08b5fc624d58d2e352cd43",
+    }
+    CAMPAIGN_DIGEST = "0419cdc1ad679d42e3fe13e1e7f1beb162ce0985d35cb6b9782986036ab53d48"
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_echo_digest(self, name):
+        assert _echo_digest(run_echo_result(self.CONFIGS[name])) == self.DIGESTS[name]
+
+    def test_campaign_digest(self):
+        from test_security import CANARY, protect_factory_for, random_plan
+
+        rng = random.Random(0x5EC0)
+        h = hashlib.sha256()
+        for i in range(60):
+            plan, _ = random_plan(rng)
+            factory = secrets = None
+            if i % 2 == 1:
+                factory, secrets = protect_factory_for(rng)
+            report = run_adversary(
+                plan,
+                packets=4,
+                payload_len=64,
+                ring_capacity=8,
+                canary=CANARY,
+                secret_patterns=secrets,
+                protect_factory=factory,
+                seed=i,
+            )
+            h.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+        assert h.hexdigest() == self.CAMPAIGN_DIGEST

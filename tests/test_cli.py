@@ -52,6 +52,12 @@ class TestEchoCommand:
         code, _, err = run_cli(capsys, "echo", "--payload", "4", *FAST)
         assert code == 2
 
+    def test_run_that_sends_nothing_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "echo", "--rate", "0.5", "--duration", "1")
+        assert code == 2
+        assert out == ""
+        assert "sends no packet" in err
+
 
 class TestConfigFile:
     def test_file_supplies_values(self, capsys, tmp_path):
@@ -147,6 +153,20 @@ class TestAdversaryRuns:
         plan.write_text("summon_gremlins target=a\n")
         code, _, err = run_cli(capsys, "echo", "--adversary", str(plan))
         assert code == 2
+
+    def test_missing_plan_file_exits_two(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "echo", "--adversary", str(tmp_path / "missing"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read plan") and err.count("\n") == 1
+
+    def test_bad_payload_with_plan_exits_two(self, capsys, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("drop_packet target=a count=1\n")
+        code, out, err = run_cli(capsys, "echo", "--adversary", str(plan), "--payload", "abc")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad numeric value") and err.count("\n") == 1
 
     def test_canary_planted_in_shared_memory_exits_three(self, capsys, tmp_path):
         # Find the region id of port A's shared data slab by building the

@@ -9,7 +9,7 @@ from splitio.devsim import (
 )
 from splitio.devsim import _payloads_for_run
 from splitio.errors import BadPlan, SymmetryRequired
-from splitio.mem import MemorySystem
+from splitio.mem import MemorySystem, Side
 from splitio.pools import PoolConfig, port_new
 
 # Reference stream, rebuilt from the generator's documented constants rather
@@ -308,3 +308,45 @@ class TestBreachDetector:
         )
         assert not report.breach
         assert report.delivered == report.sent
+
+
+class TestForgedDescriptorsAndEmptyFrames:
+    """Two plans that once raised out of run_adversary. Each must now end
+    in a report: no breach, and one outcome per action."""
+
+    KW = dict(packets=4, payload_len=64, ring_capacity=8, canary=b"\xc3\x96" * 8)
+
+    def test_forged_out_of_arena_descriptor_is_a_violation(self):
+        # the tamper rewrites a posted RX descriptor's packet handle to name
+        # a region that does not exist; the device's DMA through it must be
+        # recorded, not raised
+        plan = AdversaryPlan.parse(
+            "tamper_shared target=a when=1000 region=1 offset=69947 data=b3f335ff67b16e\n"
+            "forge_writeback target=a when=0 slot=0 length=2048"
+        )
+        report = run_adversary(plan, **self.KW)
+        assert report.breach is False
+        assert [a for a, _ in report.outcomes] == ["tamper_shared", "forge_writeback"]
+        assert any(v["kind"] == "dma_write_denied" for v in report.violations)
+
+    def test_corrupting_an_empty_frame_does_not_raise(self):
+        plan = AdversaryPlan.parse(
+            "corrupt_ciphertext target=b when=0 offset=94\n"
+            "forge_writeback target=b when=0 slot=0 length=0"
+        )
+        report = run_adversary(plan, **self.KW)
+        assert report.breach is False
+        assert [a for a, _ in report.outcomes] == ["corrupt_ciphertext", "forge_writeback"]
+
+    def test_forged_tx_descriptor_read_is_a_violation(self):
+        system = LoopbackSystem(ring_capacity=8)
+        ring = system.port_a.tx_ring
+        system.send_from_a(bytes(64))
+        # rewrite the posted descriptor's address to name no arena at all
+        system.mem_a.write_at(
+            ring.backing.region, ring.backing.offset, b"\xff\x7f" + bytes(6), Side.DEVICE
+        )
+        system.pump(4)
+        kinds = [v["kind"] for v in system.nic_a.violations]
+        assert kinds == ["dma_read_denied"]
+        assert "no arena with id 32767" in system.nic_a.violations[0]["error"]

@@ -209,6 +209,37 @@ class TestBufferApi:
         port.pools.temporary.free(temp)
 
 
+class TestTxBurstValidatesFirst:
+    @pytest.mark.parametrize("bad", ["oversize_chain", "foreign"])
+    def test_bad_buffer_mid_burst_posts_nothing(self, bad):
+        mem, port = small_port()
+        temp_free = port.pools.temporary.remaining()
+        shadow_free = port.pools.shadow.remaining()
+        first, last = port.alloc_tx_buffer(), port.alloc_tx_buffer()
+        first.write_data(b"first")
+        last.write_data(b"last")
+        if bad == "oversize_chain":
+            mid, tail = port.alloc_tx_buffer(), port.alloc_tx_buffer()
+            mid.write_data(b"x" * 2000)
+            tail.write_data(b"y" * 2000)
+            mid.chain(tail)
+            expected, held = OversizePacket, [first, mid, tail, last]
+        else:
+            mid = port.pools.temporary.alloc()
+            expected, held = ForeignBuffer, [first, last]
+        with pytest.raises(expected):
+            port.tx_burst([first, mid, last])
+        assert port.tx_ring.occupancy() == 0
+        assert port.tx_ring.device_fetch() == []
+        assert port.counters["copies_tx"] == 0
+        # no temporary buffer was taken, and the caller still owns every
+        # shadow buffer it passed in
+        assert port.pools.temporary.remaining() == temp_free - (bad == "foreign")
+        for buf in held:
+            port.free_buffer(buf)
+        assert port.pools.shadow.remaining() == shadow_free
+
+
 class TestSingleCopyPath:
     def test_loopback_copies_exactly_once_each_way(self):
         mem, port = small_port()

@@ -368,3 +368,107 @@ def test_tx_ring_against_model(ops):
             model.reclaim()
         assert ring.occupancy() == model.occupancy
     assert ring.violations == []
+
+
+def _scan_window_ok(ring: DescriptorRing, slot: int) -> bool:
+    """The writeback-window check as a walk from tail to device_next, the
+    way it was first written. It is the oracle for the constant-time check.
+    With tail past device_next the walk only ends by finding the slot, so
+    callers ask it about in-range slots in that state."""
+    idx = ring.tail
+    while idx != ring.device_next:
+        if idx & (ring.capacity - 1) == slot:
+            return not ring._device_done[slot]
+        idx = (idx + 1) & MASK32
+    return False
+
+
+def _forge_ready(mem: MemorySystem, ring: DescriptorRing, slot: int) -> None:
+    """Device-side tamper of a slot's status: TX free, or RX ready."""
+    at = ring.backing.offset + slot * SLOT_SIZE
+    if ring.direction is Direction.TX:
+        mem.write(Handle(ring.backing.region, at + 16, 1), Side.DEVICE, b"\x01")
+    else:
+        mem.write(Handle(ring.backing.region, at + 22, 2), Side.DEVICE, b"\x01\x00")
+
+
+def _post(ring: DescriptorRing, buf: Handle) -> None:
+    if ring.direction is Direction.TX:
+        ring.vm_post_tx(tx_desc(buf))
+    else:
+        ring.vm_post_rx_buffer(buf)
+
+
+def _assert_window_matches_scan(ring: DescriptorRing) -> None:
+    cap = ring.capacity
+    for slot in range(cap):
+        assert ring._writeback_window_ok(slot) == _scan_window_ok(ring, slot), slot
+    if (ring.device_next - ring.tail) & MASK32 <= cap:
+        for slot in (-1, cap, cap + 3):
+            assert ring._writeback_window_ok(slot) is _scan_window_ok(ring, slot) is False
+
+
+_WINDOW_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["post", "fetch", "writeback", "reap", "forge", "replay"]),
+        st.integers(0, 7),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@pytest.mark.parametrize("direction", [Direction.TX, Direction.RX])
+@given(ops=_WINDOW_OPS)
+@settings(max_examples=150, deadline=None)
+def test_writeback_window_matches_ring_scan(direction, ops):
+    """The constant-time window check gives the walk's answer after every
+    post, fetch, writeback, poll or harvest, forged status and replayed
+    completion, including once a forged status has let tail pass
+    device_next."""
+    mem, ring, bufs = make_ring(direction, capacity=4, instrument=False)
+    completed: list[int] = []
+    for op, pick in ops:
+        slot = pick % 4
+        if op == "post":
+            if ring.occupancy() < ring.capacity:
+                _post(ring, bufs[pick])
+        elif op == "fetch":
+            ring.device_fetch()
+        elif op in ("writeback", "replay"):
+            if op == "replay" and completed:
+                slot = completed[pick % len(completed)]
+            if direction is Direction.TX:
+                ok = ring.device_writeback_tx(slot)
+            else:
+                ok = ring.device_writeback_rx(slot, length=32)
+            if ok:
+                completed.append(slot)
+        elif op == "reap":
+            if direction is Direction.TX:
+                ring.vm_poll_tx()
+            else:
+                ring.vm_harvest_rx(pick)
+        else:
+            # aim at the slots in flight, counted from tail
+            _forge_ready(mem, ring, (ring.tail + pick) % 4)
+        _assert_window_matches_scan(ring)
+
+
+@pytest.mark.parametrize("direction", [Direction.TX, Direction.RX])
+def test_writeback_window_after_tail_passes_device_next(direction):
+    mem, ring, bufs = make_ring(direction, capacity=4, instrument=False)
+    for i in range(3):
+        _post(ring, bufs[i])
+    ring.device_fetch()  # device_next = 3
+    _post(ring, bufs[3])
+    for slot in range(4):
+        _forge_ready(mem, ring, slot)
+    if direction is Direction.TX:
+        ring.vm_poll_tx()
+    else:
+        ring.vm_harvest_rx(4)
+    assert ring.tail == 4 and ring.device_next == 3  # tail overtook the device
+    assert (ring.device_next - ring.tail) & MASK32 > ring.capacity
+    _assert_window_matches_scan(ring)
+    assert all(ring._writeback_window_ok(slot) for slot in range(4))
