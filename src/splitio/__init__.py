@@ -16,7 +16,6 @@ from .bench import (
     NotificationMode,
     RampSchedule,
     ThroughputReport,
-    TimeMode,
     Workload,
     app_cost_sweep,
     emit_report,
@@ -49,14 +48,13 @@ from .factors import (
 from .ipsec import (
     CryptoWorker,
     OffloadMode,
+    PortProtect,
     SaDirection,
     SecurityAssociation,
     esp_decrypt,
     esp_encrypt,
     inline_attach,
     inline_detach,
-    lookaside_rx,
-    lookaside_tx,
     parse_sa_config,
 )
 from .mem import Handle, MemorySystem, RegionKind, Side
@@ -71,7 +69,7 @@ from .pools import (
     port_new,
 )
 from .prng import Splitmix64
-from .ring import DescriptorRing, Direction, ring_new
+from .ring import DescriptorRing, Direction
 
 __version__ = "0.1.0"
 
@@ -101,6 +99,7 @@ __all__ = [
     "PoolConfig",
     "PoolKind",
     "PortContext",
+    "PortProtect",
     "RampSchedule",
     "RegionKind",
     "SaDirection",
@@ -110,7 +109,6 @@ __all__ = [
     "SplitioError",
     "Splitmix64",
     "ThroughputReport",
-    "TimeMode",
     "VmConfiguration",
     "Workload",
     "app_cost_sweep",
@@ -122,8 +120,6 @@ __all__ = [
     "init_pools",
     "inline_attach",
     "inline_detach",
-    "lookaside_rx",
-    "lookaside_tx",
     "loopback_pair",
     "max_connections",
     "parse_sa_config",
@@ -131,7 +127,6 @@ __all__ = [
     "pool_memory_footprint",
     "port_new",
     "predict_latency",
-    "ring_new",
     "run_adversary",
     "run_echo",
     "run_load",

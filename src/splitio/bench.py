@@ -3,8 +3,8 @@
 Two runners with deliberately different fidelity:
 
 * run_echo drives the full stack (rings, pools, optional ESP protection)
-  packet by packet under a deterministic event clock, or under wall-clock
-  threads, and reports round-trip latency percentiles.
+  packet by packet under a deterministic event clock and reports
+  round-trip latency percentiles.
 * run_load is a fluid-flow model: per-second accounting of offered versus
   deliverable packet rate under a capacity derived from the same cost
   profile. It answers throughput and loss-onset questions that would take
@@ -28,7 +28,6 @@ from .errors import (
     BadQuantile,
     ConfigInvalid,
     EmptySamples,
-    ReportIoError,
     ZeroArgument,
 )
 from .ipsec import esp_frame_len
@@ -69,11 +68,6 @@ class Notification:
 class CopyModel(enum.Enum):
     SINGLE_COPY = "single"
     NO_COPY = "none"
-
-
-class TimeMode(enum.Enum):
-    DETERMINISTIC = "sim"
-    WALL_CLOCK = "wall"
 
 
 @dataclass(frozen=True)
@@ -129,7 +123,6 @@ class BenchConfig:
     copy_model: CopyModel = CopyModel.SINGLE_COPY
     ipsec: Optional[OffloadMode] = None
     seed: int = 0
-    time_mode: TimeMode = TimeMode.DETERMINISTIC
     profile: CostProfile = field(default_factory=CostProfile)
     bandwidth_bps: float = 8e9
     capacity_pps: Optional[float] = None  # load-model override
@@ -223,8 +216,8 @@ class LatencyStats:
 CSV_HEADER = "count,mean_ns,p50_ns,p95_ns,p99_ns,p999_ns,drops"
 
 
-def emit_report(stats: LatencyStats, fmt: str = "text", path: Optional[str] = None) -> str:
-    """Render stats in a stable field order; optionally write to a file.
+def emit_report(stats: LatencyStats, fmt: str = "text") -> str:
+    """Render stats in a stable field order.
 
     The same stats object always renders to identical bytes, which is what
     makes seeded runs comparable file-to-file.
@@ -263,12 +256,6 @@ def emit_report(stats: LatencyStats, fmt: str = "text", path: Optional[str] = No
         )
     else:
         raise ConfigInvalid(f"unknown report format {fmt!r}")
-    if path is not None:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ReportIoError(f"cannot write report to {path}: {exc}") from exc
     return text
 
 
@@ -486,6 +473,4 @@ def run_echo_result(cfg: BenchConfig):
         raise ConfigInvalid(f"run_echo cannot drive workload {cfg.workload.value}")
     from . import simloop
 
-    if cfg.time_mode is TimeMode.WALL_CLOCK:
-        return simloop.run_echo_wall(cfg)
     return simloop.run_echo_sim(cfg)

@@ -23,7 +23,6 @@ from .bench import (
     BenchConfig,
     CopyModel,
     Notification,
-    TimeMode,
     Workload,
     emit_report,
     run_echo,
@@ -38,8 +37,9 @@ from .errors import (
     SplitioError,
     ZeroArgument,
 )
-from .ipsec import OffloadMode, PortProtect, SaDirection, SecurityAssociation
-from .prng import Splitmix64
+from .ipsec import OffloadMode, PortProtect, esp_sa_pairs, sa_keys
+
+_ADVERSARY_KEY_TWEAK = 0x1B57_EC00
 
 _DEFAULTS = {
     "payload": "128",
@@ -50,7 +50,6 @@ _DEFAULTS = {
     "copy": "single",
     "ipsec": None,
     "seed": "0",
-    "time": "sim",
     "format": "text",
     "out": None,
     "adversary": None,
@@ -71,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--copy", choices=["single", "none"], help="copy cost model")
     common.add_argument("--ipsec", choices=["lookaside", "inline"], help="offload mode")
     common.add_argument("--seed", help="PRNG seed")
-    common.add_argument("--time", choices=["sim", "wall"], help="clock mode")
     common.add_argument("--format", choices=["text", "json", "csv"], help="output format")
     common.add_argument("--out", help="also write the report to this path")
     common.add_argument("--adversary", help="run this adversary plan file instead")
@@ -141,7 +139,6 @@ def _build_config(values: dict[str, Optional[str]], workload: Workload) -> Bench
     try:
         ipsec = OffloadMode(values["ipsec"]) if values["ipsec"] else None
         copy_model = CopyModel(values["copy"])
-        time_mode = TimeMode(values["time"])
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from None
     return BenchConfig(
@@ -154,7 +151,6 @@ def _build_config(values: dict[str, Optional[str]], workload: Workload) -> Bench
         copy_model=copy_model,
         ipsec=ipsec,
         seed=seed,
-        time_mode=time_mode,
     )
 
 
@@ -169,28 +165,15 @@ def _write_out(text: str, path: Optional[str]) -> None:
 
 
 def _adversary_protect_factory(seed: int):
-    """Deterministic SA pairs for a protected adversary run."""
-    ks = Splitmix64(seed ^ 0x1B57_EC00)
-
-    def take(n: int) -> bytes:
-        out = b""
-        while len(out) < n:
-            out += ks.next_u64().to_bytes(8, "big")
-        return out[:n]
-
-    key_ab, salt_ab = take(16), take(4)
-    key_ba, salt_ba = take(16), take(4)
+    """Deterministic SA pairs for a protected adversary run, and the keys
+    the breach scan looks for."""
+    seed ^= _ADVERSARY_KEY_TWEAK
 
     def factory(system):
-        a_out = SecurityAssociation(system.mem_a, 0x1001, key_ab, salt_ab, SaDirection.OUTBOUND)
-        b_in = SecurityAssociation(system.mem_b, 0x1001, key_ab, salt_ab, SaDirection.INBOUND)
-        b_out = SecurityAssociation(system.mem_b, 0x2002, key_ba, salt_ba, SaDirection.OUTBOUND)
-        a_in = SecurityAssociation(system.mem_a, 0x2002, key_ba, salt_ba, SaDirection.INBOUND)
-        return (
-            PortProtect(system.port_a, a_out, a_in),
-            PortProtect(system.port_b, b_out, b_in),
-        )
+        (a_out, a_in), (b_out, b_in) = esp_sa_pairs(system.mem_a, system.mem_b, seed)
+        return PortProtect(system.port_a, a_out, a_in), PortProtect(system.port_b, b_out, b_in)
 
+    key_ab, _, key_ba, _ = sa_keys(seed)
     return factory, [key_ab, key_ba]
 
 

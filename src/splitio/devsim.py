@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -180,7 +181,9 @@ class SimNic:
     # -- wiring ------------------------------------------------------------
 
     def connect(self, peer: "SimNic") -> None:
-        self.peer = peer
+        # a proxy: two connected NICs would otherwise hold each other (and
+        # through their ports every arena) in a reference cycle
+        self.peer = weakref.proxy(peer)
 
     def enqueue(self, arrival: int, payload: bytes) -> None:
         heapq.heappush(self.inbox, _FlightPacket(arrival, self._seq, payload))
@@ -303,7 +306,7 @@ class SimNic:
                 self._violation("tamper_denied", now, region=action.region, error=str(exc))
         elif kind is ActionKind.FORGE_WRITEBACK:
             self.port.rx_ring.device_writeback_rx(
-                action.slot,
+                action.slot % self.port.rx_ring.capacity,
                 length=action.length,
                 status_error=action.status_error if action.status_error is not None else 0x0001,
             )
@@ -357,7 +360,64 @@ def loopback_pair(
 
 
 # ---------------------------------------------------------------------------
-# Loopback rig and adversary runs
+# Endpoints, the loopback rig and adversary runs
+
+
+class Endpoint:
+    """One side of a two-endpoint rig: its memory, port and device, plus
+    the application's data path.
+
+    app_tx(bufs) sends shadow buffers and returns how many it accepted,
+    always a prefix; the caller still owns the rest and frees them.
+    app_rx(max_count) returns received plaintext buffers, which the caller
+    owns. The plain path is the port's own tx_burst/rx_burst, bound
+    directly; use() switches to a PortProtect (look-aside) or a
+    CryptoWorker (inline), which refuses frames that fail verification
+    before the application sees them.
+    """
+
+    def __init__(self, mem: MemorySystem, port: PortContext, nic: SimNic):
+        self.mem = mem
+        self.port = port
+        self.nic = nic
+        self.use(None)
+
+    def use(self, path) -> None:
+        self.path = path
+        if path is None:
+            self.app_tx, self.app_rx = self.port.tx_burst, self.port.rx_burst
+        else:
+            self.app_tx, self.app_rx = path.app_tx, path.app_rx
+
+
+def endpoint_pair(
+    pool_cfg: PoolConfig,
+    link: LinkModel,
+    ring_capacity: int,
+    instrument: bool = False,
+    canary: Optional[bytes] = None,
+    plan: Optional[AdversaryPlan] = None,
+    capture: bool = False,
+    trace: bool = False,
+) -> tuple[Endpoint, Endpoint]:
+    """Two endpoints, each on its own MemorySystem with one port, whose
+    NICs are joined by a symmetric link. Both start on the plain path."""
+    mem_a = MemorySystem(instrument=instrument)
+    mem_b = MemorySystem(instrument=instrument)
+    port_a = port_new(mem_a, pool_cfg, ring_capacity=ring_capacity, canary=canary)
+    port_b = port_new(mem_b, pool_cfg, ring_capacity=ring_capacity, canary=canary)
+    nic_a, nic_b = loopback_pair(port_a, port_b, link, plan=plan, capture=capture, trace=trace)
+    return Endpoint(mem_a, port_a, nic_a), Endpoint(mem_b, port_b, nic_b)
+
+
+def _protect(side: str) -> property:
+    def get(self):
+        return getattr(self, side).path
+
+    def set_(self, path) -> None:
+        getattr(self, side).use(path)
+
+    return property(get, set_, doc=f"Endpoint {side}'s data path; None is plain.")
 
 
 class LoopbackSystem:
@@ -365,9 +425,13 @@ class LoopbackSystem:
     pumped in lock steps of step_ns. Endpoint A sends, endpoint B records
     what its application receives; A's RX side also runs so forged inbound
     traffic is observable. This is the rig the adversary suite and the
-    module-level examples use; the benchmark has its own event-driven loop."""
+    module-level examples use; the benchmark drives the same endpoints from
+    its own event-driven loop."""
 
     STEP_NS = 1000
+
+    protect_a = _protect("a")
+    protect_b = _protect("b")
 
     def __init__(
         self,
@@ -381,53 +445,34 @@ class LoopbackSystem:
     ):
         self.pool_cfg = pool_cfg or PoolConfig(mbuf_count=32)
         self.link = link or LinkModel(base_latency_ns=500)
-        self.mem_a = MemorySystem(instrument=instrument)
-        self.mem_b = MemorySystem(instrument=instrument)
-        self.port_a = port_new(
-            self.mem_a, self.pool_cfg, ring_capacity=ring_capacity, canary=canary
+        self.a, self.b = endpoint_pair(
+            self.pool_cfg, self.link, ring_capacity,
+            instrument=instrument, canary=canary, plan=plan, capture=True, trace=trace,
         )
-        self.port_b = port_new(
-            self.mem_b, self.pool_cfg, ring_capacity=ring_capacity, canary=canary
-        )
-        self.nic_a, self.nic_b = loopback_pair(
-            self.port_a, self.port_b, self.link, plan=plan, capture=True, trace=trace
-        )
+        self.mem_a, self.port_a, self.nic_a = self.a.mem, self.a.port, self.a.nic
+        self.mem_b, self.port_b, self.nic_b = self.b.mem, self.b.port, self.b.nic
         self.now = 0
         self.sent: list[bytes] = []
         self.delivered_b: list[bytes] = []
         self.delivered_a: list[bytes] = []
-        # optional in-place packet protection (duck-typed: encrypt(buf),
-        # decrypt(buf) -> bool); wired by the ipsec layer when used
-        self.protect_a = None
-        self.protect_b = None
 
     def send_from_a(self, payload: bytes) -> None:
         buf = self.port_a.alloc_tx_buffer()
         buf.write_data(payload)
         self.sent.append(payload)
-        if self.protect_a is not None:
-            self.protect_a.encrypt(buf)
-        if self.port_a.tx_burst([buf]) == 0:
+        if self.a.app_tx([buf]) == 0:
             self.port_a.free_buffer(buf)
 
     def _drain_a(self) -> None:
-        for buf in self.port_a.rx_burst(64):
-            if self.protect_a is not None and not self.protect_a.decrypt(buf):
-                self.port_a.free_buffer(buf)
-                continue
+        for buf in self.a.app_rx(64):
             self.delivered_a.append(buf.read_data())
             self.port_a.free_buffer(buf)
 
     def _drain_b_echo(self) -> None:
         # B's application: record the payload, then echo it straight back
-        for buf in self.port_b.rx_burst(64):
-            if self.protect_b is not None and not self.protect_b.decrypt(buf):
-                self.port_b.free_buffer(buf)
-                continue
+        for buf in self.b.app_rx(64):
             self.delivered_b.append(buf.read_data())
-            if self.protect_b is not None:
-                self.protect_b.encrypt(buf)
-            if self.port_b.tx_burst([buf]) == 0:
+            if self.b.app_tx([buf]) == 0:
                 self.port_b.free_buffer(buf)
 
     def pump(self, steps: int = 1) -> None:
@@ -439,9 +484,6 @@ class LoopbackSystem:
             self._drain_a()
             self.port_a.reclaim_tx()
             self.port_b.reclaim_tx()
-
-    def shared_regions(self) -> set[int]:
-        return set(self.mem_a.shared.registered) | set(self.mem_b.shared.registered)
 
 
 @dataclass

@@ -24,17 +24,24 @@ is how the tests prove the app worker does zero AES in inline mode.
 
 Offload shapes:
 
-* look-aside: the application worker itself calls the batch encrypt/decrypt
-  helpers around its rx/tx bursts.
-* emulated inline: a dedicated crypto worker owns four bounded staging queues
-  (cipher-in / plain-out inbound, plain-in / cipher-out outbound), polls the
-  pool layer, and does every AES operation; the application only touches the
-  plain-side queues.
+* look-aside (PortProtect): the application worker itself seals and opens
+  around its tx/rx bursts.
+* emulated inline (CryptoWorker): a dedicated crypto worker owns four bounded
+  staging queues (cipher-in / plain-out inbound, plain-in / cipher-out
+  outbound), polls the pool layer, and does every AES operation; the
+  application only touches the plain-side queues.
+
+Both are application data paths with the port's own shape: app_tx(bufs)
+returns how many buffers it accepted, always a prefix, and the caller keeps
+(and frees) the rest; app_rx(max_count) returns plaintext buffers the caller
+owns. A received frame that fails verification is refused in one place,
+esp_open, and never reaches the application.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -46,6 +53,7 @@ from .errors import (
     AlreadyAttached,
     AuthFail,
     BadSaConfig,
+    ForeignBuffer,
     Malformed,
     Oversize,
     SeqExhausted,
@@ -53,6 +61,7 @@ from .errors import (
 )
 from .mem import Handle, MemorySystem, RegionKind, Side
 from .pools import PacketBuffer, PortContext
+from .prng import Splitmix64
 
 ADDR_PREFIX_LEN = 8
 ESP_HEADER_LEN = 8  # spi + seq32
@@ -130,6 +139,29 @@ class SecurityAssociation:
         return self._aead
 
 
+def sa_keys(seed: int) -> tuple[bytes, bytes, bytes, bytes]:
+    """(key_ab, salt_ab, key_ba, salt_ba) for the two directions of a flow,
+    drawn big-endian from one Splitmix64 stream: each key takes two draws,
+    each salt the first four bytes of one."""
+    ks = Splitmix64(seed)
+    w = [ks.next_u64().to_bytes(8, "big") for _ in range(6)]
+    return w[0] + w[1], w[2][:SALT_LEN], w[3] + w[4], w[5][:SALT_LEN]
+
+
+def esp_sa_pairs(
+    mem_a: MemorySystem, mem_b: MemorySystem, seed: int
+) -> tuple[tuple[SecurityAssociation, SecurityAssociation], tuple[SecurityAssociation, SecurityAssociation]]:
+    """((a_out, a_in), (b_out, b_in)): SPI 0x1001 carries a to b, 0x2002 b
+    to a, keyed by sa_keys(seed). Each endpoint's pair lives in its own
+    memory system."""
+    key_ab, salt_ab, key_ba, salt_ba = sa_keys(seed)
+    a_out = SecurityAssociation(mem_a, 0x1001, key_ab, salt_ab, SaDirection.OUTBOUND)
+    b_in = SecurityAssociation(mem_b, 0x1001, key_ab, salt_ab, SaDirection.INBOUND)
+    b_out = SecurityAssociation(mem_b, 0x2002, key_ba, salt_ba, SaDirection.OUTBOUND)
+    a_in = SecurityAssociation(mem_a, 0x2002, key_ba, salt_ba, SaDirection.INBOUND)
+    return (a_out, a_in), (b_out, b_in)
+
+
 @dataclass(frozen=True)
 class EspParts:
     """Parsed-but-unverified view of a protected frame (test/diagnostic aid)."""
@@ -167,6 +199,8 @@ def esp_encrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
     """Protect a shadow buffer in place; pkt_len grows by 34..37 bytes."""
     if sa.direction is not SaDirection.OUTBOUND:
         raise WrongDirection("encrypt requires an outbound association")
+    if buf.pool.mem is not sa.mem:
+        raise ForeignBuffer("buffer and association belong to different memory systems")
     pkt_len = buf.pkt_len
     if pkt_len < ADDR_PREFIX_LEN:
         raise Malformed(f"packet of {pkt_len} B lacks the {ADDR_PREFIX_LEN} B addressing prefix")
@@ -205,6 +239,8 @@ def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
     """
     if sa.direction is not SaDirection.INBOUND:
         raise WrongDirection("decrypt requires an inbound association")
+    if buf.pool.mem is not sa.mem:
+        raise ForeignBuffer("buffer and association belong to different memory systems")
     frame_len = buf.pkt_len
     if frame_len < MIN_FRAME_LEN:
         raise Malformed(f"frame of {frame_len} B below minimum {MIN_FRAME_LEN}")
@@ -247,48 +283,77 @@ def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
 
 
 # ---------------------------------------------------------------------------
-# Look-aside offload: the app worker triggers batched crypto around bursts.
+# Application data paths.
 
 
-def lookaside_rx(
-    port: PortContext, sa: SecurityAssociation, max_count: int = 32
-) -> list[PacketBuffer]:
-    """rx_burst, then batch-decrypt on the calling (application) worker.
-    Frames that fail verification are freed and counted, never delivered.
-    AES work lands in port.counters["aes_ops"], the application worker's
+def esp_open(
+    sa: SecurityAssociation, buf: PacketBuffer, port: PortContext, ops_counter: dict
+) -> bool:
+    """Unprotect buf in place, or refuse it. A frame that fails
+    verification (AuthFail or Malformed) counts in port's auth_fail and
+    returns False; the caller still holds it. Every protected receive path
+    refuses frames here and nowhere else."""
+    try:
+        esp_decrypt(sa, buf, ops_counter=ops_counter)
+    except (AuthFail, Malformed):
+        port.counters["auth_fail"] += 1
+        return False
+    return True
+
+
+class PortProtect:
+    """Look-aside data path: the calling (application) worker seals every
+    buffer before tx_burst and opens every buffer rx_burst returns. Its AES
+    work lands in port.counters["aes_ops"], the application worker's
     tally."""
-    out: list[PacketBuffer] = []
-    for buf in port.rx_burst(max_count):
-        try:
-            esp_decrypt(sa, buf, ops_counter=port.counters)
-        except (AuthFail, Malformed):
-            port.counters["auth_fail"] += 1
-            port.free_buffer(buf)
-            continue
-        out.append(buf)
-    return out
 
+    def __init__(self, port: PortContext, sa_out: SecurityAssociation, sa_in: SecurityAssociation):
+        self.port = port
+        self.sa_out = sa_out
+        self.sa_in = sa_in
 
-def lookaside_tx(port: PortContext, sa: SecurityAssociation, bufs: list[PacketBuffer]) -> int:
-    """Batch-encrypt on the calling worker, then tx_burst."""
-    for buf in bufs:
-        esp_encrypt(sa, buf, ops_counter=port.counters)
-    return port.tx_burst(bufs)
+    def app_tx(self, bufs: list[PacketBuffer]) -> int:
+        for buf in bufs:
+            esp_encrypt(self.sa_out, buf, ops_counter=self.port.counters)
+        return self.port.tx_burst(bufs)
 
+    def app_rx(self, max_count: int = 32) -> list[PacketBuffer]:
+        """Refused frames are freed here, never delivered."""
+        port = self.port
+        out = []
+        for buf in port.rx_burst(max_count):
+            if esp_open(self.sa_in, buf, port, port.counters):
+                out.append(buf)
+            else:
+                port.free_buffer(buf)
+        return out
 
-# ---------------------------------------------------------------------------
-# Emulated inline offload: a reserved crypto worker between pools and app.
+    def encrypt(self, buf: PacketBuffer) -> None:
+        esp_encrypt(self.sa_out, buf, ops_counter=self.port.counters)
+
+    def decrypt(self, buf: PacketBuffer) -> bool:
+        """Open one buffer; False (counted) if it fails, and the caller
+        still holds it."""
+        return esp_open(self.sa_in, buf, self.port, self.port.counters)
+
+    def secret_patterns(self) -> list[bytes]:
+        return [self.sa_out.key_bytes(), self.sa_in.key_bytes()]
+
 
 STAGING_CAPACITY = 1024
 
 
 class CryptoWorker:
-    """Owns the four staging queues and all AES work for one port.
+    """Emulated inline data path: owns the four staging queues and all AES
+    work for one port.
 
     The application enqueues plaintext shadow buffers (app_tx) and dequeues
     decrypted ones (app_rx); the worker's step pulls ciphertext in from the
     pool layer, transforms in batches, and pushes ciphertext out through
-    tx_burst. Queues are bounded; overflow drops the packet and counts it.
+    tx_burst. Queues are bounded; a packet that finds its queue full is a
+    stage drop. The attached port holds its worker (port.crypto_worker);
+    the worker reaches the port through a weak proxy, so the two do not
+    form a reference cycle.
     """
 
     def __init__(
@@ -298,7 +363,7 @@ class CryptoWorker:
         sa_out: SecurityAssociation,
         staging_capacity: int = STAGING_CAPACITY,
     ):
-        self.port = port
+        self.port = weakref.proxy(port)
         self.sa_in = sa_in
         self.sa_out = sa_out
         self.capacity = staging_capacity
@@ -311,14 +376,11 @@ class CryptoWorker:
     # -- app-side (plain queues only, zero crypto here) --------------------
 
     def app_tx(self, bufs: list[PacketBuffer]) -> int:
-        accepted = 0
-        for buf in bufs:
-            if len(self.plain_in) >= self.capacity:
-                self.counters["stage_drops"] += 1
-                self.port.free_buffer(buf)
-                continue
-            self.plain_in.append(buf)
-            accepted += 1
+        """Stage as many as plain_in has room for; the rest count as stage
+        drops and stay the caller's."""
+        accepted = max(0, min(len(bufs), self.capacity - len(self.plain_in)))
+        self.plain_in.extend(bufs[:accepted])
+        self.counters["stage_drops"] += len(bufs) - accepted
         return accepted
 
     def app_rx(self, max_count: int = 32) -> list[PacketBuffer]:
@@ -334,42 +396,38 @@ class CryptoWorker:
 
     def step(self, batch_max: int = 32) -> int:
         """One polling iteration; returns the number of transforms performed."""
+        port = self.port
         room = self.capacity - len(self.cipher_in)
         if room > 0:
-            for buf in self.port.rx_burst(min(batch_max, room)):
+            for buf in port.rx_burst(min(batch_max, room)):
                 self.cipher_in.append(buf)
 
         done = 0
         while self.cipher_in and done < batch_max:
             buf = self.cipher_in.popleft()
-            try:
-                esp_decrypt(self.sa_in, buf, ops_counter=self.counters)
-            except (AuthFail, Malformed):
+            done += 1
+            if not esp_open(self.sa_in, buf, port, self.counters):
                 self.counters["auth_fail"] += 1
-                self.port.counters["auth_fail"] += 1
-                self.port.free_buffer(buf)
-                done += 1
-                continue
-            if len(self.plain_out) >= self.capacity:
+                port.free_buffer(buf)
+            elif len(self.plain_out) >= self.capacity:
                 self.counters["stage_drops"] += 1
-                self.port.free_buffer(buf)
+                port.free_buffer(buf)
             else:
                 self.plain_out.append(buf)
-            done += 1
 
         while self.plain_in and done < batch_max:
             buf = self.plain_in.popleft()
             esp_encrypt(self.sa_out, buf, ops_counter=self.counters)
             if len(self.cipher_out) >= self.capacity:
                 self.counters["stage_drops"] += 1
-                self.port.free_buffer(buf)
+                port.free_buffer(buf)
             else:
                 self.cipher_out.append(buf)
             done += 1
 
         if self.cipher_out:
             batch = list(self.cipher_out)
-            accepted = self.port.tx_burst(batch)
+            accepted = port.tx_burst(batch)
             for _ in range(accepted):
                 self.cipher_out.popleft()
 
@@ -386,7 +444,7 @@ def inline_attach(
     if getattr(port, "crypto_worker", None) is not None:
         raise AlreadyAttached("port already has a crypto worker")
     worker = CryptoWorker(port, sa_in, sa_out, staging_capacity)
-    port.crypto_worker = worker  # type: ignore[attr-defined]
+    port.crypto_worker = worker
     return worker
 
 
@@ -399,39 +457,7 @@ def inline_detach(worker: CryptoWorker, max_steps: int = 10_000) -> None:
         steps += 1
         if steps > max_steps:
             raise SplitioError("crypto worker failed to drain")
-    worker.port.crypto_worker = None  # type: ignore[attr-defined]
-
-
-def crypto_worker_step(worker: CryptoWorker, batch_max: int = 32) -> int:
-    return worker.step(batch_max)
-
-
-# ---------------------------------------------------------------------------
-# Port protection adapter (used by the loopback rig and the bench harness).
-
-
-class PortProtect:
-    """Duck-typed protect object: in-place encrypt/decrypt on shadow buffers
-    with failure counting on the port."""
-
-    def __init__(self, port: PortContext, sa_out: SecurityAssociation, sa_in: SecurityAssociation):
-        self.port = port
-        self.sa_out = sa_out
-        self.sa_in = sa_in
-
-    def encrypt(self, buf: PacketBuffer) -> None:
-        esp_encrypt(self.sa_out, buf, ops_counter=self.port.counters)
-
-    def decrypt(self, buf: PacketBuffer) -> bool:
-        try:
-            esp_decrypt(self.sa_in, buf, ops_counter=self.port.counters)
-            return True
-        except (AuthFail, Malformed):
-            self.port.counters["auth_fail"] += 1
-            return False
-
-    def secret_patterns(self) -> list[bytes]:
-        return [self.sa_out.key_bytes(), self.sa_in.key_bytes()]
+    worker.port.crypto_worker = None
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +508,3 @@ def parse_sa_config(text: str) -> list[SaSpec]:
         specs.append(SaSpec(spi=spi, key=key_bytes, salt=salt_bytes, mode=mode))
     return specs
 
-
-def load_sa_config(path: str) -> list[SaSpec]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_sa_config(fh.read())

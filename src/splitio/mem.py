@@ -15,6 +15,7 @@ turn it on, the benchmark fast path leaves it off.
 from __future__ import annotations
 
 import enum
+import mmap
 import struct
 from array import array
 from dataclasses import dataclass
@@ -86,12 +87,14 @@ class Arena:
         self.id = arena_id
         self.kind = kind
         self.size = size
-        self.data = bytearray(size)
+        # anonymous maps: zero until a page is first touched and unmapped when
+        # the arena is dropped, so a rig costs only the pages its run touches
+        self.data = mmap.mmap(-1, size)
         # per-byte read tally, allocated only under instrumentation
-        self.read_counters: Optional[array] = array("I", bytes(4 * size)) if instrument else None
+        self.read_counters = memoryview(mmap.mmap(-1, 4 * size)).cast("I") if instrument else None
 
     def is_zero(self) -> bool:
-        return not any(self.data)
+        return not any(self.data[:])
 
 
 class SharedRegionManager:
@@ -103,8 +106,11 @@ class SharedRegionManager:
     memory. A torn-down manager refuses further registration.
     """
 
-    def __init__(self, mem: "MemorySystem"):
-        self._mem = mem
+    def __init__(self, arenas: dict[int, Arena], quarantined: set[int]):
+        # the owning system's arena table and quarantine set, not the system
+        # itself, so the two do not hold each other in a reference cycle
+        self._arenas = arenas
+        self._quarantined = quarantined
         self.registered: set[int] = set()
         self.state = RegionState.INIT
 
@@ -113,6 +119,8 @@ class SharedRegionManager:
             raise AlreadyTornDown("manager already torn down")
         if arena.kind is not RegionKind.SHARED:
             raise NotShared(f"arena {arena.id} is {arena.kind.value}")
+        if self._arenas.get(arena.id) is not arena:
+            raise NotShared(f"arena {arena.id} belongs to another memory system")
         self.registered.add(arena.id)
         self.state = RegionState.ACTIVE
 
@@ -124,9 +132,9 @@ class SharedRegionManager:
         if self.state is RegionState.TORN_DOWN:
             raise AlreadyTornDown("manager already torn down")
         for region in sorted(self.registered):
-            arena = self._mem.arena(region)
+            arena = self._arenas[region]
             arena.data[:] = bytes(arena.size)
-            self._mem.quarantined.discard(region)
+            self._quarantined.discard(region)
         self.registered.clear()
         self.state = RegionState.TORN_DOWN
 
@@ -141,7 +149,7 @@ class MemorySystem:
         # shared arenas abandoned by a non-graceful port teardown; not
         # reusable for new rings/pools until zero_and_release scrubs them
         self.quarantined: set[int] = set()
-        self.shared = SharedRegionManager(self)
+        self.shared = SharedRegionManager(self.arenas, self.quarantined)
         self._next_id = 1
 
     # -- arena lifecycle ---------------------------------------------------

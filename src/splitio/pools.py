@@ -120,10 +120,6 @@ class PacketBuffer:
         self.meta_at = pool.meta_base + index * METADATA_OVERHEAD
 
     @property
-    def meta(self) -> Handle:
-        return self.pool.meta_handle(self.index)
-
-    @property
     def data(self) -> Handle:
         return self.pool.data_handle(self.index)
 

@@ -22,10 +22,6 @@ class Splitmix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
 
-    def next_below(self, bound: int) -> int:
-        """Uniform-ish draw in [0, bound); bound must be positive."""
-        return self.next_u64() % bound
-
     def chance(self, probability: float) -> bool:
         """True with the given probability. probability 0 never fires, 1 always."""
         if probability <= 0.0:

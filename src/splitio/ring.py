@@ -408,11 +408,3 @@ class DescriptorRing:
             self.violations.append(("replayed_rx_writeback", slot))
         return ok
 
-
-def ring_new(
-    mem: MemorySystem,
-    backing: Handle,
-    capacity: int = DEFAULT_CAPACITY,
-    direction: Direction = Direction.TX,
-) -> DescriptorRing:
-    return DescriptorRing(mem, backing, capacity, direction)

@@ -1,8 +1,10 @@
 import bisect
+import gc
 import hashlib
 import json
 import math
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -18,7 +20,6 @@ from splitio.bench import (
     Notification,
     NotificationMode,
     RampSchedule,
-    TimeMode,
     Workload,
     app_cost_sweep,
     emit_report,
@@ -31,17 +32,17 @@ from splitio.bench import (
     server_service_ns,
     validate_config,
 )
-from splitio.devsim import run_adversary
+from splitio.devsim import AdversaryPlan, run_adversary
 from splitio import simloop
 from splitio.errors import (
     BadQuantile,
     ConfigInvalid,
     EmptySamples,
     EventBudgetExhausted,
-    ReportIoError,
     ZeroArgument,
 )
 from splitio.ipsec import OffloadMode, esp_frame_len
+from splitio.mem import MemorySystem
 
 
 def bare_cfg(**kw):
@@ -147,15 +148,6 @@ class TestReports:
         assert "packets   3" in text
         assert "mean      2.000 us" in text
         assert "drops     1" in text
-
-    def test_write_to_file(self, tmp_path):
-        path = tmp_path / "report.json"
-        text = emit_report(self.STATS, "json", path=str(path))
-        assert path.read_text() == text
-
-    def test_unwritable_path(self):
-        with pytest.raises(ReportIoError):
-            emit_report(self.STATS, "json", path="/nonexistent-dir/deep/report.json")
 
     def test_unknown_format(self):
         with pytest.raises(ConfigInvalid):
@@ -351,6 +343,50 @@ class TestEventBudget:
         assert result.sent == result.received == 10
 
 
+class TestRigLifetime:
+    """A run's rig holds no reference cycle, so its arenas are freed by
+    reference counting when the run returns, not at some later cyclic
+    collection. The collector stays off while each run executes."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        systems = []
+        init = MemorySystem.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            systems.append(weakref.ref(self))
+
+        monkeypatch.setattr(MemorySystem, "__init__", recording)
+        gc.collect()
+        gc.disable()
+        try:
+            yield systems
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("mode", [None, OffloadMode.LOOKASIDE, OffloadMode.INLINE])
+    def test_echo_run_frees_its_rig(self, built, mode):
+        result = run_echo_result(BenchConfig(duration_s=0.01, ipsec=mode))
+        assert result.received == 50
+        assert len(built) == 2
+        assert [ref() for ref in built] == [None, None]
+
+    @pytest.mark.parametrize("protected", [False, True])
+    def test_adversary_run_frees_its_rig(self, built, protected):
+        from splitio.cli import _adversary_protect_factory
+
+        factory = _adversary_protect_factory(seed=5)[0] if protected else None
+        plan = AdversaryPlan.parse(
+            "forge_writeback target=a when=0 slot=1 length=64\n"
+            "replay_descriptor target=b when=2000 slot=1"
+        )
+        report = run_adversary(plan, protect_factory=factory)
+        assert report.breach is False
+        assert len(built) == 2
+        assert [ref() for ref in built] == [None, None]
+
+
 class TestDeterminism:
     LOSSY = dict(
         rate_pps=2000.0,
@@ -523,25 +559,6 @@ class TestLoadRuns:
             "seconds",
         }
         assert doc["seconds"][0]["second"] == 0
-
-
-class TestWallClock:
-    def test_smoke(self):
-        cfg = BenchConfig(
-            rate_pps=2000.0,
-            duration_s=0.1,
-            time_mode=TimeMode.WALL_CLOCK,
-            profile=CostProfile.bare(),
-        )
-        stats = run_echo(cfg)
-        assert stats.count > 0
-        assert stats.mean_ns > 0
-        assert stats.count + stats.drops <= 200
-
-    def test_tcp_like_not_supported(self):
-        cfg = BenchConfig(workload=Workload.TCP_LIKE_LOAD, time_mode=TimeMode.WALL_CLOCK)
-        with pytest.raises(ConfigInvalid):
-            run_echo(cfg)
 
 
 def _echo_digest(result) -> str:

@@ -33,6 +33,12 @@ class TestEchoCommand:
         assert code == 0
         assert path.read_text() == out
 
+    def test_unwritable_out_exits_two(self, capsys):
+        code, _, err = run_cli(capsys, "echo", *FAST, "--out", "/nonexistent-dir/r.json")
+        assert code == 2
+        assert err.startswith("error: cannot write /nonexistent-dir/r.json")
+        assert err.count("\n") == 1
+
     def test_ipsec_command_runs(self, capsys):
         code, out, _ = run_cli(capsys, "ipsec", *FAST, "--payload", "96")
         assert code == 0

@@ -338,6 +338,20 @@ class TestForgedDescriptorsAndEmptyFrames:
         assert report.breach is False
         assert [a for a, _ in report.outcomes] == ["corrupt_ciphertext", "forge_writeback"]
 
+    def test_forged_writeback_slot_wraps_to_the_ring(self):
+        # a device names slots modulo the ring, as replay_descriptor does
+        wrapped = run_adversary(
+            AdversaryPlan.parse("forge_writeback target=a when=0 slot=8 length=64"),
+            ring_capacity=8,
+        )
+        assert wrapped.breach is False
+        assert [a for a, _ in wrapped.outcomes] == ["forge_writeback"]
+        same = run_adversary(
+            AdversaryPlan.parse("forge_writeback target=a when=0 slot=0 length=64"),
+            ring_capacity=8,
+        )
+        assert wrapped.to_dict() == same.to_dict()
+
     def test_forged_tx_descriptor_read_is_a_violation(self):
         system = LoopbackSystem(ring_capacity=8)
         ring = system.port_a.tx_ring

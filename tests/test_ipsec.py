@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcm_oracle import gcm_decrypt, gcm_encrypt
-from splitio.errors import AuthFail, BadSaConfig, Malformed, Oversize, SeqExhausted
+from splitio.errors import (
+    AuthFail,
+    BadSaConfig,
+    ForeignBuffer,
+    Malformed,
+    Oversize,
+    SeqExhausted,
+)
 from splitio.ipsec import (
     ADDR_PREFIX_LEN,
     ESP_OVERHEAD,
@@ -25,8 +32,6 @@ from splitio.ipsec import (
     esp_frame_len,
     inline_attach,
     inline_detach,
-    lookaside_rx,
-    lookaside_tx,
     parse_esp,
     parse_sa_config,
 )
@@ -332,6 +337,44 @@ class TestErrorPaths:
         port.free_buffer(buf)
 
 
+class TestForeignBuffer:
+    """An association works only on buffers of its own memory system; one
+    built on another system must not read or write that system's arena at
+    the buffer's offsets."""
+
+    def test_seal_with_a_foreign_association_refused(self):
+        _, port = make_port()
+        other, _ = make_port()
+        sa_out, _ = sa_pair(other)
+        payload = b"ADDRPREF" + bytes(range(56))
+        buf = port.alloc_tx_buffer()
+        buf.write_data(payload)
+        ops = {}
+        with pytest.raises(ForeignBuffer):
+            esp_encrypt(sa_out, buf, ops_counter=ops)
+        assert sa_out.seq == 1
+        assert ops == {}
+        assert buf.pkt_len == 64
+        assert buf.read_data() == payload
+
+    def test_open_with_a_foreign_association_refused(self):
+        mem, port = make_port()
+        other, _ = make_port()
+        home_out, _ = sa_pair(mem)
+        _, foreign_in = sa_pair(other, replay=True)
+        buf = port.alloc_tx_buffer()
+        buf.write_data(b"ADDRPREF" + bytes(range(56)))
+        esp_encrypt(home_out, buf)
+        frame = buf.read_data()
+        ops = {}
+        with pytest.raises(ForeignBuffer):
+            esp_decrypt(foreign_in, buf, ops_counter=ops)
+        assert (foreign_in.seq, foreign_in.last_seq, foreign_in.auth_fails) == (1, 0, 0)
+        assert ops == {}
+        assert buf.pkt_len == len(frame)
+        assert buf.read_data() == frame
+
+
 class TestReplayCounting:
     def test_stale_sequence_counted_not_dropped(self):
         mem, port = make_port()
@@ -375,12 +418,13 @@ class TestLookasidePath:
             b = port.alloc_tx_buffer()
             b.write_data(p)
             bufs.append(b)
-        assert lookaside_tx(port, sa_out, bufs) == 6
+        protect = PortProtect(port, sa_out, sa_in)
+        assert protect.app_tx(bufs) == 6
         frames = wire_loopback(port)
         for p, frame in zip(payloads, frames):
             assert p not in frame  # nothing readable on the wire
             assert len(frame) == esp_frame_len(len(p))
-        got = lookaside_rx(port, sa_in)
+        got = protect.app_rx()
         assert sorted(b.read_data() for b in got) == sorted(payloads)
         assert port.counters["aes_ops"] == 12  # app worker did all the AES
         assert port.counters["auth_fail"] == 0
@@ -392,7 +436,8 @@ class TestLookasidePath:
         sa_out, sa_in = sa_pair(mem)
         buf = port.alloc_tx_buffer()
         buf.write_data(b"ADDRPREF" + b"sensitive")
-        lookaside_tx(port, sa_out, [buf])
+        protect = PortProtect(port, sa_out, sa_in)
+        protect.app_tx([buf])
 
         def flip(frame):
             out = bytearray(frame)
@@ -400,8 +445,9 @@ class TestLookasidePath:
             return bytes(out)
 
         wire_loopback(port, mutate=flip)
-        assert lookaside_rx(port, sa_in) == []
+        assert protect.app_rx() == []
         assert port.counters["auth_fail"] == 1
+        assert port.pools.shadow.remaining() == port.pools.shadow.count  # refused frame freed
 
 
 class TestInlinePath:
@@ -445,9 +491,10 @@ class TestInlinePath:
                 worker.step()
                 got = worker.app_rx()
             else:
-                lookaside_tx(port, sa_out, bufs)
+                protect = PortProtect(port, sa_out, sa_in)
+                protect.app_tx(bufs)
                 wire_loopback(port)
-                got = lookaside_rx(port, sa_in)
+                got = protect.app_rx()
             return sorted(b.read_data() for b in got)
 
         assert run(inline=False) == run(inline=True)

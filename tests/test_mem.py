@@ -70,6 +70,16 @@ class TestDeviceConfinement:
         with pytest.raises(NotShared):
             mem.shared.register(arena)
 
+    def test_register_foreign_arena_rejected(self):
+        # region ids are per system: the foreign arena's id names one of ours
+        mem, other = make_mem(), make_mem()
+        own = mem.create_arena(RegionKind.SHARED, 16)
+        foreign = other.create_arena(RegionKind.SHARED, 16)
+        assert foreign.id == own.id
+        with pytest.raises(NotShared):
+            mem.shared.register(foreign)
+        assert not mem.is_device_accessible(own.id)
+
     def test_device_touched_regions_excludes_denied(self):
         mem = make_mem()
         private = mem.create_arena(RegionKind.PRIVATE, 16)
