@@ -212,7 +212,10 @@ class MemorySystem:
             raise OutOfBounds(
                 f"[{offset}, {offset + length}) outside arena {arena.id} of size {arena.size}"
             )
-        if side is Side.DEVICE and not self.is_device_accessible(region):
+        # membership alone is is_device_accessible here: register admits only
+        # this system's SHARED arenas, arenas are never removed, and
+        # zero_and_release empties the set in place
+        if side is Side.DEVICE and region not in self.shared.registered:
             if self.instrument:
                 self.access_log.append(
                     AccessRecord(Side.DEVICE, op, region, offset, length, ok=False)

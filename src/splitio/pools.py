@@ -4,8 +4,8 @@ Three pools back every port:
 
 * shared   - metadata and data rooms in a registered shared arena; this is the
              only packet memory the device ever sees.
-* temporary - metadata in private memory, data handles pre-bound 1:1 to the
-             shared pool's data rooms; the driver posts and reclaims these.
+* temporary - metadata in private memory, data rooms bound 1:1 to the
+             shared pool's; the port posts and reclaims these.
 * shadow   - metadata and data both private; the only buffers the application
              ever holds.
 
@@ -238,9 +238,12 @@ class PacketPool:
         data_room: int,
         meta_slab: Handle,
         data_slab: Optional[Handle],
-        bound_data: Optional[list[Handle]] = None,
+        rooms: Optional[Handle] = None,
         canary: Optional[bytes] = None,
     ):
+        """data_slab is the data the pool owns (None for the temporary pool);
+        rooms is the slab its data rooms are carved from when that is not its
+        own: the temporary pool's rooms are the shared pool's, 1:1 by index."""
         self.mem = mem
         self.kind = kind
         self.count = count
@@ -249,7 +252,10 @@ class PacketPool:
         self.data_slab = data_slab
         self.meta_region = meta_slab.region
         self.meta_base = meta_slab.offset
-        self._bound_data = bound_data
+        if rooms is None:
+            rooms = data_slab
+        self.data_region = rooms.region
+        self.data_base = rooms.offset
         self.canary = canary
         if canary is not None and kind is not PoolKind.SHARED:
             self._app_fill = (canary * (APP_PRIVATE_SIZE // len(canary) + 1))[:APP_PRIVATE_SIZE]
@@ -260,15 +266,30 @@ class PacketPool:
         self._init_meta_slab()
 
     def _init_meta_slab(self) -> None:
-        """Build the whole metadata slab locally and write it in one call;
-        per-buffer writes are too slow for six-figure pool counts."""
-        slab = bytearray(self.count * METADATA_OVERHEAD)
-        for i in range(self.count):
-            base = i * METADATA_OVERHEAD
-            slab[base + META_OFF_DATA : base + META_OFF_DATA + 8] = encode_handle(self.data_handle(i))
-            struct.pack_into("<I", slab, base + META_OFF_NEXT, META_NEXT_NONE)
-            slab[base + META_OFF_APP : base + META_OFF_APP + APP_PRIVATE_SIZE] = self._app_fill
-        self.mem.write(self.meta_slab, Side.VM, bytes(slab))
+        """Build the whole metadata slab locally and write it in one call.
+
+        Every block is the same except the offset of its data handle (bytes
+        10..14, the handle's u32 offset field), so the slab is one block
+        repeated, with that column filled from the packed room offsets one
+        byte lane at a time. Region and room length are the same for every
+        buffer and offsets only grow, so encoding the last room checks the
+        ring-encoding bound for all of them."""
+        count, room, base = self.count, self.data_room, self.data_base
+        slab = bytearray()
+        if count:  # a decoupled shadow pool may have no buffers, hence no room to encode
+            encode_handle(Handle(self.data_region, base + (count - 1) * room, room))
+            block = bytearray(METADATA_OVERHEAD)
+            block[META_OFF_DATA : META_OFF_DATA + 8] = encode_handle(
+                Handle(self.data_region, base, room)
+            )
+            _U32.pack_into(block, META_OFF_NEXT, META_NEXT_NONE)
+            block[META_OFF_APP : META_OFF_APP + APP_PRIVATE_SIZE] = self._app_fill
+            slab = block * count
+            offsets = struct.pack(f"<{count}I", *range(base, base + count * room, room))
+            column = META_OFF_DATA + 2
+            for lane in range(4):
+                slab[column + lane :: METADATA_OVERHEAD] = offsets[lane::4]
+        self.mem.write(self.meta_slab, Side.VM, slab)
 
     def _scrub_app_private(self, index: int) -> None:
         self.mem.write_at(
@@ -282,21 +303,18 @@ class PacketPool:
         return self.meta_slab.sub(index * METADATA_OVERHEAD, METADATA_OVERHEAD)
 
     def data_handle(self, index: int) -> Handle:
-        if self._bound_data is not None:
-            return self._bound_data[index]
-        assert self.data_slab is not None
-        return self.data_slab.sub(index * self.data_room, self.data_room)
+        region, offset = self.data_at(index)
+        return Handle(region, offset, self.data_room)
 
     def data_at(self, index: int, length: int = 0) -> tuple[int, int]:
         """(region, offset) of buffer index's data room, for an access of
-        length bytes from its start; the data-room bound is checked here."""
+        length bytes from its start; the index and data-room bounds are
+        checked here."""
+        if not 0 <= index < self.count:
+            raise OutOfBounds(f"buffer {index} outside a pool of {self.count}")
         if length > self.data_room:
             raise OutOfBounds(f"{length} B outside a data room of {self.data_room} B")
-        if self._bound_data is not None:
-            h = self._bound_data[index]
-            return h.region, h.offset
-        assert self.data_slab is not None
-        return self.data_slab.region, self.data_slab.offset + index * self.data_room
+        return self.data_region, self.data_base + index * self.data_room
 
     def remaining(self) -> int:
         return len(self._free)
@@ -350,8 +368,8 @@ def init_pools(
 
     Layout: shared arena gets [meta slab | data slab] for the shared pool;
     the private arena gets [shadow meta | shadow data | temporary meta].
-    Temporary data handles are pre-bound 1:1 to the shared data rooms and
-    never rebound.
+    Temporary buffer i's data room is shared data room i, fixed for the
+    life of the pools.
     """
     if cfg.mbuf_size < METADATA_OVERHEAD + 64:
         raise ArenaTooSmall(
@@ -398,14 +416,7 @@ def init_pools(
         mem, PoolKind.SHADOW, shadow_count, room, shadow_meta, shadow_data, canary=canary
     )
     temp_pool = PacketPool(
-        mem,
-        PoolKind.TEMPORARY,
-        count,
-        room,
-        temp_meta,
-        None,
-        bound_data=[shared_pool.data_handle(i) for i in range(count)],
-        canary=canary,
+        mem, PoolKind.TEMPORARY, count, room, temp_meta, None, rooms=shared_data, canary=canary
     )
     return PoolSet(shared=shared_pool, temporary=temp_pool, shadow=shadow_pool)
 

@@ -180,11 +180,12 @@ class DescriptorRing:
     # -- construction helpers ---------------------------------------------
 
     def _init_slots(self) -> None:
-        zero = bytes(SLOT_SIZE)
-        for at in self._slot_at:
-            self.mem.write_at(self._region, at, zero, Side.VM)
-            if self.direction is Direction.TX:
-                self.mem.pack_at(self._region, at + TX_OFF_STATUS, _U8, Side.VM, TX_STATUS_FREE)
+        """Write the whole fresh ring in one access: all zero, with every TX
+        status byte FREE."""
+        image = bytearray(self.capacity * SLOT_SIZE)
+        if self.direction is Direction.TX:
+            image[TX_OFF_STATUS::SLOT_SIZE] = bytes([TX_STATUS_FREE]) * self.capacity
+        self.mem.write_at(self._region, self.backing.offset, image, Side.VM)
 
     def _device_slot_at(self, slot: int) -> int:
         """Absolute offset of a slot the device names. The device may name
@@ -258,14 +259,21 @@ class DescriptorRing:
             packet, RegionKind.SHARED
         ):
             raise AddressNotShared(f"rx buffer {packet} not in a registered shared arena")
+        packet_raw = encode_handle(packet)
         if header is None:
             header = packet  # no header split in this driver model
+            header_raw = packet_raw
+        else:
+            header_raw = encode_handle(header)
         slot = self.head & (self.capacity - 1)
-        mem, region, at = self.mem, self._region, self._slot_at[slot]
-        mem.write_at(region, at + RX_OFF_PKT, encode_handle(packet), Side.VM)
-        mem.write_at(region, at + RX_OFF_HDR, encode_handle(header), Side.VM)
-        # scrub stale writeback so a fresh slot never looks ready
-        mem.write_at(region, at + RX_OFF_INFO, _RX_WRITEBACK_ZERO, Side.VM)
+        # both handles and a zeroed writeback (so a fresh slot never looks
+        # ready) in one write of the whole slot
+        self.mem.write_at(
+            self._region,
+            self._slot_at[slot] + RX_OFF_PKT,
+            packet_raw + header_raw + _RX_WRITEBACK_ZERO,
+            Side.VM,
+        )
         self._posted_rx[slot] = (packet, header)
         self._device_done[slot] = False
         self.head = (self.head + 1) & MASK32

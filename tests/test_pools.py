@@ -1,3 +1,6 @@
+import struct
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from splitio.errors import (
     ArenaTooSmall,
     ForeignBuffer,
     NotShared,
+    OutOfBounds,
     OversizePacket,
     PoolExhausted,
     QuarantinedArena,
@@ -14,6 +18,10 @@ from splitio.mem import MemorySystem, RegionKind, Side
 from splitio.pools import (
     APP_PRIVATE_SIZE,
     FLAG_SUSPECT,
+    META_NEXT_NONE,
+    META_OFF_APP,
+    META_OFF_DATA,
+    META_OFF_NEXT,
     METADATA_OVERHEAD,
     PoolConfig,
     PoolKind,
@@ -21,6 +29,7 @@ from splitio.pools import (
     pool_memory_footprint,
     port_new,
 )
+from splitio.ring import encode_handle
 
 CANARY = b"\xc3\x96\xc3\x96"
 
@@ -120,6 +129,90 @@ class TestInitPools:
         shadow = port.pools.shadow
         assert mem.arena(shadow.meta_slab.region).kind is RegionKind.PRIVATE
         assert mem.arena(shadow.data_slab.region).kind is RegionKind.PRIVATE
+
+
+def reference_meta_slab(pool, rooms, app_fill):
+    """The metadata slab built one buffer at a time, through Handle.sub and
+    encode_handle: room i is rooms.sub(i * data_room, data_room)."""
+    slab = bytearray(pool.count * METADATA_OVERHEAD)
+    for i in range(pool.count):
+        base = i * METADATA_OVERHEAD
+        room = rooms.sub(i * pool.data_room, pool.data_room)
+        slab[base + META_OFF_DATA : base + META_OFF_DATA + 8] = encode_handle(room)
+        struct.pack_into("<I", slab, base + META_OFF_NEXT, META_NEXT_NONE)
+        slab[base + META_OFF_APP : base + META_OFF_APP + APP_PRIVATE_SIZE] = app_fill
+    return bytes(slab)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("mbuf_count", [1, 2, 7, 300])
+    @pytest.mark.parametrize("mbuf_size", [192, 1024, 2176])
+    @pytest.mark.parametrize("canary", [None, CANARY])
+    @pytest.mark.parametrize("offsets", [(0, 0), (40, 24)])
+    def test_slabs_match_per_buffer_build(self, mbuf_count, mbuf_size, canary, offsets):
+        shared_offset, private_offset = offsets
+        mem = MemorySystem()
+        shared = mem.create_arena(RegionKind.SHARED, 1 << 20)
+        mem.shared.register(shared)
+        private = mem.create_arena(RegionKind.PRIVATE, 2 << 20)
+        cfg = PoolConfig(mbuf_count=mbuf_count, mbuf_size=mbuf_size)
+        pools = init_pools(
+            mem, cfg, shared, private, shared_offset, private_offset, canary=canary
+        )
+        zeros = bytes(APP_PRIVATE_SIZE)
+        fill = zeros if canary is None else (canary * APP_PRIVATE_SIZE)[:APP_PRIVATE_SIZE]
+        shared_rooms = pools.shared.data_slab
+        expected = [
+            (pools.shared, shared_rooms, zeros),
+            (pools.shadow, pools.shadow.data_slab, fill),
+            (pools.temporary, shared_rooms, fill),
+        ]
+        for pool, rooms, app_fill in expected:
+            assert mem.read(pool.meta_slab, Side.VM) == reference_meta_slab(pool, rooms, app_fill)
+            for i in range(pool.count):
+                assert pool.data_handle(i) == rooms.sub(i * pool.data_room, pool.data_room)
+
+    def test_empty_shadow_pool(self):
+        cfg = PoolConfig(mbuf_count=8, shared_equals_shadow=False, shadow_count=0)
+        port = port_new(MemorySystem(), cfg, ring_capacity=4)
+        assert port.pools.shadow.meta_slab.length == 0
+        with pytest.raises(PoolExhausted):
+            port.alloc_tx_buffer()
+
+    @pytest.mark.parametrize("kind", ["shared", "temporary", "shadow"])
+    def test_data_room_index_checked(self, kind):
+        mem, port = small_port(mbuf_count=8, ring_capacity=4)
+        pool = getattr(port.pools, kind)
+        for index in (-1, pool.count):
+            with pytest.raises(OutOfBounds):
+                pool.data_handle(index)
+            with pytest.raises(OutOfBounds):
+                pool.data_at(index)
+
+    def test_room_too_long_for_ring_encoding(self):
+        with pytest.raises(OutOfBounds):
+            port_new(MemorySystem(), PoolConfig(mbuf_count=2, mbuf_size=70000), ring_capacity=2)
+
+    def test_construction_calls_independent_of_pool_size(self):
+        def calls(mbuf_count):
+            mem = MemorySystem()
+            cfg = PoolConfig(mbuf_count=mbuf_count)
+            n = 0
+
+            def count(frame, event, arg):
+                nonlocal n
+                if event in ("call", "c_call"):
+                    n += 1
+
+            sys.setprofile(count)
+            try:
+                port_new(mem, cfg, ring_capacity=16)
+            finally:
+                sys.setprofile(None)
+            return n
+
+        # ring_capacity bounds the RX fill, so both ports arm 16 slots
+        assert calls(64) == calls(1024)
 
 
 class TestBufferApi:

@@ -18,6 +18,7 @@ from splitio.ring import (
     RX_STATUS_ERROR,
     RX_STATUS_READY,
     SLOT_SIZE,
+    TX_STATUS_FREE,
     DescriptorRing,
     Direction,
     TxDescriptor,
@@ -95,6 +96,26 @@ class TestConstruction:
         mem.shared.register(arena)
         with pytest.raises(BadCapacity):
             DescriptorRing(mem, Handle(arena.id, 0, 8 * SLOT_SIZE - 1), 8, Direction.TX)
+
+    @pytest.mark.parametrize("direction", [Direction.TX, Direction.RX])
+    def test_fresh_slots(self, direction):
+        capacity = 8
+        mem = MemorySystem()
+        arena = mem.create_arena(RegionKind.SHARED, 4096)
+        mem.shared.register(arena)
+        mem.write_at(arena.id, 0, b"\xff" * 4096, Side.VM)  # stale bytes everywhere
+        backing = Handle(arena.id, 64, capacity * SLOT_SIZE + 32)
+        DescriptorRing(mem, backing, capacity, direction)
+        slots = mem.read_at(arena.id, 64, capacity * SLOT_SIZE, Side.VM)
+        if direction is Direction.TX:
+            assert slots[16::SLOT_SIZE] == bytes([TX_STATUS_FREE]) * capacity
+            slots = bytearray(slots)
+            slots[16::SLOT_SIZE] = bytes(capacity)
+        assert slots == bytes(capacity * SLOT_SIZE)
+        # only the slots are written: the bytes around them keep their value
+        assert mem.read_at(arena.id, 0, 64, Side.VM) == b"\xff" * 64
+        rest = 64 + capacity * SLOT_SIZE
+        assert mem.read_at(arena.id, rest, 4096 - rest, Side.VM) == b"\xff" * (4096 - rest)
 
 
 class TestTxPath:
@@ -202,6 +223,26 @@ class TestRxPath:
         ring.vm_post_rx_buffer(bufs[0])
         ring.device_fetch()
         assert ring.vm_harvest_rx(4) == []
+
+    def test_write_once_per_post(self):
+        mem, ring, bufs = make_ring(Direction.RX)
+        base = 0  # slot 0, the first post
+        mem.write_at(ring.backing.region, base + 16, b"\xff" * 16, Side.VM)  # stale writeback
+        mark = len(mem.access_log)
+        slot = ring.vm_post_rx_buffer(bufs[0])
+        assert slot * SLOT_SIZE == base
+        writes = [
+            r
+            for r in mem.access_log[mark:]
+            if r.side is Side.VM and r.op == "write" and r.offset < base + SLOT_SIZE
+        ]
+        written = sorted(
+            b for r in writes for b in range(r.offset - base, r.offset - base + r.length)
+        )
+        # both handles and the 16 writeback bytes: each of the 32 written once
+        assert written == list(range(SLOT_SIZE))
+        assert mem.read_at(ring.backing.region, base, 16, Side.VM) == encode_handle(bufs[0]) * 2
+        assert mem.read_at(ring.backing.region, base + 16, 16, Side.VM) == bytes(16)
 
     def test_oversized_length_clamped_and_suspect(self):
         mem, ring, bufs = make_ring(Direction.RX)
