@@ -27,6 +27,9 @@ from .pools import PacketBuffer, PoolConfig, PortContext, port_new
 from .prng import Splitmix64
 from .ring import Direction, RxView, TxView
 
+# enum member read once (see the note in mem.py)
+_DEVICE = Side.DEVICE
+
 
 @dataclass(frozen=True)
 class LinkModel:
@@ -131,16 +134,6 @@ class Outcome(enum.Enum):
     DELIVERED_CORRUPTED = "delivered_corrupted"
 
 
-@dataclass
-class _FlightPacket:
-    arrival: int
-    seq: int
-    payload: bytes
-
-    def __lt__(self, other: "_FlightPacket") -> bool:
-        return (self.arrival, self.seq) < (other.arrival, other.seq)
-
-
 class SimNic:
     """Device side of one port. Fetches TX descriptors, DMAs payloads out of
     shared memory, models the link, and delivers arrivals into posted RX
@@ -165,7 +158,9 @@ class SimNic:
         self.role = role
         self.peer: Optional[SimNic] = None
         self.prng = Splitmix64(link.jitter_seed)
-        self.inbox: list[_FlightPacket] = []
+        # (arrival, seq, payload) heap; seq is unique, so a comparison never
+        # reaches the payload and equal arrivals leave in enqueue order
+        self.inbox: list[tuple[int, int, bytes]] = []
         self._rx_avail: deque[RxView] = deque()
         self._seq = 0
         self.capture_enabled = capture
@@ -186,13 +181,13 @@ class SimNic:
         self.peer = weakref.proxy(peer)
 
     def enqueue(self, arrival: int, payload: bytes) -> None:
-        heapq.heappush(self.inbox, _FlightPacket(arrival, self._seq, payload))
+        heapq.heappush(self.inbox, (arrival, self._seq, payload))
         self._seq += 1
 
     def next_arrival(self) -> Optional[int]:
         """Arrival time of the earliest in-flight packet, if any. Event-driven
         callers use this to know when the next step() is worth scheduling."""
-        return self.inbox[0].arrival if self.inbox else None
+        return self.inbox[0][0] if self.inbox else None
 
     # -- event/violation recording ----------------------------------------
 
@@ -227,7 +222,7 @@ class SimNic:
             payload: Optional[bytes] = None
             try:
                 payload = self.mem.read_at(
-                    view.address.region, view.address.offset, length, Side.DEVICE
+                    view.address.region, view.address.offset, length, _DEVICE
                 )
             except (DeviceAccessDenied, OutOfBounds) as exc:
                 # a forged descriptor can name private memory or no memory
@@ -267,17 +262,18 @@ class SimNic:
         except DeviceAccessDenied as exc:
             self._violation("rx_ring_unreachable", now, error=str(exc))
             return
-        while self.inbox and self.inbox[0].arrival <= now:
-            pkt = heapq.heappop(self.inbox)
+        inbox = self.inbox
+        while inbox and inbox[0][0] <= now:
+            _arrival, _seq, payload = heapq.heappop(inbox)
             if not self._rx_avail:
                 self.drops += 1
-                self._event("rx_no_buffer", now, length=len(pkt.payload))
+                self._event("rx_no_buffer", now, length=len(payload))
                 continue
             view = self._rx_avail.popleft()
             address = view.packet_address
-            n = min(len(pkt.payload), address.length)
+            n = min(len(payload), address.length)
             try:
-                self.mem.write_at(address.region, address.offset, pkt.payload[:n], Side.DEVICE)
+                self.mem.write_at(address.region, address.offset, payload[:n], _DEVICE)
             except (DeviceAccessDenied, OutOfBounds) as exc:
                 self._violation("dma_write_denied", now, slot=view.slot, error=str(exc))
                 continue
@@ -299,7 +295,7 @@ class SimNic:
         if kind is ActionKind.TAMPER_SHARED:
             try:
                 self.mem.write(
-                    Handle(action.region, action.offset, len(action.data)), Side.DEVICE, action.data
+                    Handle(action.region, action.offset, len(action.data)), _DEVICE, action.data
                 )
                 self._event("tamper_done", now, region=action.region, offset=action.offset)
             except SplitioError as exc:  # denied or out of bounds, either way rejected
@@ -314,12 +310,12 @@ class SimNic:
         elif kind is ActionKind.FORGE_ADDRESS:
             target = Handle(action.region, action.offset, max(1, action.length))
             try:
-                self.mem.read(target, Side.DEVICE)
+                self.mem.read(target, _DEVICE)
                 self._violation("private_read_succeeded", now, region=action.region)
             except SplitioError as exc:
                 self._violation("forge_address_denied", now, region=action.region, error=str(exc))
             try:
-                self.mem.write(target, Side.DEVICE, bytes(target.length))
+                self.mem.write(target, _DEVICE, bytes(target.length))
                 self._violation("private_write_succeeded", now, region=action.region)
             except SplitioError:
                 pass

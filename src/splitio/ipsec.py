@@ -89,6 +89,11 @@ class OffloadMode(enum.Enum):
     INLINE = "inline"
 
 
+# enum members read once (see the note in mem.py)
+_VM = Side.VM
+_OUTBOUND, _INBOUND = SaDirection.OUTBOUND, SaDirection.INBOUND
+
+
 class WrongDirection(SplitioError):
     pass
 
@@ -123,15 +128,15 @@ class SecurityAssociation:
         arena = mem.create_arena(RegionKind.PRIVATE, KEY_LEN + SALT_LEN)
         self.key_handle = Handle(arena.id, 0, KEY_LEN)
         self.salt_handle = Handle(arena.id, KEY_LEN, SALT_LEN)
-        mem.write(self.key_handle, Side.VM, key)
-        mem.write(self.salt_handle, Side.VM, salt)
+        mem.write(self.key_handle, _VM, key)
+        mem.write(self.salt_handle, _VM, salt)
         self._aead: Optional[AESGCM] = None
 
     def key_bytes(self) -> bytes:
-        return self.mem.read(self.key_handle, Side.VM)
+        return self.mem.read(self.key_handle, _VM)
 
     def salt_bytes(self) -> bytes:
-        return self.mem.read(self.salt_handle, Side.VM)
+        return self.mem.read(self.salt_handle, _VM)
 
     def _cipher(self) -> AESGCM:
         if self._aead is None:
@@ -197,7 +202,7 @@ def parse_esp(frame: bytes) -> EspParts:
 
 def esp_encrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optional[dict] = None) -> None:
     """Protect a shadow buffer in place; pkt_len grows by 34..37 bytes."""
-    if sa.direction is not SaDirection.OUTBOUND:
+    if sa.direction is not _OUTBOUND:
         raise WrongDirection("encrypt requires an outbound association")
     if buf.pool.mem is not sa.mem:
         raise ForeignBuffer("buffer and association belong to different memory systems")
@@ -211,7 +216,7 @@ def esp_encrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
 
     mem = sa.mem
     region, offset = buf.pool.data_at(buf.index, pkt_len)
-    raw = mem.read_at(region, offset, pkt_len, Side.VM)
+    raw = mem.read_at(region, offset, pkt_len, _VM)
     addressing, inner = raw[:ADDR_PREFIX_LEN], raw[ADDR_PREFIX_LEN:]
     pad_len = (-(len(inner) + 2)) % 4
     plaintext = inner + bytes(range(1, pad_len + 1)) + bytes([pad_len, NEXT_HEADER])
@@ -225,7 +230,7 @@ def esp_encrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
         ops_counter["aes_ops"] = ops_counter.get("aes_ops", 0) + 1
 
     frame = addressing + header + iv + sealed
-    mem.write_at(region, offset, frame, Side.VM)  # fits: checked against ESP_OVERHEAD above
+    mem.write_at(region, offset, frame, _VM)  # fits: checked against ESP_OVERHEAD above
     buf.pkt_len = len(frame)
     buf.msg_type = MSG_TYPE_ESP
 
@@ -237,7 +242,7 @@ def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
     AuthFail. The AAD is taken from the received header bytes, so header
     tampering surfaces as AuthFail, not as a lookup error.
     """
-    if sa.direction is not SaDirection.INBOUND:
+    if sa.direction is not _INBOUND:
         raise WrongDirection("decrypt requires an inbound association")
     if buf.pool.mem is not sa.mem:
         raise ForeignBuffer("buffer and association belong to different memory systems")
@@ -246,7 +251,7 @@ def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
         raise Malformed(f"frame of {frame_len} B below minimum {MIN_FRAME_LEN}")
     mem = sa.mem
     region, offset = buf.pool.data_at(buf.index, frame_len)
-    frame = mem.read_at(region, offset, frame_len, Side.VM)
+    frame = mem.read_at(region, offset, frame_len, _VM)
     addressing = frame[:ADDR_PREFIX_LEN]
     header = frame[8:16]
     iv = frame[16:24]
@@ -277,7 +282,7 @@ def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
             sa.last_seq = seq64
 
     restored = addressing + inner
-    mem.write_at(region, offset, restored, Side.VM)  # shorter than the frame read
+    mem.write_at(region, offset, restored, _VM)  # shorter than the frame read
     buf.pkt_len = len(restored)
     buf.msg_type = MSG_TYPE_PLAIN
 

@@ -62,12 +62,19 @@ FLAG_SUSPECT = 0x0001
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _FLAGS_PKT_LEN = struct.Struct("<HI")  # 2..8
+_HEAD = struct.Struct("<HHI")  # 0..8: msg_type, flags, pkt_len
+_NEXT_RSS = struct.Struct("<II")  # 16..24
 
 
 class PoolKind(enum.Enum):
     SHARED = "shared"
     TEMPORARY = "temporary"
     SHADOW = "shadow"
+
+
+# enum members read once (see the note in mem.py)
+_VM = Side.VM
+_SHADOW = PoolKind.SHADOW
 
 
 @dataclass(frozen=True)
@@ -133,11 +140,11 @@ class PacketBuffer:
 
     def _get(self, off: int, fmt: struct.Struct) -> int:
         pool = self.pool
-        return pool.mem.unpack_at(pool.meta_region, self.meta_at + off, fmt, Side.VM)[0]
+        return pool.mem.unpack_at(pool.meta_region, self.meta_at + off, fmt, _VM)[0]
 
     def _set(self, off: int, fmt: struct.Struct, value: int) -> None:
         pool = self.pool
-        pool.mem.pack_at(pool.meta_region, self.meta_at + off, fmt, Side.VM, value)
+        pool.mem.pack_at(pool.meta_region, self.meta_at + off, fmt, _VM, value)
 
     @property
     def pkt_len(self) -> int:
@@ -199,12 +206,12 @@ class PacketBuffer:
         if len(data) > APP_PRIVATE_SIZE:
             raise OversizePacket(f"app-private area is {APP_PRIVATE_SIZE} B")
         pool = self.pool
-        pool.mem.write_at(pool.meta_region, self.meta_at + META_OFF_APP, data, Side.VM)
+        pool.mem.write_at(pool.meta_region, self.meta_at + META_OFF_APP, data, _VM)
 
     def read_app_private(self) -> bytes:
         pool = self.pool
         return pool.mem.read_at(
-            pool.meta_region, self.meta_at + META_OFF_APP, APP_PRIVATE_SIZE, Side.VM
+            pool.meta_region, self.meta_at + META_OFF_APP, APP_PRIVATE_SIZE, _VM
         )
 
     def write_data(self, payload: bytes) -> None:
@@ -213,14 +220,14 @@ class PacketBuffer:
             raise OversizePacket(f"{len(payload)} B into a {self.data_room} B room")
         pool = self.pool
         region, offset = pool.data_at(self.index)
-        pool.mem.write_at(region, offset, payload, Side.VM)
+        pool.mem.write_at(region, offset, payload, _VM)
         self.pkt_len = len(payload)
 
     def read_data(self) -> bytes:
         length = self.pkt_len
         pool = self.pool
         region, offset = pool.data_at(self.index, length)
-        return pool.mem.read_at(region, offset, length, Side.VM)
+        return pool.mem.read_at(region, offset, length, _VM)
 
 
 class PacketPool:
@@ -289,14 +296,14 @@ class PacketPool:
             column = META_OFF_DATA + 2
             for lane in range(4):
                 slab[column + lane :: METADATA_OVERHEAD] = offsets[lane::4]
-        self.mem.write(self.meta_slab, Side.VM, slab)
+        self.mem.write(self.meta_slab, _VM, slab)
 
     def _scrub_app_private(self, index: int) -> None:
         self.mem.write_at(
             self.meta_region,
             self.meta_base + index * METADATA_OVERHEAD + META_OFF_APP,
             self._app_fill,
-            Side.VM,
+            _VM,
         )
 
     def meta_handle(self, index: int) -> Handle:
@@ -305,6 +312,11 @@ class PacketPool:
     def data_handle(self, index: int) -> Handle:
         region, offset = self.data_at(index)
         return Handle(region, offset, self.data_room)
+
+    def room_offsets(self, bufs: list[PacketBuffer]) -> list[int]:
+        """Data-room offsets, within data_region, of this pool's bufs."""
+        base, room = self.data_base, self.data_room
+        return [base + buf.index * room for buf in bufs]
 
     def data_at(self, index: int, length: int = 0) -> tuple[int, int]:
         """(region, offset) of buffer index's data room, for an access of
@@ -319,16 +331,25 @@ class PacketPool:
     def remaining(self) -> int:
         return len(self._free)
 
-    def alloc(self) -> PacketBuffer:
+    def take(self) -> PacketBuffer:
+        """Allocate without writing metadata: the header still holds what
+        its last user left there. For callers that write the whole header
+        themselves (rx_burst), and for the temporary pool, whose metadata
+        nothing writes after construction."""
         if not self._free:
             raise PoolExhausted(f"{self.kind.value} pool empty")
         index = self._free.pop()
         self._is_free[index] = False
-        buf = PacketBuffer(self, index)
+        return PacketBuffer(self, index)
+
+    def alloc(self) -> PacketBuffer:
+        """take(), then reset the header: flags and pkt_len 0, no next
+        segment."""
+        buf = self.take()
         mem, region, at = self.mem, self.meta_region, buf.meta_at
         # flags and pkt_len are adjacent (2..8): one write clears both
-        mem.pack_at(region, at + META_OFF_FLAGS, _FLAGS_PKT_LEN, Side.VM, 0, 0)
-        mem.pack_at(region, at + META_OFF_NEXT, _U32, Side.VM, META_NEXT_NONE)
+        mem.pack_at(region, at + META_OFF_FLAGS, _FLAGS_PKT_LEN, _VM, 0, 0)
+        mem.pack_at(region, at + META_OFF_NEXT, _U32, _VM, META_NEXT_NONE)
         return buf
 
     def free(self, buf: PacketBuffer) -> None:
@@ -336,16 +357,16 @@ class PacketPool:
             raise ForeignBuffer("buffer belongs to another pool")
         if self._is_free[buf.index]:
             raise ForeignBuffer(f"double free of buffer {buf.index}")
-        if self.kind is PoolKind.SHADOW:
+        if self.kind is _SHADOW:
             # cheap scrub: the app-private area may hold secrets
             self._scrub_app_private(buf.index)
         self._is_free[buf.index] = True
         self._free.append(buf.index)
 
     def zero_slabs(self) -> None:
-        self.mem.write(self.meta_slab, Side.VM, bytes(self.meta_slab.length))
+        self.mem.write(self.meta_slab, _VM, bytes(self.meta_slab.length))
         if self.data_slab is not None:
-            self.mem.write(self.data_slab, Side.VM, bytes(self.data_slab.length))
+            self.mem.write(self.data_slab, _VM, bytes(self.data_slab.length))
 
 
 @dataclass
@@ -461,63 +482,70 @@ class PortContext:
 
     def arm_rx(self, slots: int) -> int:
         """Post up to `slots` temporary buffers to the RX ring."""
-        armed = 0
-        for _ in range(slots):
-            if self.rx_ring.occupancy() == self.rx_ring.capacity:
-                break
-            try:
-                temp = self.pools.temporary.alloc()
-            except PoolExhausted:
-                break
-            slot = self.rx_ring.vm_post_rx_buffer(temp.data)
-            self._rx_slot_temp[slot] = temp
-            armed += 1
-        return armed
+        ring, temporary = self.rx_ring, self.pools.temporary
+        count = max(0, min(slots, ring.capacity - ring.occupancy(), temporary.remaining()))
+        self._post_rx([temporary.take() for _ in range(count)])
+        return count
 
-    def _repost_rx(self, temp: PacketBuffer) -> None:
-        if self.rx_ring.occupancy() < self.rx_ring.capacity:
-            slot = self.rx_ring.vm_post_rx_buffer(temp.data)
-            self._rx_slot_temp[slot] = temp
-        else:
-            self.pools.temporary.free(temp)
+    def _post_rx(self, temps: list[PacketBuffer]) -> None:
+        """Post temporary buffers to the RX ring in one bulk post, in order;
+        those the ring has no room for go back to the pool."""
+        ring, temporary = self.rx_ring, self.pools.temporary
+        space = ring.capacity - ring.occupancy()
+        for temp in temps[space:]:
+            temporary.free(temp)
+        temps = temps[:space]
+        if not temps:
+            return
+        first = ring.vm_post_rx_rooms(
+            temporary.data_region, temporary.data_room, temporary.room_offsets(temps)
+        )
+        mask, slot_temp = ring.capacity - 1, self._rx_slot_temp
+        for k, temp in enumerate(temps):
+            slot_temp[(first + k) & mask] = temp
 
     # -- fast path ---------------------------------------------------------
 
     def rx_burst(self, max_count: int = 32) -> list[PacketBuffer]:
         """Harvest ready RX slots, bounce each payload into a private shadow
-        buffer (the single RX copy), repost the shared-side buffer, and hand
+        buffer (the single RX copy), repost the shared-side buffers, and hand
         the shadow buffers to the caller."""
-        mem = self.mem
+        mem, counters = self.mem, self.counters
         temporary, shadow_pool = self.pools.temporary, self.pools.shadow
+        meta_region = shadow_pool.meta_region
         out: list[PacketBuffer] = []
+        repost: list[PacketBuffer] = []
         for rec in self.rx_ring.vm_harvest_rx(max_count):
             temp = self._rx_slot_temp.pop(rec.slot)
-            if rec.suspect:
-                self.counters["metadata_suspect"] += 1
+            repost.append(temp)
+            suspect = rec.suspect
+            if suspect:
+                counters["metadata_suspect"] += 1
                 if self.drop_suspect:
-                    self.counters["drops"] += 1
-                    self._repost_rx(temp)
+                    counters["drops"] += 1
                     continue
             try:
-                shadow = shadow_pool.alloc()
+                shadow = shadow_pool.take()
             except PoolExhausted:
-                self.counters["drops"] += 1
-                self._repost_rx(temp)
+                counters["drops"] += 1
                 continue
             length = rec.length
             src_region, src_offset = temporary.data_at(temp.index, length)
             dst_region, dst_offset = shadow_pool.data_at(shadow.index, length)
-            payload = mem.read_at(src_region, src_offset, length, Side.VM)
-            mem.write_at(dst_region, dst_offset, payload, Side.VM)
-            self.counters["copies_rx"] += 1
-            self.counters["bytes_copied"] += length
-            shadow.pkt_len = length
-            shadow.msg_type = rec.packet_info
-            shadow.rss = rec.rss
-            if rec.suspect:
-                shadow.flags = shadow.flags | FLAG_SUSPECT
-            self._repost_rx(temp)
+            payload = mem.read_at(src_region, src_offset, length, _VM)
+            mem.write_at(dst_region, dst_offset, payload, _VM)
+            counters["copies_rx"] += 1
+            counters["bytes_copied"] += length
+            # the whole header in two writes, so the raw take needs no
+            # reset: msg_type, flags and pkt_len, then next and rss
+            at = shadow.meta_at
+            flags = FLAG_SUSPECT if suspect else 0
+            mem.pack_at(meta_region, at, _HEAD, _VM, rec.packet_info, flags, length)
+            mem.pack_at(
+                meta_region, at + META_OFF_NEXT, _NEXT_RSS, _VM, META_NEXT_NONE, rec.rss
+            )
             out.append(shadow)
+        self._post_rx(repost)
         return out
 
     def tx_burst(self, bufs: list[PacketBuffer]) -> int:
@@ -544,24 +572,24 @@ class PortContext:
         accepted = 0
         for segments, total in checked:
             try:
-                temp = temporary.alloc()
+                temp = temporary.take()  # its metadata is never read or written
             except PoolExhausted:
                 break
             # total fits the room, so each segment's length does too
             payload = b"".join(
                 [
-                    mem.read_at(*shadow_pool.data_at(seg.index), length, Side.VM)
+                    mem.read_at(*shadow_pool.data_at(seg.index), length, _VM)
                     for seg, length in segments
                 ]
             )
             region, offset = temporary.data_at(temp.index, total)
             try:
-                mem.write_at(region, offset, payload, Side.VM)
+                mem.write_at(region, offset, payload, _VM)
                 slot = self.tx_ring.vm_post_tx(
                     TxDescriptor(
-                        address=Handle(region, offset, total),
-                        cmd_type_len=(total & ringmod.TX_CMD_LEN_MASK) | ringmod.TX_CMD_EOP,
-                        olinfo_status=0,
+                        Handle(region, offset, total),
+                        (total & ringmod.TX_CMD_LEN_MASK) | ringmod.TX_CMD_EOP,
+                        0,
                     )
                 )
             except RingFull:
@@ -608,8 +636,8 @@ class PortContext:
         shared_region = self.pools.shared.meta_slab.region
         if graceful:
             self.pools.shared.zero_slabs()
-            self.mem.write(self.tx_ring.backing, Side.VM, bytes(self.tx_ring.backing.length))
-            self.mem.write(self.rx_ring.backing, Side.VM, bytes(self.rx_ring.backing.length))
+            self.mem.write(self.tx_ring.backing, _VM, bytes(self.tx_ring.backing.length))
+            self.mem.write(self.rx_ring.backing, _VM, bytes(self.rx_ring.backing.length))
         else:
             self.mem.quarantined.add(shared_region)
 

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     AddressNotShared,
@@ -55,7 +54,8 @@ _TX_FETCH = struct.Struct("<HIHII")  # 0..16: address handle, cmd_type_len, olin
 _RX_FETCH = struct.Struct("<HIHHIH")  # 0..16: packet handle, header handle
 _RX_INFO_RSS = struct.Struct("<HI")  # 16..22
 _RX_VLAN_LEN = struct.Struct("<HH")  # 24..28
-_RX_WRITEBACK_ZERO = bytes(16)  # 16..32
+# a whole posted RX slot: packet handle, header handle, zeroed writeback
+_RX_POST = struct.Struct("<HIHHIH16x")
 
 # TX slot field offsets
 TX_OFF_ADDR = 0
@@ -101,15 +101,19 @@ class Direction(enum.Enum):
     RX = "rx"
 
 
-@dataclass(frozen=True)
-class TxDescriptor:
+# enum members read once (see the note in mem.py)
+_VM, _DEVICE = Side.VM, Side.DEVICE
+_TX, _RX = Direction.TX, Direction.RX
+_SHARED = RegionKind.SHARED
+
+
+class TxDescriptor(NamedTuple):
     address: Handle
     cmd_type_len: int
     olinfo_status: int
 
 
-@dataclass(frozen=True)
-class TxView:
+class TxView(NamedTuple):
     """What the device sees when it fetches a TX slot."""
 
     slot: int
@@ -118,15 +122,13 @@ class TxView:
     olinfo_status: int
 
 
-@dataclass(frozen=True)
-class RxView:
+class RxView(NamedTuple):
     slot: int
     packet_address: Handle
     header_address: Handle
 
 
-@dataclass(frozen=True)
-class RxHarvest:
+class RxHarvest(NamedTuple):
     """One harvested RX writeback, post-clamp. suspect means the device-claimed
     metadata failed validation (oversized length or error bit)."""
 
@@ -168,7 +170,7 @@ class DescriptorRing:
         # VM-private shadow state; pointers and progress never live in shared
         # memory, only descriptor bytes do
         self._seen_free = [False] * cap
-        self._posted_rx: list[Optional[tuple[Handle, Handle]]] = [None] * cap
+        self._posted_rx: list[Optional[Handle]] = [None] * cap
         # device-private completion bookkeeping (models writeback ordering)
         self._completion_seq: dict[int, int] = {}
         self._next_completion = 0
@@ -183,9 +185,9 @@ class DescriptorRing:
         """Write the whole fresh ring in one access: all zero, with every TX
         status byte FREE."""
         image = bytearray(self.capacity * SLOT_SIZE)
-        if self.direction is Direction.TX:
+        if self.direction is _TX:
             image[TX_OFF_STATUS::SLOT_SIZE] = bytes([TX_STATUS_FREE]) * self.capacity
-        self.mem.write_at(self._region, self.backing.offset, image, Side.VM)
+        self.mem.write_at(self._region, self.backing.offset, image, _VM)
 
     def _device_slot_at(self, slot: int) -> int:
         """Absolute offset of a slot the device names. The device may name
@@ -203,19 +205,19 @@ class DescriptorRing:
     # -- VM side: TX -------------------------------------------------------
 
     def vm_post_tx(self, desc: TxDescriptor) -> int:
-        assert self.direction is Direction.TX
+        assert self.direction is _TX
         if self.occupancy() == self.capacity:
             raise RingFull(f"tx ring full at capacity {self.capacity}")
         if not self.mem.is_device_accessible(desc.address.region) or not self.mem.handle_in_kind(
-            desc.address, RegionKind.SHARED
+            desc.address, _SHARED
         ):
             raise AddressNotShared(f"tx address {desc.address} not in a registered shared arena")
         slot = self.head & (self.capacity - 1)
         mem, region, at = self.mem, self._region, self._slot_at[slot]
-        mem.write_at(region, at + TX_OFF_ADDR, encode_handle(desc.address), Side.VM)
-        mem.pack_at(region, at + TX_OFF_CMD, _U32, Side.VM, desc.cmd_type_len & MASK32)
-        mem.pack_at(region, at + TX_OFF_OLINFO, _U32, Side.VM, desc.olinfo_status & MASK32)
-        mem.pack_at(region, at + TX_OFF_STATUS, _U8, Side.VM, TX_STATUS_INFLIGHT)
+        mem.write_at(region, at + TX_OFF_ADDR, encode_handle(desc.address), _VM)
+        mem.pack_at(region, at + TX_OFF_CMD, _U32, _VM, desc.cmd_type_len & MASK32)
+        mem.pack_at(region, at + TX_OFF_OLINFO, _U32, _VM, desc.olinfo_status & MASK32)
+        mem.pack_at(region, at + TX_OFF_STATUS, _U8, _VM, TX_STATUS_INFLIGHT)
         self._seen_free[slot] = False
         self._device_done[slot] = False
         self._completion_seq.pop(slot, None)
@@ -229,7 +231,7 @@ class DescriptorRing:
         ring space is reclaimed in ring order over the contiguous freed
         prefix.
         """
-        assert self.direction is Direction.TX
+        assert self.direction is _TX
         mem, region, slot_at, seen_free = self.mem, self._region, self._slot_at, self._seen_free
         mask = self.capacity - 1
         newly: list[int] = []
@@ -237,7 +239,7 @@ class DescriptorRing:
         while idx != self.head:
             slot = idx & mask
             if not seen_free[slot]:
-                (status,) = mem.unpack_at(region, slot_at[slot] + TX_OFF_STATUS, _U8, Side.VM)
+                (status,) = mem.unpack_at(region, slot_at[slot] + TX_OFF_STATUS, _U8, _VM)
                 if status == TX_STATUS_FREE:
                     seen_free[slot] = True
                     newly.append(slot)
@@ -251,33 +253,61 @@ class DescriptorRing:
 
     # -- VM side: RX -------------------------------------------------------
 
-    def vm_post_rx_buffer(self, packet: Handle, header: Optional[Handle] = None) -> int:
-        assert self.direction is Direction.RX
-        if self.occupancy() == self.capacity:
-            raise RingFull(f"rx ring full at capacity {self.capacity}")
-        if not self.mem.is_device_accessible(packet.region) or not self.mem.handle_in_kind(
-            packet, RegionKind.SHARED
+    def vm_post_rx_buffer(self, packet: Handle) -> int:
+        """Post one RX buffer; returns its slot."""
+        return self.vm_post_rx_rooms(packet.region, packet.length, (packet.offset,))
+
+    def vm_post_rx_rooms(self, region: int, length: int, offsets: Sequence[int]) -> int:
+        """Post one RX buffer per offset, room k being (region, offsets[k],
+        length), to consecutive slots from head; returns the first slot.
+
+        Nothing is written and head does not move unless the whole post is
+        valid: the ring must have room for every buffer, the region must be
+        a registered shared arena (checked once), and every room must lie in
+        that arena and fit the 8-byte ring encoding (checked through the
+        extreme offsets). Each slot gets the packet handle twice, as packet
+        and as header (no header split in this driver model), and a zeroed
+        writeback, so a fresh slot never looks ready. Each contiguous run of
+        slots is written in one access: one run, or two when the post wraps
+        past the ring's last slot.
+        """
+        assert self.direction is _RX
+        n, cap = len(offsets), self.capacity
+        if n > cap - self.occupancy():
+            raise RingFull(f"rx ring at capacity {cap} has no room for {n} buffers")
+        first = self.head & (cap - 1)
+        if not n:
+            return first
+        mem = self.mem
+        lo, hi = min(offsets), max(offsets)
+        if (
+            not mem.is_device_accessible(region)
+            or lo < 0
+            or length < 0
+            or hi + length > mem.arenas[region].size
         ):
-            raise AddressNotShared(f"rx buffer {packet} not in a registered shared arena")
-        packet_raw = encode_handle(packet)
-        if header is None:
-            header = packet  # no header split in this driver model
-            header_raw = packet_raw
+            raise AddressNotShared(
+                f"rx buffers of {length} B at region {region}+[{lo}, {hi}] not in a"
+                " registered shared arena"
+            )
+        if region > 0xFFFF or hi > MASK32 or length > 0xFFFF:
+            raise OutOfBounds(
+                f"rx buffers of {length} B at region {region}+[{lo}, {hi}] do not fit"
+                " the 8-byte ring encoding"
+            )
+        if n <= cap - first:
+            runs = ((first, n, offsets),)
         else:
-            header_raw = encode_handle(header)
-        slot = self.head & (self.capacity - 1)
-        # both handles and a zeroed writeback (so a fresh slot never looks
-        # ready) in one write of the whole slot
-        self.mem.write_at(
-            self._region,
-            self._slot_at[slot] + RX_OFF_PKT,
-            packet_raw + header_raw + _RX_WRITEBACK_ZERO,
-            Side.VM,
-        )
-        self._posted_rx[slot] = (packet, header)
-        self._device_done[slot] = False
-        self.head = (self.head + 1) & MASK32
-        return slot
+            split = cap - first
+            runs = ((first, split, offsets[:split]), (0, n - split, offsets[split:]))
+        pack, posted_rx, device_done = _RX_POST.pack, self._posted_rx, self._device_done
+        for start, count, run in runs:
+            image = b"".join([pack(region, off, length, region, off, length) for off in run])
+            mem.write_at(self._region, self._slot_at[start], image, _VM)
+            posted_rx[start : start + count] = [Handle(region, off, length) for off in run]
+            device_done[start : start + count] = [False] * count
+        self.head = (self.head + n) & MASK32
+        return first
 
     def vm_harvest_rx(self, max_count: int) -> list[RxHarvest]:
         """Harvest up to max_count ready slots in ring order.
@@ -288,41 +318,30 @@ class DescriptorRing:
         bit is set. A harvested slot is released and never read again until
         it is reposted.
         """
-        assert self.direction is Direction.RX
-        mem, region, slot_at = self.mem, self._region, self._slot_at
+        assert self.direction is _RX
+        mem, region, slot_at, posted_rx = self.mem, self._region, self._slot_at, self._posted_rx
         mask = self.capacity - 1
         out: list[RxHarvest] = []
-        while len(out) < max_count and self.tail != self.head:
+        while max_count > 0 and self.tail != self.head:
             slot = self.tail & mask
             at = slot_at[slot]
-            (status,) = mem.unpack_at(region, at + RX_OFF_STATUS, _U16, Side.VM)
+            (status,) = mem.unpack_at(region, at + RX_OFF_STATUS, _U16, _VM)
             if not status & RX_STATUS_READY:
                 break
             # adjacent fields share one read; each byte is still read once
-            info, rss = mem.unpack_at(region, at + RX_OFF_INFO, _RX_INFO_RSS, Side.VM)
-            vlan, length = mem.unpack_at(region, at + RX_OFF_VLAN, _RX_VLAN_LEN, Side.VM)
-            posted = self._posted_rx[slot]
-            assert posted is not None, "ready slot without a posted buffer"
-            packet, _header = posted
+            info, rss = mem.unpack_at(region, at + RX_OFF_INFO, _RX_INFO_RSS, _VM)
+            vlan, length = mem.unpack_at(region, at + RX_OFF_VLAN, _RX_VLAN_LEN, _VM)
+            packet = posted_rx[slot]
+            assert packet is not None, "ready slot without a posted buffer"
             suspect = False
             if length > packet.length:
                 length = packet.length
                 suspect = True
             if status & RX_STATUS_ERROR:
                 suspect = True
-            out.append(
-                RxHarvest(
-                    slot=slot,
-                    packet_address=packet,
-                    packet_info=info,
-                    rss=rss,
-                    status_error=status,
-                    vlan_tag=vlan,
-                    length=length,
-                    suspect=suspect,
-                )
-            )
-            self._posted_rx[slot] = None
+            out.append(RxHarvest(slot, packet, info, rss, status, vlan, length, suspect))
+            posted_rx[slot] = None
+            max_count -= 1
             self.tail = (self.tail + 1) & MASK32
         return out
 
@@ -337,18 +356,18 @@ class DescriptorRing:
         """
         mem, region, slot_at = self.mem, self._region, self._slot_at
         mask = self.capacity - 1
-        tx = self.direction is Direction.TX
+        tx = self.direction is _TX
         views: list = []
         while self.device_next != self.head:
             slot = self.device_next & mask
             if tx:
                 a_region, a_offset, a_length, cmd, olinfo = mem.unpack_at(
-                    region, slot_at[slot] + TX_OFF_ADDR, _TX_FETCH, Side.DEVICE
+                    region, slot_at[slot] + TX_OFF_ADDR, _TX_FETCH, _DEVICE
                 )
                 views.append(TxView(slot, Handle(a_region, a_offset, a_length), cmd, olinfo))
             else:
                 p_region, p_offset, p_length, h_region, h_offset, h_length = mem.unpack_at(
-                    region, slot_at[slot] + RX_OFF_PKT, _RX_FETCH, Side.DEVICE
+                    region, slot_at[slot] + RX_OFF_PKT, _RX_FETCH, _DEVICE
                 )
                 views.append(
                     RxView(
@@ -378,10 +397,10 @@ class DescriptorRing:
         """Mark a TX slot complete. Returns False (and logs) for a replayed or
         out-of-window completion; the byte write still happens because shared
         memory cannot be defended, only distrusted."""
-        assert self.direction is Direction.TX
+        assert self.direction is _TX
         ok = self._writeback_window_ok(slot)
         at = self._device_slot_at(slot)
-        self.mem.pack_at(self._region, at + TX_OFF_STATUS, _U8, Side.DEVICE, TX_STATUS_FREE)
+        self.mem.pack_at(self._region, at + TX_OFF_STATUS, _U8, _DEVICE, TX_STATUS_FREE)
         if ok:
             self._device_done[slot] = True
             self._completion_seq[slot] = self._next_completion
@@ -399,17 +418,17 @@ class DescriptorRing:
         vlan_tag: int = 0,
         status_error: int = RX_STATUS_READY,
     ) -> bool:
-        assert self.direction is Direction.RX
+        assert self.direction is _RX
         ok = self._writeback_window_ok(slot)
         mem, region, at = self.mem, self._region, self._device_slot_at(slot)
         mem.pack_at(
-            region, at + RX_OFF_INFO, _RX_INFO_RSS, Side.DEVICE, packet_info & 0xFFFF, rss & MASK32
+            region, at + RX_OFF_INFO, _RX_INFO_RSS, _DEVICE, packet_info & 0xFFFF, rss & MASK32
         )
         mem.pack_at(
-            region, at + RX_OFF_VLAN, _RX_VLAN_LEN, Side.DEVICE, vlan_tag & 0xFFFF, length & 0xFFFF
+            region, at + RX_OFF_VLAN, _RX_VLAN_LEN, _DEVICE, vlan_tag & 0xFFFF, length & 0xFFFF
         )
         # status goes last so a ready flag never precedes its payload fields
-        mem.pack_at(region, at + RX_OFF_STATUS, _U16, Side.DEVICE, status_error & 0xFFFF)
+        mem.pack_at(region, at + RX_OFF_STATUS, _U16, _DEVICE, status_error & 0xFFFF)
         if ok:
             self._device_done[slot] = True
         else:

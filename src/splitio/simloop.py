@@ -89,6 +89,11 @@ class _EchoRig:
         # client's, which is charged on the decrypted length
         self.server_wire = mode is not None
         self.client_wire = mode is OffloadMode.LOOKASIDE
+        # the config's enum tests, made once: the handlers below run per
+        # packet (see the note on enum member reads in mem.py)
+        self.single_copy = cfg.copy_model is CopyModel.SINGLE_COPY
+        self.interrupts = cfg.notification.mode is NotificationMode.EMULATED_INTERRUPT
+        self.chained = cfg.workload is Workload.TCP_LIKE_LOAD
         if mode is not None:
             pairs = esp_sa_pairs(self.a.mem, self.b.mem, cfg.seed ^ _KEY_STREAM_TWEAK)
             for end, (sa_out, sa_in) in zip((self.a, self.b), pairs):
@@ -132,18 +137,17 @@ class _EchoRig:
         self.push(t, "nic", side)
 
     def _copy_cost(self, length: int) -> float:
-        if self.cfg.copy_model is CopyModel.SINGLE_COPY:
+        if self.single_copy:
             return self.profile.copy_cost_ns(length)
         return 0.0
 
     def _wake_cost(self) -> float:
-        note = self.cfg.notification
-        if note.mode is NotificationMode.EMULATED_INTERRUPT:
-            return self.cfg.exits_per_packet * note.exit_cost_ns
+        if self.interrupts:
+            return self.cfg.exits_per_packet * self.cfg.notification.exit_cost_ns
         return 0.0
 
     def _record_wake(self, side: str, t: float) -> None:
-        if self.cfg.notification.mode is NotificationMode.EMULATED_INTERRUPT:
+        if self.interrupts:
             self.exit_events.append((side, t, self.cfg.exits_per_packet))
 
     def _payload(self, serial: int) -> bytes:
@@ -232,14 +236,15 @@ class _EchoRig:
             if not bufs:
                 return
             for buf in bufs:
-                length = buf.pkt_len
+                data = buf.read_data()
+                length = len(data)
                 wire = esp_frame_len(length) if self.server_wire else length
                 start = max(t, self.server_busy)
                 svc = float(self.profile.server_fixed_ns)
                 svc += self._copy_cost(wire) + self._copy_cost(length)
                 svc += 2 * self.app_k_ns  # decrypt already done, encrypt deferred
                 self.server_busy = start + svc
-                self.server_payloads.append(buf.read_data())
+                self.server_payloads.append(data)
                 self.push(self.server_busy, "tx_b", buf)
 
     def _do_tx_b(self, t: float, arg: object) -> None:
@@ -274,7 +279,7 @@ class _EchoRig:
                     continue  # duplicate or corrupted serial; nothing to time
                 self.samples.append(done - sent_t)
                 conn, msg_idx = self.msg_of[serial]
-                if self.cfg.workload is Workload.TCP_LIKE_LOAD and msg_idx < 2:
+                if self.chained and msg_idx < 2:
                     self.push(done, "send", (conn, msg_idx + 1))
 
     # -- the run ------------------------------------------------------------
@@ -290,7 +295,7 @@ class _EchoRig:
 
     def schedule_sends(self) -> None:
         cfg = self.cfg
-        if cfg.workload is Workload.TCP_LIKE_LOAD:
+        if self.chained:
             # each connection runs one 3-message exchange, then closes
             spacing = cfg.duration_s * 1e9 / cfg.connections
             for conn in range(cfg.connections):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitio import simloop
+from splitio.bench import BenchConfig
 from splitio.errors import (
     ArenaTooSmall,
     ForeignBuffer,
@@ -14,6 +16,7 @@ from splitio.errors import (
     PoolExhausted,
     QuarantinedArena,
 )
+from splitio.ipsec import OffloadMode
 from splitio.mem import MemorySystem, RegionKind, Side
 from splitio.pools import (
     APP_PRIVATE_SIZE,
@@ -29,7 +32,7 @@ from splitio.pools import (
     pool_memory_footprint,
     port_new,
 )
-from splitio.ring import encode_handle
+from splitio.ring import RX_STATUS_ERROR, RX_STATUS_READY, encode_handle
 
 CANARY = b"\xc3\x96\xc3\x96"
 
@@ -213,6 +216,79 @@ class TestConstruction:
 
         # ring_capacity bounds the RX fill, so both ports arm 16 slots
         assert calls(64) == calls(1024)
+
+
+class TestFusedMetadataWrites:
+    """The raw take paths write the same metadata bytes as alloc followed by
+    one setter per field."""
+
+    @pytest.mark.parametrize("mode", [None, OffloadMode.LOOKASIDE, OffloadMode.INLINE])
+    def test_echo_run_leaves_temporary_metadata_as_built(self, mode):
+        rig = simloop._EchoRig(BenchConfig(duration_s=0.01, ipsec=mode, seed=3))
+        ends = (rig.a, rig.b)
+        built = [end.mem.read(end.port.pools.temporary.meta_slab, Side.VM) for end in ends]
+        result = rig.run()
+        assert result.received == result.sent > 0
+        for end, image in zip(ends, built):
+            pools = end.port.pools
+            assert image == reference_meta_slab(
+                pools.temporary, pools.shared.data_slab, bytes(APP_PRIVATE_SIZE)
+            )
+            assert end.mem.read(pools.temporary.meta_slab, Side.VM) == image
+
+    @staticmethod
+    def _dirty_next_shadow(port):
+        """Fill the header of the shadow buffer the next take returns with
+        non-zero values in every field; returns its index."""
+        buf, other = port.alloc_tx_buffer(), port.alloc_tx_buffer()
+        buf.pkt_len = 999
+        buf.msg_type = 0xAAAA
+        buf.flags = 0x5554
+        buf.rss = 0x12345678
+        buf.chain(other)
+        port.free_buffer(other)
+        port.free_buffer(buf)  # LIFO: buf's index is taken next
+        return buf.index
+
+    @staticmethod
+    def _header(port, buf):
+        pool = port.pools.shadow
+        return port.mem.read_at(pool.meta_region, buf.meta_at, 24, Side.VM)
+
+    @pytest.mark.parametrize(
+        "case, claimed, status",
+        [
+            ("clean", 100, RX_STATUS_READY),
+            ("clamped", 60_000, RX_STATUS_READY),
+            ("error", 64, RX_STATUS_READY | RX_STATUS_ERROR),
+        ],
+    )
+    def test_rx_header_matches_alloc_and_setters(self, case, claimed, status):
+        mem, port = small_port(drop_suspect=False)
+        index = self._dirty_next_shadow(port)
+        rx = port.rx_ring.device_fetch()[0]
+        mem.write(rx.packet_address.sub(0, 100), Side.DEVICE, bytes(range(100)))
+        port.rx_ring.device_writeback_rx(
+            rx.slot, length=claimed, packet_info=0x0102, rss=0xDEADBEEF, status_error=status
+        )
+        (got,) = port.rx_burst()
+        assert got.index == index
+        fused = self._header(port, got)
+        port.free_buffer(got)
+
+        # the per-field sequence rx_burst used to run, on the same dirty header
+        assert self._dirty_next_shadow(port) == index
+        ref = port.pools.shadow.alloc()
+        length = min(claimed, port.cfg.data_room)
+        ref.pkt_len = length
+        ref.msg_type = 0x0102
+        ref.rss = 0xDEADBEEF
+        suspect = case != "clean"
+        if suspect:
+            ref.flags = ref.flags | FLAG_SUSPECT
+        assert fused == self._header(port, ref)
+        assert (ref.pkt_len, ref.flags, ref.next_index) == (length, FLAG_SUSPECT * suspect, None)
+        port.free_buffer(ref)
 
 
 class TestBufferApi:

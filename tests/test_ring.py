@@ -300,6 +300,121 @@ class TestRxPath:
         assert ring.violations == [("replayed_rx_writeback", 5)]
 
 
+ROOM = 64
+
+
+def make_rx_ring(capacity, arena_size=None):
+    """An instrumented RX ring at the start of a registered shared arena, with
+    one ROOM-byte room per slot behind it."""
+    mem = MemorySystem(instrument=True)
+    arena = mem.create_arena(RegionKind.SHARED, arena_size or capacity * (SLOT_SIZE + ROOM))
+    mem.shared.register(arena)
+    ring = DescriptorRing(mem, Handle(arena.id, 0, capacity * SLOT_SIZE), capacity, Direction.RX)
+    rooms = [capacity * SLOT_SIZE + i * ROOM for i in range(capacity)]
+    return mem, ring, arena, rooms
+
+
+def advance(ring, count):
+    """Post (the first room, each time), complete and harvest count buffers,
+    so head and tail move on."""
+    for _ in range(count):
+        ring.vm_post_rx_buffer(Handle(ring.backing.region, ring.backing.length, ROOM))
+    for view in ring.device_fetch():
+        ring.device_writeback_rx(view.slot, length=1)
+    assert len(ring.vm_harvest_rx(count)) == count
+
+
+def vm_writes(mem, mark):
+    log = mem.access_log[mark:]
+    return [(r.offset, r.length) for r in log if r.side is Side.VM and r.op == "write"]
+
+
+class TestBulkRxPost:
+    def test_full_arm_is_one_write(self):
+        mem, ring, arena, rooms = make_rx_ring(256)
+        mark = len(mem.access_log)
+        assert ring.vm_post_rx_rooms(arena.id, ROOM, rooms) == 0
+        assert vm_writes(mem, mark) == [(0, 256 * SLOT_SIZE)]
+        assert ring.occupancy() == 256
+
+    def test_wrapping_post_is_two_writes(self):
+        mem, ring, arena, rooms = make_rx_ring(8)
+        advance(ring, 5)
+        mark = len(mem.access_log)
+        assert ring.vm_post_rx_rooms(arena.id, ROOM, rooms[:6]) == 5
+        assert vm_writes(mem, mark) == [(5 * SLOT_SIZE, 3 * SLOT_SIZE), (0, 3 * SLOT_SIZE)]
+        assert [v.slot for v in ring.device_fetch()] == [5, 6, 7, 0, 1, 2]
+
+    def test_slots_equal_single_posts(self):
+        bulk_mem, bulk, arena, rooms = make_rx_ring(8)
+        one_mem, one, _, _ = make_rx_ring(8)
+        for ring in (bulk, one):
+            advance(ring, 3)  # so the post wraps
+        rooms = rooms[::-1]  # pool order is not address order
+        bulk.vm_post_rx_rooms(arena.id, ROOM, rooms)
+        for offset in rooms:
+            one.vm_post_rx_buffer(Handle(arena.id, offset, ROOM))
+        slots = bulk_mem.read_at(arena.id, 0, 8 * SLOT_SIZE, Side.VM)
+        assert slots == one_mem.read_at(arena.id, 0, 8 * SLOT_SIZE, Side.VM)
+        for k, offset in enumerate(rooms):
+            slot = (3 + k) % 8
+            raw = encode_handle(Handle(arena.id, offset, ROOM))
+            assert slots[slot * SLOT_SIZE : (slot + 1) * SLOT_SIZE] == raw + raw + bytes(16)
+        assert bulk._posted_rx == one._posted_rx
+        assert bulk.device_fetch() == one.device_fetch()
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ("past_arena_end", AddressNotShared),
+            ("negative_offset", AddressNotShared),
+            ("negative_length", AddressNotShared),
+            ("private_arena", AddressNotShared),
+            ("unregistered_arena", AddressNotShared),
+            ("unencodable_length", OutOfBounds),
+            ("more_than_free_slots", RingFull),
+        ],
+    )
+    def test_invalid_post_writes_nothing(self, bad, error):
+        mem, ring, arena, rooms = make_rx_ring(8, arena_size=0x30000)
+        advance(ring, 2)
+        ring.vm_post_rx_buffer(Handle(arena.id, rooms[0], ROOM))
+        region, length, offsets = arena.id, ROOM, rooms[1:4]
+        if bad == "past_arena_end":
+            offsets = offsets + [arena.size - ROOM + 1]
+        elif bad == "negative_offset":
+            offsets = [-ROOM] + offsets
+        elif bad == "negative_length":
+            length = -1
+        elif bad == "private_arena":
+            region = mem.create_arena(RegionKind.PRIVATE, 0x30000).id
+        elif bad == "unregistered_arena":
+            region = mem.create_arena(RegionKind.SHARED, 0x30000).id
+        elif bad == "unencodable_length":
+            length = 0x10000
+        else:
+            offsets = rooms[1:] + rooms[:1]  # 8 buffers, 7 free slots
+        before = mem.read_at(arena.id, 0, 8 * SLOT_SIZE, Side.VM)
+        head, posted = ring.head, list(ring._posted_rx)
+        mark = len(mem.access_log)
+        with pytest.raises(error):
+            ring.vm_post_rx_rooms(region, length, offsets)
+        assert vm_writes(mem, mark) == []
+        assert (ring.head, ring._posted_rx) == (head, posted)
+        assert mem.read_at(arena.id, 0, 8 * SLOT_SIZE, Side.VM) == before
+
+    def test_single_post_keeps_its_checks(self):
+        mem, ring, arena, rooms = make_rx_ring(8, arena_size=0x30000)
+        private = mem.create_arena(RegionKind.PRIVATE, 256)
+        with pytest.raises(AddressNotShared):
+            ring.vm_post_rx_buffer(Handle(private.id, 0, 256))
+        with pytest.raises(AddressNotShared):
+            ring.vm_post_rx_buffer(Handle(arena.id, arena.size - 8, 16))
+        with pytest.raises(OutOfBounds):
+            ring.vm_post_rx_buffer(Handle(arena.id, 0, 0x10000))
+        assert ring.head == 0 and ring.occupancy() == 0
+
+
 class TestInterleavings:
     def test_all_seventy_post_complete_interleavings(self):
         """Every way to interleave 4 posts and 4 completions on a capacity-8
