@@ -22,7 +22,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     BadQuantile,
@@ -30,8 +30,7 @@ from .errors import (
     EmptySamples,
     ZeroArgument,
 )
-from .ipsec import esp_frame_len
-from .ipsec import OffloadMode
+from .ipsec import ESP_OVERHEAD, OffloadMode, esp_frame_len
 from .pools import PoolConfig
 
 log = logging.getLogger("splitio.bench")
@@ -85,7 +84,7 @@ class CostProfile:
     link_per_byte_ns: float = 0.8
     jitter_ns: int = 0
     loss_rate: float = 0.0
-    server_fixed_ns: int = 12_016
+    server_fixed_ns: float = 12_016
     copy_fixed_ns: int = 100
     copy_per_byte_ns: float = 0.04
     crypto_fixed_ns: int = 600
@@ -141,7 +140,7 @@ def validate_config(cfg: BenchConfig) -> None:
     room = PoolConfig(mbuf_count=cfg.mbuf_count).data_room
     if cfg.payload_len < PACKET_ID_LEN:
         raise ConfigInvalid(f"payload must be at least {PACKET_ID_LEN} B")
-    limit = room - 40 if cfg.effective_ipsec() is not None else room
+    limit = room - ESP_OVERHEAD if cfg.effective_ipsec() is not None else room
     if cfg.payload_len > limit:
         raise ConfigInvalid(f"payload {cfg.payload_len} B exceeds the {limit} B limit")
     if cfg.rate_pps <= 0:
@@ -164,6 +163,48 @@ def validate_config(cfg: BenchConfig) -> None:
         raise ConfigInvalid("ring capacity must be a power of two, at least 2")
     if cfg.mbuf_count < 8:
         raise ConfigInvalid("buffer pool too small to run")
+
+
+class StageCosts(NamedTuple):
+    """What one packet costs at each echo stage, in ns."""
+
+    send_ns: float  # client: copy out, plus the look-aside encrypt
+    server_ns: float  # server worker: app work, RX and TX copies, look-aside decrypt and encrypt
+    receive_ns: float  # client: RX copy, plus the look-aside decrypt
+    transform_ns: float  # one ESP transform on an inline crypto worker; 0 in other modes
+    wake_ns: float  # one emulated-interrupt wake; 0 under polling
+
+
+def stage_costs(cfg: BenchConfig, rx_on_wire: bool = False) -> StageCosts:
+    """Price each echo stage for one cfg.payload_len-byte packet.
+
+    Both models read their costs here: the event sim (simloop) charges each
+    stage as it runs, and the fluid model serves at max(server_ns,
+    2 * transform_ns) per packet. They differ in rx_on_wire only. Under ESP
+    the event sim (True) charges the server's RX copy, and the look-aside
+    client's, on the wire frame that rx_burst copied; the fluid model
+    (False) charges every copy on the payload, so that ESP capacity equals
+    plaintext capacity exactly when crypto is free.
+    """
+    profile = cfg.profile
+    mode = cfg.effective_ipsec()
+    k = profile.crypto_cost_ns(esp_frame_len(cfg.payload_len)) if mode is not None else 0.0
+    app_k = k if mode is OffloadMode.LOOKASIDE else 0.0
+    copy = rx_copy = 0.0
+    if cfg.copy_model is CopyModel.SINGLE_COPY:
+        copy = rx_copy = profile.copy_cost_ns(cfg.payload_len)
+        if rx_on_wire and mode is not None:
+            rx_copy = profile.copy_cost_ns(esp_frame_len(cfg.payload_len))
+    wake = 0.0
+    if cfg.notification.mode is NotificationMode.EMULATED_INTERRUPT:
+        wake = float(cfg.exits_per_packet * cfg.notification.exit_cost_ns)
+    return StageCosts(
+        send_ns=copy + app_k,
+        server_ns=float(profile.server_fixed_ns) + (rx_copy + copy) + 2 * app_k,
+        receive_ns=(rx_copy if mode is OffloadMode.LOOKASIDE else copy) + app_k,
+        transform_ns=k if mode is OffloadMode.INLINE else 0.0,
+        wake_ns=wake,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -337,33 +378,24 @@ class ThroughputReport:
         }
 
 
-def server_service_ns(cfg: BenchConfig, app_cost_ns: Optional[float] = None) -> float:
+def server_service_ns(cfg: BenchConfig) -> float:
     """Per-packet time on the receive host, by offload mode.
 
     Look-aside crypto runs on the same worker as the application, so its
-    decrypt and re-encrypt serialize with the app cost. The inline worker is
-    a second core: the slower of the two pipeline stages sets the pace.
+    decrypt and re-encrypt serialize with the app cost in server_ns. The
+    inline worker is a second core: the slower pipeline stage sets the pace.
     """
-    profile = cfg.profile
-    c = float(app_cost_ns if app_cost_ns is not None else profile.server_fixed_ns)
-    if cfg.copy_model is CopyModel.SINGLE_COPY:
-        c += 2 * profile.copy_cost_ns(cfg.payload_len)
-    mode = cfg.effective_ipsec()
-    if mode is None:
-        return c
-    k = profile.crypto_cost_ns(esp_frame_len(cfg.payload_len))
-    if mode is OffloadMode.LOOKASIDE:
-        return c + 2 * k
-    return max(c, 2 * k)
+    costs = stage_costs(cfg)
+    return max(costs.server_ns, 2 * costs.transform_ns)
 
 
-def load_capacity_pps(cfg: BenchConfig, app_cost_ns: Optional[float] = None) -> float:
+def load_capacity_pps(cfg: BenchConfig) -> float:
     """Deliverable packet rate: the binding one of link and server."""
     wire_len = (
         esp_frame_len(cfg.payload_len) if cfg.effective_ipsec() is not None else cfg.payload_len
     )
     link_pps = cfg.bandwidth_bps / (wire_len * 8)
-    service = server_service_ns(cfg, app_cost_ns)
+    service = server_service_ns(cfg)
     server_pps = 1e9 / service if service > 0 else float("inf")
     capacity = min(link_pps, server_pps)
     if cfg.capacity_pps is not None:
@@ -427,8 +459,9 @@ def app_cost_sweep(
     base_cfg: Optional[BenchConfig] = None,
 ) -> dict[OffloadMode, list[int]]:
     """Largest sustainable connection count at each per-packet app cost, for
-    both offload modes. The crypto cost is taken as given (per transform),
-    overriding the profile's length-derived value via a flat profile."""
+    both offload modes. The app cost replaces the profile's fixed server work
+    and the crypto cost, taken as given per transform, its length-derived
+    value: both come in through a flat profile."""
     if rate_pps <= 0:
         raise ZeroArgument("rate must be positive")
     if crypto_cost_ns < 0 or any(c <= 0 for c in app_costs_ns):
@@ -453,8 +486,8 @@ def app_cost_sweep(
     for mode in (OffloadMode.LOOKASIDE, OffloadMode.INLINE):
         mode_cfg = replace(cfg, ipsec=mode)
         for c in app_costs_ns:
-            capacity = load_capacity_pps(mode_cfg, app_cost_ns=c)
-            out[mode].append(int(capacity // rate_pps))
+            app_cfg = replace(mode_cfg, profile=replace(mode_cfg.profile, server_fixed_ns=c))
+            out[mode].append(int(load_capacity_pps(app_cfg) // rate_pps))
     return out
 
 

@@ -248,11 +248,13 @@ class SimNic:
                     self.capture.append(payload)
                 if lost:
                     self.drops += 1
-                    self._event("tx_lost", now, slot=view.slot, length=length)
+                    if self.trace_enabled:
+                        self._event("tx_lost", now, slot=view.slot, length=length)
                 elif self.peer is not None:
                     arrival = now + self.link.delay_ns(length, jitter)
                     self.peer.enqueue(arrival, payload)
-                    self._event("tx_sent", now, slot=view.slot, length=length, arrival=arrival)
+                    if self.trace_enabled:
+                        self._event("tx_sent", now, slot=view.slot, length=length, arrival=arrival)
             # sender-side completion happens whether or not the frame survived
             self.port.tx_ring.device_writeback_tx(view.slot)
 
@@ -267,7 +269,8 @@ class SimNic:
             _arrival, _seq, payload = heapq.heappop(inbox)
             if not self._rx_avail:
                 self.drops += 1
-                self._event("rx_no_buffer", now, length=len(payload))
+                if self.trace_enabled:
+                    self._event("rx_no_buffer", now, length=len(payload))
                 continue
             view = self._rx_avail.popleft()
             address = view.packet_address
@@ -279,7 +282,8 @@ class SimNic:
                 continue
             self.port.rx_ring.device_writeback_rx(view.slot, length=n)
             self.delivered += 1
-            self._event("rx_delivered", now, slot=view.slot, length=n)
+            if self.trace_enabled:
+                self._event("rx_delivered", now, slot=view.slot, length=n)
 
     # -- adversary actions -------------------------------------------------
 

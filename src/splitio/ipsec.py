@@ -346,6 +346,7 @@ class PortProtect:
 
 
 STAGING_CAPACITY = 1024
+DETACH_MAX_STEPS = 10_000  # a drain that takes longer is stuck
 
 
 class CryptoWorker:
@@ -366,12 +367,10 @@ class CryptoWorker:
         port: PortContext,
         sa_in: SecurityAssociation,
         sa_out: SecurityAssociation,
-        staging_capacity: int = STAGING_CAPACITY,
     ):
         self.port = weakref.proxy(port)
         self.sa_in = sa_in
         self.sa_out = sa_out
-        self.capacity = staging_capacity
         self.cipher_in: deque[PacketBuffer] = deque()
         self.plain_out: deque[PacketBuffer] = deque()
         self.plain_in: deque[PacketBuffer] = deque()
@@ -383,7 +382,7 @@ class CryptoWorker:
     def app_tx(self, bufs: list[PacketBuffer]) -> int:
         """Stage as many as plain_in has room for; the rest count as stage
         drops and stay the caller's."""
-        accepted = max(0, min(len(bufs), self.capacity - len(self.plain_in)))
+        accepted = max(0, min(len(bufs), STAGING_CAPACITY - len(self.plain_in)))
         self.plain_in.extend(bufs[:accepted])
         self.counters["stage_drops"] += len(bufs) - accepted
         return accepted
@@ -402,7 +401,7 @@ class CryptoWorker:
     def step(self, batch_max: int = 32) -> int:
         """One polling iteration; returns the number of transforms performed."""
         port = self.port
-        room = self.capacity - len(self.cipher_in)
+        room = STAGING_CAPACITY - len(self.cipher_in)
         if room > 0:
             for buf in port.rx_burst(min(batch_max, room)):
                 self.cipher_in.append(buf)
@@ -414,7 +413,7 @@ class CryptoWorker:
             if not esp_open(self.sa_in, buf, port, self.counters):
                 self.counters["auth_fail"] += 1
                 port.free_buffer(buf)
-            elif len(self.plain_out) >= self.capacity:
+            elif len(self.plain_out) >= STAGING_CAPACITY:
                 self.counters["stage_drops"] += 1
                 port.free_buffer(buf)
             else:
@@ -423,7 +422,7 @@ class CryptoWorker:
         while self.plain_in and done < batch_max:
             buf = self.plain_in.popleft()
             esp_encrypt(self.sa_out, buf, ops_counter=self.counters)
-            if len(self.cipher_out) >= self.capacity:
+            if len(self.cipher_out) >= STAGING_CAPACITY:
                 self.counters["stage_drops"] += 1
                 port.free_buffer(buf)
             else:
@@ -444,23 +443,22 @@ def inline_attach(
     port: PortContext,
     sa_in: SecurityAssociation,
     sa_out: SecurityAssociation,
-    staging_capacity: int = STAGING_CAPACITY,
 ) -> CryptoWorker:
     if getattr(port, "crypto_worker", None) is not None:
         raise AlreadyAttached("port already has a crypto worker")
-    worker = CryptoWorker(port, sa_in, sa_out, staging_capacity)
+    worker = CryptoWorker(port, sa_in, sa_out)
     port.crypto_worker = worker
     return worker
 
 
-def inline_detach(worker: CryptoWorker, max_steps: int = 10_000) -> None:
+def inline_detach(worker: CryptoWorker) -> None:
     """Drain all staging queues, then release the port. An idle flow loses
     nothing: every queued packet is transformed and pushed out first."""
     steps = 0
     while not worker.queues_empty():
         worker.step()
         steps += 1
-        if steps > max_steps:
+        if steps > DETACH_MAX_STEPS:
             raise SplitioError("crypto worker failed to drain")
     worker.port.crypto_worker = None
 

@@ -18,7 +18,7 @@ Accounting choices (uniform across offload modes, so comparisons stay fair):
 copy costs are charged to the application worker at the moment data enters
 or leaves private use; crypto costs are charged to whichever worker runs
 the transform; an emulated interrupt charges exits_per_packet exits at each
-delivery that wakes an application worker.
+delivery that wakes an application worker. bench.stage_costs prices each.
 """
 
 from __future__ import annotations
@@ -30,14 +30,14 @@ from typing import Optional
 from .bench import (
     PACKET_ID_LEN,
     BenchConfig,
-    CopyModel,
     LatencyStats,
     NotificationMode,
     Workload,
+    stage_costs,
 )
 from .devsim import LinkModel, endpoint_pair
 from .errors import EventBudgetExhausted, PoolExhausted
-from .ipsec import OffloadMode, PortProtect, esp_frame_len, esp_sa_pairs, inline_attach
+from .ipsec import OffloadMode, PortProtect, esp_sa_pairs, inline_attach
 from .pools import PoolConfig
 
 # unused here, but perfbench's tracer test looks both names up on this
@@ -69,8 +69,8 @@ class EchoResult:
 class _EchoRig:
     def __init__(self, cfg: BenchConfig):
         self.cfg = cfg
-        self.profile = profile = cfg.profile
-        self.mode = mode = cfg.effective_ipsec()
+        profile = cfg.profile
+        mode = cfg.effective_ipsec()
         link = LinkModel(
             base_latency_ns=profile.link_base_ns,
             per_byte_ns=profile.link_per_byte_ns,
@@ -80,18 +80,12 @@ class _EchoRig:
         )
         self.a, self.b = endpoint_pair(PoolConfig(mbuf_count=cfg.mbuf_count), link, cfg.ring_capacity)
 
-        k_len = esp_frame_len(cfg.payload_len) if mode is not None else cfg.payload_len
-        self.k_ns = profile.crypto_cost_ns(k_len)
-        self.inline = mode is OffloadMode.INLINE
-        # crypto time the application worker itself pays per transform
-        self.app_k_ns = self.k_ns if mode is OffloadMode.LOOKASIDE else 0.0
-        # RX copies are charged on the wire frame, except the inline
-        # client's, which is charged on the decrypted length
-        self.server_wire = mode is not None
-        self.client_wire = mode is OffloadMode.LOOKASIDE
+        # every per-packet charge, priced once; under ESP the sim charges
+        # RX copies on the wire frame (see stage_costs)
+        self.costs = stage_costs(cfg, rx_on_wire=True)
         # the config's enum tests, made once: the handlers below run per
         # packet (see the note on enum member reads in mem.py)
-        self.single_copy = cfg.copy_model is CopyModel.SINGLE_COPY
+        self.inline = mode is OffloadMode.INLINE
         self.interrupts = cfg.notification.mode is NotificationMode.EMULATED_INTERRUPT
         self.chained = cfg.workload is Workload.TCP_LIKE_LOAD
         if mode is not None:
@@ -112,8 +106,8 @@ class _EchoRig:
         self.crypto_busy = {"a": 0.0, "b": 0.0}
 
         self.sent_count = 0
-        self.sent_at: dict[int, float] = {}
-        self.msg_of: dict[int, tuple[int, int]] = {}
+        # serial -> (conn, msg_idx, send time) until its echo comes back
+        self.in_flight: dict[int, tuple[int, int, float]] = {}
         self.samples: list[float] = []
         self.exit_events: list[tuple[str, float, int]] = []
         self.server_payloads: list[bytes] = []
@@ -136,19 +130,22 @@ class _EchoRig:
         self._pushed_polls.add(key)
         self.push(t, "nic", side)
 
-    def _copy_cost(self, length: int) -> float:
-        if self.single_copy:
-            return self.profile.copy_cost_ns(length)
-        return 0.0
-
-    def _wake_cost(self) -> float:
+    def _wake(self, side: str, t: float) -> None:
+        """Wake side's application worker for what was just delivered."""
+        wake = t + self.costs.wake_ns
         if self.interrupts:
-            return self.cfg.exits_per_packet * self.cfg.notification.exit_cost_ns
-        return 0.0
+            self.exit_events.append((side, wake, self.cfg.exits_per_packet))
+        self.push(wake, "server" if side == "b" else "client", None)
 
-    def _record_wake(self, side: str, t: float) -> None:
-        if self.interrupts:
-            self.exit_events.append((side, t, self.cfg.exits_per_packet))
+    def _transmit(self, side: str, buf, t: float) -> None:
+        """Hand buf to side's data path, then poll whatever sends it on."""
+        end = self.a if side == "a" else self.b
+        if end.app_tx([buf]) == 0:
+            end.port.free_buffer(buf)
+        elif self.inline:
+            self.push(t, "crypto", side)
+        else:
+            self.push_nic(side, t)
 
     def _payload(self, serial: int) -> bytes:
         start = (serial * 131) & 0xFF
@@ -160,25 +157,14 @@ class _EchoRig:
         conn, msg_idx = arg  # type: ignore[misc]
         serial = self.sent_count
         self.sent_count += 1
-        self.sent_at[serial] = t
-        self.msg_of[serial] = (conn, msg_idx)
-        payload = self._payload(serial)
-        a = self.a
+        self.in_flight[serial] = (conn, msg_idx, t)
         try:
-            buf = a.port.alloc_tx_buffer()
+            buf = self.a.port.alloc_tx_buffer()
         except PoolExhausted:
             return  # counted as a drop by the sent/received difference
-        buf.write_data(payload)
-        cost = self._copy_cost(len(payload)) + self.app_k_ns
-        ready = max(t, self.client_busy) + cost
-        self.client_busy = ready
-        if a.app_tx([buf]) == 0:
-            a.port.free_buffer(buf)
-            return
-        if self.inline:
-            self.push(ready, "crypto", "a")
-        else:
-            self.push_nic("a", ready)
+        buf.write_data(self._payload(serial))
+        self.client_busy = max(t, self.client_busy) + self.costs.send_ns
+        self._transmit("a", buf, self.client_busy)
 
     # -- device polls ------------------------------------------------------
 
@@ -203,9 +189,7 @@ class _EchoRig:
                 # the crypto worker polls its rings; the app pays exits later
                 self.push(t, "crypto", side)
             else:
-                wake = t + self._wake_cost()
-                self._record_wake(side, wake)
-                self.push(wake, "server" if side == "b" else "client", None)
+                self._wake(side, t)
 
     # -- crypto worker (inline mode) ---------------------------------------
 
@@ -216,12 +200,10 @@ class _EchoRig:
         worker.step(batch_max=64)
         ops = worker.counters["aes_ops"] - before
         start = max(t, self.crypto_busy[side])
-        end = start + ops * self.k_ns
+        end = start + ops * self.costs.transform_ns
         self.crypto_busy[side] = end
         if worker.plain_out:
-            wake = end + self._wake_cost()
-            self._record_wake(side, wake)
-            self.push(wake, "server" if side == "b" else "client", None)
+            self._wake(side, end)
         if worker.cipher_in or worker.plain_in:
             self.push(end, "crypto", side)
         # anything the step pushed out through tx_burst departs once paid for
@@ -231,54 +213,34 @@ class _EchoRig:
 
     def _do_server(self, t: float, arg: object) -> None:
         app_rx = self.b.app_rx
-        while True:
-            bufs = app_rx(64)
-            if not bufs:
-                return
+        service_ns = self.costs.server_ns
+        while bufs := app_rx(64):
             for buf in bufs:
-                data = buf.read_data()
-                length = len(data)
-                wire = esp_frame_len(length) if self.server_wire else length
-                start = max(t, self.server_busy)
-                svc = float(self.profile.server_fixed_ns)
-                svc += self._copy_cost(wire) + self._copy_cost(length)
-                svc += 2 * self.app_k_ns  # decrypt already done, encrypt deferred
-                self.server_busy = start + svc
-                self.server_payloads.append(data)
+                self.server_payloads.append(buf.read_data())
+                self.server_busy = max(t, self.server_busy) + service_ns
                 self.push(self.server_busy, "tx_b", buf)
 
     def _do_tx_b(self, t: float, arg: object) -> None:
-        buf, b = arg, self.b
-        if b.app_tx([buf]) == 0:
-            b.port.free_buffer(buf)
-            return
-        if self.inline:
-            self.push(t, "crypto", "b")
-        else:
-            self.push_nic("b", t)
+        self._transmit("b", arg, t)
 
     # -- client receive side -----------------------------------------------
 
     def _do_client(self, t: float, arg: object) -> None:
         app_rx = self.a.app_rx
         free = self.a.port.free_buffer
-        while True:
-            bufs = app_rx(64)
-            if not bufs:
-                return
+        receive_ns = self.costs.receive_ns
+        while bufs := app_rx(64):
             for buf in bufs:
                 data = buf.read_data()
-                length = esp_frame_len(len(data)) if self.client_wire else len(data)
-                done = max(t, self.client_busy) + (self._copy_cost(length) + self.app_k_ns)
+                done = max(t, self.client_busy) + receive_ns
                 self.client_busy = done
                 self.client_payloads.append(data)
-                serial = int.from_bytes(data[:PACKET_ID_LEN], "big")
-                sent_t = self.sent_at.pop(serial, None)
+                sent = self.in_flight.pop(int.from_bytes(data[:PACKET_ID_LEN], "big"), None)
                 free(buf)
-                if sent_t is None:
+                if sent is None:
                     continue  # duplicate or corrupted serial; nothing to time
+                conn, msg_idx, sent_t = sent
                 self.samples.append(done - sent_t)
-                conn, msg_idx = self.msg_of[serial]
                 if self.chained and msg_idx < 2:
                     self.push(done, "send", (conn, msg_idx + 1))
 

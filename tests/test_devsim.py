@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
+from splitio.bench import BenchConfig, CostProfile, run_echo_result
 from splitio.devsim import (
     AdversaryPlan,
     LinkModel,
     LoopbackSystem,
+    SimNic,
     loopback_pair,
     run_adversary,
 )
@@ -164,6 +168,14 @@ class TestLoopback:
             return (system.delivered_b, system.delivered_a, system.nic_a.drops)
 
         assert run() == run()
+
+    def test_untraced_echo_records_no_event(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(SimNic, "_event", lambda self, *a, **kw: calls.append(a))
+        lossy = replace(CostProfile(), loss_rate=0.2)
+        result = run_echo_result(BenchConfig(duration_s=0.01, seed=1, profile=lossy))
+        assert result.received > 0 and result.link_drops_a + result.link_drops_b > 0
+        assert calls == []
 
 
 def _probe_layout():
