@@ -1,11 +1,11 @@
-"""Simulated NIC, link model, and adversary machinery.
+"""Simulated NIC, link model, the two-endpoint rig and adversary runs.
 
 The NIC is deliberately written as an untrusted actor: every byte it touches
 goes through MemorySystem with Side.DEVICE, so private memory is physically
 out of its reach and any attempt is recorded and denied rather than crashing
-the run. In adversarial mode the NIC additionally executes an AdversaryPlan:
-a scripted sequence of tampering, forgery, replay, drop, and corruption
-actions with nanosecond trigger times.
+the run. An AdversaryPlan scripts tampering, forgery, replay, drop and
+corruption actions; the rig fires each one as an event at its nanosecond
+trigger time.
 
 Determinism: all randomness (jitter, loss) comes from per-link Splitmix64
 streams; per transmitted packet the link draws jitter first, then loss, so a
@@ -18,14 +18,16 @@ import enum
 import heapq
 import weakref
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
-from .errors import BadPlan, DeviceAccessDenied, OutOfBounds, SplitioError, SymmetryRequired
-from .mem import Handle, MemorySystem, RegionKind, Side
-from .pools import PacketBuffer, PoolConfig, PortContext, port_new
+from .bench import StageCosts
+from .errors import BadPlan, DeviceAccessDenied, EventBudgetExhausted, OutOfBounds, SplitioError
+from .ipsec import CryptoWorker
+from .mem import Handle, MemorySystem, Side
+from .pools import PoolConfig, PortContext, port_new
 from .prng import Splitmix64
-from .ring import Direction, RxView, TxView
+from .ring import RxView, TxView
 
 # enum member read once (see the note in mem.py)
 _DEVICE = Side.DEVICE
@@ -72,8 +74,6 @@ class AdversaryAction:
     status_error: Optional[int] = None
     # drop_packet
     count: int = 1
-    # bookkeeping filled in during the run
-    executed: bool = False
 
 
 @dataclass
@@ -145,17 +145,13 @@ class SimNic:
         mem: MemorySystem,
         port: PortContext,
         link: LinkModel,
-        plan: Optional[AdversaryPlan] = None,
         capture: bool = False,
         trace: bool = False,
-        role: str = "a",
     ):
         self.name = name
         self.mem = mem
         self.port = port
         self.link = link
-        self.plan = plan
-        self.role = role
         self.peer: Optional[SimNic] = None
         self.prng = Splitmix64(link.jitter_seed)
         # (arrival, seq, payload) heap; seq is unique, so a comparison never
@@ -201,14 +197,14 @@ class SimNic:
 
     # -- the step ----------------------------------------------------------
 
-    def step(self, now: int) -> None:
-        """One device iteration: run due adversary actions, fetch and
-        transmit new TX descriptors, deliver due arrivals. Never raises on a
-        confinement denial; those become violation records."""
-        if self.plan is not None:
-            self._run_due_actions(now)
+    def step(self, now: int) -> int:
+        """One device iteration: fetch and transmit new TX descriptors, then
+        deliver due arrivals; returns how many it delivered. Never raises on
+        a confinement denial; those become violation records."""
         self._service_tx(now)
+        before = self.delivered
         self._service_rx(now)
+        return self.delivered - before
 
     def _service_tx(self, now: int) -> None:
         try:
@@ -287,13 +283,6 @@ class SimNic:
 
     # -- adversary actions -------------------------------------------------
 
-    def _run_due_actions(self, now: int) -> None:
-        for action in self.plan.actions:
-            if action.executed or action.when > now or action.target != self.role:
-                continue
-            action.executed = True
-            self._execute(action, now)
-
     def _execute(self, action: AdversaryAction, now: int) -> None:
         kind = action.kind
         if kind is ActionKind.TAMPER_SHARED:
@@ -338,22 +327,12 @@ def loopback_pair(
     port_a: PortContext,
     port_b: PortContext,
     cfg: LinkModel,
-    cfg_back: Optional[LinkModel] = None,
-    plan: Optional[AdversaryPlan] = None,
     capture: bool = False,
     trace: bool = False,
 ) -> tuple[SimNic, SimNic]:
-    """Wire two ports with a symmetric link. The two directions must use the
-    same link parameters; pass cfg_back only to prove you meant them equal."""
-    if cfg_back is not None and cfg_back != cfg:
-        raise SymmetryRequired(f"loopback link must be symmetric: {cfg} != {cfg_back}")
-    back = replace(cfg) if cfg_back is None else cfg_back
-    nic_a = SimNic(
-        "nic_a", port_a.mem, port_a, cfg, plan=plan, capture=capture, trace=trace, role="a"
-    )
-    nic_b = SimNic(
-        "nic_b", port_b.mem, port_b, back, plan=plan, capture=capture, trace=trace, role="b"
-    )
+    """Wire two ports with a symmetric link: both directions use cfg."""
+    nic_a = SimNic("nic_a", port_a.mem, port_a, cfg, capture=capture, trace=trace)
+    nic_b = SimNic("nic_b", port_b.mem, port_b, cfg, capture=capture, trace=trace)
     nic_a.connect(nic_b)
     nic_b.connect(nic_a)
     return nic_a, nic_b
@@ -384,6 +363,7 @@ class Endpoint:
 
     def use(self, path) -> None:
         self.path = path
+        self.inline = isinstance(path, CryptoWorker)  # the rig steps the worker
         if path is None:
             self.app_tx, self.app_rx = self.port.tx_burst, self.port.rx_burst
         else:
@@ -396,17 +376,16 @@ def endpoint_pair(
     ring_capacity: int,
     instrument: bool = False,
     canary: Optional[bytes] = None,
-    plan: Optional[AdversaryPlan] = None,
-    capture: bool = False,
     trace: bool = False,
 ) -> tuple[Endpoint, Endpoint]:
     """Two endpoints, each on its own MemorySystem with one port, whose
-    NICs are joined by a symmetric link. Both start on the plain path."""
+    NICs are joined by a symmetric link. Both start on the plain path. An
+    instrumented pair logs every memory access and captures every frame."""
     mem_a = MemorySystem(instrument=instrument)
     mem_b = MemorySystem(instrument=instrument)
     port_a = port_new(mem_a, pool_cfg, ring_capacity=ring_capacity, canary=canary)
     port_b = port_new(mem_b, pool_cfg, ring_capacity=ring_capacity, canary=canary)
-    nic_a, nic_b = loopback_pair(port_a, port_b, link, plan=plan, capture=capture, trace=trace)
+    nic_a, nic_b = loopback_pair(port_a, port_b, link, capture=instrument, trace=trace)
     return Endpoint(mem_a, port_a, nic_a), Endpoint(mem_b, port_b, nic_b)
 
 
@@ -420,15 +399,23 @@ def _protect(side: str) -> property:
     return property(get, set_, doc=f"Endpoint {side}'s data path; None is plain.")
 
 
+_APP_EVENT = {"a": "client", "b": "server"}  # the handler of each side's application
+
+
 class LoopbackSystem:
     """Two full endpoints (memory, port, NIC) joined by a symmetric link,
-    pumped in lock steps of step_ns. Endpoint A sends, endpoint B records
-    what its application receives; A's RX side also runs so forged inbound
-    traffic is observable. This is the rig the adversary suite and the
-    module-level examples use; the benchmark drives the same endpoints from
-    its own event-driven loop."""
+    driven by one event heap over virtual nanoseconds. A's application
+    sends, B's records what it receives and echoes it, A's records the
+    echoes. Events due at one instant run in the order they were pushed;
+    each plan action is pushed at its `when` as the rig is built, so it
+    fires first, then polls its side's NIC and application. Stages take the
+    times in `costs`: none here; simloop prices them for the echo benchmark."""
 
     STEP_NS = 1000
+    costs = StageCosts(0, 0, 0, 0, 0)
+    # exits charged per application wake under emulated interrupts; None
+    # while the applications poll
+    wake_exits: Optional[int] = None
 
     protect_a = _protect("a")
     protect_b = _protect("b")
@@ -443,11 +430,12 @@ class LoopbackSystem:
         instrument: bool = True,
         trace: bool = False,
     ):
-        self.pool_cfg = pool_cfg or PoolConfig(mbuf_count=32)
-        self.link = link or LinkModel(base_latency_ns=500)
+        self.canary = canary
         self.a, self.b = endpoint_pair(
-            self.pool_cfg, self.link, ring_capacity,
-            instrument=instrument, canary=canary, plan=plan, capture=True, trace=trace,
+            pool_cfg or PoolConfig(mbuf_count=32),
+            link or LinkModel(base_latency_ns=500),
+            ring_capacity,
+            instrument=instrument, canary=canary, trace=trace,
         )
         self.mem_a, self.port_a, self.nic_a = self.a.mem, self.a.port, self.a.nic
         self.mem_b, self.port_b, self.nic_b = self.b.mem, self.b.port, self.b.nic
@@ -455,35 +443,175 @@ class LoopbackSystem:
         self.sent: list[bytes] = []
         self.delivered_b: list[bytes] = []
         self.delivered_a: list[bytes] = []
+        self.exit_events: list[tuple[str, float, int]] = []
+        self.client_busy = self.server_busy = 0
+        self.crypto_busy = {"a": 0, "b": 0}
+        self.heap: list[tuple[float, int, str, object]] = []  # (t, seq, kind, arg)
+        self._seq = 0
+        self._pushed_polls: set[tuple[str, float]] = set()
+        for action in plan.actions if plan is not None else ():
+            self.push(action.when, "action", action)
 
     def send_from_a(self, payload: bytes) -> None:
+        """A's application sends payload at now."""
         buf = self.port_a.alloc_tx_buffer()
         buf.write_data(payload)
         self.sent.append(payload)
-        if self.a.app_tx([buf]) == 0:
-            self.port_a.free_buffer(buf)
-
-    def _drain_a(self) -> None:
-        for buf in self.a.app_rx(64):
-            self.delivered_a.append(buf.read_data())
-            self.port_a.free_buffer(buf)
-
-    def _drain_b_echo(self) -> None:
-        # B's application: record the payload, then echo it straight back
-        for buf in self.b.app_rx(64):
-            self.delivered_b.append(buf.read_data())
-            if self.b.app_tx([buf]) == 0:
-                self.port_b.free_buffer(buf)
+        self._transmit(self.now, buf, "a")
 
     def pump(self, steps: int = 1) -> None:
-        for _ in range(steps):
-            self.now += self.STEP_NS
-            self.nic_a.step(self.now)
-            self.nic_b.step(self.now)
-            self._drain_b_echo()
-            self._drain_a()
-            self.port_a.reclaim_tx()
-            self.port_b.reclaim_tx()
+        """Advance virtual time by steps * STEP_NS, running every event due
+        by then."""
+        self.now += steps * self.STEP_NS
+        self._dispatch(self.now)
+
+    def _dispatch(self, until: float) -> None:
+        """Run every event due by until, earliest first."""
+        heap, handlers = self.heap, self._HANDLERS
+        # safety valve against scheduling bugs, not a modeled limit; a
+        # chained echo adds up to two follow-on sends per initial one
+        budget = 10_000 + len(heap) * 150
+        while heap and heap[0][0] <= until:
+            if not budget:
+                raise EventBudgetExhausted(
+                    f"event budget spent with {len(heap)} events still queued"
+                )
+            budget -= 1
+            t, _, kind, arg = heapq.heappop(heap)
+            handlers[kind](self, t, arg)
+
+    # -- event plumbing ----------------------------------------------------
+
+    def push(self, t: float, kind: str, arg: object = None) -> None:
+        heapq.heappush(self.heap, (t, self._seq, kind, arg))
+        self._seq += 1
+
+    def push_nic(self, side: str, t: float) -> None:
+        key = (side, t)
+        if key not in self._pushed_polls:
+            self._pushed_polls.add(key)
+            self.push(t, "nic", side)
+
+    def _wake(self, side: str, t: float) -> None:
+        """Wake side's application worker for what was just delivered."""
+        wake = t + self.costs.wake_ns
+        if self.wake_exits is not None:
+            self.exit_events.append((side, wake, self.wake_exits))
+        self.push(wake, _APP_EVENT[side])
+
+    def _transmit(self, t: float, buf, side: str = "b") -> None:
+        """Hand buf to side's data path, then poll whatever sends it on.
+        Also the tx_b handler, which sends B's echo once it is served."""
+        end = self.a if side == "a" else self.b
+        if end.app_tx([buf]) == 0:
+            end.port.free_buffer(buf)
+        elif end.inline:
+            self.push(t, "crypto", side)
+        else:
+            self.push_nic(side, t)
+
+    # -- handlers ----------------------------------------------------------
+
+    def _do_action(self, t: float, action: AdversaryAction) -> None:
+        side = action.target
+        end = self.a if side == "a" else self.b
+        end.nic._execute(action, t)
+        self.push_nic(side, t)
+        self.push(t, "crypto" if end.inline else _APP_EVENT[side], side)
+
+    def _do_nic(self, t: float, side: str) -> None:
+        # this poll is now spent; work posted at the same instant after it
+        # ran must be able to schedule a fresh one
+        self._pushed_polls.discard((side, t))
+        end = self.a if side == "a" else self.b
+        nic = end.nic
+        peer = self.nic_b if side == "a" else self.nic_a
+        delivered = nic.step(t)
+        arrival = peer.next_arrival()
+        if arrival is not None:
+            self.push_nic("b" if side == "a" else "a", arrival)
+        own_next = nic.next_arrival()
+        if own_next is not None:
+            self.push_nic(side, own_next)
+        if delivered and end.inline:
+            # the crypto worker polls its rings; the app pays exits later
+            self.push(t, "crypto", side)
+        elif delivered:
+            self._wake(side, t)
+
+    def _do_crypto(self, t: float, side: str) -> None:
+        worker = (self.a if side == "a" else self.b).path
+        before = worker.counters["aes_ops"]
+        worker.step(batch_max=64)
+        ops = worker.counters["aes_ops"] - before
+        start = max(t, self.crypto_busy[side])
+        end = start + ops * self.costs.transform_ns
+        self.crypto_busy[side] = end
+        if worker.plain_out:
+            self._wake(side, end)
+        if worker.cipher_in or worker.plain_in:
+            self.push(end, "crypto", side)
+        # anything the step pushed out through tx_burst departs once paid for
+        self.push_nic(side, end)
+
+    def _do_server(self, t: float, arg: object) -> None:
+        app_rx = self.b.app_rx
+        service_ns = self.costs.server_ns
+        while bufs := app_rx(64):
+            for buf in bufs:
+                self.delivered_b.append(buf.read_data())
+                self.server_busy = max(t, self.server_busy) + service_ns
+                self.push(self.server_busy, "tx_b", buf)
+
+    def _do_client(self, t: float, arg: object) -> None:
+        app_rx = self.a.app_rx
+        free = self.port_a.free_buffer
+        receive_ns = self.costs.receive_ns
+        echoed = self._echoed
+        while bufs := app_rx(64):
+            for buf in bufs:
+                data = buf.read_data()
+                done = max(t, self.client_busy) + receive_ns
+                self.client_busy = done
+                self.delivered_a.append(data)
+                free(buf)
+                echoed(data, done)
+
+    def _echoed(self, data: bytes, done: float) -> None:
+        """A's application finished receiving data at done."""
+
+    _HANDLERS = {
+        "action": _do_action,
+        "nic": _do_nic,
+        "crypto": _do_crypto,
+        "server": _do_server,
+        "tx_b": _transmit,
+        "client": _do_client,
+    }
+
+    def violations(self) -> list[dict]:
+        """Every violation recorded so far: both NICs', then each ring's."""
+        found = self.nic_a.violations + self.nic_b.violations
+        for side, port in (("a", self.port_a), ("b", self.port_b)):
+            for name, ring in (("tx_" + side, port.tx_ring), ("rx_" + side, port.rx_ring)):
+                found += [{"kind": k, "slot": s, "ring": name} for k, s in ring.violations]
+        return found
+
+    def breached(self, secret_patterns: Sequence[bytes] = ()) -> bool:
+        """The red flag: the device reached private memory or an unregistered
+        region, or a secret or the canary is in a shared arena or a captured
+        frame. Reads an instrumented rig's evidence."""
+        if any(v["kind"].startswith("private_") for v in self.violations()):
+            return True
+        mems = (self.mem_a, self.mem_b)
+        if any(not m.device_touched_regions() <= set(m.shared.registered) for m in mems):
+            return True
+        patterns = list(secret_patterns) + ([self.canary] if self.canary else [])
+        frames = self.nic_a.capture + self.nic_b.capture
+        return any(
+            any(m.pattern_in_shared(p) for m in mems) or any(p in f for f in frames)
+            for p in patterns
+        )
 
 
 @dataclass
@@ -540,9 +668,7 @@ def run_adversary(
     Classification is evidence-based after the run: an action is REJECTED if
     the defenses visibly stopped it (access denied, clamp, replay log, auth
     failure), DELIVERED_CORRUPTED if application-visible data was corrupted or
-    fabricated, and NO_EFFECT otherwise. `breach` is the red flag: it means
-    the device actually touched private memory or a secret pattern leaked
-    into shared memory or the wire, which must never happen.
+    fabricated, and NO_EFFECT otherwise. `breach` is LoopbackSystem.breached.
     """
     system = LoopbackSystem(
         pool_cfg=pool_cfg,
@@ -550,42 +676,23 @@ def run_adversary(
         plan=plan,
         ring_capacity=ring_capacity,
         canary=canary,
-        instrument=True,
         trace=trace,
     )
     if protect_factory is not None:
         system.protect_a, system.protect_b = protect_factory(system)
 
-    payloads = _payloads_for_run(packets, payload_len, seed)
-    for payload in payloads:
+    for payload in _payloads_for_run(packets, payload_len, seed):
         system.send_from_a(payload)
         system.pump(1)
     system.pump(12 + 2 * packets)
 
+    counters_a = system.port_a.counters_snapshot()
+    counters_b = system.port_b.counters_snapshot()
     sent_set = set(system.sent)
     corrupt_delivered = [p for p in system.delivered_b if p not in sent_set]
     # A legitimately receives only echoes of what it sent
     fabricated_at_a = [p for p in system.delivered_a if p not in sent_set]
-    violations = (
-        system.nic_a.violations
-        + system.nic_b.violations
-        + [
-            {"kind": k, "slot": s, "ring": "tx_a"}
-            for (k, s) in system.port_a.tx_ring.violations
-        ]
-        + [
-            {"kind": k, "slot": s, "ring": "rx_a"}
-            for (k, s) in system.port_a.rx_ring.violations
-        ]
-        + [
-            {"kind": k, "slot": s, "ring": "rx_b"}
-            for (k, s) in system.port_b.rx_ring.violations
-        ]
-        + [
-            {"kind": k, "slot": s, "ring": "tx_b"}
-            for (k, s) in system.port_b.tx_ring.violations
-        ]
-    )
+    violations = system.violations()
     vkinds = {v["kind"] for v in violations}
 
     outcomes: list[tuple[str, str]] = []
@@ -602,10 +709,7 @@ def run_adversary(
             else:
                 outcome = Outcome.NO_EFFECT
         elif kind is ActionKind.FORGE_WRITEBACK:
-            suspects = (
-                system.port_a.counters["metadata_suspect"]
-                + system.port_b.counters["metadata_suspect"]
-            )
+            suspects = counters_a["metadata_suspect"] + counters_b["metadata_suspect"]
             if suspects > 0 or "replayed_rx_writeback" in vkinds:
                 outcome = Outcome.REJECTED
             elif fabricated_at_a or corrupt_delivered:
@@ -624,10 +728,7 @@ def run_adversary(
         elif kind is ActionKind.DROP_PACKET:
             outcome = Outcome.NO_EFFECT
         else:  # CORRUPT_CIPHERTEXT
-            auth_fails = (
-                system.port_a.counters["auth_fail"] + system.port_b.counters["auth_fail"]
-            )
-            if auth_fails > 0:
+            if counters_a["auth_fail"] + counters_b["auth_fail"] > 0:
                 outcome = Outcome.REJECTED
             elif corrupt_delivered:
                 outcome = Outcome.DELIVERED_CORRUPTED
@@ -635,27 +736,13 @@ def run_adversary(
                 outcome = Outcome.NO_EFFECT
         outcomes.append((kind.value, outcome.value))
 
-    breach = any(v["kind"].startswith("private_") for v in violations)
-    for memsys in (system.mem_a, system.mem_b):
-        allowed = set(memsys.shared.registered)
-        if not memsys.device_touched_regions() <= allowed:
-            breach = True
-    patterns = list(secret_patterns or [])
-    if canary:
-        patterns.append(canary)
-    for pattern in patterns:
-        if system.mem_a.pattern_in_shared(pattern) or system.mem_b.pattern_in_shared(pattern):
-            breach = True
-        if any(pattern in frame for frame in system.nic_a.capture + system.nic_b.capture):
-            breach = True
-
     return AdversaryReport(
         outcomes=outcomes,
         violations=violations,
-        breach=breach,
+        breach=system.breached(secret_patterns or ()),
         sent=system.sent,
         delivered=system.delivered_b,
         echoed=system.delivered_a,
-        counters_a=system.port_a.counters_snapshot(),
-        counters_b=system.port_b.counters_snapshot(),
+        counters_a=counters_a,
+        counters_b=counters_b,
     )

@@ -69,10 +69,6 @@ class OversizePacket(SplitioError):
 
 # device simulator
 
-class SymmetryRequired(SplitioError):
-    pass
-
-
 class BadPlan(SplitioError):
     """Adversary plan file could not be parsed."""
 

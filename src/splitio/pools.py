@@ -81,17 +81,14 @@ _SHADOW = PoolKind.SHADOW
 class PoolConfig:
     mbuf_count: int = DEFAULT_MBUF_COUNT
     mbuf_size: int = DEFAULT_MBUF_SIZE
-    shared_equals_shadow: bool = True
-    shadow_count: Optional[int] = None  # only consulted when shared_equals_shadow=False
+    shadow_count: Optional[int] = None  # None: as many as mbuf_count
 
     @property
     def data_room(self) -> int:
         return self.mbuf_size - METADATA_OVERHEAD
 
     def effective_shadow_count(self) -> int:
-        if self.shared_equals_shadow or self.shadow_count is None:
-            return self.mbuf_count
-        return self.shadow_count
+        return self.mbuf_count if self.shadow_count is None else self.shadow_count
 
 
 def pool_memory_footprint(cfg: PoolConfig) -> dict[str, int]:

@@ -688,7 +688,7 @@ class TestGoldenDigests:
         "plain_1500": "1c106a2509897680f27ee90f791bf810ab0f2d119e3faad250531c579ac759bc",
         "overload_50": "8b46e9ff6a911198090b7d531ce632ab10b0c70d7d08b5fc624d58d2e352cd43",
     }
-    CAMPAIGN_DIGEST = "0419cdc1ad679d42e3fe13e1e7f1beb162ce0985d35cb6b9782986036ab53d48"
+    CAMPAIGN_DIGEST = "e201446448aad97d40a25c0caa6d57cca21d4245a383a6de4828f3f123ca2d11"
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_echo_digest(self, name):

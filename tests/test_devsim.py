@@ -8,13 +8,11 @@ from splitio.devsim import (
     LinkModel,
     LoopbackSystem,
     SimNic,
-    loopback_pair,
     run_adversary,
 )
 from splitio.devsim import _payloads_for_run
-from splitio.errors import BadPlan, SymmetryRequired
-from splitio.mem import MemorySystem, Side
-from splitio.pools import PoolConfig, port_new
+from splitio.errors import BadPlan
+from splitio.mem import Side
 
 # Reference stream, rebuilt from the generator's documented constants rather
 # than imported, so a stream bug cannot hide from its own replay test.
@@ -87,15 +85,6 @@ class TestLinkModel:
     def test_delay_formula(self):
         link = LinkModel(base_latency_ns=1000, per_byte_ns=0.5)
         assert link.delay_ns(100, 7) == 1057
-
-    def test_loopback_must_be_symmetric(self):
-        mem_a, mem_b = MemorySystem(), MemorySystem()
-        cfg = PoolConfig(mbuf_count=16)
-        pa = port_new(mem_a, cfg, ring_capacity=8)
-        pb = port_new(mem_b, cfg, ring_capacity=8)
-        with pytest.raises(SymmetryRequired):
-            loopback_pair(pa, pb, LinkModel(1000), cfg_back=LinkModel(2000))
-        loopback_pair(pa, pb, LinkModel(1000), cfg_back=LinkModel(1000))
 
 
 class TestLoopback:
@@ -210,7 +199,7 @@ class TestOutcomeClassification:
     def test_tamper_shared_corrupts_delivery(self):
         next_tx_data, _ = _probe_layout()
         plan = AdversaryPlan.parse(
-            "tamper_shared target=a when=1000 "
+            "tamper_shared target=a when=0 "
             f"region={next_tx_data.region} offset={next_tx_data.offset} data={'ff' * 8}"
         )
         report = run_adversary(plan, packets=1, payload_len=64)
@@ -224,7 +213,7 @@ class TestOutcomeClassification:
         assert report.outcomes == [("tamper_shared", "rejected")]
 
     def test_forged_oversize_writeback_rejected(self):
-        plan = AdversaryPlan.parse("forge_writeback target=a slot=0 length=60000 when=2000")
+        plan = AdversaryPlan.parse("forge_writeback target=a slot=0 length=60000 when=0")
         report = run_adversary(plan, packets=2)
         assert report.outcomes == [("forge_writeback", "rejected")]
         assert report.counters_a["metadata_suspect"] >= 1
@@ -238,7 +227,7 @@ class TestOutcomeClassification:
     def test_forged_writeback_fabricates_without_crypto(self):
         # a validly fetched slot plus a forged completion hands the app a
         # fabricated packet; memory confinement does not defend content
-        plan = AdversaryPlan.parse("forge_writeback target=a slot=0 length=64 when=2000")
+        plan = AdversaryPlan.parse("forge_writeback target=a slot=0 length=64 when=500")
         report = run_adversary(plan, packets=2)
         assert report.outcomes == [("forge_writeback", "delivered_corrupted")]
         assert not report.breach
@@ -257,7 +246,7 @@ class TestOutcomeClassification:
         assert not report.breach
 
     def test_corrupt_ciphertext_without_crypto_corrupts(self):
-        plan = AdversaryPlan.parse("corrupt_ciphertext target=a offset=3 when=1000")
+        plan = AdversaryPlan.parse("corrupt_ciphertext target=a offset=3 when=0")
         report = run_adversary(plan, packets=1, payload_len=64)
         assert report.outcomes == [("corrupt_ciphertext", "delivered_corrupted")]
         assert report.counters_b["auth_fail"] == 0
@@ -289,6 +278,19 @@ class TestOutcomeClassification:
         assert report.outcomes == [("corrupt_ciphertext", "delivered_corrupted")]
         assert report.counters_b["auth_fail"] == 0
         assert not report.breach
+
+    def test_plan_object_runs_the_same_twice(self):
+        # a run keeps its state off the plan, so running the same object
+        # again executes every action again
+        plan = AdversaryPlan.parse(
+            "forge_address target=a region=2 offset=0 length=64 when=1000\n"
+            "drop_packet target=a count=2 when=1000"
+        )
+        first = run_adversary(plan, packets=4, payload_len=64)
+        second = run_adversary(plan, packets=4, payload_len=64)
+        assert second.to_dict() == first.to_dict()
+        assert any(v["kind"] == "forge_address_denied" for v in second.violations)
+        assert len(second.delivered) == 2
 
     def test_empty_plan_clean_run(self):
         report = run_adversary(empty_plan(), packets=3)
@@ -333,7 +335,7 @@ class TestForgedDescriptorsAndEmptyFrames:
         # a region that does not exist; the device's DMA through it must be
         # recorded, not raised
         plan = AdversaryPlan.parse(
-            "tamper_shared target=a when=1000 region=1 offset=69947 data=b3f335ff67b16e\n"
+            "tamper_shared target=a when=0 region=1 offset=69947 data=b3f335ff67b16e\n"
             "forge_writeback target=a when=0 slot=0 length=2048"
         )
         report = run_adversary(plan, **self.KW)

@@ -80,10 +80,15 @@ class TestFootprint:
         assert pool_memory_footprint(big)["shared"] == 142_432_256
 
     def test_decoupled_shadow_count(self):
-        cfg = PoolConfig(mbuf_count=1000, shared_equals_shadow=False, shadow_count=64)
+        cfg = PoolConfig(mbuf_count=1000, shadow_count=64)
         fp = pool_memory_footprint(cfg)
         assert fp["shadow"] == 64 * 2176
         assert fp["shared"] == 1000 * 2176
+
+    def test_shadow_count_defaults_to_mbuf_count(self):
+        assert PoolConfig(mbuf_count=100).effective_shadow_count() == 100
+        port = port_new(MemorySystem(), PoolConfig(mbuf_count=100, shadow_count=10), ring_capacity=4)
+        assert (port.pools.shadow.count, port.pools.shared.count) == (10, 100)
 
     def test_data_room(self):
         assert PoolConfig(mbuf_size=2176).data_room == 2048
@@ -176,7 +181,7 @@ class TestConstruction:
                 assert pool.data_handle(i) == rooms.sub(i * pool.data_room, pool.data_room)
 
     def test_empty_shadow_pool(self):
-        cfg = PoolConfig(mbuf_count=8, shared_equals_shadow=False, shadow_count=0)
+        cfg = PoolConfig(mbuf_count=8, shadow_count=0)
         port = port_new(MemorySystem(), cfg, ring_capacity=4)
         assert port.pools.shadow.meta_slab.length == 0
         with pytest.raises(PoolExhausted):

@@ -82,8 +82,8 @@ class PortPairMachine(RuleBasedStateMachine):
 
     @rule(dt=st.sampled_from([0, 1000, 2000]))
     def step(self, dt):
-        # both devices, as LoopbackSystem.pump does, so a frame one sends can
-        # land at the other within a step or two
+        # both devices at one instant, so a frame one sends can land at the
+        # other within a step or two
         self.now += dt
         for end in self.ends.values():
             end.nic.step(self.now)

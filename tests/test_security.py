@@ -9,9 +9,12 @@ no corrupted payload body ever reaching the application.
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
+from splitio import simloop
+from splitio.bench import BenchConfig
 from splitio.devsim import AdversaryPlan, LoopbackSystem, run_adversary
 from splitio.ipsec import PortProtect, SaDirection, SecurityAssociation
 from splitio.mem import RegionKind, Side
@@ -129,6 +132,49 @@ class TestRandomizedCampaign:
         elapsed = time.monotonic() - started
         assert all(count >= 50 for count in kind_seen.values()), kind_seen
         assert elapsed < 60.0, f"campaign took {elapsed:.1f} s"
+
+
+class TestAttackWhilePoolsAreDry:
+    """Plans fire during overload_fanout-shaped echo traffic: 50 connections
+    at 5,000 pps each against 256 mbufs, about three times what the server
+    can serve, so its shadow pool runs dry and rx_burst drops. Each plan's
+    actions are shifted past the first drop."""
+
+    CFG = BenchConfig(connections=50, duration_s=0.002, mbuf_count=256)
+
+    def first_drop_ns(self):
+        probe = simloop._EchoRig(self.CFG)
+        probe.schedule_sends()
+        while probe.port_b.counters["drops"] == 0:
+            probe.pump(10)
+        return probe.now
+
+    def test_plans_uphold_invariants_under_overload(self):
+        first_drop = self.first_drop_ns()
+        # the ten plans this seed draws cover all six action kinds
+        rng = random.Random(0)
+        for i in range(10):
+            plan, kinds = random_plan(rng)
+            shifted = AdversaryPlan([replace(a, when=a.when + first_drop) for a in plan.actions])
+            rig = simloop._EchoRig(
+                replace(self.CFG, seed=i), plan=shifted, canary=CANARY, instrument=True
+            )
+            result = rig.run()
+
+            context = f"run {i}: {plan}"
+            assert rig.port_b.counters["drops"] > 0, context
+            assert result.received > 0, context
+            assert rig.breached() is False, context
+            violations = rig.violations()
+            assert not any(v["kind"].startswith("private_") for v in violations), context
+            denied = sum(v["kind"] == "forge_address_denied" for v in violations)
+            assert denied == kinds.count("forge_address"), context
+            for port in (rig.port_a, rig.port_b):
+                pools = port.pools
+                # the heap has drained, so the applications hold no buffer
+                assert pools.shadow.remaining() == pools.shadow.count, context
+                armed, in_flight = len(port._rx_slot_temp), len(port._tx_slot_temp)
+                assert pools.temporary.remaining() + armed + in_flight == pools.temporary.count, context
 
 
 class TestPostCopyTamper:
