@@ -54,7 +54,6 @@ from .ipsec import (
     esp_decrypt,
     esp_encrypt,
     inline_attach,
-    inline_detach,
     parse_sa_config,
 )
 from .mem import Handle, MemorySystem, RegionKind, Side
@@ -119,7 +118,6 @@ __all__ = [
     "factor_matrix",
     "init_pools",
     "inline_attach",
-    "inline_detach",
     "loopback_pair",
     "max_connections",
     "parse_sa_config",

@@ -124,8 +124,6 @@ class BenchConfig:
     seed: int = 0
     profile: CostProfile = field(default_factory=CostProfile)
     bandwidth_bps: float = 8e9
-    capacity_pps: Optional[float] = None  # load-model override
-    hold_s: float = 30.0
     ring_capacity: int = 256
     mbuf_count: int = 1024
 
@@ -232,10 +230,6 @@ class LatencyStats:
     drops: int
     min_ns: float = 0.0
     max_ns: float = 0.0
-
-    @property
-    def median_ns(self) -> float:
-        return self.p50_ns
 
     @staticmethod
     def from_samples(samples: Sequence[float], drops: int = 0) -> "LatencyStats":
@@ -397,10 +391,7 @@ def load_capacity_pps(cfg: BenchConfig) -> float:
     link_pps = cfg.bandwidth_bps / (wire_len * 8)
     service = server_service_ns(cfg)
     server_pps = 1e9 / service if service > 0 else float("inf")
-    capacity = min(link_pps, server_pps)
-    if cfg.capacity_pps is not None:
-        capacity = min(capacity, cfg.capacity_pps) if capacity > 0 else cfg.capacity_pps
-    return capacity
+    return min(link_pps, server_pps)
 
 
 def run_load(cfg: BenchConfig, schedule: Optional[RampSchedule] = None) -> ThroughputReport:
@@ -423,7 +414,7 @@ def run_load(cfg: BenchConfig, schedule: Optional[RampSchedule] = None) -> Throu
             )
             clamped_from = target
             target = formula_max
-        schedule = RampSchedule(max_connections=target, hold_s=int(cfg.hold_s))
+        schedule = RampSchedule(max_connections=target)
 
     capacity = load_capacity_pps(cfg)
     rows = []
@@ -480,7 +471,6 @@ def app_cost_sweep(
             copy_per_byte_ns=0.0,
         ),
         bandwidth_bps=float("inf"),
-        capacity_pps=None,
     )
     out: dict[OffloadMode, list[int]] = {OffloadMode.LOOKASIDE: [], OffloadMode.INLINE: []}
     for mode in (OffloadMode.LOOKASIDE, OffloadMode.INLINE):

@@ -37,7 +37,7 @@ from .errors import (
     SplitioError,
     ZeroArgument,
 )
-from .ipsec import OffloadMode, PortProtect, esp_sa_pairs, sa_keys
+from .ipsec import OffloadMode, esp_paths, sa_keys
 
 _ADVERSARY_KEY_TWEAK = 0x1B57_EC00
 
@@ -127,6 +127,14 @@ def _parse_notification(text: str) -> Notification:
     raise ConfigInvalid(f"notification must be polling or interrupt:<ns>, got {text!r}")
 
 
+def _offload_mode(values: dict[str, Optional[str]]) -> OffloadMode:
+    """The --ipsec mode; look-aside when none is given."""
+    try:
+        return OffloadMode(values["ipsec"] or OffloadMode.LOOKASIDE.value)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from None
+
+
 def _build_config(values: dict[str, Optional[str]], workload: Workload) -> BenchConfig:
     try:
         payload = int(values["payload"], 0)
@@ -137,7 +145,6 @@ def _build_config(values: dict[str, Optional[str]], workload: Workload) -> Bench
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad numeric value: {exc}") from None
     try:
-        ipsec = OffloadMode(values["ipsec"]) if values["ipsec"] else None
         copy_model = CopyModel(values["copy"])
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from None
@@ -149,7 +156,7 @@ def _build_config(values: dict[str, Optional[str]], workload: Workload) -> Bench
         duration_s=duration,
         notification=_parse_notification(values["notification"]),
         copy_model=copy_model,
-        ipsec=ipsec,
+        ipsec=_offload_mode(values) if values["ipsec"] else None,
         seed=seed,
     )
 
@@ -164,14 +171,13 @@ def _write_out(text: str, path: Optional[str]) -> None:
         raise ReportIoError(f"cannot write {path}: {exc}") from exc
 
 
-def _adversary_protect_factory(seed: int):
-    """Deterministic SA pairs for a protected adversary run, and the keys
-    the breach scan looks for."""
+def _adversary_protect_factory(seed: int, mode: OffloadMode):
+    """Deterministic protected paths in the given offload mode for an
+    adversary run, and the keys the breach scan looks for."""
     seed ^= _ADVERSARY_KEY_TWEAK
 
     def factory(system):
-        (a_out, a_in), (b_out, b_in) = esp_sa_pairs(system.mem_a, system.mem_b, seed)
-        return PortProtect(system.port_a, a_out, a_in), PortProtect(system.port_b, b_out, b_in)
+        return esp_paths(system.port_a, system.port_b, mode, seed)
 
     key_ab, _, key_ba, _ = sa_keys(seed)
     return factory, [key_ab, key_ba]
@@ -187,7 +193,7 @@ def _run_adversary_command(values: dict[str, Optional[str]], protected: bool) ->
     factory = None
     secrets = None
     if protected:
-        factory, secrets = _adversary_protect_factory(seed)
+        factory, secrets = _adversary_protect_factory(seed, _offload_mode(values))
     report = run_adversary(
         plan,
         packets=8,
@@ -254,6 +260,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         values = _merged_values(args)
+        if values["adversary"] and args.command in ("load", "factors-report"):
+            raise ConfigInvalid(f"--adversary applies to echo and ipsec, not {args.command}")
         if args.command == "factors-report":
             return _run_factors_command(values)
         if args.command == "load":

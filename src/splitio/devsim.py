@@ -302,14 +302,20 @@ class SimNic:
             self._event("forge_writeback", now, slot=action.slot, length=action.length)
         elif kind is ActionKind.FORGE_ADDRESS:
             target = Handle(action.region, action.offset, max(1, action.length))
+            # a region registered for the device is its own to DMA: a legal
+            # access, though the zeroes written may corrupt a frame in flight
+            if self.mem.is_device_accessible(action.region):
+                record, reached = self._event, "shared_"
+            else:
+                record, reached = self._violation, "private_"
             try:
                 self.mem.read(target, _DEVICE)
-                self._violation("private_read_succeeded", now, region=action.region)
+                record(reached + "read_succeeded", now, region=action.region)
             except SplitioError as exc:
                 self._violation("forge_address_denied", now, region=action.region, error=str(exc))
             try:
                 self.mem.write(target, _DEVICE, bytes(target.length))
-                self._violation("private_write_succeeded", now, region=action.region)
+                record(reached + "write_succeeded", now, region=action.region)
             except SplitioError:
                 pass
         elif kind is ActionKind.REPLAY_DESCRIPTOR:
@@ -654,14 +660,11 @@ def run_adversary(
     plan: AdversaryPlan,
     packets: int = 4,
     payload_len: int = 128,
-    pool_cfg: Optional[PoolConfig] = None,
-    link: Optional[LinkModel] = None,
     ring_capacity: int = 8,
     canary: Optional[bytes] = None,
     secret_patterns: Optional[list[bytes]] = None,
     protect_factory=None,
     seed: int = 0,
-    trace: bool = False,
 ) -> AdversaryReport:
     """Run scripted traffic under an adversary plan and classify each action.
 
@@ -670,14 +673,7 @@ def run_adversary(
     failure), DELIVERED_CORRUPTED if application-visible data was corrupted or
     fabricated, and NO_EFFECT otherwise. `breach` is LoopbackSystem.breached.
     """
-    system = LoopbackSystem(
-        pool_cfg=pool_cfg,
-        link=link,
-        plan=plan,
-        ring_capacity=ring_capacity,
-        canary=canary,
-        trace=trace,
-    )
+    system = LoopbackSystem(plan=plan, ring_capacity=ring_capacity, canary=canary)
     if protect_factory is not None:
         system.protect_a, system.protect_b = protect_factory(system)
 
@@ -698,11 +694,16 @@ def run_adversary(
     outcomes: list[tuple[str, str]] = []
     for action in plan.actions:
         kind = action.kind
-        if kind is ActionKind.TAMPER_SHARED:
-            if any(
-                v["kind"] == "tamper_denied" and v.get("region") == action.region
-                for v in violations
+        if kind is ActionKind.TAMPER_SHARED or kind is ActionKind.FORGE_ADDRESS:
+            # a forged address into private memory that succeeded would have
+            # left a private_* violation; one into a shared region is a
+            # legal DMA and is judged like a tamper, by what it corrupted
+            denied = "tamper_denied" if kind is ActionKind.TAMPER_SHARED else "forge_address_denied"
+            if kind is ActionKind.FORGE_ADDRESS and any(
+                v["kind"].startswith("private_") for v in violations
             ):
+                outcome = Outcome.DELIVERED_CORRUPTED
+            elif any(v["kind"] == denied and v.get("region") == action.region for v in violations):
                 outcome = Outcome.REJECTED
             elif corrupt_delivered or fabricated_at_a:
                 outcome = Outcome.DELIVERED_CORRUPTED
@@ -716,11 +717,6 @@ def run_adversary(
                 outcome = Outcome.DELIVERED_CORRUPTED
             else:
                 outcome = Outcome.NO_EFFECT
-        elif kind is ActionKind.FORGE_ADDRESS:
-            if any(v["kind"].startswith("private_") for v in violations):
-                outcome = Outcome.DELIVERED_CORRUPTED
-            else:
-                outcome = Outcome.REJECTED
         elif kind is ActionKind.REPLAY_DESCRIPTOR:
             outcome = (
                 Outcome.REJECTED if "replayed_tx_completion" in vkinds else Outcome.NO_EFFECT

@@ -153,20 +153,6 @@ def sa_keys(seed: int) -> tuple[bytes, bytes, bytes, bytes]:
     return w[0] + w[1], w[2][:SALT_LEN], w[3] + w[4], w[5][:SALT_LEN]
 
 
-def esp_sa_pairs(
-    mem_a: MemorySystem, mem_b: MemorySystem, seed: int
-) -> tuple[tuple[SecurityAssociation, SecurityAssociation], tuple[SecurityAssociation, SecurityAssociation]]:
-    """((a_out, a_in), (b_out, b_in)): SPI 0x1001 carries a to b, 0x2002 b
-    to a, keyed by sa_keys(seed). Each endpoint's pair lives in its own
-    memory system."""
-    key_ab, salt_ab, key_ba, salt_ba = sa_keys(seed)
-    a_out = SecurityAssociation(mem_a, 0x1001, key_ab, salt_ab, SaDirection.OUTBOUND)
-    b_in = SecurityAssociation(mem_b, 0x1001, key_ab, salt_ab, SaDirection.INBOUND)
-    b_out = SecurityAssociation(mem_b, 0x2002, key_ba, salt_ba, SaDirection.OUTBOUND)
-    a_in = SecurityAssociation(mem_a, 0x2002, key_ba, salt_ba, SaDirection.INBOUND)
-    return (a_out, a_in), (b_out, b_in)
-
-
 @dataclass(frozen=True)
 class EspParts:
     """Parsed-but-unverified view of a protected frame (test/diagnostic aid)."""
@@ -341,12 +327,8 @@ class PortProtect:
         still holds it."""
         return esp_open(self.sa_in, buf, self.port, self.port.counters)
 
-    def secret_patterns(self) -> list[bytes]:
-        return [self.sa_out.key_bytes(), self.sa_in.key_bytes()]
-
 
 STAGING_CAPACITY = 1024
-DETACH_MAX_STEPS = 10_000  # a drain that takes longer is stuck
 
 
 class CryptoWorker:
@@ -394,9 +376,6 @@ class CryptoWorker:
         return out
 
     # -- worker side -------------------------------------------------------
-
-    def queues_empty(self) -> bool:
-        return not (self.cipher_in or self.plain_out or self.plain_in or self.cipher_out)
 
     def step(self, batch_max: int = 32) -> int:
         """One polling iteration; returns the number of transforms performed."""
@@ -451,16 +430,22 @@ def inline_attach(
     return worker
 
 
-def inline_detach(worker: CryptoWorker) -> None:
-    """Drain all staging queues, then release the port. An idle flow loses
-    nothing: every queued packet is transformed and pushed out first."""
-    steps = 0
-    while not worker.queues_empty():
-        worker.step()
-        steps += 1
-        if steps > DETACH_MAX_STEPS:
-            raise SplitioError("crypto worker failed to drain")
-    worker.port.crypto_worker = None
+def esp_paths(
+    port_a: PortContext, port_b: PortContext, mode: OffloadMode, seed: int
+) -> tuple[PortProtect | CryptoWorker, PortProtect | CryptoWorker]:
+    """The two endpoints' protected data paths, look-aside (PortProtect) or
+    inline (an attached CryptoWorker). SPI 0x1001 carries a to b, 0x2002 b
+    to a, keyed by sa_keys(seed); each endpoint's pair lives in its port's
+    memory system."""
+    key_ab, salt_ab, key_ba, salt_ba = sa_keys(seed)
+    mem_a, mem_b = port_a.mem, port_b.mem
+    a_out = SecurityAssociation(mem_a, 0x1001, key_ab, salt_ab, _OUTBOUND)
+    b_in = SecurityAssociation(mem_b, 0x1001, key_ab, salt_ab, _INBOUND)
+    b_out = SecurityAssociation(mem_b, 0x2002, key_ba, salt_ba, _OUTBOUND)
+    a_in = SecurityAssociation(mem_a, 0x2002, key_ba, salt_ba, _INBOUND)
+    if mode is OffloadMode.INLINE:
+        return inline_attach(port_a, a_in, a_out), inline_attach(port_b, b_in, b_out)
+    return PortProtect(port_a, a_out, a_in), PortProtect(port_b, b_out, b_in)
 
 
 # ---------------------------------------------------------------------------
@@ -510,4 +495,3 @@ def parse_sa_config(text: str) -> list[SaSpec]:
             raise BadSaConfig(f"line {lineno}: mode must be lookaside or inline") from None
         specs.append(SaSpec(spi=spi, key=key_bytes, salt=salt_bytes, mode=mode))
     return specs
-

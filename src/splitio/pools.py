@@ -124,16 +124,8 @@ class PacketBuffer:
         self.meta_at = pool.meta_base + index * METADATA_OVERHEAD
 
     @property
-    def data(self) -> Handle:
-        return self.pool.data_handle(self.index)
-
-    @property
     def data_room(self) -> int:
         return self.pool.data_room
-
-    @property
-    def pool_kind(self) -> PoolKind:
-        return self.pool.kind
 
     def _get(self, off: int, fmt: struct.Struct) -> int:
         pool = self.pool
@@ -260,7 +252,6 @@ class PacketPool:
             rooms = data_slab
         self.data_region = rooms.region
         self.data_base = rooms.offset
-        self.canary = canary
         if canary is not None and kind is not PoolKind.SHARED:
             self._app_fill = (canary * (APP_PRIVATE_SIZE // len(canary) + 1))[:APP_PRIVATE_SIZE]
         else:
@@ -302,9 +293,6 @@ class PacketPool:
             self._app_fill,
             _VM,
         )
-
-    def meta_handle(self, index: int) -> Handle:
-        return self.meta_slab.sub(index * METADATA_OVERHEAD, METADATA_OVERHEAD)
 
     def data_handle(self, index: int) -> Handle:
         region, offset = self.data_at(index)

@@ -37,7 +37,7 @@ from .bench import (
 )
 from .devsim import AdversaryPlan, LinkModel, LoopbackSystem
 from .errors import PoolExhausted
-from .ipsec import OffloadMode, PortProtect, esp_sa_pairs, inline_attach
+from .ipsec import esp_paths
 from .pools import PoolConfig
 
 # unused here, but perfbench's tracer test looks both names up on this
@@ -104,12 +104,9 @@ class _EchoRig(LoopbackSystem):
         self.chained = cfg.workload is Workload.TCP_LIKE_LOAD
         mode = cfg.effective_ipsec()
         if mode is not None:
-            pairs = esp_sa_pairs(self.a.mem, self.b.mem, cfg.seed ^ _KEY_STREAM_TWEAK)
-            for end, (sa_out, sa_in) in zip((self.a, self.b), pairs):
-                if mode is OffloadMode.INLINE:
-                    end.use(inline_attach(end.port, sa_in, sa_out))
-                else:
-                    end.use(PortProtect(end.port, sa_out, sa_in))
+            self.protect_a, self.protect_b = esp_paths(
+                self.port_a, self.port_b, mode, cfg.seed ^ _KEY_STREAM_TWEAK
+            )
 
         self.sent_count = 0
         # serial -> (conn, msg_idx, send time) until its echo comes back

@@ -154,6 +154,37 @@ class TestAdversaryRuns:
         assert code == 0
         assert json.loads(out)["breach"] is False
 
+    def test_inline_corruption_is_rejected_by_the_crypto_worker(self, capsys, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("corrupt_ciphertext target=a when=1000 offset=24\n")
+        code, out, _ = run_cli(
+            capsys, "echo", "--ipsec", "inline", "--adversary", str(plan), "--seed", "4"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["breach"] is False
+        assert report["outcomes"] == [["corrupt_ciphertext", "rejected"]]
+        # inline: the applications ran no AES of their own
+        assert report["counters_a"]["aes_ops"] == report["counters_b"]["aes_ops"] == 0
+
+    def test_load_refuses_a_plan_flag(self, capsys):
+        code, out, err = run_cli(
+            capsys, "load", "--adversary", "/nonexistent", "--payload", "1000", "--rate", "200"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --adversary") and err.count("\n") == 1
+
+    def test_factors_report_refuses_a_plan_config_key(self, capsys, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("drop_packet target=a count=1\n")
+        config = tmp_path / "run.conf"
+        config.write_text(f"adversary={plan}\n")
+        code, out, err = run_cli(capsys, "factors-report", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --adversary") and err.count("\n") == 1
+
     def test_bad_plan_exits_two(self, capsys, tmp_path):
         plan = tmp_path / "plan.txt"
         plan.write_text("summon_gremlins target=a\n")

@@ -12,6 +12,7 @@ from splitio.devsim import (
 )
 from splitio.devsim import _payloads_for_run
 from splitio.errors import BadPlan
+from splitio.ipsec import OffloadMode
 from splitio.mem import Side
 
 # Reference stream, rebuilt from the generator's documented constants rather
@@ -196,6 +197,16 @@ class TestOutcomeClassification:
         assert report.outcomes == [("forge_address", "rejected")]
         assert not report.breach
 
+    def test_forge_address_at_own_shared_region_is_no_breach(self):
+        # region 1 is A's registered shared arena: the device may DMA it
+        shared_region = LoopbackSystem().port_a.pools.shared.data_slab.region
+        assert shared_region == 1
+        plan = AdversaryPlan.parse("forge_address target=a region=1 offset=0 length=8")
+        report = run_adversary(plan, packets=2)
+        assert not report.breach
+        assert report.outcomes == [("forge_address", "no_effect")]
+        assert not any(v["kind"].startswith("private_") for v in report.violations)
+
     def test_tamper_shared_corrupts_delivery(self):
         next_tx_data, _ = _probe_layout()
         plan = AdversaryPlan.parse(
@@ -254,7 +265,7 @@ class TestOutcomeClassification:
     def test_corrupt_ciphertext_with_crypto_rejected(self):
         from splitio.cli import _adversary_protect_factory
 
-        factory, keys = _adversary_protect_factory(seed=5)
+        factory, keys = _adversary_protect_factory(5, OffloadMode.LOOKASIDE)
         # offset 24 lands in the ciphertext, past the clear addressing prefix
         plan = AdversaryPlan.parse("corrupt_ciphertext target=a offset=24 when=1000")
         report = run_adversary(
@@ -270,7 +281,7 @@ class TestOutcomeClassification:
         but is not an authentication failure."""
         from splitio.cli import _adversary_protect_factory
 
-        factory, keys = _adversary_protect_factory(seed=5)
+        factory, keys = _adversary_protect_factory(5, OffloadMode.LOOKASIDE)
         plan = AdversaryPlan.parse("corrupt_ciphertext target=a offset=3 when=1000")
         report = run_adversary(
             plan, packets=2, payload_len=64, protect_factory=factory, secret_patterns=keys
@@ -311,7 +322,7 @@ class TestBreachDetector:
     def test_encrypted_secret_not_flagged(self):
         from splitio.cli import _adversary_protect_factory
 
-        factory, keys = _adversary_protect_factory(seed=5)
+        factory, keys = _adversary_protect_factory(5, OffloadMode.LOOKASIDE)
         pattern = _payloads_for_run(1, 64, seed=0)[0][:16]
         report = run_adversary(
             empty_plan(),
