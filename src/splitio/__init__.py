@@ -12,11 +12,8 @@ from .bench import (
     CopyModel,
     CostProfile,
     LatencyStats,
-    Notification,
-    NotificationMode,
     RampSchedule,
     ThroughputReport,
-    Workload,
     app_cost_sweep,
     emit_report,
     max_connections,
@@ -88,8 +85,6 @@ __all__ = [
     "LinkModel",
     "LoopbackSystem",
     "MemorySystem",
-    "Notification",
-    "NotificationMode",
     "OffloadMode",
     "Outcome",
     "OverheadFactor",
@@ -109,7 +104,6 @@ __all__ = [
     "Splitmix64",
     "ThroughputReport",
     "VmConfiguration",
-    "Workload",
     "app_cost_sweep",
     "diff_configs",
     "emit_report",

@@ -36,32 +36,7 @@ from .pools import PoolConfig
 log = logging.getLogger("splitio.bench")
 
 PACKET_ID_LEN = 8  # every benchmark payload starts with a packet serial
-
-
-class Workload(enum.Enum):
-    ECHO = "echo"
-    UDP_LOAD = "udp_load"
-    TCP_LIKE_LOAD = "tcp_like_load"
-    IPSEC_LOAD = "ipsec_load"
-
-
-class NotificationMode(enum.Enum):
-    POLLING = "polling"
-    EMULATED_INTERRUPT = "interrupt"
-
-
-@dataclass(frozen=True)
-class Notification:
-    mode: NotificationMode = NotificationMode.POLLING
-    exit_cost_ns: int = 0
-
-    @staticmethod
-    def polling() -> "Notification":
-        return Notification(NotificationMode.POLLING, 0)
-
-    @staticmethod
-    def interrupt(exit_cost_ns: int) -> "Notification":
-        return Notification(NotificationMode.EMULATED_INTERRUPT, exit_cost_ns)
+EXITS_PER_WAKE = 2  # VM exits an emulated interrupt costs per application wake
 
 
 class CopyModel(enum.Enum):
@@ -112,13 +87,13 @@ class CostProfile:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    workload: Workload = Workload.ECHO
     payload_len: int = 128
     rate_pps: float = 5000.0  # per connection
     connections: int = 1
     duration_s: float = 1.0
-    notification: Notification = field(default_factory=Notification.polling)
-    exits_per_packet: int = 2
+    # cost of one VM exit when an emulated interrupt wakes the application;
+    # None: the applications poll, which is free
+    interrupt_exit_ns: Optional[int] = None
     copy_model: CopyModel = CopyModel.SINGLE_COPY
     ipsec: Optional[OffloadMode] = None
     seed: int = 0
@@ -127,18 +102,13 @@ class BenchConfig:
     ring_capacity: int = 256
     mbuf_count: int = 1024
 
-    def effective_ipsec(self) -> Optional[OffloadMode]:
-        if self.workload is Workload.IPSEC_LOAD and self.ipsec is None:
-            return OffloadMode.LOOKASIDE
-        return self.ipsec
-
 
 def validate_config(cfg: BenchConfig) -> None:
     """Reject configurations the runners cannot execute faithfully."""
     room = PoolConfig(mbuf_count=cfg.mbuf_count).data_room
     if cfg.payload_len < PACKET_ID_LEN:
         raise ConfigInvalid(f"payload must be at least {PACKET_ID_LEN} B")
-    limit = room - ESP_OVERHEAD if cfg.effective_ipsec() is not None else room
+    limit = room - ESP_OVERHEAD if cfg.ipsec is not None else room
     if cfg.payload_len > limit:
         raise ConfigInvalid(f"payload {cfg.payload_len} B exceeds the {limit} B limit")
     if cfg.rate_pps <= 0:
@@ -151,9 +121,7 @@ def validate_config(cfg: BenchConfig) -> None:
         raise ConfigInvalid(
             f"{cfg.rate_pps} pps for {cfg.duration_s} s sends no packet on a connection"
         )
-    if cfg.exits_per_packet < 0:
-        raise ConfigInvalid("exits per packet cannot be negative")
-    if cfg.notification.exit_cost_ns < 0:
+    if cfg.interrupt_exit_ns is not None and cfg.interrupt_exit_ns < 0:
         raise ConfigInvalid("exit cost cannot be negative")
     if not 0.0 <= cfg.profile.loss_rate <= 1.0:
         raise ConfigInvalid("loss rate must lie in [0, 1]")
@@ -185,7 +153,7 @@ def stage_costs(cfg: BenchConfig, rx_on_wire: bool = False) -> StageCosts:
     plaintext capacity exactly when crypto is free.
     """
     profile = cfg.profile
-    mode = cfg.effective_ipsec()
+    mode = cfg.ipsec
     k = profile.crypto_cost_ns(esp_frame_len(cfg.payload_len)) if mode is not None else 0.0
     app_k = k if mode is OffloadMode.LOOKASIDE else 0.0
     copy = rx_copy = 0.0
@@ -194,8 +162,8 @@ def stage_costs(cfg: BenchConfig, rx_on_wire: bool = False) -> StageCosts:
         if rx_on_wire and mode is not None:
             rx_copy = profile.copy_cost_ns(esp_frame_len(cfg.payload_len))
     wake = 0.0
-    if cfg.notification.mode is NotificationMode.EMULATED_INTERRUPT:
-        wake = float(cfg.exits_per_packet * cfg.notification.exit_cost_ns)
+    if cfg.interrupt_exit_ns is not None:
+        wake = float(EXITS_PER_WAKE * cfg.interrupt_exit_ns)
     return StageCosts(
         send_ns=copy + app_k,
         server_ns=float(profile.server_fixed_ns) + (rx_copy + copy) + 2 * app_k,
@@ -385,9 +353,7 @@ def server_service_ns(cfg: BenchConfig) -> float:
 
 def load_capacity_pps(cfg: BenchConfig) -> float:
     """Deliverable packet rate: the binding one of link and server."""
-    wire_len = (
-        esp_frame_len(cfg.payload_len) if cfg.effective_ipsec() is not None else cfg.payload_len
-    )
+    wire_len = esp_frame_len(cfg.payload_len) if cfg.ipsec is not None else cfg.payload_len
     link_pps = cfg.bandwidth_bps / (wire_len * 8)
     service = server_service_ns(cfg)
     server_pps = 1e9 / service if service > 0 else float("inf")
@@ -399,9 +365,6 @@ def run_load(cfg: BenchConfig, schedule: Optional[RampSchedule] = None) -> Throu
     packets second by second. Duration comes from the schedule (ramp plus
     hold), not from cfg.duration_s."""
     validate_config(cfg)
-    if cfg.workload not in (Workload.UDP_LOAD, Workload.TCP_LIKE_LOAD, Workload.IPSEC_LOAD):
-        raise ConfigInvalid(f"run_load cannot drive workload {cfg.workload.value}")
-
     clamped_from: Optional[int] = None
     if schedule is None:
         formula_max = max_connections(cfg.bandwidth_bps, cfg.payload_len, cfg.rate_pps)
@@ -460,7 +423,6 @@ def app_cost_sweep(
     cfg = base_cfg if base_cfg is not None else BenchConfig()
     cfg = replace(
         cfg,
-        workload=Workload.IPSEC_LOAD,
         payload_len=payload_len,
         rate_pps=rate_pps,
         profile=replace(
@@ -492,8 +454,6 @@ def run_echo(cfg: BenchConfig) -> LatencyStats:
 
 def run_echo_result(cfg: BenchConfig):
     validate_config(cfg)
-    if cfg.workload not in (Workload.ECHO, Workload.TCP_LIKE_LOAD, Workload.IPSEC_LOAD):
-        raise ConfigInvalid(f"run_echo cannot drive workload {cfg.workload.value}")
     from . import simloop
 
     return simloop.run_echo_sim(cfg)

@@ -8,7 +8,7 @@
 A config file (--config) holds the same keys as the flags, one `key=value`
 per line; explicit flags override file values. Exit status: 0 on success,
 2 for anything wrong with the configuration, 3 when an adversary run
-detects an invariant violation.
+detects an invariant violation. Adversary reports are JSON only.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from . import factors
 from .bench import (
     BenchConfig,
     CopyModel,
-    Notification,
-    Workload,
     emit_report,
     run_echo,
     run_load,
@@ -50,7 +48,7 @@ _DEFAULTS = {
     "copy": "single",
     "ipsec": None,
     "seed": "0",
-    "format": "text",
+    "format": None,
     "out": None,
     "adversary": None,
 }
@@ -115,15 +113,15 @@ def _merged_values(args: argparse.Namespace) -> dict[str, Optional[str]]:
     return values
 
 
-def _parse_notification(text: str) -> Notification:
+def _parse_notification(text: str) -> Optional[int]:
+    """The exit cost in ns of interrupt:<ns>; None for polling."""
     if text == "polling":
-        return Notification.polling()
+        return None
     if text.startswith("interrupt:"):
         try:
-            cost = int(text.split(":", 1)[1], 0)
+            return int(text.split(":", 1)[1], 0)
         except ValueError:
             raise ConfigInvalid(f"bad exit cost in {text!r}") from None
-        return Notification.interrupt(cost)
     raise ConfigInvalid(f"notification must be polling or interrupt:<ns>, got {text!r}")
 
 
@@ -135,7 +133,7 @@ def _offload_mode(values: dict[str, Optional[str]]) -> OffloadMode:
         raise ConfigInvalid(str(exc)) from None
 
 
-def _build_config(values: dict[str, Optional[str]], workload: Workload) -> BenchConfig:
+def _build_config(values: dict[str, Optional[str]], protected: bool) -> BenchConfig:
     try:
         payload = int(values["payload"], 0)
         rate = float(values["rate"])
@@ -149,14 +147,13 @@ def _build_config(values: dict[str, Optional[str]], workload: Workload) -> Bench
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from None
     return BenchConfig(
-        workload=workload,
         payload_len=payload,
         rate_pps=rate,
         connections=connections,
         duration_s=duration,
-        notification=_parse_notification(values["notification"]),
+        interrupt_exit_ns=_parse_notification(values["notification"]),
         copy_model=copy_model,
-        ipsec=_offload_mode(values) if values["ipsec"] else None,
+        ipsec=_offload_mode(values) if protected else None,
         seed=seed,
     )
 
@@ -184,6 +181,8 @@ def _adversary_protect_factory(seed: int, mode: OffloadMode):
 
 
 def _run_adversary_command(values: dict[str, Optional[str]], protected: bool) -> int:
+    if values["format"] not in (None, "json"):
+        raise ConfigInvalid("adversary reports render as json")
     try:
         seed = int(values["seed"], 0)
         payload = min(int(values["payload"], 0), 256)
@@ -209,8 +208,8 @@ def _run_adversary_command(values: dict[str, Optional[str]], protected: bool) ->
     return 3 if report.breach else 0
 
 
-def _run_echo_command(values: dict[str, Optional[str]], workload: Workload) -> int:
-    cfg = _build_config(values, workload)
+def _run_echo_command(values: dict[str, Optional[str]], protected: bool) -> int:
+    cfg = _build_config(values, protected)
     stats = run_echo(cfg)
     text = emit_report(stats, fmt=values["format"] or "text")
     print(text, end="")
@@ -218,9 +217,8 @@ def _run_echo_command(values: dict[str, Optional[str]], workload: Workload) -> i
     return 0
 
 
-def _run_load_command(values: dict[str, Optional[str]]) -> int:
-    workload = Workload.IPSEC_LOAD if values["ipsec"] else Workload.UDP_LOAD
-    cfg = _build_config(values, workload)
+def _run_load_command(values: dict[str, Optional[str]], protected: bool) -> int:
+    cfg = _build_config(values, protected)
     report = run_load(cfg)
     fmt = values["format"] or "text"
     if fmt == "json":
@@ -264,13 +262,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ConfigInvalid(f"--adversary applies to echo and ipsec, not {args.command}")
         if args.command == "factors-report":
             return _run_factors_command(values)
-        if args.command == "load":
-            return _run_load_command(values)
         protected = args.command == "ipsec" or bool(values["ipsec"])
+        if args.command == "load":
+            return _run_load_command(values, protected)
         if values["adversary"]:
             return _run_adversary_command(values, protected)
-        workload = Workload.IPSEC_LOAD if args.command == "ipsec" else Workload.ECHO
-        return _run_echo_command(values, workload)
+        return _run_echo_command(values, protected)
     except (ConfigInvalid, BadPlan, BadSaConfig, ZeroArgument, ReportIoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -474,8 +474,7 @@ class LoopbackSystem:
     def _dispatch(self, until: float) -> None:
         """Run every event due by until, earliest first."""
         heap, handlers = self.heap, self._HANDLERS
-        # safety valve against scheduling bugs, not a modeled limit; a
-        # chained echo adds up to two follow-on sends per initial one
+        # safety valve against scheduling bugs, not a modeled limit
         budget = 10_000 + len(heap) * 150
         while heap and heap[0][0] <= until:
             if not budget:

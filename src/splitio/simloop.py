@@ -17,7 +17,7 @@ worker, inline runs it on a crypto worker scheduled by "crypto" events.
 Accounting choices (uniform across offload modes, so comparisons stay fair):
 copy costs are charged to the application worker at the moment data enters
 or leaves private use; crypto costs are charged to whichever worker runs
-the transform; an emulated interrupt charges exits_per_packet exits at each
+the transform; an emulated interrupt charges EXITS_PER_WAKE exits at each
 delivery that wakes an application worker. bench.stage_costs prices each.
 """
 
@@ -27,14 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bench import (
-    PACKET_ID_LEN,
-    BenchConfig,
-    LatencyStats,
-    NotificationMode,
-    Workload,
-    stage_costs,
-)
+from .bench import EXITS_PER_WAKE, PACKET_ID_LEN, BenchConfig, LatencyStats, stage_costs
 from .devsim import AdversaryPlan, LinkModel, LoopbackSystem
 from .errors import PoolExhausted
 from .ipsec import esp_paths
@@ -97,20 +90,16 @@ class _EchoRig(LoopbackSystem):
         # every per-packet charge, priced once; under ESP the sim charges
         # RX copies on the wire frame (see stage_costs)
         self.costs = stage_costs(cfg, rx_on_wire=True)
-        if cfg.notification.mode is NotificationMode.EMULATED_INTERRUPT:
-            self.wake_exits = cfg.exits_per_packet
-        # the config's enum test, made once: the handlers run per packet
-        # (see the note on enum member reads in mem.py)
-        self.chained = cfg.workload is Workload.TCP_LIKE_LOAD
-        mode = cfg.effective_ipsec()
-        if mode is not None:
+        if cfg.interrupt_exit_ns is not None:
+            self.wake_exits = EXITS_PER_WAKE
+        if cfg.ipsec is not None:
             self.protect_a, self.protect_b = esp_paths(
-                self.port_a, self.port_b, mode, cfg.seed ^ _KEY_STREAM_TWEAK
+                self.port_a, self.port_b, cfg.ipsec, cfg.seed ^ _KEY_STREAM_TWEAK
             )
 
         self.sent_count = 0
-        # serial -> (conn, msg_idx, send time) until its echo comes back
-        self.in_flight: dict[int, tuple[int, int, float]] = {}
+        # serial -> send time until its echo comes back
+        self.in_flight: dict[int, float] = {}
         self.samples: list[float] = []
 
         # body byte i of packet s is (s*131 + i) & 0xFF: a slice of this ramp
@@ -121,11 +110,10 @@ class _EchoRig(LoopbackSystem):
         start = (serial * 131) & 0xFF
         return serial.to_bytes(PACKET_ID_LEN, "big") + self._ramp[start : start + self._body_len]
 
-    def _do_send(self, t: float, arg: object) -> None:
-        conn, msg_idx = arg  # type: ignore[misc]
+    def _do_send(self, t: float, _arg: object) -> None:
         serial = self.sent_count
         self.sent_count += 1
-        self.in_flight[serial] = (conn, msg_idx, t)
+        self.in_flight[serial] = t
         try:
             buf = self.a.port.alloc_tx_buffer()
         except PoolExhausted:
@@ -135,30 +123,21 @@ class _EchoRig(LoopbackSystem):
         self._transmit(self.client_busy, buf, "a")
 
     def _echoed(self, data: bytes, done: float) -> None:
-        sent = self.in_flight.pop(int.from_bytes(data[:PACKET_ID_LEN], "big"), None)
-        if sent is None:
+        sent_t = self.in_flight.pop(int.from_bytes(data[:PACKET_ID_LEN], "big"), None)
+        if sent_t is None:
             return  # duplicate or corrupted serial; nothing to time
-        conn, msg_idx, sent_t = sent
         self.samples.append(done - sent_t)
-        if self.chained and msg_idx < 2:
-            self.push(done, "send", (conn, msg_idx + 1))
 
     _HANDLERS = {**LoopbackSystem._HANDLERS, "send": _do_send}
 
     def schedule_sends(self) -> None:
         cfg = self.cfg
-        if self.chained:
-            # each connection runs one 3-message exchange, then closes
-            spacing = cfg.duration_s * 1e9 / cfg.connections
-            for conn in range(cfg.connections):
-                self.push(conn * spacing, "send", (conn, 0))
-            return
         period = 1e9 / cfg.rate_pps
         per_conn = int(cfg.rate_pps * cfg.duration_s)
         stagger = period / cfg.connections
         for conn in range(cfg.connections):
             for j in range(per_conn):
-                self.push(j * period + conn * stagger, "send", (conn, j))
+                self.push(j * period + conn * stagger, "send")
 
     def run(self) -> EchoResult:
         self.schedule_sends()

@@ -16,8 +16,6 @@ from splitio.bench import (
     BenchConfig,
     CopyModel,
     CostProfile,
-    Notification,
-    Workload,
     app_cost_sweep,
     emit_report,
     load_capacity_pps,
@@ -252,7 +250,6 @@ def test_criterion_06_crypto():
 
     # the two offload modes agree on what the applications see
     base = BenchConfig(
-        workload=Workload.IPSEC_LOAD,
         rate_pps=1000.0,
         duration_s=0.05,
         payload_len=96,
@@ -268,18 +265,15 @@ def test_criterion_06_crypto():
 
 def test_criterion_07_simulation_orderings():
     base = BenchConfig(rate_pps=2000.0, duration_s=0.1, seed=3)
-    poll = run_echo(replace(base, notification=Notification.polling()))
+    poll = run_echo(replace(base, interrupt_exit_ns=None))
     for exit_cost in (500, 2000):
-        intr = run_echo(replace(base, notification=Notification.interrupt(exit_cost)))
+        intr = run_echo(replace(base, interrupt_exit_ns=exit_cost))
         for stat in ("mean_ns", "p50_ns", "p95_ns", "p99_ns", "p999_ns"):
             assert getattr(poll, stat) < getattr(intr, stat)
 
     free = replace(CostProfile(), crypto_fixed_ns=0, crypto_per_byte_ns=0.0)
-    plain = BenchConfig(
-        workload=Workload.UDP_LOAD, payload_len=1000, profile=free,
-        bandwidth_bps=float("inf"),
-    )
-    sealed = replace(plain, workload=Workload.IPSEC_LOAD, ipsec=OffloadMode.LOOKASIDE)
+    plain = BenchConfig(payload_len=1000, profile=free, bandwidth_bps=float("inf"))
+    sealed = replace(plain, ipsec=OffloadMode.LOOKASIDE)
     assert load_capacity_pps(sealed) == load_capacity_pps(plain)
     costly = replace(sealed, profile=replace(free, crypto_fixed_ns=600))
     assert load_capacity_pps(costly) < load_capacity_pps(plain)

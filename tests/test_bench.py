@@ -17,10 +17,7 @@ from splitio.bench import (
     CopyModel,
     CostProfile,
     LatencyStats,
-    Notification,
-    NotificationMode,
     RampSchedule,
-    Workload,
     app_cost_sweep,
     emit_report,
     load_capacity_pps,
@@ -48,10 +45,8 @@ from splitio.pools import PoolConfig
 
 def bare_cfg(**kw):
     defaults = dict(
-        workload=Workload.ECHO,
         rate_pps=1000.0,
         duration_s=0.05,
-        notification=Notification.polling(),
         profile=CostProfile.bare(),
     )
     defaults.update(kw)
@@ -193,12 +188,11 @@ class TestConfigValidation:
         "kw",
         [
             dict(payload_len=7),
-            dict(payload_len=2040, ipsec=OffloadMode.LOOKASIDE, workload=Workload.IPSEC_LOAD),
+            dict(payload_len=2040, ipsec=OffloadMode.LOOKASIDE),
             dict(rate_pps=0.0),
             dict(connections=0),
             dict(duration_s=0.0),
-            dict(exits_per_packet=-1),
-            dict(notification=Notification(NotificationMode.EMULATED_INTERRUPT, -5)),
+            dict(interrupt_exit_ns=-5),
             dict(profile=replace(CostProfile(), loss_rate=1.5)),
             dict(ring_capacity=48),
             dict(mbuf_count=4),
@@ -228,14 +222,6 @@ class TestConfigValidation:
     def test_one_packet_per_connection_accepted(self):
         validate_config(BenchConfig(rate_pps=0.5, duration_s=2.0))
 
-    def test_ipsec_load_defaults_to_lookaside(self):
-        assert BenchConfig(workload=Workload.IPSEC_LOAD).effective_ipsec() is OffloadMode.LOOKASIDE
-        assert (
-            BenchConfig(workload=Workload.IPSEC_LOAD, ipsec=OffloadMode.INLINE).effective_ipsec()
-            is OffloadMode.INLINE
-        )
-        assert BenchConfig(workload=Workload.ECHO).effective_ipsec() is None
-
 
 class TestServiceModel:
     def test_service_formula_from_first_principles(self):
@@ -245,25 +231,22 @@ class TestServiceModel:
         assert server_service_ns(cfg) == p.server_fixed_ns + 2 * copy
         assert server_service_ns(replace(cfg, copy_model=CopyModel.NO_COPY)) == p.server_fixed_ns
         k = p.crypto_fixed_ns + p.crypto_per_byte_ns * esp_frame_len(128)
-        look = replace(cfg, workload=Workload.IPSEC_LOAD, ipsec=OffloadMode.LOOKASIDE)
+        look = replace(cfg, ipsec=OffloadMode.LOOKASIDE)
         assert server_service_ns(look) == p.server_fixed_ns + 2 * copy + 2 * k
         inline = replace(look, ipsec=OffloadMode.INLINE)
         assert server_service_ns(inline) == max(p.server_fixed_ns + 2 * copy, 2 * k)
 
     def test_ipsec_capacity_never_exceeds_plaintext(self):
-        plain = BenchConfig(workload=Workload.UDP_LOAD, payload_len=1000)
-        ipsec = replace(plain, workload=Workload.IPSEC_LOAD, ipsec=OffloadMode.LOOKASIDE)
+        plain = BenchConfig(payload_len=1000)
+        ipsec = replace(plain, ipsec=OffloadMode.LOOKASIDE)
         assert load_capacity_pps(ipsec) < load_capacity_pps(plain)
 
     def test_ipsec_matches_plaintext_only_at_zero_crypto_cost(self):
         profile = replace(
             CostProfile(), crypto_fixed_ns=0, crypto_per_byte_ns=0.0
         )
-        plain = BenchConfig(
-            workload=Workload.UDP_LOAD, payload_len=1000, profile=profile,
-            bandwidth_bps=float("inf"),
-        )
-        ipsec = replace(plain, workload=Workload.IPSEC_LOAD, ipsec=OffloadMode.LOOKASIDE)
+        plain = BenchConfig(payload_len=1000, profile=profile, bandwidth_bps=float("inf"))
+        ipsec = replace(plain, ipsec=OffloadMode.LOOKASIDE)
         assert load_capacity_pps(ipsec) == load_capacity_pps(plain)
         costly = replace(ipsec, profile=replace(profile, crypto_fixed_ns=600))
         assert load_capacity_pps(costly) < load_capacity_pps(plain)
@@ -381,7 +364,7 @@ class TestEchoClosedForm:
             assert value == 2000.0
 
     def test_interrupt_adds_exit_cost_per_wake(self):
-        cfg = bare_cfg(notification=Notification.interrupt(500), exits_per_packet=2)
+        cfg = bare_cfg(interrupt_exit_ns=500)
         result = run_echo_result(cfg)
         # one wake on each side of the round trip, two exits per wake
         assert result.stats.mean_ns == 2000.0 + 2 * 2 * 500
@@ -390,24 +373,14 @@ class TestEchoClosedForm:
 
     def test_polling_beats_interrupt_at_every_percentile(self):
         base = BenchConfig(rate_pps=2000.0, duration_s=0.2, seed=3)
-        poll = run_echo(replace(base, notification=Notification.polling()))
-        intr = run_echo(replace(base, notification=Notification.interrupt(2000)))
+        poll = run_echo(replace(base, interrupt_exit_ns=None))
+        intr = run_echo(replace(base, interrupt_exit_ns=2000))
         for stat in ("mean_ns", "p50_ns", "p95_ns", "p99_ns", "p999_ns"):
             assert getattr(poll, stat) < getattr(intr, stat)
 
     def test_connections_multiply_traffic(self):
         stats = run_echo(bare_cfg(connections=4))
         assert stats.count == 200
-
-    def test_tcp_like_sends_three_messages_per_connection(self):
-        cfg = bare_cfg(workload=Workload.TCP_LIKE_LOAD, connections=10, duration_s=0.1)
-        result = run_echo_result(cfg)
-        assert result.sent == 30
-        assert result.received == 30
-
-    def test_echo_rejects_load_workloads(self):
-        with pytest.raises(ConfigInvalid):
-            run_echo(bare_cfg(workload=Workload.UDP_LOAD))
 
 
 class TestEventBudget:
@@ -537,7 +510,7 @@ class TestCopyCost:
 
 class TestIpsecEcho:
     def test_offload_modes_deliver_identical_payload_multisets(self):
-        base = bare_cfg(workload=Workload.IPSEC_LOAD, payload_len=96)
+        base = bare_cfg(payload_len=96)
         look = run_echo_result(replace(base, ipsec=OffloadMode.LOOKASIDE))
         inline = run_echo_result(replace(base, ipsec=OffloadMode.INLINE))
         assert look.received == inline.received == 50
@@ -545,7 +518,7 @@ class TestIpsecEcho:
         assert sorted(look.client_payloads) == sorted(inline.client_payloads)
 
     def test_lookaside_aes_on_app_worker_inline_on_crypto_worker(self):
-        base = bare_cfg(workload=Workload.IPSEC_LOAD, payload_len=96)
+        base = bare_cfg(payload_len=96)
         look = run_echo_result(replace(base, ipsec=OffloadMode.LOOKASIDE))
         inline = run_echo_result(replace(base, ipsec=OffloadMode.INLINE))
         assert look.counters_a["aes_ops"] > 0
@@ -558,7 +531,7 @@ class TestIpsecEcho:
         plain = run_echo(BenchConfig(rate_pps=2000.0, duration_s=0.1, profile=profile))
         sealed = run_echo(
             BenchConfig(
-                workload=Workload.IPSEC_LOAD,
+                ipsec=OffloadMode.LOOKASIDE,
                 rate_pps=2000.0,
                 duration_s=0.1,
                 profile=profile,
@@ -570,7 +543,6 @@ class TestIpsecEcho:
 class TestLoadRuns:
     def test_link_bound_run_saturates_exactly(self):
         cfg = BenchConfig(
-            workload=Workload.UDP_LOAD,
             payload_len=1000,
             rate_pps=1000.0,
             connections=1000,
@@ -584,7 +556,6 @@ class TestLoadRuns:
 
     def test_overcommitted_connections_clamped(self):
         cfg = BenchConfig(
-            workload=Workload.UDP_LOAD,
             payload_len=1000,
             rate_pps=1000.0,
             connections=1100,
@@ -598,7 +569,6 @@ class TestLoadRuns:
         # a 4 Gbit/s link carries 500,000 pps of 1000 B; the schedule is
         # explicit because the link would clamp 1000 connections to 500
         cfg = BenchConfig(
-            workload=Workload.UDP_LOAD,
             payload_len=1000,
             rate_pps=1000.0,
             connections=1000,
@@ -613,7 +583,6 @@ class TestLoadRuns:
 
     def test_below_capacity_no_loss(self):
         cfg = BenchConfig(
-            workload=Workload.UDP_LOAD,
             payload_len=1000,
             rate_pps=100.0,
             connections=10,
@@ -624,17 +593,13 @@ class TestLoadRuns:
         assert all(s.dropped_pps == 0.0 for s in report.seconds)
 
     def test_custom_schedule_sets_duration(self):
-        cfg = BenchConfig(workload=Workload.UDP_LOAD, payload_len=1000, rate_pps=100.0)
+        cfg = BenchConfig(payload_len=1000, rate_pps=100.0)
         sched = RampSchedule(max_connections=10, hold_s=2)
         report = run_load(cfg, schedule=sched)
         assert len(report.seconds) == sched.ramp_seconds + 2
 
-    def test_load_rejects_echo_workload(self):
-        with pytest.raises(ConfigInvalid):
-            run_load(BenchConfig(workload=Workload.ECHO))
-
     def test_report_dict_shape(self):
-        cfg = BenchConfig(workload=Workload.UDP_LOAD, rate_pps=100.0, connections=2)
+        cfg = BenchConfig(rate_pps=100.0, connections=2)
         doc = run_load(cfg).to_dict()
         assert set(doc) == {
             "achieved_bps",

@@ -44,6 +44,15 @@ class TestEchoCommand:
         assert code == 0
         assert "packets   25" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_ipsec_command_defaults_to_lookaside(self, capsys, fmt):
+        run = ("--duration", "0.05", "--seed", "7", "--format", fmt)
+        code, ipsec_out, _ = run_cli(capsys, "ipsec", *run)
+        assert code == 0
+        code, lookaside_out, _ = run_cli(capsys, "echo", "--ipsec", "lookaside", *run)
+        assert code == 0
+        assert ipsec_out == lookaside_out
+
     def test_bad_numeric_flag(self, capsys):
         code, _, err = run_cli(capsys, "echo", "--rate", "abc")
         assert code == 2
@@ -184,6 +193,32 @@ class TestAdversaryRuns:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --adversary") and err.count("\n") == 1
+
+    def test_explicit_json_format_accepted(self, capsys, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("drop_packet target=a count=1\n")
+        code, out, _ = run_cli(capsys, "echo", "--adversary", str(plan), "--format", "json")
+        assert code == 0
+        assert "breach" in json.loads(out)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_non_json_format_flag_exits_two(self, capsys, tmp_path, fmt):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("drop_packet target=a count=1\n")
+        code, out, err = run_cli(capsys, "echo", "--adversary", str(plan), "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: adversary reports render as json") and err.count("\n") == 1
+
+    def test_non_json_format_config_key_exits_two(self, capsys, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("drop_packet target=a count=1\n")
+        config = tmp_path / "run.conf"
+        config.write_text(f"adversary={plan}\nformat=csv\n")
+        code, out, err = run_cli(capsys, "ipsec", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: adversary reports render as json") and err.count("\n") == 1
 
     def test_bad_plan_exits_two(self, capsys, tmp_path):
         plan = tmp_path / "plan.txt"
