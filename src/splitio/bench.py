@@ -216,7 +216,9 @@ class LatencyStats:
         )
 
 
-CSV_HEADER = "count,mean_ns,p50_ns,p95_ns,p99_ns,p999_ns,drops"
+# the fields of a machine-readable report, in order: JSON keys, CSV columns
+_REPORT_FIELDS = ("count", "mean_ns", "p50_ns", "p95_ns", "p99_ns", "p999_ns", "drops")
+CSV_HEADER = ",".join(_REPORT_FIELDS)
 
 
 def emit_report(stats: LatencyStats, fmt: str = "text") -> str:
@@ -226,27 +228,11 @@ def emit_report(stats: LatencyStats, fmt: str = "text") -> str:
     makes seeded runs comparable file-to-file.
     """
     if fmt == "json":
-        payload = {
-            "count": stats.count,
-            "mean_ns": stats.mean_ns,
-            "p50_ns": stats.p50_ns,
-            "p95_ns": stats.p95_ns,
-            "p99_ns": stats.p99_ns,
-            "p999_ns": stats.p999_ns,
-            "drops": stats.drops,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps({f: getattr(stats, f) for f in _REPORT_FIELDS}, indent=2) + "\n"
     elif fmt == "csv":
-        row = [
-            str(stats.count),
-            repr(stats.mean_ns),
-            repr(stats.p50_ns),
-            repr(stats.p95_ns),
-            repr(stats.p99_ns),
-            repr(stats.p999_ns),
-            str(stats.drops),
-        ]
-        text = CSV_HEADER + "\n" + ",".join(row) + "\n"
+        # repr keeps every digit of a float; an int's repr is its str
+        row = ",".join(repr(getattr(stats, f)) for f in _REPORT_FIELDS)
+        text = CSV_HEADER + "\n" + row + "\n"
     elif fmt == "text":
         text = (
             f"packets   {stats.count}\n"

@@ -19,14 +19,8 @@ import sys
 from typing import Optional
 
 from . import factors
-from .bench import (
-    BenchConfig,
-    CopyModel,
-    emit_report,
-    run_echo,
-    run_load,
-)
-from .devsim import AdversaryPlan, run_adversary
+from .bench import BenchConfig, CopyModel, emit_report, run_echo, run_load
+from .devsim import AdversaryPlan
 from .errors import (
     BadPlan,
     BadSaConfig,
@@ -35,9 +29,19 @@ from .errors import (
     SplitioError,
     ZeroArgument,
 )
-from .ipsec import OffloadMode, esp_paths, sa_keys
+from .ipsec import OffloadMode
+from .simloop import run_echo_attack
 
-_ADVERSARY_KEY_TWEAK = 0x1B57_EC00
+_CANARY = b"\xc3\x96" * 8  # planted in private memory; the breach scan looks for it
+
+_REPORT_KIND = {"echo": "echo", "ipsec": "echo", "load": "load", "factors-report": "factor"}
+# the formats each kind of report renders in; the first is the default
+_FORMATS = {
+    "echo": ("text", "json", "csv"),
+    "load": ("text", "json"),
+    "factor": ("text", "json"),
+    "adversary": ("json",),
+}
 
 _DEFAULTS = {
     "payload": "128",
@@ -70,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", help="PRNG seed")
     common.add_argument("--format", choices=["text", "json", "csv"], help="output format")
     common.add_argument("--out", help="also write the report to this path")
-    common.add_argument("--adversary", help="run this adversary plan file instead")
+    common.add_argument("--adversary", help="attack the run with this adversary plan file")
     common.add_argument("--config", help="key=value file mirroring the flags")
 
     parser = argparse.ArgumentParser(prog="splitio", description=__doc__)
@@ -168,106 +172,51 @@ def _write_out(text: str, path: Optional[str]) -> None:
         raise ReportIoError(f"cannot write {path}: {exc}") from exc
 
 
-def _adversary_protect_factory(seed: int, mode: OffloadMode):
-    """Deterministic protected paths in the given offload mode for an
-    adversary run, and the keys the breach scan looks for."""
-    seed ^= _ADVERSARY_KEY_TWEAK
-
-    def factory(system):
-        return esp_paths(system.port_a, system.port_b, mode, seed)
-
-    key_ab, _, key_ba, _ = sa_keys(seed)
-    return factory, [key_ab, key_ba]
-
-
-def _run_adversary_command(values: dict[str, Optional[str]], protected: bool) -> int:
-    if values["format"] not in (None, "json"):
-        raise ConfigInvalid("adversary reports render as json")
-    try:
-        seed = int(values["seed"], 0)
-        payload = min(int(values["payload"], 0), 256)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad numeric value: {exc}") from None
-    plan = AdversaryPlan.load(values["adversary"])
-    factory = None
-    secrets = None
-    if protected:
-        factory, secrets = _adversary_protect_factory(seed, _offload_mode(values))
-    report = run_adversary(
-        plan,
-        packets=8,
-        payload_len=max(payload, 16),
-        canary=b"\xc3\x96" * 8,
-        secret_patterns=secrets,
-        protect_factory=factory,
-        seed=seed,
-    )
-    text = json.dumps(report.to_dict(), indent=2) + "\n"
-    print(text, end="")
-    _write_out(text, values["out"])
-    return 3 if report.breach else 0
-
-
-def _run_echo_command(values: dict[str, Optional[str]], protected: bool) -> int:
-    cfg = _build_config(values, protected)
-    stats = run_echo(cfg)
-    text = emit_report(stats, fmt=values["format"] or "text")
-    print(text, end="")
-    _write_out(text, values["out"])
-    return 0
-
-
-def _run_load_command(values: dict[str, Optional[str]], protected: bool) -> int:
-    cfg = _build_config(values, protected)
-    report = run_load(cfg)
-    fmt = values["format"] or "text"
+def _load_text(report, fmt: str) -> str:
     if fmt == "json":
-        text = json.dumps(report.to_dict(), indent=2) + "\n"
-    elif fmt == "text":
-        onset = (
-            f"loss onset at {report.loss_onset_connections} connections"
-            f" (second {report.loss_onset_second})"
-            if report.loss_onset_connections is not None
-            else "no loss observed"
-        )
-        text = (
-            f"achieved   {report.achieved_bps / 1e9:.3f} Gbit/s\n"
-            f"capacity   {report.capacity_pps:.0f} packets/s\n"
-            f"{onset}\n"
-        )
-    else:
-        raise ConfigInvalid("load reports render as text or json")
-    print(text, end="")
-    _write_out(text, values["out"])
-    return 0
+        return json.dumps(report.to_dict(), indent=2) + "\n"
+    onset = (
+        f"loss onset at {report.loss_onset_connections} connections"
+        f" (second {report.loss_onset_second})"
+        if report.loss_onset_connections is not None
+        else "no loss observed"
+    )
+    return (
+        f"achieved   {report.achieved_bps / 1e9:.3f} Gbit/s\n"
+        f"capacity   {report.capacity_pps:.0f} packets/s\n"
+        f"{onset}\n"
+    )
 
 
-def _run_factors_command(values: dict[str, Optional[str]]) -> int:
-    fmt = values["format"] or "text"
-    if fmt not in ("text", "json"):
-        raise ConfigInvalid("factor reports render as text or json")
-    text = factors.render_report(fmt)
-    if not text.endswith("\n"):
-        text += "\n"
-    print(text, end="")
-    _write_out(text, values["out"])
-    return 0
+def _run(command: str, values: dict[str, Optional[str]]) -> tuple[str, int]:
+    """The report command prints, and its exit status."""
+    if values["adversary"] and command in ("load", "factors-report"):
+        raise ConfigInvalid(f"--adversary applies to echo and ipsec, not {command}")
+    kind = "adversary" if values["adversary"] else _REPORT_KIND[command]
+    formats = _FORMATS[kind]
+    fmt = values["format"] or formats[0]
+    if fmt not in formats:
+        raise ConfigInvalid(f"{kind} reports render as {' or '.join(formats)}")
+    if kind == "factor":
+        text = factors.render_report(fmt)
+        return (text if text.endswith("\n") else text + "\n"), 0
+    cfg = _build_config(values, protected=command == "ipsec" or bool(values["ipsec"]))
+    if kind == "load":
+        return _load_text(run_load(cfg), fmt), 0
+    if kind == "echo":
+        return emit_report(run_echo(cfg), fmt), 0
+    report = run_echo_attack(cfg, AdversaryPlan.load(values["adversary"]), canary=_CANARY)
+    return json.dumps(report.to_dict(), indent=2) + "\n", 3 if report.breach else 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         values = _merged_values(args)
-        if values["adversary"] and args.command in ("load", "factors-report"):
-            raise ConfigInvalid(f"--adversary applies to echo and ipsec, not {args.command}")
-        if args.command == "factors-report":
-            return _run_factors_command(values)
-        protected = args.command == "ipsec" or bool(values["ipsec"])
-        if args.command == "load":
-            return _run_load_command(values, protected)
-        if values["adversary"]:
-            return _run_adversary_command(values, protected)
-        return _run_echo_command(values, protected)
+        text, code = _run(args.command, values)
+        print(text, end="")
+        _write_out(text, values["out"])
+        return code
     except (ConfigInvalid, BadPlan, BadSaConfig, ZeroArgument, ReportIoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -665,13 +665,8 @@ def run_adversary(
     protect_factory=None,
     seed: int = 0,
 ) -> AdversaryReport:
-    """Run scripted traffic under an adversary plan and classify each action.
-
-    Classification is evidence-based after the run: an action is REJECTED if
-    the defenses visibly stopped it (access denied, clamp, replay log, auth
-    failure), DELIVERED_CORRUPTED if application-visible data was corrupted or
-    fabricated, and NO_EFFECT otherwise. `breach` is LoopbackSystem.breached.
-    """
+    """Send `packets` seeded payloads 1 µs apart through the unpriced
+    loopback rig under an adversary plan; classify_attack judges each action."""
     system = LoopbackSystem(plan=plan, ring_capacity=ring_capacity, canary=canary)
     if protect_factory is not None:
         system.protect_a, system.protect_b = protect_factory(system)
@@ -680,10 +675,26 @@ def run_adversary(
         system.send_from_a(payload)
         system.pump(1)
     system.pump(12 + 2 * packets)
+    return classify_attack(system, plan, system.sent, secret_patterns or ())
 
+
+def classify_attack(
+    system: LoopbackSystem,
+    plan: AdversaryPlan,
+    sent: list[bytes],
+    secret_patterns: Sequence[bytes] = (),
+) -> AdversaryReport:
+    """Classify each of plan's actions from the evidence a finished,
+    instrumented run left on system, which sent the payloads in sent.
+
+    An action is REJECTED if the defenses visibly stopped it (access
+    denied, clamp, replay log, auth failure), DELIVERED_CORRUPTED if
+    application-visible data was corrupted or fabricated, and NO_EFFECT
+    otherwise. `breach` is LoopbackSystem.breached.
+    """
     counters_a = system.port_a.counters_snapshot()
     counters_b = system.port_b.counters_snapshot()
-    sent_set = set(system.sent)
+    sent_set = set(sent)
     corrupt_delivered = [p for p in system.delivered_b if p not in sent_set]
     # A legitimately receives only echoes of what it sent
     fabricated_at_a = [p for p in system.delivered_a if p not in sent_set]
@@ -734,8 +745,8 @@ def run_adversary(
     return AdversaryReport(
         outcomes=outcomes,
         violations=violations,
-        breach=system.breached(secret_patterns or ()),
-        sent=system.sent,
+        breach=system.breached(secret_patterns),
+        sent=sent,
         delivered=system.delivered_b,
         echoed=system.delivered_a,
         counters_a=counters_a,

@@ -636,13 +636,12 @@ def port_new(
     canary: Optional[bytes] = None,
 ) -> PortContext:
     """Allocate arenas, pools, and rings for one port and arm its RX side."""
-    pool_bytes = cfg.mbuf_count * cfg.mbuf_size
+    footprint = pool_memory_footprint(cfg)
+    pool_bytes = footprint["shared"]
     ring_bytes = ring_capacity * ringmod.SLOT_SIZE
     shared_arena = mem.create_arena(RegionKind.SHARED, pool_bytes + 2 * ring_bytes)
     mem.shared.register(shared_arena)
-    private_size = (
-        cfg.effective_shadow_count() * cfg.mbuf_size + cfg.mbuf_count * METADATA_OVERHEAD
-    )
+    private_size = footprint["shadow"] + footprint["temporary"]
     private_arena = mem.create_arena(RegionKind.PRIVATE, private_size)
 
     pools = init_pools(mem, cfg, shared_arena, private_arena, canary=canary)

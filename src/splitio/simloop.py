@@ -1,7 +1,8 @@
 """Echo rig: every benchmark packet traverses the real rings and pools.
 
 The rig is devsim.LoopbackSystem, one event heap over virtual nanoseconds;
-this module adds the send schedule, serial payloads and round-trip timing.
+this module adds the send schedule, serial payloads and round-trip timing,
+and run_echo_attack runs the same traffic under an adversary plan.
 Costs from the profile gate WHEN each stage acts, but the stages themselves
 are the production code paths: buffers come from the pools, descriptors
 cross the rings, the simulated device moves the bytes, ESP protection is the
@@ -27,10 +28,17 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bench import EXITS_PER_WAKE, PACKET_ID_LEN, BenchConfig, LatencyStats, stage_costs
-from .devsim import AdversaryPlan, LinkModel, LoopbackSystem
+from .bench import (
+    EXITS_PER_WAKE,
+    PACKET_ID_LEN,
+    BenchConfig,
+    LatencyStats,
+    stage_costs,
+    validate_config,
+)
+from .devsim import AdversaryPlan, AdversaryReport, LinkModel, LoopbackSystem, classify_attack
 from .errors import PoolExhausted
-from .ipsec import esp_paths
+from .ipsec import esp_paths, sa_keys
 from .pools import PoolConfig
 
 # unused here, but perfbench's tracer test looks both names up on this
@@ -164,3 +172,21 @@ class _EchoRig(LoopbackSystem):
 
 def run_echo_sim(cfg: BenchConfig) -> EchoResult:
     return _EchoRig(cfg).run()
+
+
+def run_echo_attack(
+    cfg: BenchConfig, plan: AdversaryPlan, canary: Optional[bytes] = None
+) -> AdversaryReport:
+    """cfg's echo run with plan attacking it on an instrumented rig, each
+    action classified as run_adversary classifies it. The breach scan looks
+    for the canary and, under ESP, the rig's two SA keys."""
+    validate_config(cfg)
+    rig = _EchoRig(cfg, plan=plan, canary=canary, instrument=True)
+    rig.run()
+    secrets = []
+    if cfg.ipsec is not None:
+        key_ab, _, key_ba, _ = sa_keys(cfg.seed ^ _KEY_STREAM_TWEAK)
+        secrets = [key_ab, key_ba]
+    # every serial the schedule sent, as EchoResult.sent counts them
+    sent = [rig._payload(serial) for serial in range(rig.sent_count)]
+    return classify_attack(rig, plan, sent, secrets)

@@ -42,6 +42,8 @@ from splitio.ipsec import ESP_OVERHEAD, OffloadMode, esp_frame_len
 from splitio.mem import MemorySystem
 from splitio.pools import PoolConfig
 
+from esp_factory import lookaside_factory
+
 
 def bare_cfg(**kw):
     defaults = dict(
@@ -431,15 +433,27 @@ class TestRigLifetime:
 
     @pytest.mark.parametrize("protected", [False, True])
     def test_adversary_run_frees_its_rig(self, built, protected):
-        from splitio.cli import _adversary_protect_factory
-
-        factory = _adversary_protect_factory(5, OffloadMode.LOOKASIDE)[0] if protected else None
+        factory = lookaside_factory(5)[0] if protected else None
         plan = AdversaryPlan.parse(
             "forge_writeback target=a when=0 slot=1 length=64\n"
             "replay_descriptor target=b when=2000 slot=1"
         )
         report = run_adversary(plan, protect_factory=factory)
         assert report.breach is False
+        assert len(built) == 2
+        assert [ref() for ref in built] == [None, None]
+
+    @pytest.mark.parametrize("mode", [None, OffloadMode.LOOKASIDE, OffloadMode.INLINE])
+    def test_attacked_echo_run_frees_its_rig(self, built, mode):
+        plan = AdversaryPlan.parse(
+            "forge_writeback target=a when=0 slot=1 length=64\n"
+            "replay_descriptor target=b when=2000 slot=1"
+        )
+        report = simloop.run_echo_attack(
+            BenchConfig(duration_s=0.01, ipsec=mode), plan, canary=b"\xc3\x96" * 8
+        )
+        assert report.breach is False
+        assert len(report.sent) == 50
         assert len(built) == 2
         assert [ref() for ref in built] == [None, None]
 

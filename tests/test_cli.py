@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from splitio import simloop
+from splitio.bench import BenchConfig
 from splitio.cli import main
-from splitio.devsim import LoopbackSystem
 
 
 def run_cli(capsys, *argv):
@@ -150,7 +151,9 @@ class TestAdversaryRuns:
     def test_denied_forgery_exits_zero(self, capsys, tmp_path):
         plan = tmp_path / "plan.txt"
         plan.write_text("forge_address target=a when=1000 region=999 offset=0 length=64\n")
-        code, out, _ = run_cli(capsys, "echo", "--adversary", str(plan), "--seed", "4")
+        code, out, _ = run_cli(
+            capsys, "echo", "--adversary", str(plan), "--seed", "4", "--duration", "0.01"
+        )
         assert code == 0
         report = json.loads(out)
         assert report["breach"] is False
@@ -159,7 +162,9 @@ class TestAdversaryRuns:
     def test_protected_corruption_exits_zero(self, capsys, tmp_path):
         plan = tmp_path / "plan.txt"
         plan.write_text("corrupt_ciphertext target=a when=1000 offset=24\n")
-        code, out, _ = run_cli(capsys, "ipsec", "--adversary", str(plan), "--seed", "4")
+        code, out, _ = run_cli(
+            capsys, "ipsec", "--adversary", str(plan), "--seed", "4", "--duration", "0.01"
+        )
         assert code == 0
         assert json.loads(out)["breach"] is False
 
@@ -167,7 +172,8 @@ class TestAdversaryRuns:
         plan = tmp_path / "plan.txt"
         plan.write_text("corrupt_ciphertext target=a when=1000 offset=24\n")
         code, out, _ = run_cli(
-            capsys, "echo", "--ipsec", "inline", "--adversary", str(plan), "--seed", "4"
+            capsys, "echo", "--ipsec", "inline", "--adversary", str(plan), "--seed", "4",
+            "--duration", "0.01",
         )
         assert code == 0
         report = json.loads(out)
@@ -197,7 +203,9 @@ class TestAdversaryRuns:
     def test_explicit_json_format_accepted(self, capsys, tmp_path):
         plan = tmp_path / "plan.txt"
         plan.write_text("drop_packet target=a count=1\n")
-        code, out, _ = run_cli(capsys, "echo", "--adversary", str(plan), "--format", "json")
+        code, out, _ = run_cli(
+            capsys, "echo", "--adversary", str(plan), "--format", "json", "--duration", "0.01"
+        )
         assert code == 0
         assert "breach" in json.loads(out)
 
@@ -240,18 +248,54 @@ class TestAdversaryRuns:
         assert out == ""
         assert err.startswith("error: bad numeric value") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flags, sent",
+        [(("--duration", "0.002"), 10), (("--connections", "3", "--duration", "0.002"), 30)],
+    )
+    def test_plan_attacks_the_configured_traffic(self, capsys, tmp_path, flags, sent):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("drop_packet target=a count=1\n")
+        code, out, _ = run_cli(capsys, "echo", "--adversary", str(plan), *flags)
+        assert code == 0
+        assert len(json.loads(out)["sent"]) == sent
+
+    def test_plan_run_sends_the_configured_payload(self, capsys, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("drop_packet target=a count=1\n")
+        code, out, _ = run_cli(
+            capsys, "ipsec", "--adversary", str(plan), "--payload", "1000", "--duration", "0.002"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["sent"] and {len(bytes.fromhex(p)) for p in report["sent"]} == {1000}
+        assert {len(bytes.fromhex(p)) for p in report["echoed"]} == {1000}
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--duration", "abc"), ("--notification", "carrier-pigeon"), ("--payload", "4000")],
+    )
+    def test_bad_traffic_flag_with_plan_exits_two(self, capsys, tmp_path, flags):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("drop_packet target=a count=1\n")
+        code, out, err = run_cli(capsys, "echo", "--adversary", str(plan), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_canary_planted_in_shared_memory_exits_three(self, capsys, tmp_path):
         # Find the region id of port A's shared data slab by building the
-        # same loopback rig the adversary runner does, then script the
-        # device to write the canary pattern there after traffic drains.
-        # The end-of-run sweep must notice and report a breach.
-        twin = LoopbackSystem(ring_capacity=8)
+        # echo rig the adversary run attacks, then script the device to
+        # write the canary pattern there while traffic flows. The
+        # end-of-run sweep must notice and report a breach.
+        twin = simloop._EchoRig(BenchConfig())
         region = twin.port_a.pools.shared.data_slab.region
         plan = tmp_path / "plan.txt"
         plan.write_text(
             f"tamper_shared target=a when=27000 region={region} offset=0 data={'c396' * 8}\n"
         )
-        code, out, _ = run_cli(capsys, "echo", "--adversary", str(plan), "--seed", "4")
+        code, out, _ = run_cli(
+            capsys, "echo", "--adversary", str(plan), "--seed", "4", "--duration", "0.01"
+        )
         assert code == 3
         assert json.loads(out)["breach"] is True
 

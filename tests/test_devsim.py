@@ -12,8 +12,8 @@ from splitio.devsim import (
 )
 from splitio.devsim import _payloads_for_run
 from splitio.errors import BadPlan
-from splitio.ipsec import OffloadMode
 from splitio.mem import Side
+from esp_factory import lookaside_factory
 
 # Reference stream, rebuilt from the generator's documented constants rather
 # than imported, so a stream bug cannot hide from its own replay test.
@@ -263,9 +263,7 @@ class TestOutcomeClassification:
         assert report.counters_b["auth_fail"] == 0
 
     def test_corrupt_ciphertext_with_crypto_rejected(self):
-        from splitio.cli import _adversary_protect_factory
-
-        factory, keys = _adversary_protect_factory(5, OffloadMode.LOOKASIDE)
+        factory, keys = lookaside_factory(5)
         # offset 24 lands in the ciphertext, past the clear addressing prefix
         plan = AdversaryPlan.parse("corrupt_ciphertext target=a offset=24 when=1000")
         report = run_adversary(
@@ -279,9 +277,7 @@ class TestOutcomeClassification:
         """The first 8 bytes address the frame and sit outside the integrity
         envelope, like an outer header; flipping them is visible to the app
         but is not an authentication failure."""
-        from splitio.cli import _adversary_protect_factory
-
-        factory, keys = _adversary_protect_factory(5, OffloadMode.LOOKASIDE)
+        factory, keys = lookaside_factory(5)
         plan = AdversaryPlan.parse("corrupt_ciphertext target=a offset=3 when=1000")
         report = run_adversary(
             plan, packets=2, payload_len=64, protect_factory=factory, secret_patterns=keys
@@ -320,9 +316,7 @@ class TestBreachDetector:
         assert report.breach
 
     def test_encrypted_secret_not_flagged(self):
-        from splitio.cli import _adversary_protect_factory
-
-        factory, keys = _adversary_protect_factory(5, OffloadMode.LOOKASIDE)
+        factory, keys = lookaside_factory(5)
         pattern = _payloads_for_run(1, 64, seed=0)[0][:16]
         report = run_adversary(
             empty_plan(),
