@@ -207,8 +207,11 @@ class SimNic:
         return self.delivered - before
 
     def _service_tx(self, now: int) -> None:
+        ring = self.port.tx_ring
+        if ring.device_next == ring.head:
+            return  # nothing posted since the last fetch
         try:
-            views: list[TxView] = self.port.tx_ring.device_fetch()  # type: ignore[assignment]
+            views: list[TxView] = ring.device_fetch()  # type: ignore[assignment]
         except DeviceAccessDenied as exc:
             self._violation("tx_ring_unreachable", now, error=str(exc))
             return
@@ -255,8 +258,10 @@ class SimNic:
             self.port.tx_ring.device_writeback_tx(view.slot)
 
     def _service_rx(self, now: int) -> None:
+        ring = self.port.rx_ring
         try:
-            self._rx_avail.extend(self.port.rx_ring.device_fetch())  # type: ignore[arg-type]
+            if ring.device_next != ring.head:
+                self._rx_avail.extend(ring.device_fetch())  # type: ignore[arg-type]
         except DeviceAccessDenied as exc:
             self._violation("rx_ring_unreachable", now, error=str(exc))
             return
@@ -358,7 +363,8 @@ class Endpoint:
     owns. The plain path is the port's own tx_burst/rx_burst, bound
     directly; use() switches to a PortProtect (look-aside) or a
     CryptoWorker (inline), which refuses frames that fail verification
-    before the application sees them.
+    before the application sees them. rx_path is the object app_rx belongs
+    to; its rx_more says whether the last app_rx may have left frames.
     """
 
     def __init__(self, mem: MemorySystem, port: PortContext, nic: SimNic):
@@ -370,6 +376,7 @@ class Endpoint:
     def use(self, path) -> None:
         self.path = path
         self.inline = isinstance(path, CryptoWorker)  # the rig steps the worker
+        self.rx_path = self.port if path is None else path
         if path is None:
             self.app_tx, self.app_rx = self.port.tx_burst, self.port.rx_burst
         else:
@@ -567,6 +574,8 @@ class LoopbackSystem:
                 self.delivered_b.append(buf.read_data())
                 self.server_busy = max(t, self.server_busy) + service_ns
                 self.push(self.server_busy, "tx_b", buf)
+            if not self.b.rx_path.rx_more:
+                break
 
     def _do_client(self, t: float, arg: object) -> None:
         app_rx = self.a.app_rx
@@ -581,6 +590,8 @@ class LoopbackSystem:
                 self.delivered_a.append(data)
                 free(buf)
                 echoed(data, done)
+            if not self.a.rx_path.rx_more:
+                break
 
     def _echoed(self, data: bytes, done: float) -> None:
         """A's application finished receiving data at done."""

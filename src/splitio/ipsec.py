@@ -319,6 +319,10 @@ class PortProtect:
                 port.free_buffer(buf)
         return out
 
+    @property
+    def rx_more(self) -> bool:
+        return self.port.rx_more
+
     def encrypt(self, buf: PacketBuffer) -> None:
         esp_encrypt(self.sa_out, buf, ops_counter=self.port.counters)
 
@@ -374,6 +378,10 @@ class CryptoWorker:
         while self.plain_out and len(out) < max_count:
             out.append(self.plain_out.popleft())
         return out
+
+    @property
+    def rx_more(self) -> bool:
+        return bool(self.plain_out)
 
     # -- worker side -------------------------------------------------------
 

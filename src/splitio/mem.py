@@ -205,11 +205,12 @@ class MemorySystem:
     #
     # Every accessor below runs the same two checks, once per call: the
     # range must lie inside an existing arena, and a device-side access must
-    # target a registered shared arena. Instrumented mode then logs the
-    # access and, for reads, bumps the per-byte read tallies. The offset
-    # forms let fixed-layout callers (rings, buffer metadata) name a field by
-    # absolute offset and decode it straight from the arena with a
-    # precompiled struct, instead of building a Handle per field.
+    # target a registered shared arena. Each decides the all-clear case
+    # inline, instrumentation off included, so it costs one Python frame;
+    # anything else goes to _access, the only code that raises or logs.
+    # The offset forms let fixed-layout callers (rings, buffer metadata)
+    # name a field by absolute offset and decode it straight from the arena
+    # with a precompiled struct, instead of building a Handle per field.
 
     def _access(self, region: int, offset: int, length: int, side: Side, op: str) -> Arena:
         arena = self.arenas.get(region)
@@ -237,18 +238,36 @@ class MemorySystem:
         return arena
 
     def read_at(self, region: int, offset: int, length: int, side: Side) -> bytes:
-        data = self._access(region, offset, length, side, "read").data
-        return bytes(data[offset : offset + length])
+        arena, end = self.arenas.get(region), offset + length
+        if arena is None or self.instrument or not 0 <= offset <= end <= arena.size or (
+            side is _DEVICE and region not in self.shared.registered
+        ):
+            arena = self._access(region, offset, length, side, "read")
+        return bytes(arena.data[offset:end])
 
     def write_at(self, region: int, offset: int, data: bytes, side: Side) -> None:
-        n = len(data)
-        self._access(region, offset, n, side, "write").data[offset : offset + n] = data
+        arena, end = self.arenas.get(region), offset + len(data)
+        if arena is None or self.instrument or not 0 <= offset <= end <= arena.size or (
+            side is _DEVICE and region not in self.shared.registered
+        ):
+            arena = self._access(region, offset, end - offset, side, "write")
+        arena.data[offset:end] = data
 
     def unpack_at(self, region: int, offset: int, fmt: struct.Struct, side: Side) -> tuple:
-        return fmt.unpack_from(self._access(region, offset, fmt.size, side, "read").data, offset)
+        arena = self.arenas.get(region)
+        if arena is None or self.instrument or not 0 <= offset <= arena.size - fmt.size or (
+            side is _DEVICE and region not in self.shared.registered
+        ):
+            arena = self._access(region, offset, fmt.size, side, "read")
+        return fmt.unpack_from(arena.data, offset)
 
     def pack_at(self, region: int, offset: int, fmt: struct.Struct, side: Side, *values) -> None:
-        fmt.pack_into(self._access(region, offset, fmt.size, side, "write").data, offset, *values)
+        arena = self.arenas.get(region)
+        if arena is None or self.instrument or not 0 <= offset <= arena.size - fmt.size or (
+            side is _DEVICE and region not in self.shared.registered
+        ):
+            arena = self._access(region, offset, fmt.size, side, "write")
+        fmt.pack_into(arena.data, offset, *values)
 
     def read(self, h: Handle, side: Side) -> bytes:
         return self.read_at(h.region, h.offset, h.length, side)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import (
     ArenaTooSmall,
@@ -62,8 +62,9 @@ FLAG_SUSPECT = 0x0001
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _FLAGS_PKT_LEN = struct.Struct("<HI")  # 2..8
-_HEAD = struct.Struct("<HHI")  # 0..8: msg_type, flags, pkt_len
-_NEXT_RSS = struct.Struct("<II")  # 16..24
+_LEN_NEXT = struct.Struct("<I8xI")  # 4..20: pkt_len, next
+# 0..24: msg_type, flags, pkt_len, data handle, next, rss
+_HEADER = struct.Struct("<HHIHIHII")
 
 
 class PoolKind(enum.Enum):
@@ -177,19 +178,25 @@ class PacketBuffer:
             raise ForeignBuffer("segments of a chain must come from one pool")
         self._set(META_OFF_NEXT, _U32, META_NEXT_NONE if nxt is None else nxt.index)
 
-    def segments(self) -> Iterator["PacketBuffer"]:
-        buf: Optional[PacketBuffer] = self
-        hops = 0
-        while buf is not None:
-            yield buf
-            nxt = buf.next_index
-            buf = PacketBuffer(self.pool, nxt) if nxt is not None else None
-            hops += 1
-            if hops > self.pool.count:
+    def segment_lengths(self) -> list[tuple["PacketBuffer", int]]:
+        """(segment, pkt_len) along the chain from this buffer. One read per
+        segment covers its pkt_len and its next link (bytes 4..20)."""
+        pool, buf, out = self.pool, self, []
+        while True:
+            at = buf.meta_at + META_OFF_PKT_LEN
+            length, nxt = pool.mem.unpack_at(pool.meta_region, at, _LEN_NEXT, _VM)
+            out.append((buf, length))
+            if nxt == META_NEXT_NONE:
+                return out
+            if len(out) > pool.count:
                 raise OversizePacket("segment chain longer than the pool")
+            buf = PacketBuffer(pool, nxt)
+
+    def segments(self) -> list["PacketBuffer"]:
+        return [seg for seg, _ in self.segment_lengths()]
 
     def total_len(self) -> int:
-        return sum(seg.pkt_len for seg in self.segments())
+        return sum(length for _, length in self.segment_lengths())
 
     def write_app_private(self, data: bytes) -> None:
         if len(data) > APP_PRIVATE_SIZE:
@@ -461,6 +468,7 @@ class PortContext:
         self._tx_slot_temp: dict[int, PacketBuffer] = {}
         self._rx_slot_temp: dict[int, PacketBuffer] = {}
         self.crypto_worker = None  # set by inline_attach
+        self.rx_more = False  # whether the last rx_burst may have left ready slots
         self.destroyed = False
 
     # -- setup -------------------------------------------------------------
@@ -496,11 +504,14 @@ class PortContext:
         buffer (the single RX copy), repost the shared-side buffers, and hand
         the shadow buffers to the caller."""
         mem, counters = self.mem, self.counters
-        temporary, shadow_pool = self.pools.temporary, self.pools.shadow
-        meta_region = shadow_pool.meta_region
+        shadow_pool = self.pools.shadow
+        meta_region, room = shadow_pool.meta_region, shadow_pool.data_room
         out: list[PacketBuffer] = []
         repost: list[PacketBuffer] = []
-        for rec in self.rx_ring.vm_harvest_rx(max_count):
+        harvested = self.rx_ring.vm_harvest_rx(max_count)
+        # a short harvest stopped at a slot that was not ready
+        self.rx_more = len(harvested) == max_count
+        for rec in harvested:
             temp = self._rx_slot_temp.pop(rec.slot)
             repost.append(temp)
             suspect = rec.suspect
@@ -514,20 +525,19 @@ class PortContext:
             except PoolExhausted:
                 counters["drops"] += 1
                 continue
-            length = rec.length
-            src_region, src_offset = temporary.data_at(temp.index, length)
+            # the harvest clamped length to the posted room it names
+            length, src = rec.length, rec.packet_address
             dst_region, dst_offset = shadow_pool.data_at(shadow.index, length)
-            payload = mem.read_at(src_region, src_offset, length, _VM)
+            payload = mem.read_at(src.region, src.offset, length, _VM)
             mem.write_at(dst_region, dst_offset, payload, _VM)
             counters["copies_rx"] += 1
             counters["bytes_copied"] += length
-            # the whole header in two writes, so the raw take needs no
-            # reset: msg_type, flags and pkt_len, then next and rss
-            at = shadow.meta_at
+            # the whole header in one write, so the raw take needs no reset;
+            # the data handle gets the value the slab was built with
             flags = FLAG_SUSPECT if suspect else 0
-            mem.pack_at(meta_region, at, _HEAD, _VM, rec.packet_info, flags, length)
             mem.pack_at(
-                meta_region, at + META_OFF_NEXT, _NEXT_RSS, _VM, META_NEXT_NONE, rec.rss
+                meta_region, shadow.meta_at, _HEADER, _VM, rec.packet_info, flags, length,
+                dst_region, dst_offset, room, META_NEXT_NONE, rec.rss,
             )
             out.append(shadow)
         self._post_rx(repost)
@@ -547,7 +557,7 @@ class PortContext:
         for buf in bufs:
             if buf.pool is not shadow_pool:
                 raise ForeignBuffer("tx_burst takes shadow-pool buffers")
-            segments = [(seg, seg.pkt_len) for seg in buf.segments()]
+            segments = buf.segment_lengths()
             total = sum(length for _, length in segments)
             if total > room:
                 raise OversizePacket(f"{total} B exceeds {room} B data room")

@@ -48,29 +48,25 @@ MASK32 = 0xFFFFFFFF
 _HANDLE_FMT = struct.Struct("<HIH")
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
 # multi-field spans read or written as one access
 _TX_FETCH = struct.Struct("<HIHII")  # 0..16: address handle, cmd_type_len, olinfo_status
 _RX_FETCH = struct.Struct("<HIHHIH")  # 0..16: packet handle, header handle
+_TX_POST = struct.Struct("<HIHIIB")  # 0..17: the TX fetch span, then status
 _RX_INFO_RSS = struct.Struct("<HI")  # 16..22
 _RX_VLAN_LEN = struct.Struct("<HH")  # 24..28
+_RX_WRITEBACK = struct.Struct("<HIHHH")  # 16..28: info, rss, status, vlan, length
 # a whole posted RX slot: packet handle, header handle, zeroed writeback
 _RX_POST = struct.Struct("<HIHHIH16x")
 
 # TX slot field offsets
 TX_OFF_ADDR = 0
-TX_OFF_CMD = 8
-TX_OFF_OLINFO = 12
 TX_OFF_STATUS = 16
 
 # RX slot field offsets
 RX_OFF_PKT = 0
-RX_OFF_HDR = 8
 RX_OFF_INFO = 16
-RX_OFF_RSS = 18
 RX_OFF_STATUS = 22
 RX_OFF_VLAN = 24
-RX_OFF_LEN = 26
 
 # TX status byte values
 TX_STATUS_INFLIGHT = 0
@@ -212,12 +208,16 @@ class DescriptorRing:
             desc.address, _SHARED
         ):
             raise AddressNotShared(f"tx address {desc.address} not in a registered shared arena")
+        a_region, a_offset, a_length = desc.address
+        if a_region > 0xFFFF or a_offset > MASK32 or a_length > 0xFFFF:
+            raise OutOfBounds(f"handle {desc.address} does not fit the 8-byte ring encoding")
         slot = self.head & (self.capacity - 1)
-        mem, region, at = self.mem, self._region, self._slot_at[slot]
-        mem.write_at(region, at + TX_OFF_ADDR, encode_handle(desc.address), _VM)
-        mem.pack_at(region, at + TX_OFF_CMD, _U32, _VM, desc.cmd_type_len & MASK32)
-        mem.pack_at(region, at + TX_OFF_OLINFO, _U32, _VM, desc.olinfo_status & MASK32)
-        mem.pack_at(region, at + TX_OFF_STATUS, _U8, _VM, TX_STATUS_INFLIGHT)
+        # the whole descriptor and its INFLIGHT status, bytes 0..17, in one write
+        self.mem.pack_at(
+            self._region, self._slot_at[slot] + TX_OFF_ADDR, _TX_POST, _VM,
+            a_region, a_offset, a_length, desc.cmd_type_len & MASK32,
+            desc.olinfo_status & MASK32, TX_STATUS_INFLIGHT,
+        )
         self._seen_free[slot] = False
         self._device_done[slot] = False
         self._completion_seq.pop(slot, None)
@@ -420,15 +420,12 @@ class DescriptorRing:
     ) -> bool:
         assert self.direction is _RX
         ok = self._writeback_window_ok(slot)
-        mem, region, at = self.mem, self._region, self._device_slot_at(slot)
-        mem.pack_at(
-            region, at + RX_OFF_INFO, _RX_INFO_RSS, _DEVICE, packet_info & 0xFFFF, rss & MASK32
+        # one write, so the VM never sees a ready status without its fields
+        self.mem.pack_at(
+            self._region, self._device_slot_at(slot) + RX_OFF_INFO, _RX_WRITEBACK, _DEVICE,
+            packet_info & 0xFFFF, rss & MASK32, status_error & 0xFFFF, vlan_tag & 0xFFFF,
+            length & 0xFFFF,
         )
-        mem.pack_at(
-            region, at + RX_OFF_VLAN, _RX_VLAN_LEN, _DEVICE, vlan_tag & 0xFFFF, length & 0xFFFF
-        )
-        # status goes last so a ready flag never precedes its payload fields
-        mem.pack_at(region, at + RX_OFF_STATUS, _U16, _DEVICE, status_error & 0xFFFF)
         if ok:
             self._device_done[slot] = True
         else:

@@ -3,7 +3,9 @@ import gc
 import hashlib
 import json
 import math
+import os
 import random
+import sys
 import weakref
 from dataclasses import replace
 
@@ -456,6 +458,46 @@ class TestRigLifetime:
         assert len(report.sent) == 50
         assert len(built) == 2
         assert [ref() for ref in built] == [None, None]
+
+
+class TestCallBudget:
+    """Python calls per plain echo round trip stay within budget, so
+    per-packet work cannot creep back unnoticed."""
+
+    CEILING = 420
+
+    @staticmethod
+    def _calls(duration_s):
+        """Calls made in splitio code ("call" and "c_call" events) over
+        one plain echo run, with the round trips it completed."""
+        package = os.path.dirname(simloop.__file__) + os.sep
+        n = 0
+
+        def count(frame, event, arg):
+            nonlocal n
+            if event in ("call", "c_call") and frame.f_code.co_filename.startswith(package):
+                n += 1
+
+        cfg = BenchConfig(duration_s=duration_s, seed=1)
+        # a cyclic collection inside the window would run finalizers of
+        # other tests' garbage and count their calls too
+        gc.collect()
+        gc.disable()
+        sys.setprofile(count)
+        try:
+            result = simloop.run_echo_sim(cfg)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        return n, result.received
+
+    def test_calls_per_round_trip(self):
+        # the difference of two runs cancels construction and teardown
+        calls_d, trips_d = self._calls(0.02)
+        calls_2d, trips_2d = self._calls(0.04)
+        assert trips_2d > trips_d > 0
+        per_trip = (calls_2d - calls_d) / (trips_2d - trips_d)
+        assert per_trip <= self.CEILING
 
 
 class TestDeterminism:

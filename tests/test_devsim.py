@@ -12,7 +12,9 @@ from splitio.devsim import (
 )
 from splitio.devsim import _payloads_for_run
 from splitio.errors import BadPlan
+from splitio.ipsec import OffloadMode, esp_paths
 from splitio.mem import Side
+from splitio.pools import PoolConfig
 from esp_factory import lookaside_factory
 
 # Reference stream, rebuilt from the generator's documented constants rather
@@ -166,6 +168,36 @@ class TestLoopback:
         result = run_echo_result(BenchConfig(duration_s=0.01, seed=1, profile=lossy))
         assert result.received > 0 and result.link_drops_a + result.link_drops_b > 0
         assert calls == []
+
+
+class TestWakeDrainsReadyFrames:
+    """One application wake takes every frame its data path has ready, in
+    order, even when that is more than one 64-frame app_rx call returns."""
+
+    @pytest.mark.parametrize("handler", ["server", "client"])
+    @pytest.mark.parametrize("mode", [None, OffloadMode.LOOKASIDE, OffloadMode.INLINE])
+    def test_wake_delivers_more_than_64(self, mode, handler):
+        system = LoopbackSystem(PoolConfig(mbuf_count=512), ring_capacity=256, instrument=False)
+        if mode is not None:
+            system.protect_a, system.protect_b = esp_paths(
+                system.port_a, system.port_b, mode, seed=11
+            )
+        # the server's frames come from a, the client's from b
+        src, dst = (system.a, system.b) if handler == "server" else (system.b, system.a)
+        payloads = [i.to_bytes(2, "big") * 32 for i in range(100)]
+        for p in payloads:
+            buf = src.port.alloc_tx_buffer()
+            buf.write_data(p)
+            assert src.app_tx([buf]) == 1
+        if src.inline:
+            src.path.step(batch_max=128)
+        src.nic.step(0)
+        assert dst.nic.step(10**9) == 100
+        if dst.inline:
+            dst.path.step(batch_max=128)
+        system._HANDLERS[handler](system, 0, None)  # one wake
+        delivered = system.delivered_b if handler == "server" else system.delivered_a
+        assert delivered == payloads
 
 
 def _probe_layout():

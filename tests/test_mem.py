@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from splitio.errors import (
     OutOfBounds,
     ZeroSize,
 )
-from splitio.mem import Handle, MemorySystem, RegionKind, Side
+from splitio.mem import AccessRecord, Handle, MemorySystem, RegionKind, Side
 
 
 def make_mem(instrument: bool = True) -> MemorySystem:
@@ -197,6 +199,76 @@ class TestInstrumentation:
         mem.read(Handle(arena.id, 0, 4), Side.VM)
         assert arena.read_counters is None
         assert mem.access_log == []
+
+
+_Q = struct.Struct("<Q")
+
+# accessor -> (its operation, a call of it for an 8-byte access)
+_ACCESSORS = {
+    "read_at": ("read", lambda mem, region, off, side: mem.read_at(region, off, 8, side)),
+    "write_at": ("write", lambda mem, region, off, side: mem.write_at(region, off, b"\xee" * 8, side)),
+    "unpack_at": ("read", lambda mem, region, off, side: mem.unpack_at(region, off, _Q, side)),
+    "pack_at": ("write", lambda mem, region, off, side: mem.pack_at(region, off, _Q, side, 7)),
+}
+
+_DENIED = "device {op} of 8 B at region {id}+{off} denied"
+# case -> (arena, offset, side, exception, message); the arena is one that
+# _denial_rig builds, or None for an id no arena has
+_DENIALS = {
+    "unknown_region": (None, 0, Side.VM, OutOfBounds, "no arena with id 999"),
+    "negative_offset": ("shared", -1, Side.VM, OutOfBounds, "[-1, 7) outside arena {id} of size 64"),
+    "past_the_end": ("shared", 60, Side.VM, OutOfBounds, "[60, 68) outside arena {id} of size 64"),
+    "device_on_private": ("private", 0, Side.DEVICE, DeviceAccessDenied, _DENIED),
+    "device_on_unregistered": ("unregistered", 8, Side.DEVICE, DeviceAccessDenied, _DENIED),
+    "device_after_release": ("released", 8, Side.DEVICE, DeviceAccessDenied, _DENIED),
+}
+
+
+def _denial_rig(instrument):
+    """One arena of each kind the cases aim at, each filled with a pattern
+    so a stray write would show."""
+    mem = make_mem(instrument)
+    arenas = {
+        "shared": mem.create_arena(RegionKind.SHARED, 64),
+        "private": mem.create_arena(RegionKind.PRIVATE, 64),
+        "unregistered": mem.create_arena(RegionKind.SHARED, 64),
+    }
+    mem.shared.register(arenas["shared"])
+    for arena in arenas.values():
+        mem.write_at(arena.id, 0, bytes(range(1, 65)), Side.VM)
+    return mem, arenas
+
+
+class TestDeniedAccess:
+    """Every accessor refuses the same way with instrumentation off or on:
+    the same exception and message, no byte touched, and instrumented, a
+    device denial logged once as a denied record. Out-of-bounds attempts
+    are refused before anything is logged."""
+
+    @pytest.mark.parametrize("instrument", [False, True], ids=["plain", "instrumented"])
+    @pytest.mark.parametrize("accessor", list(_ACCESSORS))
+    @pytest.mark.parametrize("case", list(_DENIALS))
+    def test_denied_access_touches_nothing(self, case, accessor, instrument):
+        mem, arenas = _denial_rig(instrument)
+        target, offset, side, exc, message = _DENIALS[case]
+        if target == "released":
+            arenas["released"] = arenas["shared"]
+            mem.shared.zero_and_release()
+        region = arenas[target].id if target is not None else 999
+        op, call = _ACCESSORS[accessor]
+        before = {a.id: bytes(a.data) for a in arenas.values()}
+        counts = {a.id: bytes(a.read_counters) for a in arenas.values() if instrument}
+        mark = len(mem.access_log)
+        with pytest.raises(exc) as info:
+            call(mem, region, offset, side)
+        assert str(info.value) == message.format(id=region, op=op, off=offset)
+        assert {a.id: bytes(a.data) for a in arenas.values()} == before
+        assert {a.id: bytes(a.read_counters) for a in arenas.values() if instrument} == counts
+        logged = mem.access_log[mark:]
+        if instrument and exc is DeviceAccessDenied:
+            assert logged == [AccessRecord(Side.DEVICE, op, region, offset, 8, False)]
+        else:
+            assert logged == []
 
 
 class TestPatternSearch:

@@ -196,13 +196,28 @@ class TestTxPath:
         writes = [
             r
             for r in mem.access_log[mark:]
-            if r.side is Side.VM and r.op == "write" and base <= r.offset < base + 17
+            if r.side is Side.VM and r.op == "write" and r.offset < ring.backing.length
         ]
-        covered = sorted(
-            (off, off + length) for off, length in ((r.offset - base, r.length) for r in writes)
+        written = sorted(
+            b for r in writes for b in range(r.offset - base, r.offset - base + r.length)
         )
-        # address, cmd, olinfo, status: 17 descriptor bytes, each written once
-        assert covered == [(0, 8), (8, 12), (12, 16), (16, 17)]
+        # address, cmd, olinfo, status: each of the 17 descriptor bytes written once
+        assert written == list(range(17))
+
+    def test_handle_beyond_encoding_writes_nothing(self):
+        mem = MemorySystem(instrument=True)
+        ring_bytes = 8 * SLOT_SIZE
+        arena = mem.create_arena(RegionKind.SHARED, ring_bytes + 0x20000)
+        mem.shared.register(arena)
+        ring = DescriptorRing(mem, Handle(arena.id, 0, ring_bytes), 8, Direction.TX)
+        image, mark = bytes(arena.data), len(mem.access_log)
+        # inside the registered arena, but 65,536 B do not fit the u16 length
+        big = Handle(arena.id, ring_bytes, 0x10000)
+        with pytest.raises(OutOfBounds, match="does not fit the 8-byte ring encoding"):
+            ring.vm_post_tx(TxDescriptor(big, 0, 0))
+        assert mem.access_log[mark:] == []
+        assert bytes(arena.data) == image
+        assert (ring.head, ring.occupancy()) == (0, 0)
 
 
 class TestRxPath:
