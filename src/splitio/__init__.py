@@ -51,7 +51,6 @@ from .ipsec import (
     esp_decrypt,
     esp_encrypt,
     inline_attach,
-    parse_sa_config,
 )
 from .mem import Handle, MemorySystem, RegionKind, Side
 from .pools import (
@@ -114,7 +113,6 @@ __all__ = [
     "inline_attach",
     "loopback_pair",
     "max_connections",
-    "parse_sa_config",
     "percentile",
     "pool_memory_footprint",
     "port_new",

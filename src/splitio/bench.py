@@ -260,17 +260,19 @@ def max_connections(bandwidth_bps: float, payload_bytes: int, rate_pps: float) -
     return int(bandwidth_bps // (payload_bytes * 8 * rate_pps))
 
 
+RAMP_FRACTION = 0.05
+
+
 @dataclass(frozen=True)
 class RampSchedule:
-    """Connections grow by 5% of the target per second, then hold."""
+    """Connections grow by RAMP_FRACTION of the target per second, then hold."""
 
     max_connections: int
-    ramp_fraction: float = 0.05
     hold_s: int = 30
 
     @property
     def step(self) -> int:
-        return max(1, int(self.max_connections * self.ramp_fraction))
+        return max(1, int(self.max_connections * RAMP_FRACTION))
 
     @property
     def ramp_seconds(self) -> int:

@@ -137,7 +137,8 @@ class Outcome(enum.Enum):
 class SimNic:
     """Device side of one port. Fetches TX descriptors, DMAs payloads out of
     shared memory, models the link, and delivers arrivals into posted RX
-    buffers. All memory access is device-side and therefore confined."""
+    buffers. All memory access is device-side and therefore confined. On
+    an instrumented MemorySystem it also captures every frame it sends."""
 
     def __init__(
         self,
@@ -145,7 +146,6 @@ class SimNic:
         mem: MemorySystem,
         port: PortContext,
         link: LinkModel,
-        capture: bool = False,
         trace: bool = False,
     ):
         self.name = name
@@ -159,7 +159,6 @@ class SimNic:
         self.inbox: list[tuple[int, int, bytes]] = []
         self._rx_avail: deque[RxView] = deque()
         self._seq = 0
-        self.capture_enabled = capture
         self.capture: list[bytes] = []
         self.trace_enabled = trace
         self.events: list[dict] = []
@@ -243,7 +242,7 @@ class SimNic:
                 if self._forced_drops > 0:
                     self._forced_drops -= 1
                     lost = True
-                if self.capture_enabled:
+                if self.mem.instrument:
                     self.capture.append(payload)
                 if lost:
                     self.drops += 1
@@ -338,12 +337,11 @@ def loopback_pair(
     port_a: PortContext,
     port_b: PortContext,
     cfg: LinkModel,
-    capture: bool = False,
     trace: bool = False,
 ) -> tuple[SimNic, SimNic]:
     """Wire two ports with a symmetric link: both directions use cfg."""
-    nic_a = SimNic("nic_a", port_a.mem, port_a, cfg, capture=capture, trace=trace)
-    nic_b = SimNic("nic_b", port_b.mem, port_b, cfg, capture=capture, trace=trace)
+    nic_a = SimNic("nic_a", port_a.mem, port_a, cfg, trace=trace)
+    nic_b = SimNic("nic_b", port_b.mem, port_b, cfg, trace=trace)
     nic_a.connect(nic_b)
     nic_b.connect(nic_a)
     return nic_a, nic_b
@@ -398,7 +396,7 @@ def endpoint_pair(
     mem_b = MemorySystem(instrument=instrument)
     port_a = port_new(mem_a, pool_cfg, ring_capacity=ring_capacity, canary=canary)
     port_b = port_new(mem_b, pool_cfg, ring_capacity=ring_capacity, canary=canary)
-    nic_a, nic_b = loopback_pair(port_a, port_b, link, capture=instrument, trace=trace)
+    nic_a, nic_b = loopback_pair(port_a, port_b, link, trace=trace)
     return Endpoint(mem_a, port_a, nic_a), Endpoint(mem_b, port_b, nic_b)
 
 
@@ -554,14 +552,14 @@ class LoopbackSystem:
     def _do_crypto(self, t: float, side: str) -> None:
         worker = (self.a if side == "a" else self.b).path
         before = worker.counters["aes_ops"]
-        worker.step(batch_max=64)
+        worker.step()
         ops = worker.counters["aes_ops"] - before
         start = max(t, self.crypto_busy[side])
         end = start + ops * self.costs.transform_ns
         self.crypto_busy[side] = end
         if worker.plain_out:
             self._wake(side, end)
-        if worker.cipher_in or worker.plain_in:
+        if worker.cipher_in or worker.plain_in or worker.port.rx_more:
             self.push(end, "crypto", side)
         # anything the step pushed out through tx_burst departs once paid for
         self.push_nic(side, end)

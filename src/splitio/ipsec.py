@@ -333,6 +333,7 @@ class PortProtect:
 
 
 STAGING_CAPACITY = 1024
+BATCH_MAX = 64  # most frames one worker step harvests, and most transforms it runs
 
 
 class CryptoWorker:
@@ -385,16 +386,16 @@ class CryptoWorker:
 
     # -- worker side -------------------------------------------------------
 
-    def step(self, batch_max: int = 32) -> int:
+    def step(self) -> int:
         """One polling iteration; returns the number of transforms performed."""
         port = self.port
         room = STAGING_CAPACITY - len(self.cipher_in)
         if room > 0:
-            for buf in port.rx_burst(min(batch_max, room)):
+            for buf in port.rx_burst(min(BATCH_MAX, room)):
                 self.cipher_in.append(buf)
 
         done = 0
-        while self.cipher_in and done < batch_max:
+        while self.cipher_in and done < BATCH_MAX:
             buf = self.cipher_in.popleft()
             done += 1
             if not esp_open(self.sa_in, buf, port, self.counters):
@@ -406,7 +407,7 @@ class CryptoWorker:
             else:
                 self.plain_out.append(buf)
 
-        while self.plain_in and done < batch_max:
+        while self.plain_in and done < BATCH_MAX:
             buf = self.plain_in.popleft()
             esp_encrypt(self.sa_out, buf, ops_counter=self.counters)
             if len(self.cipher_out) >= STAGING_CAPACITY:
@@ -455,51 +456,3 @@ def esp_paths(
         return inline_attach(port_a, a_in, a_out), inline_attach(port_b, b_in, b_out)
     return PortProtect(port_a, a_out, a_in), PortProtect(port_b, b_out, b_in)
 
-
-# ---------------------------------------------------------------------------
-# SA configuration file: one line per association.
-
-
-@dataclass(frozen=True)
-class SaSpec:
-    spi: int
-    key: bytes
-    salt: bytes
-    mode: OffloadMode
-
-
-def parse_sa_config(text: str) -> list[SaSpec]:
-    """Format per line: spi=<u32> key=<32 hex> salt=<8 hex> mode=<lookaside|inline>.
-    Blank lines and #-comments are ignored."""
-    specs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields: dict[str, str] = {}
-        for tok in line.split():
-            if "=" not in tok:
-                raise BadSaConfig(f"line {lineno}: expected key=value, got {tok!r}")
-            key, val = tok.split("=", 1)
-            fields[key] = val
-        missing = {"spi", "key", "salt", "mode"} - fields.keys()
-        if missing:
-            raise BadSaConfig(f"line {lineno}: missing {sorted(missing)}")
-        try:
-            spi = int(fields["spi"], 0)
-            key_bytes = bytes.fromhex(fields["key"])
-            salt_bytes = bytes.fromhex(fields["salt"])
-        except ValueError:
-            raise BadSaConfig(f"line {lineno}: bad numeric or hex value") from None
-        if not 0 <= spi <= 0xFFFFFFFF:
-            raise BadSaConfig(f"line {lineno}: spi out of u32 range")
-        if len(key_bytes) != KEY_LEN:
-            raise BadSaConfig(f"line {lineno}: key must be {2 * KEY_LEN} hex digits")
-        if len(salt_bytes) != SALT_LEN:
-            raise BadSaConfig(f"line {lineno}: salt must be {2 * SALT_LEN} hex digits")
-        try:
-            mode = OffloadMode(fields["mode"])
-        except ValueError:
-            raise BadSaConfig(f"line {lineno}: mode must be lookaside or inline") from None
-        specs.append(SaSpec(spi=spi, key=key_bytes, salt=salt_bytes, mode=mode))
-    return specs

@@ -180,18 +180,12 @@ class MemorySystem:
 
     # -- containment -------------------------------------------------------
 
-    def contains(self, arena: Arena, h: Handle, kind: Optional[RegionKind] = None) -> bool:
-        """Total check: does h lie fully inside this arena (and match kind)?
-        Never raises; malformed handles simply return False."""
+    def contains(self, arena: Arena, h: Handle) -> bool:
+        """Total check: does h lie fully inside this arena? Never raises;
+        malformed handles simply return False."""
         if h.region != arena.id:
             return False
-        if kind is not None and arena.kind is not kind:
-            return False
         return 0 <= h.offset and 0 <= h.length and h.offset + h.length <= arena.size
-
-    def handle_in_kind(self, h: Handle, kind: RegionKind) -> bool:
-        arena = self.arenas.get(h.region)
-        return arena is not None and self.contains(arena, h, kind)
 
     def is_device_accessible(self, region: int) -> bool:
         arena = self.arenas.get(region)

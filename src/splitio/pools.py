@@ -57,8 +57,6 @@ META_OFF_APP = APP_PRIVATE_SIZE
 
 META_NEXT_NONE = 0xFFFFFFFF
 
-FLAG_SUSPECT = 0x0001
-
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _FLAGS_PKT_LEN = struct.Struct("<HI")  # 2..8
@@ -82,14 +80,10 @@ _SHADOW = PoolKind.SHADOW
 class PoolConfig:
     mbuf_count: int = DEFAULT_MBUF_COUNT
     mbuf_size: int = DEFAULT_MBUF_SIZE
-    shadow_count: Optional[int] = None  # None: as many as mbuf_count
 
     @property
     def data_room(self) -> int:
         return self.mbuf_size - METADATA_OVERHEAD
-
-    def effective_shadow_count(self) -> int:
-        return self.mbuf_count if self.shadow_count is None else self.shadow_count
 
 
 def pool_memory_footprint(cfg: PoolConfig) -> dict[str, int]:
@@ -98,8 +92,7 @@ def pool_memory_footprint(cfg: PoolConfig) -> dict[str, int]:
     The shared and shadow pools carry metadata plus data rooms; the temporary
     pool carries metadata only because its data rooms are the shared pool's.
     """
-    shared = cfg.mbuf_count * cfg.mbuf_size
-    shadow = cfg.effective_shadow_count() * cfg.mbuf_size
+    shared = shadow = cfg.mbuf_count * cfg.mbuf_size
     temporary = cfg.mbuf_count * METADATA_OVERHEAD
     return {
         "shared": shared,
@@ -277,20 +270,18 @@ class PacketPool:
         buffer and offsets only grow, so encoding the last room checks the
         ring-encoding bound for all of them."""
         count, room, base = self.count, self.data_room, self.data_base
-        slab = bytearray()
-        if count:  # a decoupled shadow pool may have no buffers, hence no room to encode
-            encode_handle(Handle(self.data_region, base + (count - 1) * room, room))
-            block = bytearray(METADATA_OVERHEAD)
-            block[META_OFF_DATA : META_OFF_DATA + 8] = encode_handle(
-                Handle(self.data_region, base, room)
-            )
-            _U32.pack_into(block, META_OFF_NEXT, META_NEXT_NONE)
-            block[META_OFF_APP : META_OFF_APP + APP_PRIVATE_SIZE] = self._app_fill
-            slab = block * count
-            offsets = struct.pack(f"<{count}I", *range(base, base + count * room, room))
-            column = META_OFF_DATA + 2
-            for lane in range(4):
-                slab[column + lane :: METADATA_OVERHEAD] = offsets[lane::4]
+        encode_handle(Handle(self.data_region, base + (count - 1) * room, room))
+        block = bytearray(METADATA_OVERHEAD)
+        block[META_OFF_DATA : META_OFF_DATA + 8] = encode_handle(
+            Handle(self.data_region, base, room)
+        )
+        _U32.pack_into(block, META_OFF_NEXT, META_NEXT_NONE)
+        block[META_OFF_APP : META_OFF_APP + APP_PRIVATE_SIZE] = self._app_fill
+        slab = block * count
+        offsets = struct.pack(f"<{count}I", *range(base, base + count * room, room))
+        column = META_OFF_DATA + 2
+        for lane in range(4):
+            slab[column + lane :: METADATA_OVERHEAD] = offsets[lane::4]
         self.mem.write(self.meta_slab, _VM, slab)
 
     def _scrub_app_private(self, index: int) -> None:
@@ -373,14 +364,13 @@ def init_pools(
     cfg: PoolConfig,
     shared_arena: Arena,
     private_arena: Arena,
-    shared_offset: int = 0,
-    private_offset: int = 0,
     canary: Optional[bytes] = None,
 ) -> PoolSet:
     """Carve the three pools out of their arenas.
 
-    Layout: shared arena gets [meta slab | data slab] for the shared pool;
-    the private arena gets [shadow meta | shadow data | temporary meta].
+    Layout, from offset 0 of each arena: the shared arena gets
+    [meta slab | data slab] for the shared pool; the private arena gets
+    [shadow meta | shadow data | temporary meta].
     Temporary buffer i's data room is shared data room i, fixed for the
     life of the pools.
     """
@@ -398,35 +388,29 @@ def init_pools(
         raise QuarantinedArena(f"arena {shared_arena.id} awaits zero_and_release")
 
     count = cfg.mbuf_count
-    shadow_count = cfg.effective_shadow_count()
     room = cfg.data_room
+    meta_bytes = count * METADATA_OVERHEAD
 
     need_shared = count * cfg.mbuf_size
-    if shared_offset + need_shared > shared_arena.size:
+    if need_shared > shared_arena.size:
         raise ArenaTooSmall(
             f"shared arena of {shared_arena.size} B cannot hold {need_shared} B of pool"
         )
-    need_private = shadow_count * cfg.mbuf_size + count * METADATA_OVERHEAD
-    if private_offset + need_private > private_arena.size:
+    need_private = need_shared + meta_bytes
+    if need_private > private_arena.size:
         raise ArenaTooSmall(
             f"private arena of {private_arena.size} B cannot hold {need_private} B of pools"
         )
 
-    off = shared_offset
-    shared_meta = Handle(shared_arena.id, off, count * METADATA_OVERHEAD)
-    off += shared_meta.length
-    shared_data = Handle(shared_arena.id, off, count * room)
-
-    poff = private_offset
-    shadow_meta = Handle(private_arena.id, poff, shadow_count * METADATA_OVERHEAD)
-    poff += shadow_meta.length
-    shadow_data = Handle(private_arena.id, poff, shadow_count * room)
-    poff += shadow_data.length
-    temp_meta = Handle(private_arena.id, poff, count * METADATA_OVERHEAD)
+    shared_meta = Handle(shared_arena.id, 0, meta_bytes)
+    shared_data = Handle(shared_arena.id, meta_bytes, count * room)
+    shadow_meta = Handle(private_arena.id, 0, meta_bytes)
+    shadow_data = Handle(private_arena.id, meta_bytes, count * room)
+    temp_meta = Handle(private_arena.id, meta_bytes + shadow_data.length, meta_bytes)
 
     shared_pool = PacketPool(mem, PoolKind.SHARED, count, room, shared_meta, shared_data)
     shadow_pool = PacketPool(
-        mem, PoolKind.SHADOW, shadow_count, room, shadow_meta, shadow_data, canary=canary
+        mem, PoolKind.SHADOW, count, room, shadow_meta, shadow_data, canary=canary
     )
     temp_pool = PacketPool(
         mem, PoolKind.TEMPORARY, count, room, temp_meta, None, rooms=shared_data, canary=canary
@@ -448,14 +432,12 @@ class PortContext:
         pools: PoolSet,
         tx_ring: DescriptorRing,
         rx_ring: DescriptorRing,
-        drop_suspect: bool = True,
     ):
         self.mem = mem
         self.cfg = cfg
         self.pools = pools
         self.tx_ring = tx_ring
         self.rx_ring = rx_ring
-        self.drop_suspect = drop_suspect
         self.counters: dict[str, int] = {
             "copies_rx": 0,
             "copies_tx": 0,
@@ -514,12 +496,10 @@ class PortContext:
         for rec in harvested:
             temp = self._rx_slot_temp.pop(rec.slot)
             repost.append(temp)
-            suspect = rec.suspect
-            if suspect:
+            if rec.suspect:
                 counters["metadata_suspect"] += 1
-                if self.drop_suspect:
-                    counters["drops"] += 1
-                    continue
+                counters["drops"] += 1
+                continue
             try:
                 shadow = shadow_pool.take()
             except PoolExhausted:
@@ -534,9 +514,8 @@ class PortContext:
             counters["bytes_copied"] += length
             # the whole header in one write, so the raw take needs no reset;
             # the data handle gets the value the slab was built with
-            flags = FLAG_SUSPECT if suspect else 0
             mem.pack_at(
-                meta_region, shadow.meta_at, _HEADER, _VM, rec.packet_info, flags, length,
+                meta_region, shadow.meta_at, _HEADER, _VM, rec.packet_info, 0, length,
                 dst_region, dst_offset, room, META_NEXT_NONE, rec.rss,
             )
             out.append(shadow)
@@ -641,11 +620,10 @@ def port_new(
     mem: MemorySystem,
     cfg: PoolConfig,
     ring_capacity: int = ringmod.DEFAULT_CAPACITY,
-    rx_fill: Optional[int] = None,
-    drop_suspect: bool = True,
     canary: Optional[bytes] = None,
 ) -> PortContext:
-    """Allocate arenas, pools, and rings for one port and arm its RX side."""
+    """Allocate arenas, pools, and rings for one port and arm its RX side
+    with min(ring_capacity, max(1, mbuf_count // 2)) buffers."""
     footprint = pool_memory_footprint(cfg)
     pool_bytes = footprint["shared"]
     ring_bytes = ring_capacity * ringmod.SLOT_SIZE
@@ -660,8 +638,6 @@ def port_new(
     tx_ring = DescriptorRing(mem, tx_backing, ring_capacity, Direction.TX)
     rx_ring = DescriptorRing(mem, rx_backing, ring_capacity, Direction.RX)
 
-    port = PortContext(mem, cfg, pools, tx_ring, rx_ring, drop_suspect=drop_suspect)
-    if rx_fill is None:
-        rx_fill = min(ring_capacity, max(1, cfg.mbuf_count // 2))
-    port.arm_rx(rx_fill)
+    port = PortContext(mem, cfg, pools, tx_ring, rx_ring)
+    port.arm_rx(min(ring_capacity, max(1, cfg.mbuf_count // 2)))
     return port

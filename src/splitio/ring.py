@@ -100,7 +100,6 @@ class Direction(enum.Enum):
 # enum members read once (see the note in mem.py)
 _VM, _DEVICE = Side.VM, Side.DEVICE
 _TX, _RX = Direction.TX, Direction.RX
-_SHARED = RegionKind.SHARED
 
 
 class TxDescriptor(NamedTuple):
@@ -204,16 +203,20 @@ class DescriptorRing:
         assert self.direction is _TX
         if self.occupancy() == self.capacity:
             raise RingFull(f"tx ring full at capacity {self.capacity}")
-        if not self.mem.is_device_accessible(desc.address.region) or not self.mem.handle_in_kind(
-            desc.address, _SHARED
+        mem = self.mem
+        a_region, a_offset, a_length = desc.address
+        if (
+            not mem.is_device_accessible(a_region)
+            or a_offset < 0
+            or a_length < 0
+            or a_offset + a_length > mem.arenas[a_region].size
         ):
             raise AddressNotShared(f"tx address {desc.address} not in a registered shared arena")
-        a_region, a_offset, a_length = desc.address
         if a_region > 0xFFFF or a_offset > MASK32 or a_length > 0xFFFF:
             raise OutOfBounds(f"handle {desc.address} does not fit the 8-byte ring encoding")
         slot = self.head & (self.capacity - 1)
         # the whole descriptor and its INFLIGHT status, bytes 0..17, in one write
-        self.mem.pack_at(
+        mem.pack_at(
             self._region, self._slot_at[slot] + TX_OFF_ADDR, _TX_POST, _VM,
             a_region, a_offset, a_length, desc.cmd_type_len & MASK32,
             desc.olinfo_status & MASK32, TX_STATUS_INFLIGHT,

@@ -189,15 +189,37 @@ class TestWakeDrainsReadyFrames:
             buf = src.port.alloc_tx_buffer()
             buf.write_data(p)
             assert src.app_tx([buf]) == 1
+        # two worker steps of BATCH_MAX (64) frames each cover all 100
         if src.inline:
-            src.path.step(batch_max=128)
+            src.path.step()
+            src.path.step()
         src.nic.step(0)
         assert dst.nic.step(10**9) == 100
         if dst.inline:
-            dst.path.step(batch_max=128)
+            dst.path.step()
+            dst.path.step()
         system._HANDLERS[handler](system, 0, None)  # one wake
         delivered = system.delivered_b if handler == "server" else system.delivered_a
         assert delivered == payloads
+
+
+class TestBurstsAboveBatch:
+    """A burst larger than one crypto worker step is echoed in full: the
+    rig steps the worker again while its port may have ready frames."""
+
+    @pytest.mark.parametrize("mode", [None, OffloadMode.LOOKASIDE, OffloadMode.INLINE])
+    def test_hundred_sends_at_once_all_echoed(self, mode):
+        system = LoopbackSystem(PoolConfig(mbuf_count=512), ring_capacity=256, instrument=False)
+        if mode is not None:
+            system.protect_a, system.protect_b = esp_paths(
+                system.port_a, system.port_b, mode, seed=11
+            )
+        payloads = [i.to_bytes(2, "big") * 32 for i in range(100)]
+        for p in payloads:
+            system.send_from_a(p)
+        system.pump(10**6)
+        assert system.delivered_b == payloads
+        assert system.delivered_a == payloads
 
 
 def _probe_layout():

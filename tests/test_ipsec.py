@@ -22,7 +22,6 @@ from splitio.ipsec import (
     MSG_TYPE_ESP,
     MSG_TYPE_PLAIN,
     CryptoWorker,
-    OffloadMode,
     PortProtect,
     SaDirection,
     SecurityAssociation,
@@ -32,7 +31,6 @@ from splitio.ipsec import (
     esp_frame_len,
     inline_attach,
     parse_esp,
-    parse_sa_config,
 )
 from splitio.errors import AlreadyAttached
 from splitio.mem import MemorySystem, Side
@@ -507,34 +505,6 @@ class TestInlinePath:
 
 
 class TestSaConfig:
-    def test_parse_good_config(self):
-        text = """
-        # two flows
-        spi=0x1001 key={k} salt=cafebabe mode=lookaside
-        spi=4098 key={k} salt=00112233 mode=inline
-        """.format(k=KEY.hex())
-        specs = parse_sa_config(text)
-        assert [s.spi for s in specs] == [0x1001, 4098]
-        assert specs[0].mode is OffloadMode.LOOKASIDE
-        assert specs[1].mode is OffloadMode.INLINE
-        assert specs[0].key == KEY
-
-    @pytest.mark.parametrize(
-        "line,fragment",
-        [
-            ("spi=1 key=abcd salt=cafebabe mode=inline", "key must be"),
-            ("spi=1 key=%s salt=cafe mode=inline" % KEY.hex(), "salt must be"),
-            ("spi=1 key=%s salt=cafebabe mode=sideways" % KEY.hex(), "mode"),
-            ("spi=1 key=%s salt=cafebabe" % KEY.hex(), "missing"),
-            ("spi=zz key=%s salt=cafebabe mode=inline" % KEY.hex(), "bad numeric"),
-            ("spi=0x100000000 key=%s salt=cafebabe mode=inline" % KEY.hex(), "u32"),
-            ("notakv", "key=value"),
-        ],
-    )
-    def test_parse_bad_lines(self, line, fragment):
-        with pytest.raises(BadSaConfig, match=fragment):
-            parse_sa_config(line)
-
     def test_sa_validation(self):
         mem = MemorySystem()
         with pytest.raises(BadSaConfig):
@@ -543,6 +513,26 @@ class TestSaConfig:
             SecurityAssociation(mem, 1, KEY, b"toolongsalt", SaDirection.OUTBOUND)
         with pytest.raises(BadSaConfig):
             SecurityAssociation(mem, 0x1_0000_0000, KEY, SALT, SaDirection.OUTBOUND)
+
+    @pytest.mark.parametrize(
+        "spi, key, salt, fragment",
+        [
+            (1, KEY[:-1], SALT, "key must be"),
+            (1, KEY + b"\x00", SALT, "key must be"),
+            (1, KEY, SALT[:-1], "salt must be"),
+            (1, KEY, SALT + b"\x00", "salt must be"),
+            (-1, KEY, SALT, "u32"),
+            (0x1_0000_0000, KEY, SALT, "u32"),
+        ],
+        ids=["key_short", "key_long", "salt_short", "salt_long", "spi_negative", "spi_past_u32"],
+    )
+    def test_bad_sa_rejected_with_reason(self, spi, key, salt, fragment):
+        with pytest.raises(BadSaConfig, match=fragment):
+            SecurityAssociation(MemorySystem(), spi, key, salt, SaDirection.OUTBOUND)
+
+    @pytest.mark.parametrize("spi", [0, 0xFFFF_FFFF])
+    def test_spi_range_ends_accepted(self, spi):
+        assert SecurityAssociation(MemorySystem(), spi, KEY, SALT, SaDirection.INBOUND).spi == spi
 
     def test_key_material_lives_in_private_memory(self):
         mem, port = make_port()

@@ -162,9 +162,6 @@ class TestHandles:
         assert not mem.contains(arena, Handle(arena.id, 16, 17))
         assert not mem.contains(arena, Handle(arena.id + 1, 0, 1))
         assert not mem.contains(arena, Handle(arena.id, -1, 4))
-        assert not mem.contains(arena, Handle(arena.id, 0, 4), RegionKind.PRIVATE)
-        assert mem.handle_in_kind(Handle(arena.id, 0, 4), RegionKind.SHARED)
-        assert not mem.handle_in_kind(Handle(12345, 0, 4), RegionKind.SHARED)
 
     @given(
         offset=st.integers(min_value=0, max_value=64),

@@ -21,7 +21,6 @@ from splitio.ipsec import OffloadMode
 from splitio.mem import MemorySystem, RegionKind, Side
 from splitio.pools import (
     APP_PRIVATE_SIZE,
-    FLAG_SUSPECT,
     META_NEXT_NONE,
     META_OFF_APP,
     META_OFF_DATA,
@@ -80,17 +79,6 @@ class TestFootprint:
         assert pool_memory_footprint(PoolConfig())["shared"] == 8192 * 2176 == 17_825_792
         big = PoolConfig(mbuf_count=65456)
         assert pool_memory_footprint(big)["shared"] == 142_432_256
-
-    def test_decoupled_shadow_count(self):
-        cfg = PoolConfig(mbuf_count=1000, shadow_count=64)
-        fp = pool_memory_footprint(cfg)
-        assert fp["shadow"] == 64 * 2176
-        assert fp["shared"] == 1000 * 2176
-
-    def test_shadow_count_defaults_to_mbuf_count(self):
-        assert PoolConfig(mbuf_count=100).effective_shadow_count() == 100
-        port = port_new(MemorySystem(), PoolConfig(mbuf_count=100, shadow_count=10), ring_capacity=4)
-        assert (port.pools.shadow.count, port.pools.shared.count) == (10, 100)
 
     def test_data_room(self):
         assert PoolConfig(mbuf_size=2176).data_room == 2048
@@ -158,17 +146,23 @@ class TestConstruction:
     @pytest.mark.parametrize("mbuf_count", [1, 2, 7, 300])
     @pytest.mark.parametrize("mbuf_size", [192, 1024, 2176])
     @pytest.mark.parametrize("canary", [None, CANARY])
-    @pytest.mark.parametrize("offsets", [(0, 0), (40, 24)])
-    def test_slabs_match_per_buffer_build(self, mbuf_count, mbuf_size, canary, offsets):
-        shared_offset, private_offset = offsets
+    @pytest.mark.parametrize("arenas", ["roomy", "exact"])
+    def test_slabs_match_per_buffer_build(self, mbuf_count, mbuf_size, canary, arenas):
         mem = MemorySystem()
-        shared = mem.create_arena(RegionKind.SHARED, 1 << 20)
-        mem.shared.register(shared)
-        private = mem.create_arena(RegionKind.PRIVATE, 2 << 20)
         cfg = PoolConfig(mbuf_count=mbuf_count, mbuf_size=mbuf_size)
-        pools = init_pools(
-            mem, cfg, shared, private, shared_offset, private_offset, canary=canary
-        )
+        if arenas == "roomy":
+            shared_size, private_size = 1 << 20, 2 << 20
+        else:  # exactly the footprint: the layout from offset 0 must fill both arenas
+            fp = pool_memory_footprint(cfg)
+            shared_size, private_size = fp["shared"], fp["shadow"] + fp["temporary"]
+        shared = mem.create_arena(RegionKind.SHARED, shared_size)
+        mem.shared.register(shared)
+        private = mem.create_arena(RegionKind.PRIVATE, private_size)
+        pools = init_pools(mem, cfg, shared, private, canary=canary)
+        if arenas == "exact":
+            rooms, temp_meta = pools.shared.data_slab, pools.temporary.meta_slab
+            assert rooms.offset + rooms.length == shared.size
+            assert temp_meta.offset + temp_meta.length == private.size
         zeros = bytes(APP_PRIVATE_SIZE)
         fill = zeros if canary is None else (canary * APP_PRIVATE_SIZE)[:APP_PRIVATE_SIZE]
         shared_rooms = pools.shared.data_slab
@@ -181,13 +175,6 @@ class TestConstruction:
             assert mem.read(pool.meta_slab, Side.VM) == reference_meta_slab(pool, rooms, app_fill)
             for i in range(pool.count):
                 assert pool.data_handle(i) == rooms.sub(i * pool.data_room, pool.data_room)
-
-    def test_empty_shadow_pool(self):
-        cfg = PoolConfig(mbuf_count=8, shadow_count=0)
-        port = port_new(MemorySystem(), cfg, ring_capacity=4)
-        assert port.pools.shadow.meta_slab.length == 0
-        with pytest.raises(PoolExhausted):
-            port.alloc_tx_buffer()
 
     @pytest.mark.parametrize("kind", ["shared", "temporary", "shadow"])
     def test_data_room_index_checked(self, kind):
@@ -267,22 +254,12 @@ class TestFusedMetadataWrites:
         pool = port.pools.shadow
         return port.mem.read_at(pool.meta_region, buf.meta_at, 24, Side.VM)
 
-    @pytest.mark.parametrize(
-        "case, claimed, status",
-        [
-            ("clean", 100, RX_STATUS_READY),
-            ("clamped", 60_000, RX_STATUS_READY),
-            ("error", 64, RX_STATUS_READY | RX_STATUS_ERROR),
-        ],
-    )
-    def test_rx_header_matches_alloc_and_setters(self, case, claimed, status):
-        mem, port = small_port(drop_suspect=False)
+    def test_rx_header_matches_alloc_and_setters(self):
+        mem, port = small_port()
         index = self._dirty_next_shadow(port)
         rx = port.rx_ring.device_fetch()[0]
         mem.write(rx.packet_address.sub(0, 100), Side.DEVICE, bytes(range(100)))
-        port.rx_ring.device_writeback_rx(
-            rx.slot, length=claimed, packet_info=0x0102, rss=0xDEADBEEF, status_error=status
-        )
+        port.rx_ring.device_writeback_rx(rx.slot, length=100, packet_info=0x0102, rss=0xDEADBEEF)
         (got,) = port.rx_burst()
         assert got.index == index
         fused = self._header(port, got)
@@ -291,15 +268,11 @@ class TestFusedMetadataWrites:
         # the per-field sequence rx_burst used to run, on the same dirty header
         assert self._dirty_next_shadow(port) == index
         ref = port.pools.shadow.alloc()
-        length = min(claimed, port.cfg.data_room)
-        ref.pkt_len = length
+        ref.pkt_len = 100
         ref.msg_type = 0x0102
         ref.rss = 0xDEADBEEF
-        suspect = case != "clean"
-        if suspect:
-            ref.flags = ref.flags | FLAG_SUSPECT
         assert fused == self._header(port, ref)
-        assert (ref.pkt_len, ref.flags, ref.next_index) == (length, FLAG_SUSPECT * suspect, None)
+        assert (ref.pkt_len, ref.flags, ref.next_index) == (100, 0, None)
         port.free_buffer(ref)
 
 
@@ -483,7 +456,7 @@ class TestSingleCopyPath:
 
 class TestBackpressure:
     def test_tx_accepts_prefix_on_ring_full(self):
-        mem, port = small_port(mbuf_count=64, ring_capacity=4, rx_fill=0)
+        mem, port = small_port(mbuf_count=64, ring_capacity=4)
         bufs = []
         for i in range(6):
             b = port.alloc_tx_buffer()
@@ -497,15 +470,15 @@ class TestBackpressure:
             port.free_buffer(b)
 
     def test_tx_accepts_prefix_on_temp_exhaustion(self):
-        mem, port = small_port(mbuf_count=8, ring_capacity=8, rx_fill=6)
-        # 8 temporaries, 6 armed for RX: only 2 left for TX
+        mem, port = small_port(mbuf_count=8, ring_capacity=8)
+        # 8 temporaries, 4 armed for RX: only 4 left for TX
         bufs = []
-        for i in range(4):
+        for i in range(6):
             b = port.alloc_tx_buffer()
             b.write_data(bytes([i]))
             bufs.append(b)
-        assert port.tx_burst(bufs) == 2
-        for b in bufs[2:]:
+        assert port.tx_burst(bufs) == 4
+        for b in bufs[4:]:
             port.free_buffer(b)
 
     def test_rx_drop_on_shadow_exhaustion(self):
@@ -525,28 +498,19 @@ class TestBackpressure:
 
 
 class TestSuspectPolicy:
-    def _deliver_oversize(self, port):
-        rx = port.rx_ring.device_fetch()[0]
-        port.rx_ring.device_writeback_rx(rx.slot, length=60_000)
-
-    def test_suspect_dropped_by_default(self):
+    @pytest.mark.parametrize(
+        "claimed, status",
+        [(60_000, RX_STATUS_READY), (64, RX_STATUS_READY | RX_STATUS_ERROR)],
+        ids=["clamped", "error_bit"],
+    )
+    def test_suspect_dropped_by_default(self, claimed, status):
         mem, port = small_port()
-        self._deliver_oversize(port)
+        rx = port.rx_ring.device_fetch()[0]
+        port.rx_ring.device_writeback_rx(rx.slot, length=claimed, status_error=status)
         assert port.rx_burst() == []
         c = port.counters_snapshot()
         assert c["metadata_suspect"] == 1
         assert c["drops"] == 1
-
-    def test_suspect_surfaced_when_asked(self):
-        mem, port = small_port(drop_suspect=False)
-        self._deliver_oversize(port)
-        (got,) = port.rx_burst()
-        assert got.flags & FLAG_SUSPECT
-        assert got.pkt_len == port.cfg.data_room  # clamped, never past the room
-        c = port.counters_snapshot()
-        assert c["metadata_suspect"] == 1
-        assert c["drops"] == 0
-        port.free_buffer(got)
 
 
 class TestCanaryAndScrub:

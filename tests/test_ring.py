@@ -133,17 +133,31 @@ class TestTxPath:
         assert len(ring.device_fetch()) == 1
         assert ring.device_fetch() == []
 
-    def test_private_address_rejected(self):
+    @pytest.mark.parametrize(
+        "bad",
+        ["past_arena_end", "negative_offset", "negative_length", "private_arena", "unregistered_arena"],
+    )
+    def test_invalid_post_writes_nothing(self, bad):
         mem, ring, bufs = make_ring()
-        private = mem.create_arena(RegionKind.PRIVATE, 256)
+        ring.vm_post_tx(tx_desc(bufs[0]))
+        arena = mem.arena(ring.backing.region)
+        if bad == "past_arena_end":
+            address = Handle(arena.id, arena.size - 63, 64)
+        elif bad == "negative_offset":
+            address = Handle(arena.id, -64, 64)
+        elif bad == "negative_length":
+            address = Handle(arena.id, bufs[1].offset, -1)
+        elif bad == "private_arena":
+            address = Handle(mem.create_arena(RegionKind.PRIVATE, 4096).id, 0, 64)
+        else:
+            address = Handle(mem.create_arena(RegionKind.SHARED, 4096).id, 0, 64)
+        before = mem.read_at(arena.id, 0, 8 * SLOT_SIZE, Side.VM)
+        head, mark = ring.head, len(mem.access_log)
         with pytest.raises(AddressNotShared):
-            ring.vm_post_tx(tx_desc(Handle(private.id, 0, 256)))
-
-    def test_unregistered_shared_address_rejected(self):
-        mem, ring, bufs = make_ring()
-        other = mem.create_arena(RegionKind.SHARED, 256)
-        with pytest.raises(AddressNotShared):
-            ring.vm_post_tx(tx_desc(Handle(other.id, 0, 256)))
+            ring.vm_post_tx(TxDescriptor(address, 64, 0))
+        assert vm_writes(mem, mark) == []
+        assert ring.head == head
+        assert mem.read_at(arena.id, 0, 8 * SLOT_SIZE, Side.VM) == before
 
     def test_ring_full(self):
         mem, ring, bufs = make_ring(capacity=4)
