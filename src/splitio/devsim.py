@@ -9,7 +9,7 @@ trigger time.
 
 Determinism: all randomness (jitter, loss) comes from per-link Splitmix64
 streams; per transmitted packet the link draws jitter first, then loss, so a
-trace can be replayed draw-for-draw from the seed.
+run can be replayed draw-for-draw from the seed.
 """
 
 from __future__ import annotations
@@ -146,7 +146,6 @@ class SimNic:
         mem: MemorySystem,
         port: PortContext,
         link: LinkModel,
-        trace: bool = False,
     ):
         self.name = name
         self.mem = mem
@@ -160,8 +159,6 @@ class SimNic:
         self._rx_avail: deque[RxView] = deque()
         self._seq = 0
         self.capture: list[bytes] = []
-        self.trace_enabled = trace
-        self.events: list[dict] = []
         self.violations: list[dict] = []
         self.drops = 0
         self.delivered = 0
@@ -184,15 +181,10 @@ class SimNic:
         callers use this to know when the next step() is worth scheduling."""
         return self.inbox[0][0] if self.inbox else None
 
-    # -- event/violation recording ----------------------------------------
-
-    def _event(self, kind: str, t: int, **detail) -> None:
-        if self.trace_enabled:
-            self.events.append({"kind": kind, "t": t, **detail})
+    # -- violation recording ----------------------------------------------
 
     def _violation(self, kind: str, t: int, **detail) -> None:
         self.violations.append({"kind": kind, "t": t, **detail})
-        self._event("violation_" + kind, t, **detail)
 
     # -- the step ----------------------------------------------------------
 
@@ -233,8 +225,7 @@ class SimNic:
                     mutable = bytearray(payload)
                     mutable[off % len(mutable)] ^= 0xFF
                     payload = bytes(mutable)
-                    self._event("corrupt_applied", now, slot=view.slot, offset=off)
-                # always two draws per packet (jitter, then loss) so traces
+                # always two draws per packet (jitter, then loss) so runs
                 # replay from the seed regardless of configuration
                 jitter_draw = self.prng.next_u64()
                 jitter = jitter_draw % (self.link.jitter_ns + 1) if self.link.jitter_ns else 0
@@ -246,13 +237,8 @@ class SimNic:
                     self.capture.append(payload)
                 if lost:
                     self.drops += 1
-                    if self.trace_enabled:
-                        self._event("tx_lost", now, slot=view.slot, length=length)
                 elif self.peer is not None:
-                    arrival = now + self.link.delay_ns(length, jitter)
-                    self.peer.enqueue(arrival, payload)
-                    if self.trace_enabled:
-                        self._event("tx_sent", now, slot=view.slot, length=length, arrival=arrival)
+                    self.peer.enqueue(now + self.link.delay_ns(length, jitter), payload)
             # sender-side completion happens whether or not the frame survived
             self.port.tx_ring.device_writeback_tx(view.slot)
 
@@ -269,8 +255,6 @@ class SimNic:
             _arrival, _seq, payload = heapq.heappop(inbox)
             if not self._rx_avail:
                 self.drops += 1
-                if self.trace_enabled:
-                    self._event("rx_no_buffer", now, length=len(payload))
                 continue
             view = self._rx_avail.popleft()
             address = view.packet_address
@@ -282,8 +266,6 @@ class SimNic:
                 continue
             self.port.rx_ring.device_writeback_rx(view.slot, length=n)
             self.delivered += 1
-            if self.trace_enabled:
-                self._event("rx_delivered", now, slot=view.slot, length=n)
 
     # -- adversary actions -------------------------------------------------
 
@@ -294,7 +276,6 @@ class SimNic:
                 self.mem.write(
                     Handle(action.region, action.offset, len(action.data)), _DEVICE, action.data
                 )
-                self._event("tamper_done", now, region=action.region, offset=action.offset)
             except SplitioError as exc:  # denied or out of bounds, either way rejected
                 self._violation("tamper_denied", now, region=action.region, error=str(exc))
         elif kind is ActionKind.FORGE_WRITEBACK:
@@ -303,45 +284,41 @@ class SimNic:
                 length=action.length,
                 status_error=action.status_error if action.status_error is not None else 0x0001,
             )
-            self._event("forge_writeback", now, slot=action.slot, length=action.length)
         elif kind is ActionKind.FORGE_ADDRESS:
             target = Handle(action.region, action.offset, max(1, action.length))
             # a region registered for the device is its own to DMA: a legal
-            # access, though the zeroes written may corrupt a frame in flight
-            if self.mem.is_device_accessible(action.region):
-                record, reached = self._event, "shared_"
-            else:
-                record, reached = self._violation, "private_"
+            # access, though the zeroes written may corrupt a frame in flight;
+            # reaching any other region would be a violation
+            private = not self.mem.is_device_accessible(action.region)
             try:
                 self.mem.read(target, _DEVICE)
-                record(reached + "read_succeeded", now, region=action.region)
+                if private:
+                    self._violation("private_read_succeeded", now, region=action.region)
             except SplitioError as exc:
                 self._violation("forge_address_denied", now, region=action.region, error=str(exc))
             try:
                 self.mem.write(target, _DEVICE, bytes(target.length))
-                record(reached + "write_succeeded", now, region=action.region)
+                if private:
+                    self._violation("private_write_succeeded", now, region=action.region)
             except SplitioError:
                 pass
         elif kind is ActionKind.REPLAY_DESCRIPTOR:
-            ok = self.port.tx_ring.device_writeback_tx(action.slot % self.port.tx_ring.capacity)
-            self._event("replay_attempt", now, slot=action.slot, accepted=ok)
+            # a refused completion is logged by the ring as replayed_tx_completion
+            self.port.tx_ring.device_writeback_tx(action.slot % self.port.tx_ring.capacity)
         elif kind is ActionKind.DROP_PACKET:
             self._forced_drops += max(1, action.count)
-            self._event("drop_armed", now, count=action.count)
         elif kind is ActionKind.CORRUPT_CIPHERTEXT:
             self._pending_corrupt.append(action.offset)
-            self._event("corrupt_armed", now, offset=action.offset)
 
 
 def loopback_pair(
     port_a: PortContext,
     port_b: PortContext,
     cfg: LinkModel,
-    trace: bool = False,
 ) -> tuple[SimNic, SimNic]:
     """Wire two ports with a symmetric link: both directions use cfg."""
-    nic_a = SimNic("nic_a", port_a.mem, port_a, cfg, trace=trace)
-    nic_b = SimNic("nic_b", port_b.mem, port_b, cfg, trace=trace)
+    nic_a = SimNic("nic_a", port_a.mem, port_a, cfg)
+    nic_b = SimNic("nic_b", port_b.mem, port_b, cfg)
     nic_a.connect(nic_b)
     nic_b.connect(nic_a)
     return nic_a, nic_b
@@ -379,25 +356,6 @@ class Endpoint:
             self.app_tx, self.app_rx = self.port.tx_burst, self.port.rx_burst
         else:
             self.app_tx, self.app_rx = path.app_tx, path.app_rx
-
-
-def endpoint_pair(
-    pool_cfg: PoolConfig,
-    link: LinkModel,
-    ring_capacity: int,
-    instrument: bool = False,
-    canary: Optional[bytes] = None,
-    trace: bool = False,
-) -> tuple[Endpoint, Endpoint]:
-    """Two endpoints, each on its own MemorySystem with one port, whose
-    NICs are joined by a symmetric link. Both start on the plain path. An
-    instrumented pair logs every memory access and captures every frame."""
-    mem_a = MemorySystem(instrument=instrument)
-    mem_b = MemorySystem(instrument=instrument)
-    port_a = port_new(mem_a, pool_cfg, ring_capacity=ring_capacity, canary=canary)
-    port_b = port_new(mem_b, pool_cfg, ring_capacity=ring_capacity, canary=canary)
-    nic_a, nic_b = loopback_pair(port_a, port_b, link, trace=trace)
-    return Endpoint(mem_a, port_a, nic_a), Endpoint(mem_b, port_b, nic_b)
 
 
 def _protect(side: str) -> property:
@@ -439,17 +397,20 @@ class LoopbackSystem:
         ring_capacity: int = 8,
         canary: Optional[bytes] = None,
         instrument: bool = True,
-        trace: bool = False,
     ):
         self.canary = canary
-        self.a, self.b = endpoint_pair(
-            pool_cfg or PoolConfig(mbuf_count=32),
-            link or LinkModel(base_latency_ns=500),
-            ring_capacity,
-            instrument=instrument, canary=canary, trace=trace,
+        pool_cfg = pool_cfg or PoolConfig(mbuf_count=32)
+        # each endpoint on its own MemorySystem with one port; an instrumented
+        # rig logs every memory access and captures every frame
+        self.mem_a = MemorySystem(instrument=instrument)
+        self.mem_b = MemorySystem(instrument=instrument)
+        self.port_a = port_new(self.mem_a, pool_cfg, ring_capacity=ring_capacity, canary=canary)
+        self.port_b = port_new(self.mem_b, pool_cfg, ring_capacity=ring_capacity, canary=canary)
+        self.nic_a, self.nic_b = loopback_pair(
+            self.port_a, self.port_b, link or LinkModel(base_latency_ns=500)
         )
-        self.mem_a, self.port_a, self.nic_a = self.a.mem, self.a.port, self.a.nic
-        self.mem_b, self.port_b, self.nic_b = self.b.mem, self.b.port, self.b.nic
+        self.a = Endpoint(self.mem_a, self.port_a, self.nic_a)
+        self.b = Endpoint(self.mem_b, self.port_b, self.nic_b)
         self.now = 0
         self.sent: list[bytes] = []
         self.delivered_b: list[bytes] = []
@@ -559,7 +520,7 @@ class LoopbackSystem:
         self.crypto_busy[side] = end
         if worker.plain_out:
             self._wake(side, end)
-        if worker.cipher_in or worker.plain_in or worker.port.rx_more:
+        if worker.plain_in or worker.port.rx_more:
             self.push(end, "crypto", side)
         # anything the step pushed out through tx_burst departs once paid for
         self.push_nic(side, end)

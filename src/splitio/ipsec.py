@@ -26,10 +26,10 @@ Offload shapes:
 
 * look-aside (PortProtect): the application worker itself seals and opens
   around its tx/rx bursts.
-* emulated inline (CryptoWorker): a dedicated crypto worker owns four bounded
-  staging queues (cipher-in / plain-out inbound, plain-in / cipher-out
-  outbound), polls the pool layer, and does every AES operation; the
-  application only touches the plain-side queues.
+* emulated inline (CryptoWorker): a dedicated crypto worker owns three bounded
+  staging queues (plain-out inbound, plain-in / cipher-out outbound), polls
+  the pool layer, and does every AES operation; the application only touches
+  the plain-side queues.
 
 Both are application data paths with the port's own shape: app_tx(bufs)
 returns how many buffers it accepted, always a prefix, and the caller keeps
@@ -245,15 +245,14 @@ def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
     if (len(sealed) - ICV_LEN) % 4 != 0:
         raise Malformed("ciphertext length not 4-byte aligned")
 
+    # the AES op runs whether or not the tag verifies
+    if ops_counter is not None:
+        ops_counter["aes_ops"] = ops_counter.get("aes_ops", 0) + 1
     try:
         plaintext = sa._cipher().decrypt(sa.salt_bytes() + iv, sealed, header)
     except InvalidTag:
         sa.auth_fails += 1
-        if ops_counter is not None:
-            ops_counter["aes_ops"] = ops_counter.get("aes_ops", 0) + 1
         raise AuthFail(f"integrity check failed for SPI {sa.spi:#x}") from None
-    if ops_counter is not None:
-        ops_counter["aes_ops"] = ops_counter.get("aes_ops", 0) + 1
 
     pad_len, _next_header = plaintext[-2], plaintext[-1]
     if pad_len + 2 > len(plaintext):
@@ -337,16 +336,17 @@ BATCH_MAX = 64  # most frames one worker step harvests, and most transforms it r
 
 
 class CryptoWorker:
-    """Emulated inline data path: owns the four staging queues and all AES
+    """Emulated inline data path: owns the three staging queues and all AES
     work for one port.
 
     The application enqueues plaintext shadow buffers (app_tx) and dequeues
-    decrypted ones (app_rx); the worker's step pulls ciphertext in from the
-    pool layer, transforms in batches, and pushes ciphertext out through
-    tx_burst. Queues are bounded; a packet that finds its queue full is a
-    stage drop. The attached port holds its worker (port.crypto_worker);
-    the worker reaches the port through a weak proxy, so the two do not
-    form a reference cycle.
+    decrypted ones (app_rx); the worker's step pulls up to BATCH_MAX
+    ciphertext frames from the pool layer and opens them all, seals what
+    plain_in holds within the same BATCH_MAX, and pushes ciphertext out
+    through tx_burst. Queues are bounded; a packet that finds its queue
+    full is a stage drop. The attached port holds its worker
+    (port.crypto_worker); the worker reaches the port through a weak proxy,
+    so the two do not form a reference cycle.
     """
 
     def __init__(
@@ -358,7 +358,6 @@ class CryptoWorker:
         self.port = weakref.proxy(port)
         self.sa_in = sa_in
         self.sa_out = sa_out
-        self.cipher_in: deque[PacketBuffer] = deque()
         self.plain_out: deque[PacketBuffer] = deque()
         self.plain_in: deque[PacketBuffer] = deque()
         self.cipher_out: deque[PacketBuffer] = deque()
@@ -389,14 +388,8 @@ class CryptoWorker:
     def step(self) -> int:
         """One polling iteration; returns the number of transforms performed."""
         port = self.port
-        room = STAGING_CAPACITY - len(self.cipher_in)
-        if room > 0:
-            for buf in port.rx_burst(min(BATCH_MAX, room)):
-                self.cipher_in.append(buf)
-
         done = 0
-        while self.cipher_in and done < BATCH_MAX:
-            buf = self.cipher_in.popleft()
+        for buf in port.rx_burst(BATCH_MAX):
             done += 1
             if not esp_open(self.sa_in, buf, port, self.counters):
                 self.counters["auth_fail"] += 1

@@ -38,7 +38,7 @@ from .bench import (
 )
 from .devsim import AdversaryPlan, AdversaryReport, LinkModel, LoopbackSystem, classify_attack
 from .errors import PoolExhausted
-from .ipsec import esp_paths, sa_keys
+from .ipsec import esp_paths
 from .pools import PoolConfig
 
 # unused here, but perfbench's tracer test looks both names up on this
@@ -183,10 +183,7 @@ def run_echo_attack(
     validate_config(cfg)
     rig = _EchoRig(cfg, plan=plan, canary=canary, instrument=True)
     rig.run()
-    secrets = []
-    if cfg.ipsec is not None:
-        key_ab, _, key_ba, _ = sa_keys(cfg.seed ^ _KEY_STREAM_TWEAK)
-        secrets = [key_ab, key_ba]
+    secrets = [end.path.sa_out.key_bytes() for end in (rig.a, rig.b) if end.path is not None]
     # every serial the schedule sent, as EchoResult.sent counts them
     sent = [rig._payload(serial) for serial in range(rig.sent_count)]
     return classify_attack(rig, plan, sent, secrets)

@@ -35,14 +35,12 @@ from splitio.factors import (
 )
 from splitio.ipsec import (
     OffloadMode,
-    SaDirection,
-    SecurityAssociation,
     esp_decrypt,
     esp_encrypt,
     esp_frame_len,
 )
-from splitio.mem import MemorySystem, RegionKind, Side
-from splitio.pools import PoolConfig, pool_memory_footprint, port_new
+from splitio.mem import RegionKind
+from splitio.pools import PoolConfig, pool_memory_footprint
 from splitio.ring import SLOT_SIZE
 
 from test_bench import rank_oracle
@@ -50,7 +48,6 @@ from test_factors import CONFIG_COLUMNS, _CHAR_STATE
 from test_ipsec import GCM_CASES, make_port, sa_pair
 from test_security import (
     CANARY,
-    PRIVATE_REGION,
     SHARED_REGION,
     protect_factory_for,
     random_plan,

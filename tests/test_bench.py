@@ -2,7 +2,6 @@ import bisect
 import gc
 import hashlib
 import json
-import math
 import os
 import random
 import sys
@@ -40,7 +39,7 @@ from splitio.errors import (
     EventBudgetExhausted,
     ZeroArgument,
 )
-from splitio.ipsec import ESP_OVERHEAD, OffloadMode, esp_frame_len
+from splitio.ipsec import ESP_OVERHEAD, OffloadMode, esp_frame_len, sa_keys
 from splitio.mem import MemorySystem
 from splitio.pools import PoolConfig
 
@@ -594,6 +593,20 @@ class TestIpsecEcho:
             )
         )
         assert sealed.mean_ns > plain.mean_ns
+
+    @pytest.mark.parametrize("key_index", [0, 2])  # key_ab, key_ba
+    @pytest.mark.parametrize("mode", [None, OffloadMode.LOOKASIDE, OffloadMode.INLINE])
+    def test_attack_breach_scan_looks_for_the_rig_keys(self, mode, key_index):
+        # taken from the key stream, not read off the rig's SAs as the scan
+        # reads them, so a scan reading the wrong keys cannot pass
+        key = sa_keys(4 ^ simloop._KEY_STREAM_TWEAK)[key_index]
+        # offset 2226276 lies in data room 1023 of b's shared arena, which
+        # a 50-packet run never uses, so the planted key stays there
+        plan = AdversaryPlan.parse(
+            f"tamper_shared target=b when=0 region=1 offset=2226276 data={key.hex()}"
+        )
+        report = simloop.run_echo_attack(BenchConfig(duration_s=0.01, seed=4, ipsec=mode), plan)
+        assert report.breach is (mode is not None)
 
 
 class TestLoadRuns:

@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +20,6 @@ from splitio.ipsec import (
     MIN_FRAME_LEN,
     MSG_TYPE_ESP,
     MSG_TYPE_PLAIN,
-    CryptoWorker,
     PortProtect,
     SaDirection,
     SecurityAssociation,

@@ -13,7 +13,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from splitio.devsim import LinkModel, endpoint_pair
+from splitio.devsim import LinkModel, LoopbackSystem
 from splitio.errors import PoolExhausted
 from splitio.pools import PoolConfig
 from splitio.ring import RX_STATUS_ERROR, RX_STATUS_READY
@@ -28,13 +28,13 @@ class PortPairMachine(RuleBasedStateMachine):
         # 12 buffers per pool: the 4 armed RX rooms and up to 4 in-flight TX
         # frames never exhaust the temporary pool, while the shadow pool can
         # run dry when the application holds on to what it receives
-        ends = endpoint_pair(
+        # the system is kept: each NIC reaches its peer through a weak proxy
+        self.system = LoopbackSystem(
             PoolConfig(mbuf_count=12, mbuf_size=256),
             LinkModel(base_latency_ns=500),
-            RING_CAPACITY,
-            instrument=True,
+            ring_capacity=RING_CAPACITY,
         )
-        self.ends = dict(zip("ab", ends))
+        self.ends = {"a": self.system.a, "b": self.system.b}
         self.held = {"a": [], "b": []}
         self.now = 0
         self.serial = 0
