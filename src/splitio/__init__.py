@@ -9,7 +9,6 @@ the whole arrangement against a factor-based overhead model.
 
 from .bench import (
     BenchConfig,
-    CopyModel,
     CostProfile,
     LatencyStats,
     RampSchedule,
@@ -73,7 +72,6 @@ __all__ = [
     "AdversaryPlan",
     "AdversaryReport",
     "BenchConfig",
-    "CopyModel",
     "CostProfile",
     "CryptoWorker",
     "DescriptorRing",

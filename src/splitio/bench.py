@@ -17,11 +17,10 @@ not measurements taken here.
 
 from __future__ import annotations
 
-import enum
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -37,11 +36,6 @@ log = logging.getLogger("splitio.bench")
 
 PACKET_ID_LEN = 8  # every benchmark payload starts with a packet serial
 EXITS_PER_WAKE = 2  # VM exits an emulated interrupt costs per application wake
-
-
-class CopyModel(enum.Enum):
-    SINGLE_COPY = "single"
-    NO_COPY = "none"
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,6 @@ class BenchConfig:
     # cost of one VM exit when an emulated interrupt wakes the application;
     # None: the applications poll, which is free
     interrupt_exit_ns: Optional[int] = None
-    copy_model: CopyModel = CopyModel.SINGLE_COPY
     ipsec: Optional[OffloadMode] = None
     seed: int = 0
     profile: CostProfile = field(default_factory=CostProfile)
@@ -156,11 +149,9 @@ def stage_costs(cfg: BenchConfig, rx_on_wire: bool = False) -> StageCosts:
     mode = cfg.ipsec
     k = profile.crypto_cost_ns(esp_frame_len(cfg.payload_len)) if mode is not None else 0.0
     app_k = k if mode is OffloadMode.LOOKASIDE else 0.0
-    copy = rx_copy = 0.0
-    if cfg.copy_model is CopyModel.SINGLE_COPY:
-        copy = rx_copy = profile.copy_cost_ns(cfg.payload_len)
-        if rx_on_wire and mode is not None:
-            rx_copy = profile.copy_cost_ns(esp_frame_len(cfg.payload_len))
+    copy = rx_copy = profile.copy_cost_ns(cfg.payload_len)
+    if rx_on_wire and mode is not None:
+        rx_copy = profile.copy_cost_ns(esp_frame_len(cfg.payload_len))
     wake = 0.0
     if cfg.interrupt_exit_ns is not None:
         wake = float(EXITS_PER_WAKE * cfg.interrupt_exit_ns)
@@ -301,31 +292,16 @@ class LoadSecond:
 
 @dataclass(frozen=True)
 class ThroughputReport:
-    seconds: tuple[LoadSecond, ...]
+    # field order is JSON key order, here and in LoadSecond
     achieved_bps: float
     capacity_pps: float
     loss_onset_connections: Optional[int]
     loss_onset_second: Optional[int]
     clamped_from: Optional[int]
+    seconds: tuple[LoadSecond, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "achieved_bps": self.achieved_bps,
-            "capacity_pps": self.capacity_pps,
-            "loss_onset_connections": self.loss_onset_connections,
-            "loss_onset_second": self.loss_onset_second,
-            "clamped_from": self.clamped_from,
-            "seconds": [
-                {
-                    "second": s.second,
-                    "connections": s.connections,
-                    "offered_pps": s.offered_pps,
-                    "delivered_pps": s.delivered_pps,
-                    "dropped_pps": s.dropped_pps,
-                }
-                for s in self.seconds
-            ],
-        }
+        return asdict(self)
 
 
 def server_service_ns(cfg: BenchConfig) -> float:
@@ -397,36 +373,22 @@ def app_cost_sweep(
     app_costs_ns: Sequence[float],
     crypto_cost_ns: float,
     rate_pps: float = 1000.0,
-    payload_len: int = 1000,
-    base_cfg: Optional[BenchConfig] = None,
 ) -> dict[OffloadMode, list[int]]:
     """Largest sustainable connection count at each per-packet app cost, for
-    both offload modes. The app cost replaces the profile's fixed server work
-    and the crypto cost, taken as given per transform, its length-derived
-    value: both come in through a flat profile."""
+    both offload modes. Only the app cost, as fixed server work, and the
+    crypto cost, taken as given per transform, are priced: copies are free
+    and the link is unbounded, so the payload length does not matter."""
     if rate_pps <= 0:
         raise ZeroArgument("rate must be positive")
     if crypto_cost_ns < 0 or any(c <= 0 for c in app_costs_ns):
         raise ZeroArgument("app costs must be positive and crypto cost non-negative")
-    cfg = base_cfg if base_cfg is not None else BenchConfig()
-    cfg = replace(
-        cfg,
-        payload_len=payload_len,
-        rate_pps=rate_pps,
-        profile=replace(
-            cfg.profile,
-            crypto_fixed_ns=int(crypto_cost_ns),
-            crypto_per_byte_ns=0.0,
-            copy_fixed_ns=0,
-            copy_per_byte_ns=0.0,
-        ),
-        bandwidth_bps=float("inf"),
-    )
+    flat = replace(CostProfile.bare(), crypto_fixed_ns=int(crypto_cost_ns))
+    cfg = BenchConfig(rate_pps=rate_pps, profile=flat, bandwidth_bps=float("inf"))
     out: dict[OffloadMode, list[int]] = {OffloadMode.LOOKASIDE: [], OffloadMode.INLINE: []}
     for mode in (OffloadMode.LOOKASIDE, OffloadMode.INLINE):
         mode_cfg = replace(cfg, ipsec=mode)
         for c in app_costs_ns:
-            app_cfg = replace(mode_cfg, profile=replace(mode_cfg.profile, server_fixed_ns=c))
+            app_cfg = replace(mode_cfg, profile=replace(flat, server_fixed_ns=c))
             out[mode].append(int(load_capacity_pps(app_cfg) // rate_pps))
     return out
 

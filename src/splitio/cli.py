@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from . import factors
-from .bench import BenchConfig, CopyModel, emit_report, run_echo, run_load
+from .bench import BenchConfig, CostProfile, emit_report, run_echo, run_load
 from .devsim import AdversaryPlan
 from .errors import (
     BadPlan,
@@ -137,6 +138,15 @@ def _offload_mode(values: dict[str, Optional[str]]) -> OffloadMode:
         raise ConfigInvalid(str(exc)) from None
 
 
+def _copy_profile(copy: Optional[str]) -> CostProfile:
+    """The default profile; --copy none prices every copy at zero."""
+    if copy == "single":
+        return CostProfile()
+    if copy == "none":
+        return replace(CostProfile(), copy_fixed_ns=0, copy_per_byte_ns=0.0)
+    raise ConfigInvalid(f"copy must be single or none, got {copy!r}")
+
+
 def _build_config(values: dict[str, Optional[str]], protected: bool) -> BenchConfig:
     try:
         payload = int(values["payload"], 0)
@@ -146,19 +156,15 @@ def _build_config(values: dict[str, Optional[str]], protected: bool) -> BenchCon
         seed = int(values["seed"], 0)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad numeric value: {exc}") from None
-    try:
-        copy_model = CopyModel(values["copy"])
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from None
     return BenchConfig(
         payload_len=payload,
         rate_pps=rate,
         connections=connections,
         duration_s=duration,
         interrupt_exit_ns=_parse_notification(values["notification"]),
-        copy_model=copy_model,
         ipsec=_offload_mode(values) if protected else None,
         seed=seed,
+        profile=_copy_profile(values["copy"]),
     )
 
 

@@ -513,12 +513,13 @@ class LoopbackSystem:
     def _do_crypto(self, t: float, side: str) -> None:
         worker = (self.a if side == "a" else self.b).path
         before = worker.counters["aes_ops"]
+        held = len(worker.plain_out)
         worker.step()
         ops = worker.counters["aes_ops"] - before
         start = max(t, self.crypto_busy[side])
         end = start + ops * self.costs.transform_ns
         self.crypto_busy[side] = end
-        if worker.plain_out:
+        if len(worker.plain_out) > held:  # wake only for frames this step opened
             self._wake(side, end)
         if worker.plain_in or worker.port.rx_more:
             self.push(end, "crypto", side)

@@ -86,18 +86,8 @@ _NP = FactorState.ABSENT_MINIMIZED
 _NW = FactorState.ABSENT_WRITE_ONLY
 _NV = FactorState.ABSENT_VC_MINIMIZED
 
-_CONFIG_ORDER = (
-    VmConfiguration.NON_TEE_VM,
-    VmConfiguration.VM_SRIOV,
-    VmConfiguration.VM_DPDK,
-    VmConfiguration.SEV_VM,
-    VmConfiguration.SEV_SRIOV,
-    VmConfiguration.ES_SRIOV,
-    VmConfiguration.SNP_SRIOV,
-    VmConfiguration.SNP_TIO,
-    VmConfiguration.SNP_TIO_DPDK,
-    VmConfiguration.SNP_SOFTWARE,
-)
+# the matrix columns follow VmConfiguration's definition order
+_CONFIG_ORDER = tuple(VmConfiguration)
 
 _MATRIX_ROWS: dict[OverheadFactor, tuple[FactorState, ...]] = {
     OverheadFactor.ROUTING_WITHIN_VM: (_Y, _Y, _N, _Y, _Y, _Y, _Y, _N, _N, _N),

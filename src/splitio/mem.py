@@ -41,12 +41,6 @@ class Side(enum.Enum):
     DEVICE = "device"
 
 
-class RegionState(enum.Enum):
-    INIT = "init"
-    ACTIVE = "active"
-    TORN_DOWN = "torn_down"
-
-
 # Enum members the per-access code compares against, read once: on Python
 # 3.10/3.11 a member lookup such as Side.DEVICE goes through
 # EnumType.__getattr__ (timeit, Python 3.11.7 on a 2-CPU x86-64 host: 182
@@ -107,10 +101,10 @@ class Arena:
 class SharedRegionManager:
     """Tracks which shared arenas the device is allowed to touch.
 
-    Lifecycle is one-way: INIT -> ACTIVE on first registration, ACTIVE ->
-    TORN_DOWN on zero_and_release. Teardown zeroes every registered arena
-    before unregistering it, so no guest data survives in device-visible
-    memory. A torn-down manager refuses further registration.
+    Lifecycle is one-way: zero_and_release tears the manager down, and a
+    torn-down manager refuses registration and a second teardown. Teardown
+    zeroes every registered arena before unregistering it, so no guest data
+    survives in device-visible memory.
     """
 
     def __init__(self, arenas: dict[int, Arena], quarantined: set[int]):
@@ -119,31 +113,30 @@ class SharedRegionManager:
         self._arenas = arenas
         self._quarantined = quarantined
         self.registered: set[int] = set()
-        self.state = RegionState.INIT
+        self.torn_down = False
 
     def register(self, arena: Arena) -> None:
-        if self.state is RegionState.TORN_DOWN:
+        if self.torn_down:
             raise AlreadyTornDown("manager already torn down")
         if arena.kind is not RegionKind.SHARED:
             raise NotShared(f"arena {arena.id} is {arena.kind.value}")
         if self._arenas.get(arena.id) is not arena:
             raise NotShared(f"arena {arena.id} belongs to another memory system")
         self.registered.add(arena.id)
-        self.state = RegionState.ACTIVE
 
     def is_registered(self, region: int) -> bool:
         return region in self.registered
 
     def zero_and_release(self) -> None:
         """Zero every registered arena, unregister all, and tear down."""
-        if self.state is RegionState.TORN_DOWN:
+        if self.torn_down:
             raise AlreadyTornDown("manager already torn down")
         for region in sorted(self.registered):
             arena = self._arenas[region]
             arena.data[:] = bytes(arena.size)
             self._quarantined.discard(region)
         self.registered.clear()
-        self.state = RegionState.TORN_DOWN
+        self.torn_down = True
 
 
 class MemorySystem:

@@ -14,7 +14,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from splitio.bench import (
     BenchConfig,
-    CopyModel,
     CostProfile,
     app_cost_sweep,
     emit_report,
@@ -290,8 +289,9 @@ def test_criterion_08_copy_cost_smallness():
     worst = 0.0
     for payload in (64, 512, 1500):
         base = BenchConfig(payload_len=payload, rate_pps=5000.0, duration_s=0.2)
-        with_copy = run_echo(replace(base, copy_model=CopyModel.SINGLE_COPY))
-        no_copy = run_echo(replace(base, copy_model=CopyModel.NO_COPY))
+        with_copy = run_echo(base)
+        free_copies = replace(base.profile, copy_fixed_ns=0, copy_per_byte_ns=0.0)
+        no_copy = run_echo(replace(base, profile=free_copies))
         delta = (with_copy.mean_ns - no_copy.mean_ns) / no_copy.mean_ns
         assert 0.0 < delta < 0.02, f"{payload} B payload: {delta:.2%}"
         worst = max(worst, delta)

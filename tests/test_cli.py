@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from splitio import simloop
-from splitio.bench import BenchConfig
+from splitio.bench import BenchConfig, CostProfile, emit_report, run_echo
 from splitio.cli import main
 
 
@@ -68,6 +69,17 @@ class TestEchoCommand:
         code, _, err = run_cli(capsys, "echo", "--payload", "4", *FAST)
         assert code == 2
 
+    def test_copy_none_prices_every_copy_at_zero(self, capsys):
+        run = ("--duration", "0.01", "--format", "csv")
+        code, out, err = run_cli(capsys, "echo", "--copy", "none", *run)
+        assert (code, err) == (0, "")
+        free_copies = replace(CostProfile(), copy_fixed_ns=0, copy_per_byte_ns=0.0)
+        assert out == emit_report(run_echo(BenchConfig(duration_s=0.01, profile=free_copies)), "csv")
+        code, single_out, _ = run_cli(capsys, "echo", "--copy", "single", *run)
+        assert code == 0
+        assert single_out == emit_report(run_echo(BenchConfig(duration_s=0.01)), "csv")
+        assert single_out != out
+
     def test_run_that_sends_nothing_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "echo", "--rate", "0.5", "--duration", "1")
         assert code == 2
@@ -98,6 +110,15 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "echo", "--config", str(cfg))
         assert code == 2
         assert "unknown key" in err
+
+    def test_bad_copy_value_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("copy = maybe\n")
+        code, out, err = run_cli(capsys, "echo", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "copy" in err
 
     def test_missing_equals_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
