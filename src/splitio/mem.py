@@ -8,8 +8,10 @@ for Handles, read_at/write_at/unpack_at/pack_at for absolute offsets) and
 names which side is acting, so the device/VM trust boundary is enforced
 in exactly one place and can be audited from the access log.
 
-Instrumentation (per-byte read tallies plus an access log) is optional: tests
-turn it on, the benchmark fast path leaves it off.
+Instrumentation is the access log, one AccessRecord per access (denied
+device attempts included), and it is the only record kept: evidence such as
+per-byte read counts is folded from it. Tests and attacked runs turn it on,
+the benchmark's adversary campaign among them; echo runs leave it off.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import enum
 import mmap
 import struct
-from array import array
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
@@ -27,8 +28,6 @@ from .errors import (
     OutOfBounds,
     ZeroSize,
 )
-
-_INCREMENT = (1).__add__
 
 
 class RegionKind(enum.Enum):
@@ -82,17 +81,15 @@ class AccessRecord(NamedTuple):
 
 
 class Arena:
-    __slots__ = ("id", "kind", "size", "data", "read_counters")
+    __slots__ = ("id", "kind", "size", "data")
 
-    def __init__(self, arena_id: int, kind: RegionKind, size: int, instrument: bool):
+    def __init__(self, arena_id: int, kind: RegionKind, size: int):
         self.id = arena_id
         self.kind = kind
         self.size = size
-        # anonymous maps: zero until a page is first touched and unmapped when
-        # the arena is dropped, so a rig costs only the pages its run touches
+        # an anonymous map: zero until a page is first touched and unmapped
+        # when the arena is dropped, so a rig costs only the pages it touches
         self.data = mmap.mmap(-1, size)
-        # per-byte read tally, allocated only under instrumentation
-        self.read_counters = memoryview(mmap.mmap(-1, 4 * size)).cast("I") if instrument else None
 
     def is_zero(self) -> bool:
         return self.data[:] == bytes(self.size)
@@ -157,7 +154,7 @@ class MemorySystem:
     def create_arena(self, kind: RegionKind, size: int) -> Arena:
         if size <= 0:
             raise ZeroSize(f"arena size must be positive, got {size}")
-        arena = Arena(self._next_id, kind, size, self.instrument)
+        arena = Arena(self._next_id, kind, size)
         self.arenas[arena.id] = arena
         self._next_id += 1
         return arena
@@ -218,10 +215,6 @@ class MemorySystem:
             )
         if self.instrument:
             self.access_log.append(AccessRecord(side, op, region, offset, length, True))
-            counters = arena.read_counters
-            if op == "read" and counters is not None:
-                end = offset + length
-                counters[offset:end] = array("I", map(_INCREMENT, counters[offset:end]))
         return arena
 
     def read_at(self, region: int, offset: int, length: int, side: Side) -> bytes:

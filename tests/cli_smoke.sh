@@ -1,0 +1,42 @@
+#!/bin/sh
+# Smoke test of the command-line interface as a user starts it: every
+# subcommand runs, refused input exits 2, and the adversary reports hold
+# what they promise.
+#
+#   usage: sh tests/cli_smoke.sh COMMAND DIR
+#
+# COMMAND starts the CLI and is split on spaces ("splitio" for the installed
+# console script, "python -m splitio.cli" for the source tree); DIR is an
+# existing directory for the files the checks write.
+set -eu
+cli=$1
+dir=$2
+
+$cli echo --duration 0.01 --format json
+$cli echo --duration 0.01 --notification interrupt:2000 --format csv
+$cli ipsec --duration 0.01
+$cli ipsec --ipsec inline --duration 0.01 --format json
+$cli factors-report
+# copy = none is a zero-copy profile, by flag or config key; any other
+# config value is refused
+$cli echo --copy none --duration 0.01 --format csv
+printf 'copy = none\nseed = 4\n' > "$dir/run.cfg"
+$cli ipsec --config "$dir/run.cfg" --duration 0.01 --format json
+printf 'copy = maybe\n' > "$dir/bad.cfg"
+rc=0; $cli echo --config "$dir/bad.cfg" || rc=$?
+test "$rc" -eq 2
+rc=0; $cli load --adversary /nonexistent || rc=$?
+test "$rc" -eq 2
+# adversary reports are JSON only: the default, and csv is refused; the
+# plan attacks the configured traffic, 50 packets in 10 ms, and a bad
+# traffic flag is refused as it is without a plan
+printf 'drop_packet target=a count=1\n' > "$dir/plan.txt"
+$cli echo --adversary "$dir/plan.txt" --duration 0.01 > "$dir/adversary.json"
+python -c "import json, sys; sys.exit(0 if len(json.load(open(sys.argv[1]))['sent']) == 50 else 1)" "$dir/adversary.json"
+# under ESP the breach scan looks for the rig's own SA keys
+$cli ipsec --ipsec inline --adversary "$dir/plan.txt" --duration 0.01 > "$dir/esp-adversary.json"
+python -c "import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))['breach'] is False else 1)" "$dir/esp-adversary.json"
+rc=0; $cli echo --adversary "$dir/plan.txt" --format csv || rc=$?
+test "$rc" -eq 2
+rc=0; $cli echo --adversary "$dir/plan.txt" --duration abc || rc=$?
+test "$rc" -eq 2

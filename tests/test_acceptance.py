@@ -12,6 +12,7 @@ from dataclasses import replace
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from access_oracle import read_counts
 from splitio.bench import (
     BenchConfig,
     CostProfile,
@@ -161,7 +162,7 @@ def test_criterion_04_randomized_adversary_suite():
     field_bytes = tuple(range(16, 22)) + tuple(range(24, 28))
     for mem, port in ((system.mem_b, system.port_b), (system.mem_a, system.port_a)):
         ring = port.rx_ring
-        counters = mem.arena(ring.backing.region).read_counters
+        counters = read_counts(mem, ring.backing.region)
         harvested = 0
         for slot in range(ring.capacity):
             base = ring.backing.offset + slot * SLOT_SIZE

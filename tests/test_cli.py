@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import splitio
 from splitio import simloop
 from splitio.bench import BenchConfig, CostProfile, emit_report, run_echo
 from splitio.cli import main
@@ -329,3 +334,22 @@ class TestParserBasics:
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["echo", "--warp-speed"])
+
+
+def test_console_smoke_script(tmp_path):
+    """The CI smoke script, run on the source tree: every command it lists
+    exits as it expects and every JSON check holds."""
+    src = Path(splitio.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    # the script's own JSON checks run `python`: the interpreter under test
+    env["PATH"] = os.pathsep.join([os.path.dirname(sys.executable), env.get("PATH", "")])
+    script = Path(__file__).with_name("cli_smoke.sh")
+    done = subprocess.run(
+        ["sh", str(script), f"{sys.executable} -m splitio.cli", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

@@ -497,6 +497,32 @@ class TestBackpressure:
         port.free_buffer(hogs.pop())
 
 
+class TestRunEndConservation:
+    """At the end of an echo run every buffer is accounted for: each port's
+    temporaries are free, armed in the RX ring or in flight in the TX ring,
+    and every shadow buffer is free again, drops included."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            BenchConfig(duration_s=0.01),
+            # ~3x server capacity: the shadow pool runs dry and rx_burst drops
+            BenchConfig(duration_s=0.004, connections=50, mbuf_count=256),
+            BenchConfig(duration_s=0.01, ipsec=OffloadMode.INLINE),
+        ],
+        ids=["plain_1", "plain_50_overload", "inline_esp"],
+    )
+    def test_every_buffer_free_armed_or_in_flight(self, cfg):
+        rig = simloop._EchoRig(cfg)
+        result = rig.run()
+        assert result.received > 0
+        for port in (rig.port_a, rig.port_b):
+            pools = port.pools
+            armed, in_flight = port.rx_ring.occupancy(), port.tx_ring.occupancy()
+            assert pools.temporary.remaining() + armed + in_flight == cfg.mbuf_count
+            assert pools.shadow.remaining() == cfg.mbuf_count
+
+
 class TestSuspectPolicy:
     @pytest.mark.parametrize(
         "claimed, status",

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from access_oracle import read_counts
 from splitio import simloop
 from splitio.bench import BenchConfig
 from splitio.devsim import AdversaryPlan, LoopbackSystem, run_adversary
@@ -271,8 +272,7 @@ class TestReadOnceHarvest:
             (system.mem_a, system.port_a, 12),
         ):
             ring = port.rx_ring
-            arena = mem.arena(ring.backing.region)
-            counters = arena.read_counters
+            counters = read_counts(mem, ring.backing.region)
             total_field_reads = 0
             for slot in range(ring.capacity):
                 base = ring.backing.offset + slot * SLOT_SIZE
