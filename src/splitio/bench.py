@@ -104,6 +104,8 @@ def validate_config(cfg: BenchConfig) -> None:
     limit = room - ESP_OVERHEAD if cfg.ipsec is not None else room
     if cfg.payload_len > limit:
         raise ConfigInvalid(f"payload {cfg.payload_len} B exceeds the {limit} B limit")
+    if not (math.isfinite(cfg.rate_pps) and math.isfinite(cfg.duration_s)):
+        raise ConfigInvalid("rate and duration must be finite")
     if cfg.rate_pps <= 0:
         raise ConfigInvalid("rate must be positive")
     if cfg.connections < 1:

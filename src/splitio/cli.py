@@ -24,7 +24,6 @@ from .bench import BenchConfig, CostProfile, emit_report, run_echo, run_load
 from .devsim import AdversaryPlan
 from .errors import (
     BadPlan,
-    BadSaConfig,
     ConfigInvalid,
     ReportIoError,
     SplitioError,
@@ -223,7 +222,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(text, end="")
         _write_out(text, values["out"])
         return code
-    except (ConfigInvalid, BadPlan, BadSaConfig, ZeroArgument, ReportIoError) as exc:
+    except (ConfigInvalid, BadPlan, ZeroArgument, ReportIoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SplitioError as exc:

@@ -106,15 +106,6 @@ _MATRIX_ROWS: dict[OverheadFactor, tuple[FactorState, ...]] = {
 }
 
 
-def factor_matrix() -> dict[tuple[OverheadFactor, VmConfiguration], FactorState]:
-    """The full factor-by-configuration matrix as a flat cell map."""
-    cells = {}
-    for factor, row in _MATRIX_ROWS.items():
-        for config, state in zip(_CONFIG_ORDER, row):
-            cells[(factor, config)] = state
-    return cells
-
-
 def factor_state(factor: OverheadFactor, config: VmConfiguration) -> FactorState:
     return _MATRIX_ROWS[factor][_CONFIG_ORDER.index(config)]
 

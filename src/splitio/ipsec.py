@@ -43,7 +43,6 @@ from __future__ import annotations
 import enum
 import weakref
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 from cryptography.exceptions import InvalidTag
@@ -153,37 +152,11 @@ def sa_keys(seed: int) -> tuple[bytes, bytes, bytes, bytes]:
     return w[0] + w[1], w[2][:SALT_LEN], w[3] + w[4], w[5][:SALT_LEN]
 
 
-@dataclass(frozen=True)
-class EspParts:
-    """Parsed-but-unverified view of a protected frame (test/diagnostic aid)."""
-
-    addressing: bytes
-    spi: int
-    seq32: int
-    iv: bytes
-    ciphertext: bytes
-    icv: bytes
-
-
 def esp_frame_len(pkt_len: int) -> int:
     """Protected length of a pkt_len-byte packet: +34 to +37 depending on pad."""
     inner = pkt_len - ADDR_PREFIX_LEN
     pad = (-(inner + 2)) % 4
     return pkt_len + 34 + pad
-
-
-def parse_esp(frame: bytes) -> EspParts:
-    if len(frame) < MIN_FRAME_LEN:
-        raise Malformed(f"frame of {len(frame)} B below minimum {MIN_FRAME_LEN}")
-    body = frame[ADDR_PREFIX_LEN + ESP_HEADER_LEN + IV_LEN : -ICV_LEN]
-    return EspParts(
-        addressing=frame[:ADDR_PREFIX_LEN],
-        spi=int.from_bytes(frame[8:12], "big"),
-        seq32=int.from_bytes(frame[12:16], "big"),
-        iv=frame[16:24],
-        ciphertext=body,
-        icv=frame[-ICV_LEN:],
-    )
 
 
 def esp_encrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optional[dict] = None) -> None:

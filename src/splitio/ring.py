@@ -87,11 +87,6 @@ def encode_handle(h: Handle) -> bytes:
     return _HANDLE_FMT.pack(h.region, h.offset, h.length)
 
 
-def decode_handle(raw: bytes) -> Handle:
-    region, offset, length = _HANDLE_FMT.unpack(raw)
-    return Handle(region, offset, length)
-
-
 class Direction(enum.Enum):
     TX = "tx"
     RX = "rx"

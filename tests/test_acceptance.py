@@ -31,7 +31,7 @@ from splitio.factors import (
     OverheadFactor,
     VmConfiguration,
     diff_configs,
-    factor_matrix,
+    factor_state,
 )
 from splitio.ipsec import (
     OffloadMode,
@@ -60,12 +60,11 @@ def _pass(n, detail):
 
 def test_criterion_01_factor_matrix_fixture():
     started = time.monotonic()
-    matrix = factor_matrix()
-    assert len(matrix) == 13 * 10
+    assert set(CONFIG_COLUMNS) == set(VmConfiguration)
     cells = 0
     for config, column in CONFIG_COLUMNS.items():
-        for factor, char in zip(OverheadFactor, column):
-            assert matrix[(factor, config)] is _CHAR_STATE[char]
+        for factor, char in zip(OverheadFactor, column, strict=True):
+            assert factor_state(factor, config) is _CHAR_STATE[char]
             cells += 1
     assert cells == 130
 

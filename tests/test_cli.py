@@ -92,6 +92,23 @@ class TestEchoCommand:
         assert "sends no packet" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("echo", "--rate", "nan"),
+        ("echo", "--rate", "inf"),
+        ("echo", "--duration", "inf"),
+        ("load", "--rate", "nan"),
+        ("load", "--duration", "nan"),
+    ],
+    ids="_".join,
+)
+def test_non_finite_rate_or_duration_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: rate and duration must be finite\n"
+
+
 class TestConfigFile:
     def test_file_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

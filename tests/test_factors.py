@@ -18,7 +18,6 @@ from splitio.factors import (
     OverheadFactor,
     VmConfiguration,
     diff_configs,
-    factor_matrix,
     factor_state,
     is_present,
     predict_latency,
@@ -63,17 +62,15 @@ MEASURED_MEANS = {
 
 class TestMatrix:
     def test_matches_second_transcription_cell_by_cell(self):
-        matrix = factor_matrix()
-        assert len(matrix) == 13 * 10
+        assert set(CONFIG_COLUMNS) == set(VmConfiguration)
         for config, column in CONFIG_COLUMNS.items():
             assert len(column) == 13
-            for factor, char in zip(OverheadFactor, column):
+            for factor, char in zip(OverheadFactor, column, strict=True):
                 expected = _CHAR_STATE[char]
-                assert matrix[(factor, config)] is expected, (
-                    f"{factor.value} @ {config.value}: "
-                    f"{matrix[(factor, config)].value} != {expected.value}"
+                got = factor_state(factor, config)
+                assert got is expected, (
+                    f"{factor.value} @ {config.value}: {got.value} != {expected.value}"
                 )
-                assert factor_state(factor, config) is expected
 
     def test_is_present_means_plain_y(self):
         assert is_present(OverheadFactor.ROUTING_WITHIN_VM, VmConfiguration.NON_TEE_VM)

@@ -1,4 +1,5 @@
 import itertools
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,6 @@ from splitio.ring import (
     DescriptorRing,
     Direction,
     TxDescriptor,
-    decode_handle,
     encode_handle,
 )
 
@@ -38,6 +38,11 @@ def make_ring(direction=Direction.TX, capacity=8, instrument=True):
     buf_base = capacity * SLOT_SIZE
     bufs = [Handle(arena.id, buf_base + i * 256, 256) for i in range(16)]
     return mem, ring, bufs
+
+
+def decode_handle(raw: bytes) -> Handle:
+    """Oracle for the on-ring handle encoding: region u16, offset u32, length u16, little endian."""
+    return Handle(*struct.unpack("<HIH", raw))
 
 
 def tx_desc(buf: Handle, length: int = 64) -> TxDescriptor:
