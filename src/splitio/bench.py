@@ -60,10 +60,10 @@ class CostProfile:
     crypto_per_byte_ns: float = 0.25
 
     @staticmethod
-    def bare(link_base_ns: int = 1000) -> "CostProfile":
-        """Link delay only; every processing cost zero. Closed-form checks."""
+    def bare() -> "CostProfile":
+        """A 1,000 ns link and every other cost zero, for closed-form checks."""
         return CostProfile(
-            link_base_ns=link_base_ns,
+            link_base_ns=1000,
             link_per_byte_ns=0.0,
             server_fixed_ns=0,
             copy_fixed_ns=0,
@@ -254,14 +254,14 @@ def max_connections(bandwidth_bps: float, payload_bytes: int, rate_pps: float) -
 
 
 RAMP_FRACTION = 0.05
+HOLD_S = 30
 
 
 @dataclass(frozen=True)
 class RampSchedule:
-    """Connections grow by RAMP_FRACTION of the target per second, then hold."""
+    """Connections grow by RAMP_FRACTION of the target per second, then hold HOLD_S s."""
 
     max_connections: int
-    hold_s: int = 30
 
     @property
     def step(self) -> int:
@@ -273,7 +273,7 @@ class RampSchedule:
 
     @property
     def total_seconds(self) -> int:
-        return self.ramp_seconds + self.hold_s
+        return self.ramp_seconds + HOLD_S
 
     def connections_at(self, second: int) -> int:
         return min(self.max_connections, self.step * (second + 1))
@@ -326,24 +326,23 @@ def load_capacity_pps(cfg: BenchConfig) -> float:
     return min(link_pps, server_pps)
 
 
-def run_load(cfg: BenchConfig, schedule: Optional[RampSchedule] = None) -> ThroughputReport:
-    """Ramp connections per the schedule and account offered versus delivered
-    packets second by second. Duration comes from the schedule (ramp plus
-    hold), not from cfg.duration_s."""
+def run_load(cfg: BenchConfig) -> ThroughputReport:
+    """Ramp to cfg.connections, clamped to what the link supports, and
+    account offered versus delivered packets second by second. Duration
+    comes from the ramp and its hold, not from cfg.duration_s."""
     validate_config(cfg)
     clamped_from: Optional[int] = None
-    if schedule is None:
-        formula_max = max_connections(cfg.bandwidth_bps, cfg.payload_len, cfg.rate_pps)
-        target = cfg.connections
-        if target > formula_max:
-            log.info(
-                "clamping requested %d connections to the %d the link supports",
-                target,
-                formula_max,
-            )
-            clamped_from = target
-            target = formula_max
-        schedule = RampSchedule(max_connections=target)
+    formula_max = max_connections(cfg.bandwidth_bps, cfg.payload_len, cfg.rate_pps)
+    target = cfg.connections
+    if target > formula_max:
+        log.info(
+            "clamping requested %d connections to the %d the link supports",
+            target,
+            formula_max,
+        )
+        clamped_from = target
+        target = formula_max
+    schedule = RampSchedule(max_connections=target)
 
     capacity = load_capacity_pps(cfg)
     rows = []

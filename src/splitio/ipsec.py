@@ -99,16 +99,10 @@ class WrongDirection(SplitioError):
 
 class SecurityAssociation:
     """One direction of one flow. Key material is stored in a private arena;
-    the object keeps only handles plus counters."""
+    the object keeps only its handles and the next outbound sequence number."""
 
     def __init__(
-        self,
-        mem: MemorySystem,
-        spi: int,
-        key: bytes,
-        salt: bytes,
-        direction: SaDirection,
-        replay_counting: bool = False,
+        self, mem: MemorySystem, spi: int, key: bytes, salt: bytes, direction: SaDirection
     ):
         if len(key) != KEY_LEN:
             raise BadSaConfig(f"key must be {KEY_LEN} bytes, got {len(key)}")
@@ -120,10 +114,6 @@ class SecurityAssociation:
         self.spi = spi
         self.direction = direction
         self.seq = 1  # first outbound packet uses sequence number 1
-        self.replay_counting = replay_counting
-        self.last_seq = 0
-        self.replays_detected = 0
-        self.auth_fails = 0
         arena = mem.create_arena(RegionKind.PRIVATE, KEY_LEN + SALT_LEN)
         self.key_handle = Handle(arena.id, 0, KEY_LEN)
         self.salt_handle = Handle(arena.id, KEY_LEN, SALT_LEN)
@@ -224,20 +214,12 @@ def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
     try:
         plaintext = sa._cipher().decrypt(sa.salt_bytes() + iv, sealed, header)
     except InvalidTag:
-        sa.auth_fails += 1
         raise AuthFail(f"integrity check failed for SPI {sa.spi:#x}") from None
 
     pad_len, _next_header = plaintext[-2], plaintext[-1]
     if pad_len + 2 > len(plaintext):
         raise Malformed(f"pad length {pad_len} exceeds plaintext")
     inner = plaintext[: len(plaintext) - 2 - pad_len]
-
-    seq64 = int.from_bytes(iv, "big")
-    if sa.replay_counting:
-        if seq64 <= sa.last_seq:
-            sa.replays_detected += 1
-        else:
-            sa.last_seq = seq64
 
     restored = addressing + inner
     mem.write_at(region, offset, restored, _VM)  # shorter than the frame read

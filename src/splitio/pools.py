@@ -161,11 +161,6 @@ class PacketBuffer:
     def rss(self, value: int) -> None:
         self._set(META_OFF_RSS, _U32, value & 0xFFFFFFFF)
 
-    @property
-    def next_index(self) -> Optional[int]:
-        raw = self._get(META_OFF_NEXT, _U32)
-        return None if raw == META_NEXT_NONE else raw
-
     def chain(self, nxt: Optional["PacketBuffer"]) -> None:
         if nxt is not None and nxt.pool is not self.pool:
             raise ForeignBuffer("segments of a chain must come from one pool")
@@ -185,23 +180,8 @@ class PacketBuffer:
                 raise OversizePacket("segment chain longer than the pool")
             buf = PacketBuffer(pool, nxt)
 
-    def segments(self) -> list["PacketBuffer"]:
-        return [seg for seg, _ in self.segment_lengths()]
-
     def total_len(self) -> int:
         return sum(length for _, length in self.segment_lengths())
-
-    def write_app_private(self, data: bytes) -> None:
-        if len(data) > APP_PRIVATE_SIZE:
-            raise OversizePacket(f"app-private area is {APP_PRIVATE_SIZE} B")
-        pool = self.pool
-        pool.mem.write_at(pool.meta_region, self.meta_at + META_OFF_APP, data, _VM)
-
-    def read_app_private(self) -> bytes:
-        pool = self.pool
-        return pool.mem.read_at(
-            pool.meta_region, self.meta_at + META_OFF_APP, APP_PRIVATE_SIZE, _VM
-        )
 
     def write_data(self, payload: bytes) -> None:
         """App helper: set payload and pkt_len in one go."""
@@ -291,10 +271,6 @@ class PacketPool:
             self._app_fill,
             _VM,
         )
-
-    def data_handle(self, index: int) -> Handle:
-        region, offset = self.data_at(index)
-        return Handle(region, offset, self.data_room)
 
     def room_offsets(self, bufs: list[PacketBuffer]) -> list[int]:
         """Data-room offsets, within data_region, of this pool's bufs."""
@@ -448,7 +424,6 @@ class PortContext:
             "aes_ops": 0,  # AES executed by the application worker itself
         }
         self._tx_slot_temp: dict[int, PacketBuffer] = {}
-        self._rx_slot_temp: dict[int, PacketBuffer] = {}
         self.crypto_worker = None  # set by inline_attach
         self.rx_more = False  # whether the last rx_burst may have left ready slots
         self.destroyed = False
@@ -456,28 +431,16 @@ class PortContext:
     # -- setup -------------------------------------------------------------
 
     def arm_rx(self, slots: int) -> int:
-        """Post up to `slots` temporary buffers to the RX ring."""
+        """Post up to `slots` temporary buffers to the RX ring. They stay
+        taken for the life of the port: the ring's record of each posted
+        room is what rx_burst reposts once the room is harvested."""
         ring, temporary = self.rx_ring, self.pools.temporary
         count = max(0, min(slots, ring.capacity - ring.occupancy(), temporary.remaining()))
-        self._post_rx([temporary.take() for _ in range(count)])
-        return count
-
-    def _post_rx(self, temps: list[PacketBuffer]) -> None:
-        """Post temporary buffers to the RX ring in one bulk post, in order;
-        those the ring has no room for go back to the pool."""
-        ring, temporary = self.rx_ring, self.pools.temporary
-        space = ring.capacity - ring.occupancy()
-        for temp in temps[space:]:
-            temporary.free(temp)
-        temps = temps[:space]
-        if not temps:
-            return
-        first = ring.vm_post_rx_rooms(
+        temps = [temporary.take() for _ in range(count)]
+        ring.vm_post_rx_rooms(
             temporary.data_region, temporary.data_room, temporary.room_offsets(temps)
         )
-        mask, slot_temp = ring.capacity - 1, self._rx_slot_temp
-        for k, temp in enumerate(temps):
-            slot_temp[(first + k) & mask] = temp
+        return count
 
     # -- fast path ---------------------------------------------------------
 
@@ -485,17 +448,14 @@ class PortContext:
         """Harvest ready RX slots, bounce each payload into a private shadow
         buffer (the single RX copy), repost the shared-side buffers, and hand
         the shadow buffers to the caller."""
-        mem, counters = self.mem, self.counters
-        shadow_pool = self.pools.shadow
+        mem, counters, rx_ring = self.mem, self.counters, self.rx_ring
+        shadow_pool, temporary = self.pools.shadow, self.pools.temporary
         meta_region, room = shadow_pool.meta_region, shadow_pool.data_room
         out: list[PacketBuffer] = []
-        repost: list[PacketBuffer] = []
-        harvested = self.rx_ring.vm_harvest_rx(max_count)
+        harvested = rx_ring.vm_harvest_rx(max_count)
         # a short harvest stopped at a slot that was not ready
         self.rx_more = len(harvested) == max_count
         for rec in harvested:
-            temp = self._rx_slot_temp.pop(rec.slot)
-            repost.append(temp)
             if rec.suspect:
                 counters["metadata_suspect"] += 1
                 counters["drops"] += 1
@@ -519,7 +479,13 @@ class PortContext:
                 dst_region, dst_offset, room, META_NEXT_NONE, rec.rss,
             )
             out.append(shadow)
-        self._post_rx(repost)
+        if harvested:
+            # the harvest freed one slot per room, so every room fits back
+            rx_ring.vm_post_rx_rooms(
+                temporary.data_region,
+                temporary.data_room,
+                [rec.packet_address.offset for rec in harvested],
+            )
         return out
 
     def tx_burst(self, bufs: list[PacketBuffer]) -> int:

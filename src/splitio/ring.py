@@ -161,9 +161,7 @@ class DescriptorRing:
         # memory, only descriptor bytes do
         self._seen_free = [False] * cap
         self._posted_rx: list[Optional[Handle]] = [None] * cap
-        # device-private completion bookkeeping (models writeback ordering)
-        self._completion_seq: dict[int, int] = {}
-        self._next_completion = 0
+        # device-private completion bookkeeping
         self._device_done = [False] * cap
         self.violations: list[tuple[str, int]] = []
 
@@ -218,16 +216,14 @@ class DescriptorRing:
         )
         self._seen_free[slot] = False
         self._device_done[slot] = False
-        self._completion_seq.pop(slot, None)
         self.head = (self.head + 1) & MASK32
         return slot
 
     def vm_poll_tx(self) -> list[int]:
-        """Return slots newly observed free, in device completion order.
+        """Return slots newly observed free, in ring order from tail.
 
         Reads only status bytes, and only for slots not already seen free;
-        ring space is reclaimed in ring order over the contiguous freed
-        prefix.
+        ring space is reclaimed over the contiguous freed prefix.
         """
         assert self.direction is _TX
         mem, region, slot_at, seen_free = self.mem, self._region, self._slot_at, self._seen_free
@@ -242,8 +238,6 @@ class DescriptorRing:
                     seen_free[slot] = True
                     newly.append(slot)
             idx = (idx + 1) & MASK32
-        if len(newly) > 1:
-            newly.sort(key=lambda s: self._completion_seq.get(s, 1 << 62))
         while self.tail != self.head and seen_free[self.tail & mask]:
             seen_free[self.tail & mask] = False
             self.tail = (self.tail + 1) & MASK32
@@ -401,28 +395,22 @@ class DescriptorRing:
         self.mem.pack_at(self._region, at + TX_OFF_STATUS, _U8, _DEVICE, TX_STATUS_FREE)
         if ok:
             self._device_done[slot] = True
-            self._completion_seq[slot] = self._next_completion
-            self._next_completion += 1
         else:
             self.violations.append(("replayed_tx_completion", slot))
         return ok
 
     def device_writeback_rx(
-        self,
-        slot: int,
-        length: int,
-        packet_info: int = 0,
-        rss: int = 0,
-        vlan_tag: int = 0,
-        status_error: int = RX_STATUS_READY,
+        self, slot: int, length: int, status_error: int = RX_STATUS_READY
     ) -> bool:
+        """Write a slot's writeback: the length and status the device
+        claims, with packet_info, rss and vlan_tag 0 (this device model
+        computes none of them)."""
         assert self.direction is _RX
         ok = self._writeback_window_ok(slot)
         # one write, so the VM never sees a ready status without its fields
         self.mem.pack_at(
             self._region, self._device_slot_at(slot) + RX_OFF_INFO, _RX_WRITEBACK, _DEVICE,
-            packet_info & 0xFFFF, rss & MASK32, status_error & 0xFFFF, vlan_tag & 0xFFFF,
-            length & 0xFFFF,
+            0, 0, status_error & 0xFFFF, 0, length & 0xFFFF,
         )
         if ok:
             self._device_done[slot] = True

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from splitio.bench import (
     CSV_HEADER,
+    HOLD_S,
     BenchConfig,
     CostProfile,
     LatencyStats,
@@ -165,21 +166,22 @@ class TestConnectionMath:
         sched = RampSchedule(max_connections=1000)
         assert sched.step == 50
         assert sched.ramp_seconds == 20
-        assert sched.total_seconds == 50
+        assert sched.total_seconds == 20 + HOLD_S
         assert sched.connections_at(0) == 50
         assert sched.connections_at(19) == 1000
         assert sched.connections_at(49) == 1000
 
     def test_ramp_step_never_zero(self):
-        sched = RampSchedule(max_connections=3, hold_s=1)
+        sched = RampSchedule(max_connections=3)
         assert sched.step == 1
-        assert [sched.connections_at(s) for s in range(sched.total_seconds)] == [1, 2, 3, 3]
+        values = [sched.connections_at(s) for s in range(sched.total_seconds)]
+        assert values == [1, 2, 3] + [3] * HOLD_S
 
     @given(st.integers(1, 100_000))
     @settings(max_examples=60)
     def test_ramp_reaches_target_monotonically(self, target):
-        sched = RampSchedule(max_connections=target, hold_s=0)
-        values = [sched.connections_at(s) for s in range(sched.total_seconds)]
+        sched = RampSchedule(max_connections=target)
+        values = [sched.connections_at(s) for s in range(sched.ramp_seconds)]
         assert values[-1] == target
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert all(1 <= v <= target for v in values)
@@ -473,7 +475,7 @@ class TestCallBudget:
     """Python calls per plain echo round trip stay within budget, so
     per-packet work cannot creep back unnoticed."""
 
-    CEILING = 420
+    CEILING = 400
 
     @staticmethod
     def _calls(duration_s):
@@ -646,16 +648,19 @@ class TestLoadRuns:
         assert max(s.connections for s in report.seconds) == 1000
 
     def test_loss_onset_at_capacity_crossing(self):
-        # a 4 Gbit/s link carries 500,000 pps of 1000 B; the schedule is
-        # explicit because the link would clamp 1000 connections to 500
+        # 2,000 ns of server work per packet caps delivery at 500,000 pps,
+        # below the 8 Gbit/s link's 1,000,000 pps of 1000 B, so the ramp to
+        # 1000 connections is not clamped and crosses capacity at 550
         cfg = BenchConfig(
             payload_len=1000,
             rate_pps=1000.0,
             connections=1000,
-            bandwidth_bps=4e9,
-            profile=CostProfile.bare(),
+            bandwidth_bps=8e9,
+            profile=replace(CostProfile.bare(), server_fixed_ns=2000),
         )
-        report = run_load(cfg, schedule=RampSchedule(max_connections=1000))
+        report = run_load(cfg)
+        # the run lasts the 20 s ramp and the hold
+        assert len(report.seconds) == 20 + HOLD_S
         assert report.capacity_pps == 500_000.0
         assert report.loss_onset_connections == 550
         assert report.loss_onset_second == 10
@@ -671,12 +676,6 @@ class TestLoadRuns:
         report = run_load(cfg)
         assert report.loss_onset_connections is None
         assert all(s.dropped_pps == 0.0 for s in report.seconds)
-
-    def test_custom_schedule_sets_duration(self):
-        cfg = BenchConfig(payload_len=1000, rate_pps=100.0)
-        sched = RampSchedule(max_connections=10, hold_s=2)
-        report = run_load(cfg, schedule=sched)
-        assert len(report.seconds) == sched.ramp_seconds + 2
 
     def test_report_dict_shape(self):
         cfg = BenchConfig(rate_pps=100.0, connections=2)

@@ -9,7 +9,7 @@ from splitio.devsim import (
 from splitio.devsim import _payloads_for_run
 from splitio.errors import BadPlan
 from splitio.ipsec import OffloadMode, esp_paths
-from splitio.mem import Side
+from splitio.mem import Handle, Side
 from splitio.pools import PoolConfig
 from esp_factory import lookaside_factory
 
@@ -223,7 +223,7 @@ def _probe_layout():
     system so a plan can aim at exact addresses."""
     probe = LoopbackSystem()
     temp = probe.port_a.pools.temporary
-    next_tx_data = temp.data_handle(temp._free[-1])
+    next_tx_data = Handle(*temp.data_at(temp._free[-1]), temp.data_room)
     private_region = probe.port_a.pools.shadow.meta_slab.region
     return next_tx_data, private_region
 

@@ -1,5 +1,6 @@
 import ast
 from pathlib import Path
+from typing import Optional
 
 import splitio
 
@@ -73,6 +74,89 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     ]
     # exactly the allowlist: a listed name that gains a caller or goes leaves it too
     assert sorted(unnamed) == sorted(NAMED_ONLY_IN_TESTS)
+
+
+# defaulted parameters that no call in src/ or perfbench/ passes, each kept
+# for a stated reason
+UNPASSED_PARAMETERS = {
+    "cli.py main argv",  # the console entry point: main() reads sys.argv
+    # the crash model behind criterion 04(d) and the threat model's "Scrubbing"
+    "pools.py PortContext.destroy graceful",
+    # item 7 gives these functions a caller or retires them
+    "factors.py predict_latency costs",
+    "factors.py predict_latency base",
+    "bench.py app_cost_sweep rate_pps",
+    # item 2 folds LoopbackSystem into the one rig built from a BenchConfig
+    "devsim.py LoopbackSystem pool_cfg",
+    "devsim.py LoopbackSystem link",
+    "devsim.py LoopbackSystem instrument",
+}
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, Optional[int]]]:
+    """(name, position) of each parameter with a default; position counts
+    from the first argument a caller passes and is None for keyword-only."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    if method and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list):
+        positional = positional[1:]  # self or cls
+    first = len(positional) - len(args.defaults)
+    out = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+    out += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _public_defaulted(path: Path):
+    """(label, callee name, parameter, position) for each defaulted parameter
+    of a public function, or of a public class's constructor (called by the
+    class name) or public method."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            for name, pos in _defaulted(node, method=False):
+                yield f"{path.name} {node.name} {name}", node.name, name, pos
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                if fn.name == "__init__":
+                    label, callee = node.name, node.name
+                elif not fn.name.startswith("_"):
+                    label, callee = f"{node.name}.{fn.name}", fn.name
+                else:
+                    continue
+                for name, pos in _defaulted(fn, method=True):
+                    yield f"{path.name} {label} {name}", callee, name, pos
+
+
+def _passes(call: ast.Call, name: str, pos: Optional[int]) -> bool:
+    """Whether call passes the parameter, by keyword or by position; a
+    *args or **kwargs argument may pass any."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return pos is not None and len(call.args) > pos
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    """An option is something a caller sets: each defaulted parameter of a
+    public function, method or constructor is passed by some call, in src/
+    or perfbench/, to a callee of that name."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    unpassed = [
+        label
+        for path in sorted(PACKAGE.glob("*.py"))
+        for label, callee, name, pos in _public_defaulted(path)
+        if not any(_passes(call, name, pos) for call in calls.get(callee, []))
+    ]
+    # exactly the allowlist: a listed parameter that gains a caller or goes leaves it too
+    assert sorted(unpassed) == sorted(UNPASSED_PARAMETERS)
 
 
 def test_readme_library_example_runs(capsys):

@@ -18,7 +18,7 @@ from splitio.errors import (
     QuarantinedArena,
 )
 from splitio.ipsec import OffloadMode
-from splitio.mem import MemorySystem, RegionKind, Side
+from splitio.mem import Handle, MemorySystem, RegionKind, Side
 from splitio.pools import (
     APP_PRIVATE_SIZE,
     META_NEXT_NONE,
@@ -26,14 +26,13 @@ from splitio.pools import (
     META_OFF_DATA,
     META_OFF_NEXT,
     METADATA_OVERHEAD,
-    PacketBuffer,
     PoolConfig,
     PoolKind,
     init_pools,
     pool_memory_footprint,
     port_new,
 )
-from splitio.ring import RX_STATUS_ERROR, RX_STATUS_READY, encode_handle
+from splitio.ring import RX_OFF_INFO, RX_STATUS_ERROR, RX_STATUS_READY, SLOT_SIZE, encode_handle
 
 CANARY = b"\xc3\x96\xc3\x96"
 
@@ -118,7 +117,7 @@ class TestInitPools:
         shared = port.pools.shared
         temp = port.pools.temporary
         for i in range(8):
-            assert temp.data_handle(i) == shared.data_handle(i)
+            assert temp.data_at(i) == shared.data_at(i)
         assert temp.meta_slab.region != shared.meta_slab.region
 
     def test_pool_placement(self):
@@ -174,15 +173,14 @@ class TestConstruction:
         for pool, rooms, app_fill in expected:
             assert mem.read(pool.meta_slab, Side.VM) == reference_meta_slab(pool, rooms, app_fill)
             for i in range(pool.count):
-                assert pool.data_handle(i) == rooms.sub(i * pool.data_room, pool.data_room)
+                room = Handle(*pool.data_at(i), pool.data_room)
+                assert room == rooms.sub(i * pool.data_room, pool.data_room)
 
     @pytest.mark.parametrize("kind", ["shared", "temporary", "shadow"])
     def test_data_room_index_checked(self, kind):
         mem, port = small_port(mbuf_count=8, ring_capacity=4)
         pool = getattr(port.pools, kind)
         for index in (-1, pool.count):
-            with pytest.raises(OutOfBounds):
-                pool.data_handle(index)
             with pytest.raises(OutOfBounds):
                 pool.data_at(index)
 
@@ -259,7 +257,12 @@ class TestFusedMetadataWrites:
         index = self._dirty_next_shadow(port)
         rx = port.rx_ring.device_fetch()[0]
         mem.write(rx.packet_address.sub(0, 100), Side.DEVICE, bytes(range(100)))
-        port.rx_ring.device_writeback_rx(rx.slot, length=100, packet_info=0x0102, rss=0xDEADBEEF)
+        port.rx_ring.device_writeback_rx(rx.slot, length=100)
+        # packet_info and rss as a NIC that computes them would write them;
+        # the simulated one writes 0
+        at = port.rx_ring.backing.offset + rx.slot * SLOT_SIZE + RX_OFF_INFO
+        region = port.rx_ring.backing.region
+        mem.pack_at(region, at, struct.Struct("<HI"), Side.DEVICE, 0x0102, 0xDEADBEEF)
         (got,) = port.rx_burst()
         assert got.index == index
         fused = self._header(port, got)
@@ -272,7 +275,8 @@ class TestFusedMetadataWrites:
         ref.msg_type = 0x0102
         ref.rss = 0xDEADBEEF
         assert fused == self._header(port, ref)
-        assert (ref.pkt_len, ref.flags, ref.next_index) == (100, 0, None)
+        assert ref.flags == 0
+        assert [(seg.index, length) for seg, length in ref.segment_lengths()] == [(index, 100)]
         port.free_buffer(ref)
 
 
@@ -290,15 +294,6 @@ class TestBufferApi:
         buf = port.alloc_tx_buffer()
         with pytest.raises(OversizePacket):
             buf.write_data(b"x" * (buf.data_room + 1))
-        port.free_buffer(buf)
-
-    def test_app_private_area(self):
-        mem, port = small_port()
-        buf = port.alloc_tx_buffer()
-        buf.write_app_private(b"state")
-        assert buf.read_app_private()[:5] == b"state"
-        with pytest.raises(OversizePacket):
-            buf.write_app_private(b"y" * (APP_PRIVATE_SIZE + 1))
         port.free_buffer(buf)
 
     def test_double_free(self):
@@ -323,7 +318,7 @@ class TestBufferApi:
         b.write_data(b"BB")
         a.chain(b)
         assert a.total_len() == 6
-        assert [s.index for s in a.segments()] == [a.index, b.index]
+        assert [s.index for s, _ in a.segment_lengths()] == [a.index, b.index]
         assert port.tx_burst([a]) == 1
         view = port.tx_ring.device_fetch()[0]
         assert mem.read(view.address, Side.DEVICE) == b"AAAABB"
@@ -555,10 +550,10 @@ class TestCanaryAndScrub:
         mem, port = small_port(canary=CANARY)
         buf = port.alloc_tx_buffer()
         secret = b"do-not-leak-this-state"
-        buf.write_app_private(secret)
-        index = buf.index
+        meta_region, app_at = port.pools.shadow.meta_region, buf.meta_at + META_OFF_APP
+        mem.write_at(meta_region, app_at, secret, Side.VM)
         port.free_buffer(buf)
-        raw = PacketBuffer(port.pools.shadow, index).read_app_private()
+        raw = mem.read_at(meta_region, app_at, APP_PRIVATE_SIZE, Side.VM)
         assert secret not in raw
         assert raw.startswith(CANARY)
 

@@ -13,6 +13,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from port_oracle import check_temporaries
 from splitio.devsim import LinkModel, LoopbackSystem
 from splitio.errors import PoolExhausted
 from splitio.pools import PoolConfig
@@ -116,25 +117,13 @@ class PortPairMachine(RuleBasedStateMachine):
             shadow, temporary = port.pools.shadow, port.pools.temporary
             assert len({buf.index for buf in held}) == len(held)
             assert shadow.remaining() + len(held) == shadow.count
-            armed, in_flight = port._rx_slot_temp, port._tx_slot_temp
-            assert temporary.remaining() + len(armed) + len(in_flight) == temporary.count
+            armed, in_flight = port.rx_ring.occupancy(), len(port._tx_slot_temp)
+            assert temporary.remaining() + armed + in_flight == temporary.count
 
     @invariant()
     def rx_slots_owned_once(self):
         for end in self.ends.values():
-            port = end.port
-            ring, temporary = port.rx_ring, port.pools.temporary
-            armed, in_flight = port._rx_slot_temp, port._tx_slot_temp
-            # the ring's posted slots are exactly the armed ones, each with
-            # its own buffer's room, and no armed buffer is also free or in
-            # flight on TX
-            assert len(armed) == ring.occupancy()
-            assert {s for s, h in enumerate(ring._posted_rx) if h is not None} == set(armed)
-            for slot, temp in armed.items():
-                assert ring._posted_rx[slot] == temporary.data_handle(temp.index)
-            owned = [buf.index for buf in armed.values()] + [buf.index for buf in in_flight.values()]
-            assert len(set(owned)) == len(owned)
-            assert not set(owned) & set(temporary._free)
+            check_temporaries(end.port)
 
     @invariant()
     def no_breach(self):

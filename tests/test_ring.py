@@ -17,6 +17,8 @@ from splitio.errors import (
 from splitio.mem import Handle, MemorySystem, RegionKind, Side
 from splitio.ring import (
     MASK32,
+    RX_OFF_INFO,
+    RX_OFF_VLAN,
     RX_STATUS_ERROR,
     RX_STATUS_READY,
     SLOT_SIZE,
@@ -43,6 +45,15 @@ def make_ring(direction=Direction.TX, capacity=8, instrument=True):
 def decode_handle(raw: bytes) -> Handle:
     """Oracle for the on-ring handle encoding: region u16, offset u32, length u16, little endian."""
     return Handle(*struct.unpack("<HIH", raw))
+
+
+def write_rx_fields(mem, ring, slot, packet_info, rss, vlan_tag):
+    """Device side: packet_info, rss and vlan_tag as a NIC that computes
+    them would write them into a slot's writeback; the simulated NIC writes
+    0 for all three. Status and length are left as they are."""
+    region, at = ring.backing.region, ring.backing.offset + slot * SLOT_SIZE
+    mem.pack_at(region, at + RX_OFF_INFO, struct.Struct("<HI"), Side.DEVICE, packet_info, rss)
+    mem.pack_at(region, at + RX_OFF_VLAN, struct.Struct("<H"), Side.DEVICE, vlan_tag)
 
 
 def tx_desc(buf: Handle, length: int = 64) -> TxDescriptor:
@@ -172,14 +183,6 @@ class TestTxPath:
         with pytest.raises(RingFull):
             ring.vm_post_tx(tx_desc(bufs[4]))
 
-    def test_poll_returns_completion_order(self):
-        mem, ring, bufs = make_ring()
-        slots = [ring.vm_post_tx(tx_desc(bufs[i])) for i in range(3)]
-        ring.device_fetch()
-        for s in (slots[2], slots[0], slots[1]):
-            assert ring.device_writeback_tx(s)
-        assert ring.vm_poll_tx() == [slots[2], slots[0], slots[1]]
-
     def test_tail_reclaims_contiguous_prefix_only(self):
         mem, ring, bufs = make_ring()
         slots = [ring.vm_post_tx(tx_desc(bufs[i])) for i in range(3)]
@@ -247,7 +250,8 @@ class TestRxPath:
         views = ring.device_fetch()
         assert views[0].packet_address == bufs[0]
         assert views[0].header_address == bufs[0]  # no header split
-        assert ring.device_writeback_rx(slot, length=100, packet_info=7, rss=42, vlan_tag=3)
+        assert ring.device_writeback_rx(slot, length=100)
+        write_rx_fields(mem, ring, slot, packet_info=7, rss=42, vlan_tag=3)
         (h,) = ring.vm_harvest_rx(4)
         assert (h.slot, h.length, h.packet_info, h.rss, h.vlan_tag) == (slot, 100, 7, 42, 3)
         assert not h.suspect
@@ -312,7 +316,8 @@ class TestRxPath:
         mem, ring, bufs = make_ring(Direction.RX)
         slot = ring.vm_post_rx_buffer(bufs[0])
         ring.device_fetch()
-        ring.device_writeback_rx(slot, length=64, packet_info=1, rss=2, vlan_tag=3)
+        ring.device_writeback_rx(slot, length=64)
+        write_rx_fields(mem, ring, slot, packet_info=1, rss=2, vlan_tag=3)
         ring.vm_harvest_rx(4)
         ring.vm_harvest_rx(4)  # released slot must not be re-read
         window = slice(slot * SLOT_SIZE + 16, slot * SLOT_SIZE + 28)
@@ -511,7 +516,7 @@ class _RingModel:
         self.capacity = capacity
         self.inflight: list[int] = []  # ring order, includes freed-but-stuck
         self.freed: set[int] = set()
-        self.completed_unseen: list[int] = []  # completion order
+        self.completed_unseen: list[int] = []  # completion order; polls return ring order
         self.posts = 0
 
     @property
@@ -552,7 +557,8 @@ def test_tx_ring_against_model(ops):
                 assert ring.device_writeback_tx(view.slot)
                 model.completed_unseen.append(view.slot)
         else:
-            assert ring.vm_poll_tx() == model.completed_unseen
+            ring_order = [s for s in model.inflight if s in model.completed_unseen]
+            assert ring.vm_poll_tx() == ring_order
             model.freed.update(model.completed_unseen)
             model.completed_unseen = []
             model.reclaim()

@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 from access_oracle import read_counts
+from port_oracle import check_temporaries
 from splitio import simloop
 from splitio.bench import BenchConfig
 from splitio.devsim import AdversaryPlan, LoopbackSystem, run_adversary
@@ -174,8 +175,9 @@ class TestAttackWhilePoolsAreDry:
                 pools = port.pools
                 # the heap has drained, so the applications hold no buffer
                 assert pools.shadow.remaining() == pools.shadow.count, context
-                armed, in_flight = len(port._rx_slot_temp), len(port._tx_slot_temp)
+                armed, in_flight = port.rx_ring.occupancy(), len(port._tx_slot_temp)
                 assert pools.temporary.remaining() + armed + in_flight == pools.temporary.count, context
+                check_temporaries(port)
 
 
 class TestPostCopyTamper:
