@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import mmap
 import struct
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, NoReturn, Optional
 
 from .errors import (
     AlreadyTornDown,
@@ -48,6 +48,13 @@ class Side(enum.Enum):
 # aliases for the same reason.
 _DEVICE = Side.DEVICE
 _SHARED = RegionKind.SHARED
+
+# Builds a record from a tuple of all its fields without the NamedTuple
+# constructor's Python frame (timeit, Python 3.11.7 on a 2-CPU x86-64 host:
+# 175-216 ns for a Handle, an AccessRecord or an RxHarvest, against 358-458
+# ns through the class). It skips the constructor's arity check, so a call
+# site must pass every field. ring and pools keep the same alias.
+_new = tuple.__new__
 
 
 class Handle(NamedTuple):
@@ -189,14 +196,17 @@ class MemorySystem:
     #
     # Every accessor below runs the same two checks, once per call: the
     # range must lie inside an existing arena, and a device-side access must
-    # target a registered shared arena. Each decides the all-clear case
-    # inline, instrumentation off included, so it costs one Python frame;
-    # anything else goes to _access, the only code that raises or logs.
-    # The offset forms let fixed-layout callers (rings, buffer metadata)
-    # name a field by absolute offset and decode it straight from the arena
-    # with a precompiled struct, instead of building a Handle per field.
+    # target a registered shared arena. Each decides them inline and, when
+    # instrumented, logs the allowed access itself, so an access costs one
+    # Python frame either way; a refused access goes to _refuse, the only
+    # code that raises. The offset forms let fixed-layout callers (rings,
+    # buffer metadata) name a field by absolute offset and decode it
+    # straight from the arena with a precompiled struct, instead of building
+    # a Handle per field.
 
-    def _access(self, region: int, offset: int, length: int, side: Side, op: str) -> Arena:
+    def _refuse(self, region: int, offset: int, length: int, side: Side, op: str) -> NoReturn:
+        """Raise for an access an accessor refused, naming the first check it
+        failed; a device denial is logged first when instrumented."""
         arena = self.arenas.get(region)
         if arena is None:
             raise OutOfBounds(f"no arena with id {region}")
@@ -204,49 +214,54 @@ class MemorySystem:
             raise OutOfBounds(
                 f"[{offset}, {offset + length}) outside arena {arena.id} of size {arena.size}"
             )
-        # membership alone is is_device_accessible here: register admits only
-        # this system's SHARED arenas, arenas are never removed, and
-        # zero_and_release empties the set in place
-        if side is _DEVICE and region not in self.shared.registered:
-            if self.instrument:
-                self.access_log.append(AccessRecord(_DEVICE, op, region, offset, length, False))
-            raise DeviceAccessDenied(
-                f"device {op} of {length} B at region {region}+{offset} denied"
-            )
+        # what is left is a device access to an unregistered arena (membership
+        # alone is is_device_accessible here: register admits only this
+        # system's SHARED arenas, arenas are never removed, and
+        # zero_and_release empties the set in place)
         if self.instrument:
-            self.access_log.append(AccessRecord(side, op, region, offset, length, True))
-        return arena
+            self.access_log.append(_new(AccessRecord, (side, op, region, offset, length, False)))
+        raise DeviceAccessDenied(f"device {op} of {length} B at region {region}+{offset} denied")
 
     def read_at(self, region: int, offset: int, length: int, side: Side) -> bytes:
         arena, end = self.arenas.get(region), offset + length
-        if arena is None or self.instrument or not 0 <= offset <= end <= arena.size or (
+        if arena is None or not 0 <= offset <= end <= arena.size or (
             side is _DEVICE and region not in self.shared.registered
         ):
-            arena = self._access(region, offset, length, side, "read")
+            self._refuse(region, offset, length, side, "read")
+        if self.instrument:
+            self.access_log.append(_new(AccessRecord, (side, "read", region, offset, length, True)))
         return bytes(arena.data[offset:end])
 
     def write_at(self, region: int, offset: int, data: bytes, side: Side) -> None:
         arena, end = self.arenas.get(region), offset + len(data)
-        if arena is None or self.instrument or not 0 <= offset <= end <= arena.size or (
+        if arena is None or not 0 <= offset <= end <= arena.size or (
             side is _DEVICE and region not in self.shared.registered
         ):
-            arena = self._access(region, offset, end - offset, side, "write")
+            self._refuse(region, offset, end - offset, side, "write")
+        if self.instrument:
+            self.access_log.append(
+                _new(AccessRecord, (side, "write", region, offset, end - offset, True))
+            )
         arena.data[offset:end] = data
 
     def unpack_at(self, region: int, offset: int, fmt: struct.Struct, side: Side) -> tuple:
-        arena = self.arenas.get(region)
-        if arena is None or self.instrument or not 0 <= offset <= arena.size - fmt.size or (
+        arena, size = self.arenas.get(region), fmt.size
+        if arena is None or not 0 <= offset <= arena.size - size or (
             side is _DEVICE and region not in self.shared.registered
         ):
-            arena = self._access(region, offset, fmt.size, side, "read")
+            self._refuse(region, offset, size, side, "read")
+        if self.instrument:
+            self.access_log.append(_new(AccessRecord, (side, "read", region, offset, size, True)))
         return fmt.unpack_from(arena.data, offset)
 
     def pack_at(self, region: int, offset: int, fmt: struct.Struct, side: Side, *values) -> None:
-        arena = self.arenas.get(region)
-        if arena is None or self.instrument or not 0 <= offset <= arena.size - fmt.size or (
+        arena, size = self.arenas.get(region), fmt.size
+        if arena is None or not 0 <= offset <= arena.size - size or (
             side is _DEVICE and region not in self.shared.registered
         ):
-            arena = self._access(region, offset, fmt.size, side, "write")
+            self._refuse(region, offset, size, side, "write")
+        if self.instrument:
+            self.access_log.append(_new(AccessRecord, (side, "write", region, offset, size, True)))
         fmt.pack_into(arena.data, offset, *values)
 
     def read(self, h: Handle, side: Side) -> bytes:

@@ -71,9 +71,11 @@ class PoolKind(enum.Enum):
     SHADOW = "shadow"
 
 
-# enum members read once (see the note in mem.py)
+# enum members read once, and records built without a constructor frame
+# (see the notes in mem.py)
 _VM = Side.VM
 _SHADOW = PoolKind.SHADOW
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -264,14 +266,6 @@ class PacketPool:
             slab[column + lane :: METADATA_OVERHEAD] = offsets[lane::4]
         self.mem.write(self.meta_slab, _VM, slab)
 
-    def _scrub_app_private(self, index: int) -> None:
-        self.mem.write_at(
-            self.meta_region,
-            self.meta_base + index * METADATA_OVERHEAD + META_OFF_APP,
-            self._app_fill,
-            _VM,
-        )
-
     def room_offsets(self, bufs: list[PacketBuffer]) -> list[int]:
         """Data-room offsets, within data_region, of this pool's bufs."""
         base, room = self.data_base, self.data_room
@@ -318,7 +312,7 @@ class PacketPool:
             raise ForeignBuffer(f"double free of buffer {buf.index}")
         if self.kind is _SHADOW:
             # cheap scrub: the app-private area may hold secrets
-            self._scrub_app_private(buf.index)
+            self.mem.write_at(self.meta_region, buf.meta_at + META_OFF_APP, self._app_fill, _VM)
         self._is_free[buf.index] = True
         self._free.append(buf.index)
 
@@ -525,13 +519,9 @@ class PortContext:
             region, offset = temporary.data_at(temp.index, total)
             try:
                 mem.write_at(region, offset, payload, _VM)
-                slot = self.tx_ring.vm_post_tx(
-                    TxDescriptor(
-                        Handle(region, offset, total),
-                        (total & ringmod.TX_CMD_LEN_MASK) | ringmod.TX_CMD_EOP,
-                        0,
-                    )
-                )
+                address = _new(Handle, (region, offset, total))
+                cmd = (total & ringmod.TX_CMD_LEN_MASK) | ringmod.TX_CMD_EOP
+                slot = self.tx_ring.vm_post_tx(_new(TxDescriptor, (address, cmd, 0)))
             except RingFull:
                 temporary.free(temp)
                 break

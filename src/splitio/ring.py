@@ -92,9 +92,11 @@ class Direction(enum.Enum):
     RX = "rx"
 
 
-# enum members read once (see the note in mem.py)
+# enum members read once, and records built without a constructor frame
+# (see the notes in mem.py)
 _VM, _DEVICE = Side.VM, Side.DEVICE
 _TX, _RX = Direction.TX, Direction.RX
+_new = tuple.__new__
 
 
 class TxDescriptor(NamedTuple):
@@ -194,7 +196,7 @@ class DescriptorRing:
 
     def vm_post_tx(self, desc: TxDescriptor) -> int:
         assert self.direction is _TX
-        if self.occupancy() == self.capacity:
+        if (self.head - self.tail) & MASK32 == self.capacity:
             raise RingFull(f"tx ring full at capacity {self.capacity}")
         mem = self.mem
         a_region, a_offset, a_length = desc.address
@@ -265,7 +267,7 @@ class DescriptorRing:
         """
         assert self.direction is _RX
         n, cap = len(offsets), self.capacity
-        if n > cap - self.occupancy():
+        if n > cap - ((self.head - self.tail) & MASK32):
             raise RingFull(f"rx ring at capacity {cap} has no room for {n} buffers")
         first = self.head & (cap - 1)
         if not n:
@@ -296,7 +298,7 @@ class DescriptorRing:
         for start, count, run in runs:
             image = b"".join([pack(region, off, length, region, off, length) for off in run])
             mem.write_at(self._region, self._slot_at[start], image, _VM)
-            posted_rx[start : start + count] = [Handle(region, off, length) for off in run]
+            posted_rx[start : start + count] = [_new(Handle, (region, off, length)) for off in run]
             device_done[start : start + count] = [False] * count
         self.head = (self.head + n) & MASK32
         return first
@@ -331,7 +333,7 @@ class DescriptorRing:
                 suspect = True
             if status & RX_STATUS_ERROR:
                 suspect = True
-            out.append(RxHarvest(slot, packet, info, rss, status, vlan, length, suspect))
+            out.append(_new(RxHarvest, (slot, packet, info, rss, status, vlan, length, suspect)))
             posted_rx[slot] = None
             max_count -= 1
             self.tail = (self.tail + 1) & MASK32
@@ -356,18 +358,15 @@ class DescriptorRing:
                 a_region, a_offset, a_length, cmd, olinfo = mem.unpack_at(
                     region, slot_at[slot] + TX_OFF_ADDR, _TX_FETCH, _DEVICE
                 )
-                views.append(TxView(slot, Handle(a_region, a_offset, a_length), cmd, olinfo))
+                address = _new(Handle, (a_region, a_offset, a_length))
+                views.append(_new(TxView, (slot, address, cmd, olinfo)))
             else:
                 p_region, p_offset, p_length, h_region, h_offset, h_length = mem.unpack_at(
                     region, slot_at[slot] + RX_OFF_PKT, _RX_FETCH, _DEVICE
                 )
-                views.append(
-                    RxView(
-                        slot,
-                        Handle(p_region, p_offset, p_length),
-                        Handle(h_region, h_offset, h_length),
-                    )
-                )
+                packet = _new(Handle, (p_region, p_offset, p_length))
+                header = _new(Handle, (h_region, h_offset, h_length))
+                views.append(_new(RxView, (slot, packet, header)))
             self.device_next = (self.device_next + 1) & MASK32
         return views
 

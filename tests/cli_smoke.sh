@@ -27,6 +27,9 @@ rc=0; $cli echo --config "$dir/bad.cfg" || rc=$?
 test "$rc" -eq 2
 rc=0; $cli load --adversary /nonexistent || rc=$?
 test "$rc" -eq 2
+# 10^9 sends is more than an echo run can schedule
+rc=0; $cli echo --rate 1e12 --duration 0.001 || rc=$?
+test "$rc" -eq 2
 # adversary reports are JSON only: the default, and csv is refused; the
 # plan attacks the configured traffic, 50 packets in 10 ms, and a bad
 # traffic flag is refused as it is without a plan

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from splitio.bench import (
     CSV_HEADER,
     HOLD_S,
+    MAX_ECHO_SENDS,
     BenchConfig,
     CostProfile,
     LatencyStats,
@@ -225,6 +226,19 @@ class TestConfigValidation:
 
     def test_one_packet_per_connection_accepted(self):
         validate_config(BenchConfig(rate_pps=0.5, duration_s=2.0))
+
+    def test_send_ceiling_counts_every_connection(self):
+        # checked on the config alone: no test starts a run this large
+        validate_config(BenchConfig(rate_pps=MAX_ECHO_SENDS / 2, duration_s=1.0, connections=2))
+        with pytest.raises(ConfigInvalid, match=f"exceed the {MAX_ECHO_SENDS}"):
+            validate_config(BenchConfig(rate_pps=MAX_ECHO_SENDS / 2, duration_s=1.0, connections=3))
+        with pytest.raises(ConfigInvalid, match="1000000000 sends exceed"):
+            validate_config(BenchConfig(rate_pps=1e12, duration_s=0.001))
+
+    def test_load_runs_schedule_no_sends(self):
+        # the fluid model ignores duration, so the echo send ceiling does not apply
+        cfg = BenchConfig(rate_pps=1e6, connections=10, profile=CostProfile.bare())
+        assert run_load(cfg).clamped_from == 10
 
 
 class TestServiceModel:
@@ -473,7 +487,9 @@ class TestRigLifetime:
 
 class TestCallBudget:
     """Python calls per plain echo round trip stay within budget, so
-    per-packet work cannot creep back unnoticed."""
+    per-packet work cannot creep back unnoticed. A NamedTuple constructor
+    frame was never counted (its code lives in "<string>"), but the builtin
+    tuple.__new__ that builds packet-path records without it is."""
 
     CEILING = 400
 

@@ -91,6 +91,12 @@ class TestEchoCommand:
         assert out == ""
         assert "sends no packet" in err
 
+    @pytest.mark.parametrize("command", ["echo", "ipsec"])
+    def test_run_too_large_to_schedule_exits_two(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--rate", "1e12", "--duration", "0.001")
+        assert (code, out) == (2, "")
+        assert err == "error: 1000000000 sends exceed the 5000000 an echo run can schedule\n"
+
 
 @pytest.mark.parametrize(
     "argv",
