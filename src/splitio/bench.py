@@ -345,12 +345,17 @@ def load_capacity_pps(cfg: BenchConfig) -> float:
 
 
 def run_load(cfg: BenchConfig) -> ThroughputReport:
-    """Ramp to cfg.connections, clamped to what the link supports, and
-    account offered versus delivered packets second by second. Duration
-    comes from the ramp and its hold, not from cfg.duration_s."""
+    """Ramp to cfg.connections, clamped to what the link supports (refused
+    when that is none), and account offered versus delivered packets second
+    by second. Duration comes from the ramp and its hold, not from
+    cfg.duration_s."""
     _validate_run(cfg)
     clamped_from: Optional[int] = None
     formula_max = max_connections(cfg.bandwidth_bps, cfg.payload_len, cfg.rate_pps)
+    if formula_max == 0:
+        raise ConfigInvalid(
+            f"the link carries no connection of {cfg.payload_len} B at {cfg.rate_pps:g} packets/s"
+        )
     target = cfg.connections
     if target > formula_max:
         log.info(

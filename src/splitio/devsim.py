@@ -580,7 +580,7 @@ class LoopbackSystem:
         if any(v["kind"].startswith("private_") for v in self.violations()):
             return True
         mems = (self.mem_a, self.mem_b)
-        if any(not m.device_touched_regions() <= set(m.shared.registered) for m in mems):
+        if any(not m.device_touched_regions() <= m.registered for m in mems):
             return True
         patterns = list(secret_patterns) + ([self.canary] if self.canary else [])
         frames = self.nic_a.capture + self.nic_b.capture

@@ -67,10 +67,6 @@ class VmConfiguration(enum.Enum):
     SNP_TIO_DPDK = "snp_tio_dpdk"  # projected optimal
     SNP_SOFTWARE = "snp_software"  # the split-memory design built here
 
-    @property
-    def projected(self) -> bool:
-        return self in (VmConfiguration.SNP_TIO, VmConfiguration.SNP_TIO_DPDK)
-
 
 class FactorState(enum.Enum):
     PRESENT = "Y"

@@ -1,12 +1,13 @@
-"""Arenas, handles, and the shared-region registry.
+"""Arenas, handles, and the one owner of shared memory.
 
 Memory is modeled as flat arenas of two kinds. PRIVATE arenas belong to the
 guest alone; the device side can never read or write them. SHARED arenas are
-visible to the device, but only while they are registered with the
-SharedRegionManager. Every byte access goes through MemorySystem (read/write
-for Handles, read_at/write_at/unpack_at/pack_at for absolute offsets) and
-names which side is acting, so the device/VM trust boundary is enforced
-in exactly one place and can be audited from the access log.
+visible to the device, but only while they are registered with their
+MemorySystem, which also decides, in check_backing alone, whether an arena
+may back a ring or a pool. Every byte access goes through MemorySystem
+(read/write for Handles, read_at/write_at/unpack_at/pack_at for absolute
+offsets) and names which side is acting, so the device/VM trust boundary is
+enforced in exactly one place and can be audited from the access log.
 
 Instrumentation is the access log, one AccessRecord per access (denied
 device attempts included), and it is the only record kept: evidence such as
@@ -26,6 +27,7 @@ from .errors import (
     DeviceAccessDenied,
     NotShared,
     OutOfBounds,
+    QuarantinedArena,
     ZeroSize,
 )
 
@@ -98,62 +100,25 @@ class Arena:
         # when the arena is dropped, so a rig costs only the pages it touches
         self.data = mmap.mmap(-1, size)
 
-    def is_zero(self) -> bool:
-        return self.data[:] == bytes(self.size)
-
-
-class SharedRegionManager:
-    """Tracks which shared arenas the device is allowed to touch.
-
-    Lifecycle is one-way: zero_and_release tears the manager down, and a
-    torn-down manager refuses registration and a second teardown. Teardown
-    zeroes every registered arena before unregistering it, so no guest data
-    survives in device-visible memory.
-    """
-
-    def __init__(self, arenas: dict[int, Arena], quarantined: set[int]):
-        # the owning system's arena table and quarantine set, not the system
-        # itself, so the two do not hold each other in a reference cycle
-        self._arenas = arenas
-        self._quarantined = quarantined
-        self.registered: set[int] = set()
-        self.torn_down = False
-
-    def register(self, arena: Arena) -> None:
-        if self.torn_down:
-            raise AlreadyTornDown("manager already torn down")
-        if arena.kind is not RegionKind.SHARED:
-            raise NotShared(f"arena {arena.id} is {arena.kind.value}")
-        if self._arenas.get(arena.id) is not arena:
-            raise NotShared(f"arena {arena.id} belongs to another memory system")
-        self.registered.add(arena.id)
-
-    def is_registered(self, region: int) -> bool:
-        return region in self.registered
-
-    def zero_and_release(self) -> None:
-        """Zero every registered arena, unregister all, and tear down."""
-        if self.torn_down:
-            raise AlreadyTornDown("manager already torn down")
-        for region in sorted(self.registered):
-            arena = self._arenas[region]
-            arena.data[:] = bytes(arena.size)
-            self._quarantined.discard(region)
-        self.registered.clear()
-        self.torn_down = True
-
 
 class MemorySystem:
-    """All arenas of one simulated machine plus its shared-region manager."""
+    """All arenas of one simulated machine and the lifecycle of its shared
+    regions.
+
+    The device may touch a SHARED arena only while it is registered. A
+    non-graceful port teardown quarantines the port's shared arena: nothing
+    new may be built on it until zero_and_release, which zeroes and
+    unregisters every registered arena and tears the system down for good,
+    so no guest data survives in device-visible memory.
+    """
 
     def __init__(self, instrument: bool = False):
         self.instrument = instrument
         self.arenas: dict[int, Arena] = {}
         self.access_log: list[AccessRecord] = []
-        # shared arenas abandoned by a non-graceful port teardown; not
-        # reusable for new rings/pools until zero_and_release scrubs them
+        self.registered: set[int] = set()
         self.quarantined: set[int] = set()
-        self.shared = SharedRegionManager(self.arenas, self.quarantined)
+        self.torn_down = False
         self._next_id = 1
 
     # -- arena lifecycle ---------------------------------------------------
@@ -172,8 +137,38 @@ class MemorySystem:
         except KeyError:
             raise OutOfBounds(f"no arena with id {region}") from None
 
-    def is_reusable(self, arena: Arena) -> bool:
-        return arena.id not in self.quarantined
+    # -- shared-region lifecycle -------------------------------------------
+
+    def register(self, arena: Arena) -> None:
+        if self.torn_down:
+            raise AlreadyTornDown("shared regions already torn down")
+        if self.arenas.get(arena.id) is not arena:
+            raise NotShared(f"arena {arena.id} belongs to another memory system")
+        if arena.kind is not _SHARED:
+            raise NotShared(f"arena {arena.id} is {arena.kind.value}")
+        self.registered.add(arena.id)
+
+    def check_backing(self, arena: Arena, kind: RegionKind) -> None:
+        """Refuse an arena that may not back a ring or pool of this kind: it
+        must be this system's own and of that kind, and a SHARED one must
+        also be registered and not quarantined."""
+        if self.arenas.get(arena.id) is not arena or arena.kind is not kind:
+            raise NotShared(f"arena {arena.id} is not a {kind.value} arena of this memory system")
+        if kind is _SHARED and arena.id not in self.registered:
+            raise NotShared(f"arena {arena.id} is not registered")
+        if arena.id in self.quarantined:
+            raise QuarantinedArena(f"arena {arena.id} awaits zero_and_release")
+
+    def zero_and_release(self) -> None:
+        """Zero every registered arena, unregister all, and tear down."""
+        if self.torn_down:
+            raise AlreadyTornDown("shared regions already torn down")
+        for region in self.registered:
+            arena = self.arenas[region]
+            arena.data[:] = bytes(arena.size)
+        self.registered.clear()
+        self.quarantined.clear()
+        self.torn_down = True
 
     # -- containment -------------------------------------------------------
 
@@ -185,12 +180,8 @@ class MemorySystem:
         return 0 <= h.offset and 0 <= h.length and h.offset + h.length <= arena.size
 
     def is_device_accessible(self, region: int) -> bool:
-        arena = self.arenas.get(region)
-        return (
-            arena is not None
-            and arena.kind is _SHARED
-            and region in self.shared.registered
-        )
+        # register admits only this system's SHARED arenas
+        return region in self.registered
 
     # -- byte access (the single trust-boundary choke point) ---------------
     #
@@ -214,10 +205,7 @@ class MemorySystem:
             raise OutOfBounds(
                 f"[{offset}, {offset + length}) outside arena {arena.id} of size {arena.size}"
             )
-        # what is left is a device access to an unregistered arena (membership
-        # alone is is_device_accessible here: register admits only this
-        # system's SHARED arenas, arenas are never removed, and
-        # zero_and_release empties the set in place)
+        # what is left is a device access to an unregistered arena
         if self.instrument:
             self.access_log.append(_new(AccessRecord, (side, op, region, offset, length, False)))
         raise DeviceAccessDenied(f"device {op} of {length} B at region {region}+{offset} denied")
@@ -225,7 +213,7 @@ class MemorySystem:
     def read_at(self, region: int, offset: int, length: int, side: Side) -> bytes:
         arena, end = self.arenas.get(region), offset + length
         if arena is None or not 0 <= offset <= end <= arena.size or (
-            side is _DEVICE and region not in self.shared.registered
+            side is _DEVICE and region not in self.registered
         ):
             self._refuse(region, offset, length, side, "read")
         if self.instrument:
@@ -235,7 +223,7 @@ class MemorySystem:
     def write_at(self, region: int, offset: int, data: bytes, side: Side) -> None:
         arena, end = self.arenas.get(region), offset + len(data)
         if arena is None or not 0 <= offset <= end <= arena.size or (
-            side is _DEVICE and region not in self.shared.registered
+            side is _DEVICE and region not in self.registered
         ):
             self._refuse(region, offset, end - offset, side, "write")
         if self.instrument:
@@ -247,7 +235,7 @@ class MemorySystem:
     def unpack_at(self, region: int, offset: int, fmt: struct.Struct, side: Side) -> tuple:
         arena, size = self.arenas.get(region), fmt.size
         if arena is None or not 0 <= offset <= arena.size - size or (
-            side is _DEVICE and region not in self.shared.registered
+            side is _DEVICE and region not in self.registered
         ):
             self._refuse(region, offset, size, side, "read")
         if self.instrument:
@@ -257,7 +245,7 @@ class MemorySystem:
     def pack_at(self, region: int, offset: int, fmt: struct.Struct, side: Side, *values) -> None:
         arena, size = self.arenas.get(region), fmt.size
         if arena is None or not 0 <= offset <= arena.size - size or (
-            side is _DEVICE and region not in self.shared.registered
+            side is _DEVICE and region not in self.registered
         ):
             self._refuse(region, offset, size, side, "write")
         if self.instrument:

@@ -31,11 +31,9 @@ from typing import Optional
 from .errors import (
     ArenaTooSmall,
     ForeignBuffer,
-    NotShared,
     OutOfBounds,
     OversizePacket,
     PoolExhausted,
-    QuarantinedArena,
     RingFull,
 )
 from .mem import Arena, Handle, MemorySystem, RegionKind, Side
@@ -316,11 +314,6 @@ class PacketPool:
         self._is_free[buf.index] = True
         self._free.append(buf.index)
 
-    def zero_slabs(self) -> None:
-        self.mem.write(self.meta_slab, _VM, bytes(self.meta_slab.length))
-        if self.data_slab is not None:
-            self.mem.write(self.data_slab, _VM, bytes(self.data_slab.length))
-
 
 @dataclass
 class PoolSet:
@@ -350,12 +343,8 @@ def init_pools(
         )
     if cfg.mbuf_count < 1:
         raise ArenaTooSmall("mbuf_count must be at least 1")
-    if shared_arena.kind is not RegionKind.SHARED or not mem.shared.is_registered(shared_arena.id):
-        raise NotShared("shared pool arena must be a registered shared arena")
-    if private_arena.kind is not RegionKind.PRIVATE:
-        raise NotShared("shadow/temporary pools must live in a private arena")
-    if not mem.is_reusable(shared_arena):
-        raise QuarantinedArena(f"arena {shared_arena.id} awaits zero_and_release")
+    mem.check_backing(shared_arena, RegionKind.SHARED)
+    mem.check_backing(private_arena, RegionKind.PRIVATE)
 
     count = cfg.mbuf_count
     room = cfg.data_room
@@ -557,19 +546,18 @@ class PortContext:
     # -- teardown ----------------------------------------------------------
 
     def destroy(self, graceful: bool = True) -> None:
-        """Graceful teardown zeroes the port's shared bytes immediately.
-        A non-graceful one (crash model) quarantines the shared arena: its
-        pages stay unreusable until zero_and_release scrubs them."""
+        """Graceful teardown zeroes the port's shared arena, which holds
+        exactly [pool metadata | rooms | TX ring | RX ring], in one write.
+        A non-graceful one (crash model) quarantines it instead: its pages
+        stay unreusable until zero_and_release scrubs them."""
         if self.destroyed:
             return
         self.destroyed = True
-        shared_region = self.pools.shared.meta_slab.region
+        region = self.pools.shared.meta_slab.region
         if graceful:
-            self.pools.shared.zero_slabs()
-            self.mem.write(self.tx_ring.backing, _VM, bytes(self.tx_ring.backing.length))
-            self.mem.write(self.rx_ring.backing, _VM, bytes(self.rx_ring.backing.length))
+            self.mem.write_at(region, 0, bytes(self.mem.arena(region).size), _VM)
         else:
-            self.mem.quarantined.add(shared_region)
+            self.mem.quarantined.add(region)
 
 
 def port_new(
@@ -584,7 +572,7 @@ def port_new(
     pool_bytes = footprint["shared"]
     ring_bytes = ring_capacity * ringmod.SLOT_SIZE
     shared_arena = mem.create_arena(RegionKind.SHARED, pool_bytes + 2 * ring_bytes)
-    mem.shared.register(shared_arena)
+    mem.register(shared_arena)
     private_size = footprint["shadow"] + footprint["temporary"]
     private_arena = mem.create_arena(RegionKind.PRIVATE, private_size)
 

@@ -33,9 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import (
     AddressNotShared,
     BadCapacity,
-    NotShared,
     OutOfBounds,
-    QuarantinedArena,
     RingFull,
 )
 from .mem import Handle, MemorySystem, RegionKind, Side
@@ -139,10 +137,7 @@ class DescriptorRing:
         if capacity < 2 or capacity & (capacity - 1):
             raise BadCapacity(f"capacity must be a power of two >= 2, got {capacity}")
         arena = mem.arena(backing.region)
-        if arena.kind is not RegionKind.SHARED or not mem.shared.is_registered(arena.id):
-            raise NotShared("ring backing must be in a registered shared arena")
-        if not mem.is_reusable(arena):
-            raise QuarantinedArena(f"arena {arena.id} awaits zero_and_release")
+        mem.check_backing(arena, RegionKind.SHARED)
         if backing.length < capacity * SLOT_SIZE or not mem.contains(arena, backing):
             raise BadCapacity(
                 f"backing of {backing.length} B cannot hold {capacity} slots of {SLOT_SIZE} B"

@@ -1,4 +1,5 @@
-"""Per-byte read counts folded from an access log, used only as a test oracle.
+"""Per-byte read counts folded from an access log, and whether an arena's
+bytes are all zero, used only as test oracles.
 
 An instrumented MemorySystem keeps one record of every access: its access
 log. The read-once evidence (each device-written RX writeback byte is read
@@ -19,3 +20,8 @@ def read_counts(mem, region: int) -> list[int]:
             diff[rec.offset] += 1
             diff[rec.offset + rec.length] -= 1
     return list(accumulate(diff[:size]))
+
+
+def is_zero(arena) -> bool:
+    """Whether every byte of arena is zero."""
+    return arena.data[:] == bytes(arena.size)

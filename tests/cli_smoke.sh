@@ -30,6 +30,9 @@ test "$rc" -eq 2
 # 10^9 sends is more than an echo run can schedule
 rc=0; $cli echo --rate 1e12 --duration 0.001 || rc=$?
 test "$rc" -eq 2
+# nor can a load run carry one connection at that rate over the link
+rc=0; $cli load --rate 1e12 || rc=$?
+test "$rc" -eq 2
 # adversary reports are JSON only: the default, and csv is refused; the
 # plan attacks the configured traffic, 50 packets in 10 ms, and a bad
 # traffic flag is refused as it is without a plan

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from access_oracle import read_counts
+from access_oracle import is_zero, read_counts
 from splitio.bench import (
     BenchConfig,
     CostProfile,
@@ -149,7 +149,7 @@ def test_criterion_04_randomized_adversary_suite():
         for mem in (system.mem_a, system.mem_b):
             for arena in mem.arenas.values():
                 if arena.kind is RegionKind.SHARED:
-                    assert arena.is_zero()
+                    assert is_zero(arena)
 
     # (e) every harvested RX writeback field is read exactly once
     system = LoopbackSystem(ring_capacity=8)

@@ -663,6 +663,13 @@ class TestLoadRuns:
         assert report.clamped_from == 1100
         assert max(s.connections for s in report.seconds) == 1000
 
+    def test_rate_the_link_cannot_carry_once_refused(self):
+        # one 1000 B connection at 10^9 pps offers 8 Tbit/s to an 8 Gbit/s link
+        cfg = BenchConfig(payload_len=1000, rate_pps=1e9, profile=CostProfile.bare())
+        assert max_connections(cfg.bandwidth_bps, cfg.payload_len, cfg.rate_pps) == 0
+        with pytest.raises(ConfigInvalid, match="carries no connection"):
+            run_load(cfg)
+
     def test_loss_onset_at_capacity_crossing(self):
         # 2,000 ns of server work per packet caps delivery at 500,000 pps,
         # below the 8 Gbit/s link's 1,000,000 pps of 1000 B, so the ramp to

@@ -177,6 +177,11 @@ class TestLoadCommand:
         assert code == 2
         assert "text or json" in err
 
+    def test_rate_the_link_cannot_carry_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "load", "--rate", "1e12")
+        assert (code, out) == (2, "")
+        assert err == "error: the link carries no connection of 128 B at 1e+12 packets/s\n"
+
 
 class TestFactorsCommand:
     def test_text_tables(self, capsys):

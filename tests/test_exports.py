@@ -7,13 +7,18 @@ import splitio
 PACKAGE = Path(splitio.__file__).resolve().parent
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
-# public functions whose only callers are tests today, each waiting on a
-# ROADMAP item that gives it a caller or retires it with its tests
+# public functions and class members whose only callers are tests today,
+# each kept for a stated reason
 NAMED_ONLY_IN_TESTS = {
-    "bench.py app_cost_sweep",  # item 7: could feed a factors-report or load section
-    "factors.py diff_configs",  # item 7: the modeled column may show which factors differ
-    "factors.py standardize",  # item 7: standardizes the modeled column
-    "factors.py predict_latency",  # item 7: printed beside the modeled column
+    # ROADMAP item 7 gives these a caller or retires them with their tests
+    "bench.py app_cost_sweep",  # could feed a factors-report or load section
+    "factors.py diff_configs",  # the modeled column may show which factors differ
+    "factors.py standardize",  # standardizes the modeled column
+    "factors.py predict_latency",  # printed beside the modeled column
+    # the crash model and scrubbing behind criterion 04(d) and the threat
+    # model's "Scrubbing": a port's teardown and the machine's
+    "mem.py MemorySystem.zero_and_release",
+    "pools.py PortContext.destroy",
 }
 
 
@@ -61,16 +66,23 @@ def _names(path: Path) -> set[str]:
     return names
 
 
+def _public_definitions(path: Path):
+    """(label, name) of each public function and class of a module, and of
+    each public method and property of its public classes."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{path.name} {node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                        yield f"{path.name} {node.name}.{fn.name}", fn.name
+
+
 def test_every_public_definition_has_a_caller_outside_the_tests():
     modules = sorted(PACKAGE.glob("*.py"))
     named = set().union(*map(_names, modules + sorted(PERFBENCH.glob("*.py"))))
     unnamed = [
-        f"{path.name} {node.name}"
-        for path in modules
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in named
+        label for path in modules for label, name in _public_definitions(path) if name not in named
     ]
     # exactly the allowlist: a listed name that gains a caller or goes leaves it too
     assert sorted(unnamed) == sorted(NAMED_ONLY_IN_TESTS)
@@ -86,10 +98,6 @@ UNPASSED_PARAMETERS = {
     "factors.py predict_latency costs",
     "factors.py predict_latency base",
     "bench.py app_cost_sweep rate_pps",
-    # item 2 folds LoopbackSystem into the one rig built from a BenchConfig
-    "devsim.py LoopbackSystem pool_cfg",
-    "devsim.py LoopbackSystem link",
-    "devsim.py LoopbackSystem instrument",
 }
 
 
@@ -138,17 +146,33 @@ def _passes(call: ast.Call, name: str, pos: Optional[int]) -> bool:
     return pos is not None and len(call.args) > pos
 
 
+def _calls(tree: ast.Module):
+    """(callee name, call) for every call in a module. A super().__init__
+    call in a class also calls its first base's constructor, by that name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield getattr(func, "id", None) or getattr(func, "attr", None), node
+        elif isinstance(node, ast.ClassDef) and node.bases:
+            base = getattr(node.bases[0], "id", None) or getattr(node.bases[0], "attr", None)
+            for call in ast.walk(node):
+                if (
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "attr", None) == "__init__"
+                    and isinstance(call.func.value, ast.Call)
+                    and getattr(call.func.value.func, "id", None) == "super"
+                ):
+                    yield base, call
+
+
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
     """An option is something a caller sets: each defaulted parameter of a
     public function, method or constructor is passed by some call, in src/
     or perfbench/, to a callee of that name."""
     calls: dict[str, list[ast.Call]] = {}
     for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                callee = getattr(func, "id", None) or getattr(func, "attr", None)
-                calls.setdefault(callee, []).append(node)
+        for callee, call in _calls(ast.parse(path.read_text())):
+            calls.setdefault(callee, []).append(call)
     unpassed = [
         label
         for path in sorted(PACKAGE.glob("*.py"))

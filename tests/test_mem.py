@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from access_oracle import read_counts
+from access_oracle import is_zero, read_counts
 from splitio.errors import (
     AlreadyTornDown,
     DeviceAccessDenied,
@@ -62,7 +62,7 @@ class TestDeviceConfinement:
         h = Handle(arena.id, 0, 4)
         with pytest.raises(DeviceAccessDenied):
             mem.read(h, Side.DEVICE)
-        mem.shared.register(arena)
+        mem.register(arena)
         mem.write(h, Side.DEVICE, b"abcd")
         assert mem.read(h, Side.DEVICE) == b"abcd"
         assert mem.is_device_accessible(arena.id)
@@ -71,7 +71,7 @@ class TestDeviceConfinement:
         mem = make_mem()
         arena = mem.create_arena(RegionKind.PRIVATE, 16)
         with pytest.raises(NotShared):
-            mem.shared.register(arena)
+            mem.register(arena)
 
     def test_register_foreign_arena_rejected(self):
         # region ids are per system: the foreign arena's id names one of ours
@@ -80,14 +80,14 @@ class TestDeviceConfinement:
         foreign = other.create_arena(RegionKind.SHARED, 16)
         assert foreign.id == own.id
         with pytest.raises(NotShared):
-            mem.shared.register(foreign)
+            mem.register(foreign)
         assert not mem.is_device_accessible(own.id)
 
     def test_device_touched_regions_excludes_denied(self):
         mem = make_mem()
         private = mem.create_arena(RegionKind.PRIVATE, 16)
         shared = mem.create_arena(RegionKind.SHARED, 16)
-        mem.shared.register(shared)
+        mem.register(shared)
         mem.write(Handle(shared.id, 0, 4), Side.DEVICE, b"dddd")
         with pytest.raises(DeviceAccessDenied):
             mem.read(Handle(private.id, 0, 4), Side.DEVICE)
@@ -99,34 +99,34 @@ class TestTeardown:
         mem = make_mem()
         a = mem.create_arena(RegionKind.SHARED, 64)
         b = mem.create_arena(RegionKind.SHARED, 64)
-        mem.shared.register(a)
-        mem.shared.register(b)
+        mem.register(a)
+        mem.register(b)
         mem.write(Handle(a.id, 0, 5), Side.VM, b"hello")
         mem.write(Handle(b.id, 10, 5), Side.DEVICE, b"world")
-        mem.shared.zero_and_release()
-        assert a.is_zero() and b.is_zero()
-        assert not mem.shared.registered
+        mem.zero_and_release()
+        assert is_zero(a) and is_zero(b)
+        assert not mem.registered
         with pytest.raises(DeviceAccessDenied):
             mem.read(Handle(a.id, 0, 1), Side.DEVICE)
 
     def test_teardown_is_one_way(self):
         mem = make_mem()
         arena = mem.create_arena(RegionKind.SHARED, 16)
-        mem.shared.register(arena)
-        mem.shared.zero_and_release()
+        mem.register(arena)
+        mem.zero_and_release()
         with pytest.raises(AlreadyTornDown):
-            mem.shared.register(arena)
+            mem.register(arena)
         with pytest.raises(AlreadyTornDown):
-            mem.shared.zero_and_release()
+            mem.zero_and_release()
 
     def test_teardown_clears_quarantine(self):
         mem = make_mem()
         arena = mem.create_arena(RegionKind.SHARED, 16)
-        mem.shared.register(arena)
+        mem.register(arena)
         mem.quarantined.add(arena.id)
-        assert not mem.is_reusable(arena)
-        mem.shared.zero_and_release()
-        assert mem.is_reusable(arena)
+        assert arena.id in mem.quarantined
+        mem.zero_and_release()
+        assert arena.id not in mem.quarantined
 
 
 class TestHandles:
@@ -230,7 +230,7 @@ def _denial_rig(instrument):
         "private": mem.create_arena(RegionKind.PRIVATE, 64),
         "unregistered": mem.create_arena(RegionKind.SHARED, 64),
     }
-    mem.shared.register(arenas["shared"])
+    mem.register(arenas["shared"])
     for arena in arenas.values():
         mem.write_at(arena.id, 0, bytes(range(1, 65)), Side.VM)
     return mem, arenas
@@ -250,7 +250,7 @@ class TestDeniedAccess:
         target, offset, side, exc, message = _DENIALS[case]
         if target == "released":
             arenas["released"] = arenas["shared"]
-            mem.shared.zero_and_release()
+            mem.zero_and_release()
         region = arenas[target].id if target is not None else 999
         op, call = _ACCESSORS[accessor]
         before = {a.id: bytes(a.data) for a in arenas.values()}

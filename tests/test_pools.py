@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from access_oracle import is_zero
 from splitio import simloop
 from splitio.bench import BenchConfig
 from splitio.errors import (
@@ -87,7 +88,7 @@ class TestInitPools:
     def test_validation(self):
         mem = MemorySystem()
         shared = mem.create_arena(RegionKind.SHARED, 1 << 20)
-        mem.shared.register(shared)
+        mem.register(shared)
         private = mem.create_arena(RegionKind.PRIVATE, 1 << 20)
         with pytest.raises(ArenaTooSmall):
             init_pools(mem, PoolConfig(mbuf_size=128), shared, private)
@@ -106,11 +107,30 @@ class TestInitPools:
     def test_quarantined_arena_rejected(self):
         mem = MemorySystem()
         shared = mem.create_arena(RegionKind.SHARED, 1 << 20)
-        mem.shared.register(shared)
+        mem.register(shared)
         private = mem.create_arena(RegionKind.PRIVATE, 1 << 20)
         mem.quarantined.add(shared.id)
         with pytest.raises(QuarantinedArena):
             init_pools(mem, PoolConfig(mbuf_count=4), shared, private)
+
+    def test_foreign_arenas_rejected(self):
+        """An arena from another memory system is refused even when its id
+        names one of this system's registered shared arenas, and nothing is
+        written: pools built on it would land in whatever mem calls that id."""
+        mem = MemorySystem(instrument=True)
+        shared = mem.create_arena(RegionKind.SHARED, 1 << 20)
+        mem.register(shared)
+        private = mem.create_arena(RegionKind.PRIVATE, 1 << 20)
+        foreign_private = MemorySystem().create_arena(RegionKind.PRIVATE, 1 << 20)
+        other = MemorySystem()
+        foreign_shared = other.create_arena(RegionKind.SHARED, 1 << 20)
+        other.register(foreign_shared)
+        assert foreign_private.id == foreign_shared.id == shared.id
+        with pytest.raises(NotShared):
+            init_pools(mem, PoolConfig(mbuf_count=4), shared, foreign_private)
+        with pytest.raises(NotShared):
+            init_pools(mem, PoolConfig(mbuf_count=4), foreign_shared, private)
+        assert [rec for rec in mem.access_log if rec.op == "write"] == []
 
     def test_temporary_data_rooms_are_the_shared_rooms(self):
         mem, port = small_port(mbuf_count=8, ring_capacity=4)
@@ -155,7 +175,7 @@ class TestConstruction:
             fp = pool_memory_footprint(cfg)
             shared_size, private_size = fp["shared"], fp["shadow"] + fp["temporary"]
         shared = mem.create_arena(RegionKind.SHARED, shared_size)
-        mem.shared.register(shared)
+        mem.register(shared)
         private = mem.create_arena(RegionKind.PRIVATE, private_size)
         pools = init_pools(mem, cfg, shared, private, canary=canary)
         if arenas == "exact":
@@ -568,9 +588,9 @@ class TestTeardown:
         for g in port.rx_burst():
             port.free_buffer(g)
         region = port.pools.shared.meta_slab.region
-        assert not mem.arena(region).is_zero()
+        assert not is_zero(mem.arena(region))
         port.destroy(graceful=True)
-        assert mem.arena(region).is_zero()
+        assert is_zero(mem.arena(region))
         assert region not in mem.quarantined
 
     def test_crash_destroy_quarantines(self):
@@ -581,10 +601,9 @@ class TestTeardown:
         region = port.pools.shared.meta_slab.region
         port.destroy(graceful=False)
         assert region in mem.quarantined
-        assert not mem.arena(region).is_zero()  # crash left bytes behind
-        assert not mem.is_reusable(mem.arena(region))
-        mem.shared.zero_and_release()
-        assert mem.arena(region).is_zero()
+        assert not is_zero(mem.arena(region))  # crash left bytes behind
+        mem.zero_and_release()
+        assert is_zero(mem.arena(region))
         assert region not in mem.quarantined
 
     def test_destroy_idempotent(self):
@@ -601,7 +620,7 @@ def test_pool_alloc_free_model(steps):
     mem = MemorySystem()
     cfg = PoolConfig(mbuf_count=8, mbuf_size=256)
     shared = mem.create_arena(RegionKind.SHARED, 1 << 16)
-    mem.shared.register(shared)
+    mem.register(shared)
     private = mem.create_arena(RegionKind.PRIVATE, 1 << 16)
     pools = init_pools(mem, cfg, shared, private)
     pool = pools.shadow

@@ -129,7 +129,7 @@ class PortPairMachine(RuleBasedStateMachine):
     def no_breach(self):
         for end in self.ends.values():
             mem = end.mem
-            assert mem.device_touched_regions() <= mem.shared.registered
+            assert mem.device_touched_regions() <= mem.registered
             assert not [v for v in end.nic.violations if v["kind"].startswith("private_")]
 
 

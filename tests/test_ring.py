@@ -33,7 +33,7 @@ from splitio.ring import (
 def make_ring(direction=Direction.TX, capacity=8, instrument=True):
     mem = MemorySystem(instrument=instrument)
     arena = mem.create_arena(RegionKind.SHARED, capacity * SLOT_SIZE + 4096)
-    mem.shared.register(arena)
+    mem.register(arena)
     backing = Handle(arena.id, 0, capacity * SLOT_SIZE)
     ring = DescriptorRing(mem, backing, capacity, direction)
     # buffer space behind the slots, usable as shared packet buffers
@@ -85,7 +85,7 @@ class TestConstruction:
     def test_capacity_must_be_power_of_two(self):
         mem = MemorySystem()
         arena = mem.create_arena(RegionKind.SHARED, 4096)
-        mem.shared.register(arena)
+        mem.register(arena)
         for cap in (0, 1, 3, 6, 100):
             with pytest.raises(BadCapacity):
                 DescriptorRing(mem, Handle(arena.id, 0, 4096), cap, Direction.TX)
@@ -102,7 +102,7 @@ class TestConstruction:
     def test_quarantined_backing_rejected(self):
         mem = MemorySystem()
         arena = mem.create_arena(RegionKind.SHARED, 4096)
-        mem.shared.register(arena)
+        mem.register(arena)
         mem.quarantined.add(arena.id)
         with pytest.raises(QuarantinedArena):
             DescriptorRing(mem, Handle(arena.id, 0, 1024), 8, Direction.TX)
@@ -110,7 +110,7 @@ class TestConstruction:
     def test_backing_too_small(self):
         mem = MemorySystem()
         arena = mem.create_arena(RegionKind.SHARED, 4096)
-        mem.shared.register(arena)
+        mem.register(arena)
         with pytest.raises(BadCapacity):
             DescriptorRing(mem, Handle(arena.id, 0, 8 * SLOT_SIZE - 1), 8, Direction.TX)
 
@@ -119,7 +119,7 @@ class TestConstruction:
         capacity = 8
         mem = MemorySystem()
         arena = mem.create_arena(RegionKind.SHARED, 4096)
-        mem.shared.register(arena)
+        mem.register(arena)
         mem.write_at(arena.id, 0, b"\xff" * 4096, Side.VM)  # stale bytes everywhere
         backing = Handle(arena.id, 64, capacity * SLOT_SIZE + 32)
         DescriptorRing(mem, backing, capacity, direction)
@@ -231,7 +231,7 @@ class TestTxPath:
         mem = MemorySystem(instrument=True)
         ring_bytes = 8 * SLOT_SIZE
         arena = mem.create_arena(RegionKind.SHARED, ring_bytes + 0x20000)
-        mem.shared.register(arena)
+        mem.register(arena)
         ring = DescriptorRing(mem, Handle(arena.id, 0, ring_bytes), 8, Direction.TX)
         image, mark = bytes(arena.data), len(mem.access_log)
         # inside the registered arena, but 65,536 B do not fit the u16 length
@@ -347,7 +347,7 @@ def make_rx_ring(capacity, arena_size=None):
     one ROOM-byte room per slot behind it."""
     mem = MemorySystem(instrument=True)
     arena = mem.create_arena(RegionKind.SHARED, arena_size or capacity * (SLOT_SIZE + ROOM))
-    mem.shared.register(arena)
+    mem.register(arena)
     ring = DescriptorRing(mem, Handle(arena.id, 0, capacity * SLOT_SIZE), capacity, Direction.RX)
     rooms = [capacity * SLOT_SIZE + i * ROOM for i in range(capacity)]
     return mem, ring, arena, rooms
