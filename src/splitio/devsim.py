@@ -137,8 +137,9 @@ class Outcome(enum.Enum):
 class SimNic:
     """Device side of one port. Fetches TX descriptors, DMAs payloads out of
     shared memory, models the link, and delivers arrivals into posted RX
-    buffers. All memory access is device-side and therefore confined. On
-    an instrumented MemorySystem it also captures every frame it sends."""
+    buffers. All memory access is device-side and therefore confined.
+    While capture is a list it appends every frame it sends; the loopback
+    rig sets one on each NIC of an attacked run."""
 
     def __init__(
         self,
@@ -158,7 +159,7 @@ class SimNic:
         self.inbox: list[tuple[int, int, bytes]] = []
         self._rx_avail: deque[RxView] = deque()
         self._seq = 0
-        self.capture: list[bytes] = []
+        self.capture: Optional[list[bytes]] = None
         self.violations: list[dict] = []
         self.drops = 0
         self.delivered = 0
@@ -233,7 +234,7 @@ class SimNic:
                 if self._forced_drops > 0:
                     self._forced_drops -= 1
                     lost = True
-                if self.mem.instrument:
+                if self.capture is not None:
                     self.capture.append(payload)
                 if lost:
                     self.drops += 1
@@ -396,19 +397,20 @@ class LoopbackSystem:
         plan: Optional[AdversaryPlan] = None,
         ring_capacity: int = 8,
         canary: Optional[bytes] = None,
-        instrument: bool = True,
     ):
         self.canary = canary
         pool_cfg = pool_cfg or PoolConfig(mbuf_count=32)
-        # each endpoint on its own MemorySystem with one port; an instrumented
-        # rig logs every memory access and captures every frame
-        self.mem_a = MemorySystem(instrument=instrument)
-        self.mem_b = MemorySystem(instrument=instrument)
+        # each endpoint on its own MemorySystem with one port
+        self.mem_a = MemorySystem()
+        self.mem_b = MemorySystem()
         self.port_a = port_new(self.mem_a, pool_cfg, ring_capacity=ring_capacity, canary=canary)
         self.port_b = port_new(self.mem_b, pool_cfg, ring_capacity=ring_capacity, canary=canary)
         self.nic_a, self.nic_b = loopback_pair(
             self.port_a, self.port_b, link or LinkModel(base_latency_ns=500)
         )
+        if plan is not None:
+            # an attacked run keeps every sent frame for the breach scan
+            self.nic_a.capture, self.nic_b.capture = [], []
         self.a = Endpoint(self.mem_a, self.port_a, self.nic_a)
         self.b = Endpoint(self.mem_b, self.port_b, self.nic_b)
         self.now = 0
@@ -574,16 +576,15 @@ class LoopbackSystem:
         return found
 
     def breached(self, secret_patterns: Sequence[bytes] = ()) -> bool:
-        """The red flag: the device reached private memory or an unregistered
-        region, or a secret or the canary is in a shared arena or a captured
-        frame. Reads an instrumented rig's evidence."""
+        """The red flag: the device reached private memory, or a secret or the
+        canary is in a shared arena or in a frame an attacked run captured.
+        A device access to an unregistered region is no breach: the accessor
+        refuses it before it touches a byte."""
         if any(v["kind"].startswith("private_") for v in self.violations()):
             return True
         mems = (self.mem_a, self.mem_b)
-        if any(not m.device_touched_regions() <= m.registered for m in mems):
-            return True
         patterns = list(secret_patterns) + ([self.canary] if self.canary else [])
-        frames = self.nic_a.capture + self.nic_b.capture
+        frames = (self.nic_a.capture or []) + (self.nic_b.capture or [])
         return any(
             any(m.pattern_in_shared(p) for m in mems) or any(p in f for f in frames)
             for p in patterns
@@ -656,7 +657,7 @@ def classify_attack(
     secret_patterns: Sequence[bytes] = (),
 ) -> AdversaryReport:
     """Classify each of plan's actions from the evidence a finished,
-    instrumented run left on system, which sent the payloads in sent.
+    attacked run left on system, which sent the payloads in sent.
 
     An action is REJECTED if the defenses visibly stopped it (access
     denied, clamp, replay log, auth failure), DELIVERED_CORRUPTED if

@@ -7,12 +7,9 @@ MemorySystem, which also decides, in check_backing alone, whether an arena
 may back a ring or a pool. Every byte access goes through MemorySystem
 (read/write for Handles, read_at/write_at/unpack_at/pack_at for absolute
 offsets) and names which side is acting, so the device/VM trust boundary is
-enforced in exactly one place and can be audited from the access log.
-
-Instrumentation is the access log, one AccessRecord per access (denied
-device attempts included), and it is the only record kept: evidence such as
-per-byte read counts is folded from it. Tests and attacked runs turn it on,
-the benchmark's adversary campaign among them; echo runs leave it off.
+enforced in exactly one place. The accessors keep no record of what they
+allowed: a refused device access raises before it touches a byte, and the
+tests audit the accessors from outside by wrapping them.
 """
 
 from __future__ import annotations
@@ -51,13 +48,6 @@ class Side(enum.Enum):
 _DEVICE = Side.DEVICE
 _SHARED = RegionKind.SHARED
 
-# Builds a record from a tuple of all its fields without the NamedTuple
-# constructor's Python frame (timeit, Python 3.11.7 on a 2-CPU x86-64 host:
-# 175-216 ns for a Handle, an AccessRecord or an RxHarvest, against 358-458
-# ns through the class). It skips the constructor's arity check, so a call
-# site must pass every field. ring and pools keep the same alias.
-_new = tuple.__new__
-
 
 class Handle(NamedTuple):
     """A (region, offset, length) view into one arena. Plain data, no methods
@@ -75,18 +65,6 @@ class Handle(NamedTuple):
                 f"sub({start}, {length}) outside handle of length {self.length}"
             )
         return Handle(self.region, self.offset + start, length)
-
-
-class AccessRecord(NamedTuple):
-    """One logged byte access. ok=False records a denied attempt; denied
-    attempts never touch memory."""
-
-    side: Side
-    op: str  # "read" or "write"
-    region: int
-    offset: int
-    length: int
-    ok: bool
 
 
 class Arena:
@@ -112,10 +90,8 @@ class MemorySystem:
     so no guest data survives in device-visible memory.
     """
 
-    def __init__(self, instrument: bool = False):
-        self.instrument = instrument
+    def __init__(self):
         self.arenas: dict[int, Arena] = {}
-        self.access_log: list[AccessRecord] = []
         self.registered: set[int] = set()
         self.quarantined: set[int] = set()
         self.torn_down = False
@@ -187,17 +163,16 @@ class MemorySystem:
     #
     # Every accessor below runs the same two checks, once per call: the
     # range must lie inside an existing arena, and a device-side access must
-    # target a registered shared arena. Each decides them inline and, when
-    # instrumented, logs the allowed access itself, so an access costs one
-    # Python frame either way; a refused access goes to _refuse, the only
-    # code that raises. The offset forms let fixed-layout callers (rings,
+    # target a registered shared arena. Each decides them inline, so an
+    # access costs one Python frame; a refused access goes to _refuse, the
+    # only code that raises. The offset forms let fixed-layout callers (rings,
     # buffer metadata) name a field by absolute offset and decode it
     # straight from the arena with a precompiled struct, instead of building
     # a Handle per field.
 
-    def _refuse(self, region: int, offset: int, length: int, side: Side, op: str) -> NoReturn:
+    def _refuse(self, region: int, offset: int, length: int, op: str) -> NoReturn:
         """Raise for an access an accessor refused, naming the first check it
-        failed; a device denial is logged first when instrumented."""
+        failed."""
         arena = self.arenas.get(region)
         if arena is None:
             raise OutOfBounds(f"no arena with id {region}")
@@ -206,8 +181,6 @@ class MemorySystem:
                 f"[{offset}, {offset + length}) outside arena {arena.id} of size {arena.size}"
             )
         # what is left is a device access to an unregistered arena
-        if self.instrument:
-            self.access_log.append(_new(AccessRecord, (side, op, region, offset, length, False)))
         raise DeviceAccessDenied(f"device {op} of {length} B at region {region}+{offset} denied")
 
     def read_at(self, region: int, offset: int, length: int, side: Side) -> bytes:
@@ -215,9 +188,7 @@ class MemorySystem:
         if arena is None or not 0 <= offset <= end <= arena.size or (
             side is _DEVICE and region not in self.registered
         ):
-            self._refuse(region, offset, length, side, "read")
-        if self.instrument:
-            self.access_log.append(_new(AccessRecord, (side, "read", region, offset, length, True)))
+            self._refuse(region, offset, length, "read")
         return bytes(arena.data[offset:end])
 
     def write_at(self, region: int, offset: int, data: bytes, side: Side) -> None:
@@ -225,11 +196,7 @@ class MemorySystem:
         if arena is None or not 0 <= offset <= end <= arena.size or (
             side is _DEVICE and region not in self.registered
         ):
-            self._refuse(region, offset, end - offset, side, "write")
-        if self.instrument:
-            self.access_log.append(
-                _new(AccessRecord, (side, "write", region, offset, end - offset, True))
-            )
+            self._refuse(region, offset, end - offset, "write")
         arena.data[offset:end] = data
 
     def unpack_at(self, region: int, offset: int, fmt: struct.Struct, side: Side) -> tuple:
@@ -237,9 +204,7 @@ class MemorySystem:
         if arena is None or not 0 <= offset <= arena.size - size or (
             side is _DEVICE and region not in self.registered
         ):
-            self._refuse(region, offset, size, side, "read")
-        if self.instrument:
-            self.access_log.append(_new(AccessRecord, (side, "read", region, offset, size, True)))
+            self._refuse(region, offset, size, "read")
         return fmt.unpack_from(arena.data, offset)
 
     def pack_at(self, region: int, offset: int, fmt: struct.Struct, side: Side, *values) -> None:
@@ -247,9 +212,7 @@ class MemorySystem:
         if arena is None or not 0 <= offset <= arena.size - size or (
             side is _DEVICE and region not in self.registered
         ):
-            self._refuse(region, offset, size, side, "write")
-        if self.instrument:
-            self.access_log.append(_new(AccessRecord, (side, "write", region, offset, size, True)))
+            self._refuse(region, offset, size, "write")
         fmt.pack_into(arena.data, offset, *values)
 
     def read(self, h: Handle, side: Side) -> bytes:
@@ -261,14 +224,6 @@ class MemorySystem:
         self.write_at(h.region, h.offset, data, side)
 
     # -- audit helpers -----------------------------------------------------
-
-    def device_touched_regions(self) -> set[int]:
-        """Regions the device actually read or wrote (denied attempts excluded)."""
-        return {
-            rec.region
-            for rec in self.access_log
-            if rec.side is _DEVICE and rec.ok
-        }
 
     def find_pattern(self, pattern: bytes, kind: Optional[RegionKind] = None) -> Iterator[tuple[int, int]]:
         """Yield (region, index) for every occurrence of pattern in arenas of

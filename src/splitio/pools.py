@@ -70,7 +70,7 @@ class PoolKind(enum.Enum):
 
 
 # enum members read once, and records built without a constructor frame
-# (see the notes in mem.py)
+# (see the notes in mem.py and ring.py)
 _VM = Side.VM
 _SHADOW = PoolKind.SHADOW
 _new = tuple.__new__

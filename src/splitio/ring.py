@@ -90,8 +90,11 @@ class Direction(enum.Enum):
     RX = "rx"
 
 
-# enum members read once, and records built without a constructor frame
-# (see the notes in mem.py)
+# enum members read once (see the note in mem.py), and records built from a
+# tuple of all their fields without the NamedTuple constructor's Python
+# frame (timeit, Python 3.11.7 on a 2-CPU x86-64 host: 175-216 ns for a
+# Handle or an RxHarvest, against 358-458 ns through the class). _new skips
+# the constructor's arity check, so a call site must pass every field.
 _VM, _DEVICE = Side.VM, Side.DEVICE
 _TX, _RX = Direction.TX, Direction.RX
 _new = tuple.__new__

@@ -68,15 +68,14 @@ class EchoResult:
 
 
 class _EchoRig(LoopbackSystem):
-    """The loopback rig priced from cfg; a plan, a canary and instrumentation
-    pass through to it, to attack benchmark traffic."""
+    """The loopback rig priced from cfg; a plan and a canary pass through to
+    it, to attack benchmark traffic."""
 
     def __init__(
         self,
         cfg: BenchConfig,
         plan: Optional[AdversaryPlan] = None,
         canary: Optional[bytes] = None,
-        instrument: bool = False,
     ):
         profile = cfg.profile
         link = LinkModel(
@@ -92,7 +91,6 @@ class _EchoRig(LoopbackSystem):
             plan=plan,
             ring_capacity=cfg.ring_capacity,
             canary=canary,
-            instrument=instrument,
         )
         self.cfg = cfg
         # every per-packet charge, priced once; under ESP the sim charges
@@ -177,11 +175,11 @@ def run_echo_sim(cfg: BenchConfig) -> EchoResult:
 def run_echo_attack(
     cfg: BenchConfig, plan: AdversaryPlan, canary: Optional[bytes] = None
 ) -> AdversaryReport:
-    """cfg's echo run with plan attacking it on an instrumented rig, each
-    action classified as run_adversary classifies it. The breach scan looks
-    for the canary and, under ESP, the rig's two SA keys."""
+    """cfg's echo run with plan attacking it, each action classified as
+    run_adversary classifies it. The breach scan looks for the canary and,
+    under ESP, the rig's two SA keys."""
     validate_config(cfg)
-    rig = _EchoRig(cfg, plan=plan, canary=canary, instrument=True)
+    rig = _EchoRig(cfg, plan=plan, canary=canary)
     rig.run()
     secrets = [end.path.sa_out.key_bytes() for end in (rig.a, rig.b) if end.path is not None]
     # every serial the schedule sent, as EchoResult.sent counts them

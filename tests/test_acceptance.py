@@ -93,7 +93,7 @@ def test_criterion_03_connection_formula():
     _pass(3, "max connections at 8 Gbit/s, 1000 pps: " + str(expected))
 
 
-def test_criterion_04_randomized_adversary_suite():
+def test_criterion_04_randomized_adversary_suite(recorded):
     started = time.monotonic()
     rng = random.Random(0xACC4)
 

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -483,6 +484,33 @@ class TestRigLifetime:
         assert len(report.sent) == 50
         assert len(built) == 2
         assert [ref() for ref in built] == [None, None]
+
+
+class TestAttackedRunMemory:
+    """An attacked echo run keeps the frames it sent, for the breach scan,
+    and nothing that grows with each memory access, so it peaks within
+    1 MiB of the same run unattacked. The frames of 1,000 round trips take
+    about 0.35 MiB."""
+
+    def test_attacked_run_peaks_near_the_plain_run(self):
+        cfg = BenchConfig(duration_s=0.2)
+        plan = AdversaryPlan.parse(
+            "forge_writeback target=a when=0 slot=1 length=64\n"
+            "replay_descriptor target=b when=2000 slot=1"
+        )
+        peaks = []
+        for run in (
+            lambda: simloop.run_echo_sim(cfg),
+            lambda: simloop.run_echo_attack(cfg, plan, canary=b"\xc3\x96" * 8),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        plain, attacked = peaks
+        assert attacked - plain <= 1 << 20, f"plain {plain} B, attacked {attacked} B"
 
 
 class TestCallBudget:

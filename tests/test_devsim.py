@@ -99,7 +99,7 @@ class TestLoopback:
         assert system.nic_a.drops == 0 and system.nic_b.drops == 0
 
     def test_capture_sees_every_frame(self):
-        system = LoopbackSystem()
+        system = LoopbackSystem(plan=empty_plan())
         payloads = [b"frame-%d" % i for i in range(3)]
         for p in payloads:
             system.send_from_a(p)
@@ -173,7 +173,7 @@ class TestWakeDrainsReadyFrames:
     @pytest.mark.parametrize("handler", ["server", "client"])
     @pytest.mark.parametrize("mode", [None, OffloadMode.LOOKASIDE, OffloadMode.INLINE])
     def test_wake_delivers_more_than_64(self, mode, handler):
-        system = LoopbackSystem(PoolConfig(mbuf_count=512), ring_capacity=256, instrument=False)
+        system = LoopbackSystem(PoolConfig(mbuf_count=512), ring_capacity=256)
         if mode is not None:
             system.protect_a, system.protect_b = esp_paths(
                 system.port_a, system.port_b, mode, seed=11
@@ -205,7 +205,7 @@ class TestBurstsAboveBatch:
 
     @pytest.mark.parametrize("mode", [None, OffloadMode.LOOKASIDE, OffloadMode.INLINE])
     def test_hundred_sends_at_once_all_echoed(self, mode):
-        system = LoopbackSystem(PoolConfig(mbuf_count=512), ring_capacity=256, instrument=False)
+        system = LoopbackSystem(PoolConfig(mbuf_count=512), ring_capacity=256)
         if mode is not None:
             system.protect_a, system.protect_b = esp_paths(
                 system.port_a, system.port_b, mode, seed=11
@@ -377,6 +377,23 @@ class TestBreachDetector:
         )
         assert not report.breach
         assert report.delivered == report.sent
+
+    def test_clean_run_after_scrub_not_flagged(self):
+        """A clean run stays clean after teardown: the device's earlier
+        accesses are not judged against the registered set that
+        zero_and_release emptied."""
+        system = LoopbackSystem(ring_capacity=8)
+        for i in range(4):
+            system.send_from_a(bytes([i]) * 64)
+        system.pump(16)
+        assert system.delivered_a == system.sent
+        for port in (system.port_a, system.port_b):
+            port.destroy()
+        for mem in (system.mem_a, system.mem_b):
+            mem.zero_and_release()
+            assert mem.registered == set()
+        assert system.violations() == []
+        assert system.breached() is False
 
 
 class TestForgedDescriptorsAndEmptyFrames:

@@ -1,21 +1,27 @@
-"""The evidence instrumented runs leave, pinned record for record.
+"""The evidence attacked runs leave, pinned record for record.
 
 TestGoldenDigests pins the modeled numbers and the campaign's verdicts; this
-pins the access logs behind them. A change that only makes the model faster
-must leave every logged access in place: none dropped, merged, reordered or
-built as another type.
+pins the memory accesses behind them, as the access recorder logs them. A
+change that only makes the model faster must leave every access in place:
+none dropped, merged or reordered, and the packet path's records built as
+their own types.
 """
 
 import hashlib
 import random
 
+import pytest
+
+from access_oracle import AccessRecord, access_log
 from splitio import devsim, simloop
 from splitio.bench import BenchConfig
 from splitio.devsim import AdversaryPlan, LoopbackSystem, run_adversary
 from splitio.ipsec import OffloadMode
-from splitio.mem import AccessRecord, Handle
+from splitio.mem import Handle
 from splitio.ring import RxHarvest, RxView, TxDescriptor, TxView
 from test_security import CANARY, PRIVATE_REGION, protect_factory_for, random_plan
+
+pytestmark = pytest.mark.usefixtures("recorded")
 
 # two actions on each echo rig: a denied forged DMA into private memory, and
 # a forged RX writeback on the slot B harvests next, claiming more than its
@@ -30,8 +36,9 @@ def _log_digest(rigs) -> str:
     h = hashlib.sha256()
     for rig in rigs:
         for mem in (rig.mem_a, rig.mem_b):
-            h.update(f"log {len(mem.access_log)}\n".encode())
-            for r in mem.access_log:
+            log = access_log(mem)
+            h.update(f"log {len(log)}\n".encode())
+            for r in log:
                 h.update(repr((type(r).__name__, *r)).encode() + b"\n")
     return h.hexdigest()
 
@@ -70,13 +77,11 @@ class TestAccessLogDigest:
         assert _log_digest(rigs) == self.CAMPAIGN
 
     def test_echo_access_logs(self):
-        """One attacked, instrumented echo rig per offload mode."""
+        """One attacked echo rig per offload mode."""
         rigs = []
         for seed, mode in enumerate((None, OffloadMode.LOOKASIDE, OffloadMode.INLINE)):
             cfg = BenchConfig(duration_s=0.005, seed=seed, ipsec=mode)
-            rig = simloop._EchoRig(
-                cfg, plan=AdversaryPlan.parse(ECHO_PLAN), canary=CANARY, instrument=True
-            )
+            rig = simloop._EchoRig(cfg, plan=AdversaryPlan.parse(ECHO_PLAN), canary=CANARY)
             assert rig.run().received > 0
             assert rig.port_b.counters["metadata_suspect"] == 1
             rigs.append(rig)
@@ -130,13 +135,13 @@ class TestRecordShapes:
             for handle in posted:
                 self._check(handle, Handle)
         for mem in (rig.mem_a, rig.mem_b):
-            assert mem.access_log
-            for record in mem.access_log:
+            assert access_log(mem)
+            for record in access_log(mem):
                 self._check(record, AccessRecord)
 
     def test_port_pair_records(self):
         """TX post, fetch, writeback and reclaim; RX post, fetch, writeback,
-        harvest and repost, on an instrumented loopback pair."""
+        harvest and repost, on a loopback pair."""
         rig = LoopbackSystem(ring_capacity=8)
         seen = self._spy(rig)
         for i in range(12):
@@ -150,10 +155,10 @@ class TestRecordShapes:
         self._check_rig(rig, seen)
 
     def test_attacked_echo_run_records(self):
-        """An instrumented inline-ESP echo run, with a denied access logged."""
+        """An attacked inline-ESP echo run, with a denied access logged."""
         cfg = BenchConfig(duration_s=0.005, ipsec=OffloadMode.INLINE)
-        rig = simloop._EchoRig(cfg, plan=AdversaryPlan.parse(ECHO_PLAN), canary=CANARY, instrument=True)
+        rig = simloop._EchoRig(cfg, plan=AdversaryPlan.parse(ECHO_PLAN), canary=CANARY)
         seen = self._spy(rig)
         assert rig.run().received > 0
-        assert any(not r.ok for r in rig.mem_a.access_log)
+        assert any(not r.ok for r in access_log(rig.mem_a))
         self._check_rig(rig, seen)

@@ -49,6 +49,30 @@ def test_no_module_imports_a_name_it_never_reads():
     assert [hit for path in modules for hit in _unread_imports(path)] == []
 
 
+def _unread_private_globals(path: Path) -> list[str]:
+    """Private names a module assigns at module level but never reads, such
+    as an alias left behind when its last use went."""
+    tree = ast.parse(path.read_text())
+    assigned: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for name in (n for target in targets for n in ast.walk(target)):
+            if isinstance(name, ast.Name) and name.id[:1] == "_" and name.id[:2] != "__":
+                assigned.setdefault(name.id, node.lineno)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"{path.name}:{line} {name}" for name, line in assigned.items() if name not in read]
+
+
+def test_no_module_assigns_a_private_name_it_never_reads():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert [hit for path in modules for hit in _unread_private_globals(path)] == []
+
+
 def _names(path: Path) -> set[str]:
     """Every identifier a module names: read, attribute, import, or a string
     that is an identifier (perfbench looks its targets up by name). A

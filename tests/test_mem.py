@@ -1,10 +1,20 @@
 import struct
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from access_oracle import is_zero, read_counts
+from access_oracle import (
+    AccessRecord,
+    UnregisteredDeviceAccess,
+    access_log,
+    device_touched_regions,
+    is_zero,
+    read_counts,
+    recording,
+)
+from splitio.devsim import AdversaryPlan, run_adversary
 from splitio.errors import (
     AlreadyTornDown,
     DeviceAccessDenied,
@@ -12,37 +22,34 @@ from splitio.errors import (
     OutOfBounds,
     ZeroSize,
 )
-from splitio.mem import AccessRecord, Handle, MemorySystem, RegionKind, Side
-
-
-def make_mem(instrument: bool = True) -> MemorySystem:
-    return MemorySystem(instrument=instrument)
+from splitio.mem import Handle, MemorySystem, RegionKind, Side
+from test_security import PRIVATE_REGION
 
 
 class TestArenaLifecycle:
     def test_create_assigns_distinct_ids(self):
-        mem = make_mem()
+        mem = MemorySystem()
         a = mem.create_arena(RegionKind.PRIVATE, 64)
         b = mem.create_arena(RegionKind.SHARED, 64)
         assert a.id != b.id
         assert mem.arena(a.id) is a
 
     def test_zero_size_rejected(self):
-        mem = make_mem()
+        mem = MemorySystem()
         with pytest.raises(ZeroSize):
             mem.create_arena(RegionKind.PRIVATE, 0)
         with pytest.raises(ZeroSize):
             mem.create_arena(RegionKind.SHARED, -4)
 
     def test_unknown_region_lookup(self):
-        mem = make_mem()
+        mem = MemorySystem()
         with pytest.raises(OutOfBounds):
             mem.arena(999)
 
 
 class TestDeviceConfinement:
-    def test_private_arena_denied_to_device(self):
-        mem = make_mem()
+    def test_private_arena_denied_to_device(self, recorded):
+        mem = MemorySystem()
         arena = mem.create_arena(RegionKind.PRIVATE, 32)
         h = Handle(arena.id, 0, 8)
         mem.write(h, Side.VM, b"secret!!")
@@ -51,13 +58,13 @@ class TestDeviceConfinement:
         with pytest.raises(DeviceAccessDenied):
             mem.write(h, Side.DEVICE, b"x")
         # the denied attempts are on the record and touched nothing
-        denied = [r for r in mem.access_log if not r.ok]
+        denied = [r for r in access_log(mem) if not r.ok]
         assert len(denied) == 2
         assert all(r.side is Side.DEVICE for r in denied)
         assert mem.read(h, Side.VM) == b"secret!!"
 
     def test_shared_requires_registration(self):
-        mem = make_mem()
+        mem = MemorySystem()
         arena = mem.create_arena(RegionKind.SHARED, 32)
         h = Handle(arena.id, 0, 4)
         with pytest.raises(DeviceAccessDenied):
@@ -68,14 +75,14 @@ class TestDeviceConfinement:
         assert mem.is_device_accessible(arena.id)
 
     def test_register_private_arena_rejected(self):
-        mem = make_mem()
+        mem = MemorySystem()
         arena = mem.create_arena(RegionKind.PRIVATE, 16)
         with pytest.raises(NotShared):
             mem.register(arena)
 
     def test_register_foreign_arena_rejected(self):
         # region ids are per system: the foreign arena's id names one of ours
-        mem, other = make_mem(), make_mem()
+        mem, other = MemorySystem(), MemorySystem()
         own = mem.create_arena(RegionKind.SHARED, 16)
         foreign = other.create_arena(RegionKind.SHARED, 16)
         assert foreign.id == own.id
@@ -83,20 +90,20 @@ class TestDeviceConfinement:
             mem.register(foreign)
         assert not mem.is_device_accessible(own.id)
 
-    def test_device_touched_regions_excludes_denied(self):
-        mem = make_mem()
+    def test_device_touched_regions_excludes_denied(self, recorded):
+        mem = MemorySystem()
         private = mem.create_arena(RegionKind.PRIVATE, 16)
         shared = mem.create_arena(RegionKind.SHARED, 16)
         mem.register(shared)
         mem.write(Handle(shared.id, 0, 4), Side.DEVICE, b"dddd")
         with pytest.raises(DeviceAccessDenied):
             mem.read(Handle(private.id, 0, 4), Side.DEVICE)
-        assert mem.device_touched_regions() == {shared.id}
+        assert device_touched_regions(mem) == {shared.id}
 
 
 class TestTeardown:
     def test_zero_and_release_scrubs_everything(self):
-        mem = make_mem()
+        mem = MemorySystem()
         a = mem.create_arena(RegionKind.SHARED, 64)
         b = mem.create_arena(RegionKind.SHARED, 64)
         mem.register(a)
@@ -110,7 +117,7 @@ class TestTeardown:
             mem.read(Handle(a.id, 0, 1), Side.DEVICE)
 
     def test_teardown_is_one_way(self):
-        mem = make_mem()
+        mem = MemorySystem()
         arena = mem.create_arena(RegionKind.SHARED, 16)
         mem.register(arena)
         mem.zero_and_release()
@@ -120,7 +127,7 @@ class TestTeardown:
             mem.zero_and_release()
 
     def test_teardown_clears_quarantine(self):
-        mem = make_mem()
+        mem = MemorySystem()
         arena = mem.create_arena(RegionKind.SHARED, 16)
         mem.register(arena)
         mem.quarantined.add(arena.id)
@@ -139,25 +146,25 @@ class TestHandles:
                 h.sub(*bad)
 
     def test_read_beyond_arena(self):
-        mem = make_mem()
+        mem = MemorySystem()
         arena = mem.create_arena(RegionKind.PRIVATE, 32)
         with pytest.raises(OutOfBounds):
             mem.read(Handle(arena.id, 24, 16), Side.VM)
 
     def test_write_longer_than_handle(self):
-        mem = make_mem()
+        mem = MemorySystem()
         arena = mem.create_arena(RegionKind.PRIVATE, 32)
         with pytest.raises(OutOfBounds):
             mem.write(Handle(arena.id, 0, 4), Side.VM, b"too long")
 
     def test_short_write_allowed(self):
-        mem = make_mem()
+        mem = MemorySystem()
         arena = mem.create_arena(RegionKind.PRIVATE, 32)
         mem.write(Handle(arena.id, 0, 16), Side.VM, b"ok")
         assert mem.read(Handle(arena.id, 0, 2), Side.VM) == b"ok"
 
     def test_contains_is_total(self):
-        mem = make_mem()
+        mem = MemorySystem()
         arena = mem.create_arena(RegionKind.SHARED, 32)
         assert mem.contains(arena, Handle(arena.id, 0, 32))
         assert not mem.contains(arena, Handle(arena.id, 16, 17))
@@ -183,19 +190,56 @@ class TestHandles:
                 mem.read(h, Side.VM)
 
 
+def _unchecked_write_at(mem, region, offset, data, side):
+    """write_at without its registration check for device writes: the
+    mutant the recorder must catch."""
+    arena, end = mem.arenas.get(region), offset + len(data)
+    if arena is None or not 0 <= offset <= end <= arena.size:
+        mem._refuse(region, offset, end - offset, "write")
+    arena.data[offset:end] = data
+
+
+def _write_unregistered():
+    """A device write to a shared arena never registered: denied."""
+    mem = MemorySystem()
+    arena = mem.create_arena(RegionKind.SHARED, 16)
+    with pytest.raises(DeviceAccessDenied):
+        mem.write_at(arena.id, 0, b"dddd", Side.DEVICE)
+
+
+def _tamper_private_memory():
+    """An attacked rig whose device writes into private memory: rejected."""
+    plan = AdversaryPlan.parse(
+        f"tamper_shared target=a when=0 region={PRIVATE_REGION} offset=0 data=64646464"
+    )
+    assert [outcome for _, outcome in run_adversary(plan).outcomes] == ["rejected"]
+
+
+_SCENARIOS = pytest.mark.parametrize(
+    "scenario", [_write_unregistered, _tamper_private_memory], ids=["bare", "attacked_rig"]
+)
+
+
 class TestInstrumentation:
-    def test_per_byte_read_counts(self):
-        mem = make_mem()
+    def test_per_byte_read_counts(self, recorded):
+        mem = MemorySystem()
         arena = mem.create_arena(RegionKind.PRIVATE, 8)
         mem.read(Handle(arena.id, 0, 4), Side.VM)
         mem.read(Handle(arena.id, 2, 4), Side.VM)
         assert read_counts(mem, arena.id) == [1, 1, 2, 2, 1, 1, 0, 0]
 
-    def test_uninstrumented_has_no_counters_or_log(self):
-        mem = make_mem(instrument=False)
-        arena = mem.create_arena(RegionKind.PRIVATE, 8)
-        mem.read(Handle(arena.id, 0, 4), Side.VM)
-        assert mem.access_log == []
+    @_SCENARIOS
+    def test_untouched_accessors_pass_the_check(self, scenario):
+        with recording():
+            scenario()
+
+    @_SCENARIOS
+    def test_write_skipping_registration_fails_the_check(self, monkeypatch, scenario):
+        """The recorder checks containment apart from the accessors: a
+        write_at that lets the device write unregistered memory fails it."""
+        monkeypatch.setattr(MemorySystem, "write_at", _unchecked_write_at)
+        with recording(), pytest.raises(UnregisteredDeviceAccess):
+            scenario()
 
 
 _Q = struct.Struct("<Q")
@@ -221,10 +265,10 @@ _DENIALS = {
 }
 
 
-def _denial_rig(instrument):
+def _denial_rig():
     """One arena of each kind the cases aim at, each filled with a pattern
     so a stray write would show."""
-    mem = make_mem(instrument)
+    mem = MemorySystem()
     arenas = {
         "shared": mem.create_arena(RegionKind.SHARED, 64),
         "private": mem.create_arena(RegionKind.PRIVATE, 64),
@@ -237,32 +281,33 @@ def _denial_rig(instrument):
 
 
 class TestDeniedAccess:
-    """Every accessor refuses the same way with instrumentation off or on:
-    the same exception and message, no byte touched, and instrumented, a
+    """Every accessor refuses the same way with the access recorder off or
+    on: the same exception and message, no byte touched, and recorded, a
     device denial logged once as a denied record. Out-of-bounds attempts
     are refused before anything is logged."""
 
-    @pytest.mark.parametrize("instrument", [False, True], ids=["plain", "instrumented"])
+    @pytest.mark.parametrize("record", [False, True], ids=["plain", "instrumented"])
     @pytest.mark.parametrize("accessor", list(_ACCESSORS))
     @pytest.mark.parametrize("case", list(_DENIALS))
-    def test_denied_access_touches_nothing(self, case, accessor, instrument):
-        mem, arenas = _denial_rig(instrument)
-        target, offset, side, exc, message = _DENIALS[case]
-        if target == "released":
-            arenas["released"] = arenas["shared"]
-            mem.zero_and_release()
-        region = arenas[target].id if target is not None else 999
-        op, call = _ACCESSORS[accessor]
-        before = {a.id: bytes(a.data) for a in arenas.values()}
-        counts = {a.id: read_counts(mem, a.id) for a in arenas.values() if instrument}
-        mark = len(mem.access_log)
-        with pytest.raises(exc) as info:
-            call(mem, region, offset, side)
+    def test_denied_access_touches_nothing(self, case, accessor, record):
+        with recording() if record else nullcontext():
+            mem, arenas = _denial_rig()
+            target, offset, side, exc, message = _DENIALS[case]
+            if target == "released":
+                arenas["released"] = arenas["shared"]
+                mem.zero_and_release()
+            region = arenas[target].id if target is not None else 999
+            op, call = _ACCESSORS[accessor]
+            before = {a.id: bytes(a.data) for a in arenas.values()}
+            counts = {a.id: read_counts(mem, a.id) for a in arenas.values() if record}
+            mark = len(access_log(mem)) if record else 0
+            with pytest.raises(exc) as info:
+                call(mem, region, offset, side)
         assert str(info.value) == message.format(id=region, op=op, off=offset)
         assert {a.id: bytes(a.data) for a in arenas.values()} == before
-        assert {a.id: read_counts(mem, a.id) for a in arenas.values() if instrument} == counts
-        logged = mem.access_log[mark:]
-        if instrument and exc is DeviceAccessDenied:
+        assert {a.id: read_counts(mem, a.id) for a in arenas.values() if record} == counts
+        logged = access_log(mem)[mark:] if record else []
+        if record and exc is DeviceAccessDenied:
             assert logged == [AccessRecord(Side.DEVICE, op, region, offset, 8, False)]
         else:
             assert logged == []
@@ -270,7 +315,7 @@ class TestDeniedAccess:
 
 class TestPatternSearch:
     def test_find_pattern_by_kind(self):
-        mem = make_mem()
+        mem = MemorySystem()
         private = mem.create_arena(RegionKind.PRIVATE, 64)
         shared = mem.create_arena(RegionKind.SHARED, 64)
         mem.write(Handle(private.id, 3, 6), Side.VM, b"CANARY")
@@ -281,7 +326,7 @@ class TestPatternSearch:
         assert (private.id, 3) in hits and (shared.id, 40) in hits
 
     def test_overlapping_occurrences_found(self):
-        mem = make_mem()
+        mem = MemorySystem()
         arena = mem.create_arena(RegionKind.SHARED, 16)
         mem.write(Handle(arena.id, 0, 5), Side.VM, b"aaaaa")
         hits = [idx for _, idx in mem.find_pattern(b"aaa", RegionKind.SHARED)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from access_oracle import is_zero
+from access_oracle import access_log, is_zero
 from splitio import simloop
 from splitio.bench import BenchConfig
 from splitio.errors import (
@@ -39,7 +39,7 @@ CANARY = b"\xc3\x96\xc3\x96"
 
 
 def small_port(mbuf_count=64, ring_capacity=16, **kw):
-    mem = MemorySystem(instrument=kw.pop("instrument", False))
+    mem = MemorySystem()
     cfg = PoolConfig(mbuf_count=mbuf_count, mbuf_size=2176)
     port = port_new(mem, cfg, ring_capacity=ring_capacity, **kw)
     return mem, port
@@ -113,11 +113,11 @@ class TestInitPools:
         with pytest.raises(QuarantinedArena):
             init_pools(mem, PoolConfig(mbuf_count=4), shared, private)
 
-    def test_foreign_arenas_rejected(self):
+    def test_foreign_arenas_rejected(self, recorded):
         """An arena from another memory system is refused even when its id
         names one of this system's registered shared arenas, and nothing is
         written: pools built on it would land in whatever mem calls that id."""
-        mem = MemorySystem(instrument=True)
+        mem = MemorySystem()
         shared = mem.create_arena(RegionKind.SHARED, 1 << 20)
         mem.register(shared)
         private = mem.create_arena(RegionKind.PRIVATE, 1 << 20)
@@ -130,7 +130,7 @@ class TestInitPools:
             init_pools(mem, PoolConfig(mbuf_count=4), shared, foreign_private)
         with pytest.raises(NotShared):
             init_pools(mem, PoolConfig(mbuf_count=4), foreign_shared, private)
-        assert [rec for rec in mem.access_log if rec.op == "write"] == []
+        assert [rec for rec in access_log(mem) if rec.op == "write"] == []
 
     def test_temporary_data_rooms_are_the_shared_rooms(self):
         mem, port = small_port(mbuf_count=8, ring_capacity=4)

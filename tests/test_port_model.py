@@ -4,15 +4,19 @@ It interleaves the application's calls (alloc, tx_burst, rx_burst, free,
 reclaim) with device steps and with the device misbehaving (forged RX
 writebacks, replayed TX completions), and checks after every step that
 buffers are conserved, that no RX slot is owned twice and that the device
-never reached private memory. It extends the ring-level models in
+never reached private memory. The access recorder checks every memory
+access for the machine's lifetime. It extends the ring-level models in
 test_ring.py to the whole port.
 """
+
+from contextlib import ExitStack
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from access_oracle import device_touched_regions, recording
 from port_oracle import check_temporaries
 from splitio.devsim import LinkModel, LoopbackSystem
 from splitio.errors import PoolExhausted
@@ -30,15 +34,21 @@ class PortPairMachine(RuleBasedStateMachine):
         # frames never exhaust the temporary pool, while the shadow pool can
         # run dry when the application holds on to what it receives
         # the system is kept: each NIC reaches its peer through a weak proxy
-        self.system = LoopbackSystem(
-            PoolConfig(mbuf_count=12, mbuf_size=256),
-            LinkModel(base_latency_ns=500),
-            ring_capacity=RING_CAPACITY,
-        )
+        with ExitStack() as stack:
+            stack.enter_context(recording())
+            self.system = LoopbackSystem(
+                PoolConfig(mbuf_count=12, mbuf_size=256),
+                LinkModel(base_latency_ns=500),
+                ring_capacity=RING_CAPACITY,
+            )
+            self._recorder = stack.pop_all()
         self.ends = {"a": self.system.a, "b": self.system.b}
         self.held = {"a": [], "b": []}
         self.now = 0
         self.serial = 0
+
+    def teardown(self):
+        self._recorder.close()
 
     # -- the application ------------------------------------------------------
 
@@ -129,9 +139,8 @@ class PortPairMachine(RuleBasedStateMachine):
     def no_breach(self):
         for end in self.ends.values():
             mem = end.mem
-            assert mem.device_touched_regions() <= mem.registered
+            assert device_touched_regions(mem) <= mem.registered
             assert not [v for v in end.nic.violations if v["kind"].startswith("private_")]
-
 
 PortPairMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=50, deadline=None

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from access_oracle import read_counts
+from access_oracle import access_log, read_counts
 from splitio.errors import (
     AddressNotShared,
     BadCapacity,
@@ -30,8 +30,8 @@ from splitio.ring import (
 )
 
 
-def make_ring(direction=Direction.TX, capacity=8, instrument=True):
-    mem = MemorySystem(instrument=instrument)
+def make_ring(direction=Direction.TX, capacity=8):
+    mem = MemorySystem()
     arena = mem.create_arena(RegionKind.SHARED, capacity * SLOT_SIZE + 4096)
     mem.register(arena)
     backing = Handle(arena.id, 0, capacity * SLOT_SIZE)
@@ -154,7 +154,7 @@ class TestTxPath:
         "bad",
         ["past_arena_end", "negative_offset", "negative_length", "private_arena", "unregistered_arena"],
     )
-    def test_invalid_post_writes_nothing(self, bad):
+    def test_invalid_post_writes_nothing(self, bad, recorded):
         mem, ring, bufs = make_ring()
         ring.vm_post_tx(tx_desc(bufs[0]))
         arena = mem.arena(ring.backing.region)
@@ -169,7 +169,7 @@ class TestTxPath:
         else:
             address = Handle(mem.create_arena(RegionKind.SHARED, 4096).id, 0, 64)
         before = mem.read_at(arena.id, 0, 8 * SLOT_SIZE, Side.VM)
-        head, mark = ring.head, len(mem.access_log)
+        head, mark = ring.head, len(access_log(mem))
         with pytest.raises(AddressNotShared):
             ring.vm_post_tx(TxDescriptor(address, 64, 0))
         assert vm_writes(mem, mark) == []
@@ -211,14 +211,14 @@ class TestTxPath:
         assert not ring.device_writeback_tx(slot)
         assert ring.violations == [("replayed_tx_completion", slot)]
 
-    def test_write_once_per_post(self):
+    def test_write_once_per_post(self, recorded):
         mem, ring, bufs = make_ring()
-        mark = len(mem.access_log)  # skip construction-time slot zeroing
+        mark = len(access_log(mem))  # skip construction-time slot zeroing
         slot = ring.vm_post_tx(tx_desc(bufs[0]))
         base = slot * SLOT_SIZE
         writes = [
             r
-            for r in mem.access_log[mark:]
+            for r in access_log(mem)[mark:]
             if r.side is Side.VM and r.op == "write" and r.offset < ring.backing.length
         ]
         written = sorted(
@@ -227,18 +227,18 @@ class TestTxPath:
         # address, cmd, olinfo, status: each of the 17 descriptor bytes written once
         assert written == list(range(17))
 
-    def test_handle_beyond_encoding_writes_nothing(self):
-        mem = MemorySystem(instrument=True)
+    def test_handle_beyond_encoding_writes_nothing(self, recorded):
+        mem = MemorySystem()
         ring_bytes = 8 * SLOT_SIZE
         arena = mem.create_arena(RegionKind.SHARED, ring_bytes + 0x20000)
         mem.register(arena)
         ring = DescriptorRing(mem, Handle(arena.id, 0, ring_bytes), 8, Direction.TX)
-        image, mark = bytes(arena.data), len(mem.access_log)
+        image, mark = bytes(arena.data), len(access_log(mem))
         # inside the registered arena, but 65,536 B do not fit the u16 length
         big = Handle(arena.id, ring_bytes, 0x10000)
         with pytest.raises(OutOfBounds, match="does not fit the 8-byte ring encoding"):
             ring.vm_post_tx(TxDescriptor(big, 0, 0))
-        assert mem.access_log[mark:] == []
+        assert access_log(mem)[mark:] == []
         assert bytes(arena.data) == image
         assert (ring.head, ring.occupancy()) == (0, 0)
 
@@ -263,16 +263,16 @@ class TestRxPath:
         ring.device_fetch()
         assert ring.vm_harvest_rx(4) == []
 
-    def test_write_once_per_post(self):
+    def test_write_once_per_post(self, recorded):
         mem, ring, bufs = make_ring(Direction.RX)
         base = 0  # slot 0, the first post
         mem.write_at(ring.backing.region, base + 16, b"\xff" * 16, Side.VM)  # stale writeback
-        mark = len(mem.access_log)
+        mark = len(access_log(mem))
         slot = ring.vm_post_rx_buffer(bufs[0])
         assert slot * SLOT_SIZE == base
         writes = [
             r
-            for r in mem.access_log[mark:]
+            for r in access_log(mem)[mark:]
             if r.side is Side.VM and r.op == "write" and r.offset < base + SLOT_SIZE
         ]
         written = sorted(
@@ -312,7 +312,7 @@ class TestRxPath:
         got = ring.vm_harvest_rx(8)
         assert [h.slot for h in got] == [slots[1], slots[2]]
 
-    def test_writeback_fields_read_exactly_once(self):
+    def test_writeback_fields_read_exactly_once(self, recorded):
         mem, ring, bufs = make_ring(Direction.RX)
         slot = ring.vm_post_rx_buffer(bufs[0])
         ring.device_fetch()
@@ -343,9 +343,9 @@ ROOM = 64
 
 
 def make_rx_ring(capacity, arena_size=None):
-    """An instrumented RX ring at the start of a registered shared arena, with
+    """An RX ring at the start of a registered shared arena, with
     one ROOM-byte room per slot behind it."""
-    mem = MemorySystem(instrument=True)
+    mem = MemorySystem()
     arena = mem.create_arena(RegionKind.SHARED, arena_size or capacity * (SLOT_SIZE + ROOM))
     mem.register(arena)
     ring = DescriptorRing(mem, Handle(arena.id, 0, capacity * SLOT_SIZE), capacity, Direction.RX)
@@ -364,22 +364,22 @@ def advance(ring, count):
 
 
 def vm_writes(mem, mark):
-    log = mem.access_log[mark:]
+    log = access_log(mem)[mark:]
     return [(r.offset, r.length) for r in log if r.side is Side.VM and r.op == "write"]
 
 
 class TestBulkRxPost:
-    def test_full_arm_is_one_write(self):
+    def test_full_arm_is_one_write(self, recorded):
         mem, ring, arena, rooms = make_rx_ring(256)
-        mark = len(mem.access_log)
+        mark = len(access_log(mem))
         assert ring.vm_post_rx_rooms(arena.id, ROOM, rooms) == 0
         assert vm_writes(mem, mark) == [(0, 256 * SLOT_SIZE)]
         assert ring.occupancy() == 256
 
-    def test_wrapping_post_is_two_writes(self):
+    def test_wrapping_post_is_two_writes(self, recorded):
         mem, ring, arena, rooms = make_rx_ring(8)
         advance(ring, 5)
-        mark = len(mem.access_log)
+        mark = len(access_log(mem))
         assert ring.vm_post_rx_rooms(arena.id, ROOM, rooms[:6]) == 5
         assert vm_writes(mem, mark) == [(5 * SLOT_SIZE, 3 * SLOT_SIZE), (0, 3 * SLOT_SIZE)]
         assert [v.slot for v in ring.device_fetch()] == [5, 6, 7, 0, 1, 2]
@@ -414,7 +414,7 @@ class TestBulkRxPost:
             ("more_than_free_slots", RingFull),
         ],
     )
-    def test_invalid_post_writes_nothing(self, bad, error):
+    def test_invalid_post_writes_nothing(self, bad, error, recorded):
         mem, ring, arena, rooms = make_rx_ring(8, arena_size=0x30000)
         advance(ring, 2)
         ring.vm_post_rx_buffer(Handle(arena.id, rooms[0], ROOM))
@@ -435,7 +435,7 @@ class TestBulkRxPost:
             offsets = rooms[1:] + rooms[:1]  # 8 buffers, 7 free slots
         before = mem.read_at(arena.id, 0, 8 * SLOT_SIZE, Side.VM)
         head, posted = ring.head, list(ring._posted_rx)
-        mark = len(mem.access_log)
+        mark = len(access_log(mem))
         with pytest.raises(error):
             ring.vm_post_rx_rooms(region, length, offsets)
         assert vm_writes(mem, mark) == []
@@ -464,7 +464,7 @@ class TestInterleavings:
             ops = ["C"] * 8
             for p in positions:
                 ops[p] = "P"
-            mem, ring, bufs = make_ring(capacity=8, instrument=False)
+            mem, ring, bufs = make_ring(capacity=8)
             fetched: list = []
             completed: list[int] = []
             polled: list[int] = []
@@ -494,7 +494,7 @@ class TestInterleavings:
         assert count == 70
 
     def test_free_running_indices_survive_32bit_wrap(self):
-        mem, ring, bufs = make_ring(capacity=4, instrument=False)
+        mem, ring, bufs = make_ring(capacity=4)
         start = MASK32 - 5  # not slot-aligned on purpose
         ring.head = ring.tail = ring.device_next = start
         for i in range(16):
@@ -537,7 +537,7 @@ class _RingModel:
 )
 @settings(max_examples=150, deadline=None)
 def test_tx_ring_against_model(ops):
-    mem, ring, bufs = make_ring(capacity=4, instrument=False)
+    mem, ring, bufs = make_ring(capacity=4)
     model = _RingModel(4)
     pending_views: list = []
     for op, pick in ops:
@@ -622,7 +622,7 @@ def test_writeback_window_matches_ring_scan(direction, ops):
     post, fetch, writeback, poll or harvest, forged status and replayed
     completion, including once a forged status has let tail pass
     device_next."""
-    mem, ring, bufs = make_ring(direction, capacity=4, instrument=False)
+    mem, ring, bufs = make_ring(direction, capacity=4)
     completed: list[int] = []
     for op, pick in ops:
         slot = pick % 4
@@ -653,7 +653,7 @@ def test_writeback_window_matches_ring_scan(direction, ops):
 
 @pytest.mark.parametrize("direction", [Direction.TX, Direction.RX])
 def test_writeback_window_after_tail_passes_device_next(direction):
-    mem, ring, bufs = make_ring(direction, capacity=4, instrument=False)
+    mem, ring, bufs = make_ring(direction, capacity=4)
     for i in range(3):
         _post(ring, bufs[i])
     ring.device_fetch()  # device_next = 3

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from access_oracle import is_zero, read_counts
+from access_oracle import access_log, device_touched_regions, is_zero, read_counts
 from port_oracle import check_temporaries
 from splitio import simloop
 from splitio.bench import BenchConfig
@@ -21,6 +21,9 @@ from splitio.devsim import AdversaryPlan, LoopbackSystem, run_adversary
 from splitio.ipsec import PortProtect, SaDirection, SecurityAssociation
 from splitio.mem import RegionKind, Side
 from splitio.ring import RX_OFF_STATUS, SLOT_SIZE
+
+# the recorder checks every memory access of every rig built here
+pytestmark = pytest.mark.usefixtures("recorded")
 
 CANARY = b"\xc3\x96" * 8
 
@@ -158,9 +161,7 @@ class TestAttackWhilePoolsAreDry:
         for i in range(10):
             plan, kinds = random_plan(rng)
             shifted = AdversaryPlan([replace(a, when=a.when + first_drop) for a in plan.actions])
-            rig = simloop._EchoRig(
-                replace(self.CFG, seed=i), plan=shifted, canary=CANARY, instrument=True
-            )
+            rig = simloop._EchoRig(replace(self.CFG, seed=i), plan=shifted, canary=CANARY)
             result = rig.run()
 
             context = f"run {i}: {plan}"
@@ -214,10 +215,10 @@ class TestPrivateAddressForgery:
         for mem in (system.mem_a, system.mem_b):
             private = [a for a in mem.arenas.values() if a.kind is RegionKind.PRIVATE]
             assert private
-            for record in mem.access_log:
+            for record in access_log(mem):
                 if record.side is Side.DEVICE and record.ok:
                     assert mem.arenas[record.region].kind is RegionKind.SHARED
-            assert mem.device_touched_regions() <= mem.registered
+            assert device_touched_regions(mem) <= mem.registered
         denials = [v for v in system.nic_a.violations if v["kind"] == "forge_address_denied"]
         assert denials
         assert system.delivered_b == system.sent
