@@ -96,20 +96,22 @@ class BenchConfig:
     mbuf_count: int = 1024
 
 
-# An echo run pushes every send event before the first one runs, at about
-# 136 B of heap each (tracemalloc over 100,000 sends, Python 3.11.7 on a
-# 2-CPU x86-64 host). This ceiling keeps that schedule near 680 MB, under
-# 1 GiB, where 10^9 sends would ask for about 136 GB.
-MAX_ECHO_SENDS = 5_000_000
+# What an echo run keeps per send until it returns: the payload twice (the
+# server's and the client's copy) and 139-141 B of sample, list and tuple
+# slots (tracemalloc peak over 1,000-2,000 sends of 8-1,500 B, Python 3.11.7
+# on a 2-CPU x86-64 host), against 1 GiB that an echo run may keep.
+ECHO_BYTES_PER_SEND = 160
+ECHO_MEMORY_BUDGET = 1 << 30
 
 
 def validate_config(cfg: BenchConfig) -> None:
     """Reject configurations the echo runners cannot execute faithfully."""
     _validate_run(cfg)
-    sends = int(cfg.rate_pps * cfg.duration_s) * cfg.connections
-    if sends > MAX_ECHO_SENDS:
+    per_conn = cfg.rate_pps * cfg.duration_s  # inf if it overflows, which int() refuses
+    sends = int(per_conn) * cfg.connections if per_conn <= ECHO_MEMORY_BUDGET else math.inf
+    if sends * (2 * cfg.payload_len + ECHO_BYTES_PER_SEND) > ECHO_MEMORY_BUDGET:
         raise ConfigInvalid(
-            f"{sends} sends exceed the {MAX_ECHO_SENDS} an echo run can schedule"
+            f"{sends} sends of {cfg.payload_len} B exceed the 1 GiB an echo run may keep"
         )
 
 

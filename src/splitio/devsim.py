@@ -439,11 +439,12 @@ class LoopbackSystem:
         self.now += steps * self.STEP_NS
         self._dispatch(self.now)
 
-    def _dispatch(self, until: float) -> None:
-        """Run every event due by until, earliest first."""
+    def _dispatch(self, until: float, later: int = 0) -> None:
+        """Run every event due by until, earliest first; the budget also
+        covers `later` events that handlers will push but have not yet."""
         heap, handlers = self.heap, self._HANDLERS
         # safety valve against scheduling bugs, not a modeled limit
-        budget = 10_000 + len(heap) * 150
+        budget = 10_000 + (len(heap) + later) * 150
         while heap and heap[0][0] <= until:
             if not budget:
                 raise EventBudgetExhausted(

@@ -3,13 +3,13 @@
 Memory is modeled as flat arenas of two kinds. PRIVATE arenas belong to the
 guest alone; the device side can never read or write them. SHARED arenas are
 visible to the device, but only while they are registered with their
-MemorySystem, which also decides, in check_backing alone, whether an arena
-may back a ring or a pool. Every byte access goes through MemorySystem
-(read/write for Handles, read_at/write_at/unpack_at/pack_at for absolute
-offsets) and names which side is acting, so the device/VM trust boundary is
-enforced in exactly one place. The accessors keep no record of what they
-allowed: a refused device access raises before it touches a byte, and the
-tests audit the accessors from outside by wrapping them.
+MemorySystem, which also decides, in check_backing alone, whether a region
+may back a ring. Every byte access goes through MemorySystem (read/write for
+Handles, read_at/write_at/unpack_at/pack_at for absolute offsets) and names
+which side is acting, so the device/VM trust boundary is enforced in exactly
+one place. The accessors keep no record of what they allowed: a refused
+device access raises before it touches a byte, and the tests audit the
+accessors from outside by wrapping them.
 """
 
 from __future__ import annotations
@@ -124,16 +124,13 @@ class MemorySystem:
             raise NotShared(f"arena {arena.id} is {arena.kind.value}")
         self.registered.add(arena.id)
 
-    def check_backing(self, arena: Arena, kind: RegionKind) -> None:
-        """Refuse an arena that may not back a ring or pool of this kind: it
-        must be this system's own and of that kind, and a SHARED one must
-        also be registered and not quarantined."""
-        if self.arenas.get(arena.id) is not arena or arena.kind is not kind:
-            raise NotShared(f"arena {arena.id} is not a {kind.value} arena of this memory system")
-        if kind is _SHARED and arena.id not in self.registered:
-            raise NotShared(f"arena {arena.id} is not registered")
-        if arena.id in self.quarantined:
-            raise QuarantinedArena(f"arena {arena.id} awaits zero_and_release")
+    def check_backing(self, region: int) -> None:
+        """Refuse a region that may not back a ring: it must be registered,
+        which only this system's SHARED arenas can be, and not quarantined."""
+        if region not in self.registered:
+            raise NotShared(f"arena {region} is not a registered shared arena")
+        if region in self.quarantined:
+            raise QuarantinedArena(f"arena {region} awaits zero_and_release")
 
     def zero_and_release(self) -> None:
         """Zero every registered arena, unregister all, and tear down."""

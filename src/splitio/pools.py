@@ -36,7 +36,7 @@ from .errors import (
     PoolExhausted,
     RingFull,
 )
-from .mem import Arena, Handle, MemorySystem, RegionKind, Side
+from .mem import Handle, MemorySystem, RegionKind, Side
 from . import ring as ringmod
 from .ring import DescriptorRing, Direction, TxDescriptor, encode_handle
 
@@ -213,13 +213,11 @@ class PacketPool:
         count: int,
         data_room: int,
         meta_slab: Handle,
-        data_slab: Optional[Handle],
-        rooms: Optional[Handle] = None,
+        data_slab: Handle,
         canary: Optional[bytes] = None,
     ):
-        """data_slab is the data the pool owns (None for the temporary pool);
-        rooms is the slab its data rooms are carved from when that is not its
-        own: the temporary pool's rooms are the shared pool's, 1:1 by index."""
+        """data_slab is the slab the pool's data rooms are carved from: its
+        own, but the shared pool's for the temporary pool, 1:1 by index."""
         self.mem = mem
         self.kind = kind
         self.count = count
@@ -228,10 +226,8 @@ class PacketPool:
         self.data_slab = data_slab
         self.meta_region = meta_slab.region
         self.meta_base = meta_slab.offset
-        if rooms is None:
-            rooms = data_slab
-        self.data_region = rooms.region
-        self.data_base = rooms.offset
+        self.data_region = data_slab.region
+        self.data_base = data_slab.offset
         if canary is not None and kind is not PoolKind.SHARED:
             self._app_fill = (canary * (APP_PRIVATE_SIZE // len(canary) + 1))[:APP_PRIVATE_SIZE]
         else:
@@ -320,61 +316,6 @@ class PoolSet:
     shared: PacketPool
     temporary: PacketPool
     shadow: PacketPool
-
-
-def init_pools(
-    mem: MemorySystem,
-    cfg: PoolConfig,
-    shared_arena: Arena,
-    private_arena: Arena,
-    canary: Optional[bytes] = None,
-) -> PoolSet:
-    """Carve the three pools out of their arenas.
-
-    Layout, from offset 0 of each arena: the shared arena gets
-    [meta slab | data slab] for the shared pool; the private arena gets
-    [shadow meta | shadow data | temporary meta].
-    Temporary buffer i's data room is shared data room i, fixed for the
-    life of the pools.
-    """
-    if cfg.mbuf_size < METADATA_OVERHEAD + 64:
-        raise ArenaTooSmall(
-            f"mbuf_size {cfg.mbuf_size} below metadata overhead {METADATA_OVERHEAD} + 64"
-        )
-    if cfg.mbuf_count < 1:
-        raise ArenaTooSmall("mbuf_count must be at least 1")
-    mem.check_backing(shared_arena, RegionKind.SHARED)
-    mem.check_backing(private_arena, RegionKind.PRIVATE)
-
-    count = cfg.mbuf_count
-    room = cfg.data_room
-    meta_bytes = count * METADATA_OVERHEAD
-
-    need_shared = count * cfg.mbuf_size
-    if need_shared > shared_arena.size:
-        raise ArenaTooSmall(
-            f"shared arena of {shared_arena.size} B cannot hold {need_shared} B of pool"
-        )
-    need_private = need_shared + meta_bytes
-    if need_private > private_arena.size:
-        raise ArenaTooSmall(
-            f"private arena of {private_arena.size} B cannot hold {need_private} B of pools"
-        )
-
-    shared_meta = Handle(shared_arena.id, 0, meta_bytes)
-    shared_data = Handle(shared_arena.id, meta_bytes, count * room)
-    shadow_meta = Handle(private_arena.id, 0, meta_bytes)
-    shadow_data = Handle(private_arena.id, meta_bytes, count * room)
-    temp_meta = Handle(private_arena.id, meta_bytes + shadow_data.length, meta_bytes)
-
-    shared_pool = PacketPool(mem, PoolKind.SHARED, count, room, shared_meta, shared_data)
-    shadow_pool = PacketPool(
-        mem, PoolKind.SHADOW, count, room, shadow_meta, shadow_data, canary=canary
-    )
-    temp_pool = PacketPool(
-        mem, PoolKind.TEMPORARY, count, room, temp_meta, None, rooms=shared_data, canary=canary
-    )
-    return PoolSet(shared=shared_pool, temporary=temp_pool, shadow=shadow_pool)
 
 
 class PortContext:
@@ -566,22 +507,42 @@ def port_new(
     ring_capacity: int = ringmod.DEFAULT_CAPACITY,
     canary: Optional[bytes] = None,
 ) -> PortContext:
-    """Allocate arenas, pools, and rings for one port and arm its RX side
-    with min(ring_capacity, max(1, mbuf_count // 2)) buffers."""
+    """Lay out one port in two fresh arenas of mem and arm its RX side with
+    min(ring_capacity, max(1, mbuf_count // 2)) buffers. From offset 0, the
+    registered shared arena holds [shared meta | shared rooms | TX ring |
+    RX ring], the only bytes the device sees, and the private arena holds
+    [shadow meta | shadow rooms | temporary meta]. Temporary buffer i's data
+    room is shared room i. A refused config leaves mem untouched."""
+    if cfg.mbuf_size < METADATA_OVERHEAD + 64:
+        raise ArenaTooSmall(
+            f"mbuf_size {cfg.mbuf_size} below metadata overhead {METADATA_OVERHEAD} + 64"
+        )
+    if cfg.mbuf_count < 1:
+        raise ArenaTooSmall("mbuf_count must be at least 1")
     footprint = pool_memory_footprint(cfg)
-    pool_bytes = footprint["shared"]
+    pool_bytes, meta_bytes = footprint["shared"], footprint["temporary"]
     ring_bytes = ring_capacity * ringmod.SLOT_SIZE
-    shared_arena = mem.create_arena(RegionKind.SHARED, pool_bytes + 2 * ring_bytes)
-    mem.register(shared_arena)
-    private_size = footprint["shadow"] + footprint["temporary"]
-    private_arena = mem.create_arena(RegionKind.PRIVATE, private_size)
+    shared = mem.create_arena(RegionKind.SHARED, pool_bytes + 2 * ring_bytes)
+    mem.register(shared)
+    private = mem.create_arena(RegionKind.PRIVATE, footprint["shadow"] + meta_bytes)
 
-    pools = init_pools(mem, cfg, shared_arena, private_arena, canary=canary)
-    tx_backing = Handle(shared_arena.id, pool_bytes, ring_bytes)
-    rx_backing = Handle(shared_arena.id, pool_bytes + ring_bytes, ring_bytes)
+    # built in this order, each part writing itself as it is made: the
+    # tests hash a port's construction writes
+    count, room = cfg.mbuf_count, cfg.data_room
+    shared_meta = Handle(shared.id, 0, meta_bytes)
+    rooms = Handle(shared.id, meta_bytes, count * room)
+    shared_pool = PacketPool(mem, PoolKind.SHARED, count, room, shared_meta, rooms)
+    shadow_meta = Handle(private.id, 0, meta_bytes)
+    shadow_rooms = Handle(private.id, meta_bytes, count * room)
+    shadow_pool = PacketPool(mem, PoolKind.SHADOW, count, room, shadow_meta, shadow_rooms, canary)
+    temp_meta = Handle(private.id, meta_bytes + count * room, meta_bytes)
+    temp_pool = PacketPool(mem, PoolKind.TEMPORARY, count, room, temp_meta, rooms, canary)
+    tx_backing = Handle(shared.id, pool_bytes, ring_bytes)
+    rx_backing = Handle(shared.id, pool_bytes + ring_bytes, ring_bytes)
     tx_ring = DescriptorRing(mem, tx_backing, ring_capacity, Direction.TX)
     rx_ring = DescriptorRing(mem, rx_backing, ring_capacity, Direction.RX)
 
+    pools = PoolSet(shared=shared_pool, temporary=temp_pool, shadow=shadow_pool)
     port = PortContext(mem, cfg, pools, tx_ring, rx_ring)
     port.arm_rx(min(ring_capacity, max(1, cfg.mbuf_count // 2)))
     return port

@@ -36,7 +36,7 @@ from .errors import (
     OutOfBounds,
     RingFull,
 )
-from .mem import Handle, MemorySystem, RegionKind, Side
+from .mem import Handle, MemorySystem, Side
 
 SLOT_SIZE = 32
 DEFAULT_CAPACITY = 256
@@ -140,7 +140,7 @@ class DescriptorRing:
         if capacity < 2 or capacity & (capacity - 1):
             raise BadCapacity(f"capacity must be a power of two >= 2, got {capacity}")
         arena = mem.arena(backing.region)
-        mem.check_backing(arena, RegionKind.SHARED)
+        mem.check_backing(backing.region)
         if backing.length < capacity * SLOT_SIZE or not mem.contains(arena, backing):
             raise BadCapacity(
                 f"backing of {backing.length} B cannot hold {capacity} slots of {SLOT_SIZE} B"

@@ -24,6 +24,7 @@ delivery that wakes an application worker. bench.stage_costs prices each.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -116,7 +117,10 @@ class _EchoRig(LoopbackSystem):
         start = (serial * 131) & 0xFF
         return serial.to_bytes(PACKET_ID_LEN, "big") + self._ramp[start : start + self._body_len]
 
-    def _do_send(self, t: float, _arg: object) -> None:
+    def _do_send(self, t: float, send: tuple[int, int]) -> None:
+        conn, j = send
+        if j + 1 < self._per_conn:
+            self._push_send(conn, j + 1)
         serial = self.sent_count
         self.sent_count += 1
         self.in_flight[serial] = t
@@ -137,17 +141,26 @@ class _EchoRig(LoopbackSystem):
     _HANDLERS = {**LoopbackSystem._HANDLERS, "send": _do_send}
 
     def schedule_sends(self) -> None:
+        """Push each connection's first send; each send pushes its
+        connection's next, so at most one per connection is queued. Send j
+        of connection conn is due at j * period + conn * stagger, with a seq
+        from a range reserved here, so ties run as if all were queued now."""
         cfg = self.cfg
-        period = 1e9 / cfg.rate_pps
-        per_conn = int(cfg.rate_pps * cfg.duration_s)
-        stagger = period / cfg.connections
-        for conn in range(cfg.connections):
-            for j in range(per_conn):
-                self.push(j * period + conn * stagger, "send")
+        self._per_conn = int(cfg.rate_pps * cfg.duration_s)
+        self._first_seq = self._seq
+        self._seq += cfg.connections * self._per_conn
+        for conn in range(cfg.connections if self._per_conn else 0):
+            self._push_send(conn, 0)
+
+    def _push_send(self, conn: int, j: int) -> None:
+        period = 1e9 / self.cfg.rate_pps
+        t = j * period + conn * (period / self.cfg.connections)
+        seq = self._first_seq + conn * self._per_conn + j
+        heapq.heappush(self.heap, (t, seq, "send", (conn, j)))
 
     def run(self) -> EchoResult:
         self.schedule_sends()
-        self._dispatch(math.inf)
+        self._dispatch(math.inf, later=self.cfg.connections * max(self._per_conn - 1, 0))
         received = len(self.samples)
         drops = self.sent_count - received
         return EchoResult(

@@ -27,7 +27,7 @@ rc=0; $cli echo --config "$dir/bad.cfg" || rc=$?
 test "$rc" -eq 2
 rc=0; $cli load --adversary /nonexistent || rc=$?
 test "$rc" -eq 2
-# 10^9 sends is more than an echo run can schedule
+# 10^9 sends would keep more memory than an echo run may
 rc=0; $cli echo --rate 1e12 --duration 0.001 || rc=$?
 test "$rc" -eq 2
 # nor can a load run carry one connection at that rate over the link

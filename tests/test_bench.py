@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from splitio.bench import (
     CSV_HEADER,
+    ECHO_BYTES_PER_SEND,
+    ECHO_MEMORY_BUDGET,
     HOLD_S,
-    MAX_ECHO_SENDS,
     BenchConfig,
     CostProfile,
     LatencyStats,
@@ -230,11 +231,26 @@ class TestConfigValidation:
 
     def test_send_ceiling_counts_every_connection(self):
         # checked on the config alone: no test starts a run this large
-        validate_config(BenchConfig(rate_pps=MAX_ECHO_SENDS / 2, duration_s=1.0, connections=2))
-        with pytest.raises(ConfigInvalid, match=f"exceed the {MAX_ECHO_SENDS}"):
-            validate_config(BenchConfig(rate_pps=MAX_ECHO_SENDS / 2, duration_s=1.0, connections=3))
-        with pytest.raises(ConfigInvalid, match="1000000000 sends exceed"):
+        most = ECHO_MEMORY_BUDGET // (2 * 128 + ECHO_BYTES_PER_SEND)
+        validate_config(BenchConfig(rate_pps=most // 2, duration_s=1.0, connections=2))
+        with pytest.raises(ConfigInvalid, match="exceed the 1 GiB"):
+            validate_config(BenchConfig(rate_pps=most // 2, duration_s=1.0, connections=3))
+        with pytest.raises(ConfigInvalid, match="1000000000 sends of 128 B exceed"):
             validate_config(BenchConfig(rate_pps=1e12, duration_s=0.001))
+
+    @pytest.mark.parametrize("payload_len", [8, 128, 1500])
+    def test_send_ceiling_bounds_what_a_run_keeps(self, payload_len):
+        """The ceiling is on bytes kept, each send keeping its payload twice:
+        the most sends that fit the budget pass, one more is refused."""
+        most = ECHO_MEMORY_BUDGET // (2 * payload_len + ECHO_BYTES_PER_SEND)
+        validate_config(BenchConfig(payload_len=payload_len, rate_pps=most, duration_s=1.0))
+        with pytest.raises(ConfigInvalid, match=f"{most + 1} sends of {payload_len} B"):
+            validate_config(BenchConfig(payload_len=payload_len, rate_pps=most + 1, duration_s=1.0))
+
+    def test_sends_past_any_count_refused(self):
+        # rate x duration overflows to infinity, though each is finite
+        with pytest.raises(ConfigInvalid, match="inf sends"):
+            validate_config(BenchConfig(rate_pps=1e200, duration_s=1e200))
 
     def test_load_runs_schedule_no_sends(self):
         # the fluid model ignores duration, so the echo send ceiling does not apply
@@ -428,6 +444,65 @@ class TestEventBudget:
     def test_draining_run_completes(self):
         result = run_echo_result(bare_cfg(duration_s=0.01))
         assert result.sent == result.received == 10
+
+    def test_budget_counts_sends_not_yet_pushed(self):
+        """The budget is 10,000 + 150 per event of the run known at its
+        start, queued or not: here 10 sends, of which only the first is
+        queued when dispatch begins."""
+        rig = simloop._EchoRig(bare_cfg(duration_s=0.01))
+        runs = 0
+
+        def resend(self, t, arg):
+            nonlocal runs
+            runs += 1
+            self.push(t + 1.0, "send", arg)
+
+        rig._HANDLERS = {**rig._HANDLERS, "send": resend}
+        with pytest.raises(EventBudgetExhausted):
+            rig.run()
+        assert runs == 10_000 + 150 * 10
+
+
+class TestHeapDepth:
+    """Each connection keeps one send queued, which pushes the next when it
+    runs, so the heap does not grow with the run's length. The bound is
+    connections + 2 * mbuf_count + 8, for a client that finishes each send
+    before its next is due: a tx_b event holds one of B's mbuf_count shadow
+    buffers, the polls, wakes and crypto steps queued at once follow the
+    frames in flight, which the temporary buffers bound (mbuf_count more),
+    and 8 covers each side's next-arrival poll and wake. Queuing the whole
+    schedule up front held every send: 999 and 2,499 entries here."""
+
+    @staticmethod
+    def peak_heap(cfg):
+        rig = simloop._EchoRig(cfg)
+        peak = 0
+
+        def watched(handler):
+            def run(self, t, arg):
+                nonlocal peak
+                peak = max(peak, len(self.heap))
+                handler(self, t, arg)
+
+            return run
+
+        rig._HANDLERS = {kind: watched(h) for kind, h in rig._HANDLERS.items()}
+        result = rig.run()
+        assert result.sent == cfg.connections * int(cfg.rate_pps * cfg.duration_s)
+        return peak
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # 1,000 sends 1 us apart: the server falls behind, 32 mbufs run dry
+            BenchConfig(rate_pps=1e6, duration_s=0.001, mbuf_count=32, seed=1),
+            # overload_fanout's shape: 50 connections, 256 mbufs, 2,500 sends
+            BenchConfig(connections=50, duration_s=0.01, mbuf_count=256, seed=1),
+        ],
+        ids=["one_connection", "fanout"],
+    )
+    def test_heap_holds_one_send_per_connection(self, cfg):
+        assert self.peak_heap(cfg) <= cfg.connections + 2 * cfg.mbuf_count + 8
 
 
 class TestRigLifetime:

@@ -95,7 +95,12 @@ class TestEchoCommand:
     def test_run_too_large_to_schedule_exits_two(self, capsys, command):
         code, out, err = run_cli(capsys, command, "--rate", "1e12", "--duration", "0.001")
         assert (code, out) == (2, "")
-        assert err == "error: 1000000000 sends exceed the 5000000 an echo run can schedule\n"
+        assert err == "error: 1000000000 sends of 128 B exceed the 1 GiB an echo run may keep\n"
+
+    def test_run_whose_sends_overflow_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "echo", "--rate", "1e200", "--duration", "1e200")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: inf sends") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -122,6 +122,12 @@ UNPASSED_PARAMETERS = {
     "factors.py predict_latency costs",
     "factors.py predict_latency base",
     "bench.py app_cost_sweep rate_pps",
+    # perfbench/workloads.py reads these two fields of the configs it builds
+    "bench.py CostProfile loss_rate",
+    "bench.py BenchConfig ring_capacity",
+    # DEFAULT_MBUF_SIZE is the one buffer size the model runs; the tests
+    # vary it to check the pool layout and its refusals
+    "pools.py PoolConfig mbuf_size",
 }
 
 
@@ -138,15 +144,31 @@ def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, Optional[in
     return out
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Decorated @dataclass or @dataclass(...)."""
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in cls.decorator_list)
+
+
+def _defaulted_fields(cls: ast.ClassDef) -> list[tuple[str, int]]:
+    """(name, position) of each field of a dataclass that has a default;
+    position counts the fields before it, as its constructor takes them."""
+    fields = [n for n in cls.body if isinstance(n, ast.AnnAssign)]
+    return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+
+
 def _public_defaulted(path: Path):
-    """(label, callee name, parameter, position) for each defaulted parameter
-    of a public function, or of a public class's constructor (called by the
-    class name) or public method."""
+    """(label, callee name, parameter, position, is a field) for each
+    defaulted parameter of a public function, or of a public class's
+    constructor (called by the class name) or public method, and for each
+    defaulted field of a public dataclass (its constructor's parameter)."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             for name, pos in _defaulted(node, method=False):
-                yield f"{path.name} {node.name} {name}", node.name, name, pos
+                yield f"{path.name} {node.name} {name}", node.name, name, pos, False
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if _is_dataclass(node):
+                for name, pos in _defaulted_fields(node):
+                    yield f"{path.name} {node.name} {name}", node.name, name, pos, True
             for fn in node.body:
                 if not isinstance(fn, ast.FunctionDef):
                     continue
@@ -157,7 +179,7 @@ def _public_defaulted(path: Path):
                 else:
                     continue
                 for name, pos in _defaulted(fn, method=True):
-                    yield f"{path.name} {label} {name}", callee, name, pos
+                    yield f"{path.name} {label} {name}", callee, name, pos, False
 
 
 def _passes(call: ast.Call, name: str, pos: Optional[int]) -> bool:
@@ -191,17 +213,21 @@ def _calls(tree: ast.Module):
 
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
     """An option is something a caller sets: each defaulted parameter of a
-    public function, method or constructor is passed by some call, in src/
-    or perfbench/, to a callee of that name."""
+    public function, method or constructor, and each defaulted field of a
+    public dataclass, is passed by some call, in src/ or perfbench/, to a
+    callee of that name. A dataclass field also counts as passed by a
+    dataclasses.replace(..., field=) call."""
     calls: dict[str, list[ast.Call]] = {}
     for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
         for callee, call in _calls(ast.parse(path.read_text())):
             calls.setdefault(callee, []).append(call)
+    replaced = {k.arg for call in calls.get("replace", []) for k in call.keywords}
     unpassed = [
         label
         for path in sorted(PACKAGE.glob("*.py"))
-        for label, callee, name, pos in _public_defaulted(path)
+        for label, callee, name, pos, field in _public_defaulted(path)
         if not any(_passes(call, name, pos) for call in calls.get(callee, []))
+        and not (field and name in replaced)
     ]
     # exactly the allowlist: a listed parameter that gains a caller or goes leaves it too
     assert sorted(unpassed) == sorted(UNPASSED_PARAMETERS)

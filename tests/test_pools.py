@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from access_oracle import access_log, is_zero
+from access_oracle import is_zero
 from splitio import simloop
 from splitio.bench import BenchConfig
 from splitio.errors import (
     ArenaTooSmall,
     ForeignBuffer,
-    NotShared,
     OutOfBounds,
     OversizePacket,
     PoolExhausted,
-    QuarantinedArena,
 )
 from splitio.ipsec import OffloadMode
 from splitio.mem import Handle, MemorySystem, RegionKind, Side
@@ -29,7 +27,6 @@ from splitio.pools import (
     METADATA_OVERHEAD,
     PoolConfig,
     PoolKind,
-    init_pools,
     pool_memory_footprint,
     port_new,
 )
@@ -85,52 +82,16 @@ class TestFootprint:
 
 
 class TestInitPools:
+    """How port_new lays out a port's pools, and the configs it refuses."""
+
     def test_validation(self):
+        """A refused pool config raises before port_new creates an arena."""
         mem = MemorySystem()
-        shared = mem.create_arena(RegionKind.SHARED, 1 << 20)
-        mem.register(shared)
-        private = mem.create_arena(RegionKind.PRIVATE, 1 << 20)
         with pytest.raises(ArenaTooSmall):
-            init_pools(mem, PoolConfig(mbuf_size=128), shared, private)
+            port_new(mem, PoolConfig(mbuf_size=128))
         with pytest.raises(ArenaTooSmall):
-            init_pools(mem, PoolConfig(mbuf_count=0), shared, private)
-        with pytest.raises(ArenaTooSmall):
-            init_pools(mem, PoolConfig(mbuf_count=10_000), shared, private)
-        with pytest.raises(NotShared):
-            init_pools(mem, PoolConfig(mbuf_count=4), private, private)
-        unreg = mem.create_arena(RegionKind.SHARED, 1 << 20)
-        with pytest.raises(NotShared):
-            init_pools(mem, PoolConfig(mbuf_count=4), unreg, private)
-        with pytest.raises(NotShared):
-            init_pools(mem, PoolConfig(mbuf_count=4), shared, shared)
-
-    def test_quarantined_arena_rejected(self):
-        mem = MemorySystem()
-        shared = mem.create_arena(RegionKind.SHARED, 1 << 20)
-        mem.register(shared)
-        private = mem.create_arena(RegionKind.PRIVATE, 1 << 20)
-        mem.quarantined.add(shared.id)
-        with pytest.raises(QuarantinedArena):
-            init_pools(mem, PoolConfig(mbuf_count=4), shared, private)
-
-    def test_foreign_arenas_rejected(self, recorded):
-        """An arena from another memory system is refused even when its id
-        names one of this system's registered shared arenas, and nothing is
-        written: pools built on it would land in whatever mem calls that id."""
-        mem = MemorySystem()
-        shared = mem.create_arena(RegionKind.SHARED, 1 << 20)
-        mem.register(shared)
-        private = mem.create_arena(RegionKind.PRIVATE, 1 << 20)
-        foreign_private = MemorySystem().create_arena(RegionKind.PRIVATE, 1 << 20)
-        other = MemorySystem()
-        foreign_shared = other.create_arena(RegionKind.SHARED, 1 << 20)
-        other.register(foreign_shared)
-        assert foreign_private.id == foreign_shared.id == shared.id
-        with pytest.raises(NotShared):
-            init_pools(mem, PoolConfig(mbuf_count=4), shared, foreign_private)
-        with pytest.raises(NotShared):
-            init_pools(mem, PoolConfig(mbuf_count=4), foreign_shared, private)
-        assert [rec for rec in access_log(mem) if rec.op == "write"] == []
+            port_new(mem, PoolConfig(mbuf_count=0))
+        assert mem.arenas == {}
 
     def test_temporary_data_rooms_are_the_shared_rooms(self):
         mem, port = small_port(mbuf_count=8, ring_capacity=4)
@@ -165,26 +126,22 @@ class TestConstruction:
     @pytest.mark.parametrize("mbuf_count", [1, 2, 7, 300])
     @pytest.mark.parametrize("mbuf_size", [192, 1024, 2176])
     @pytest.mark.parametrize("canary", [None, CANARY])
+    # the ring space that follows the pools in the shared arena: "exact" is
+    # the least a ring allows (2 slots each), "roomy" 256 slots each
     @pytest.mark.parametrize("arenas", ["roomy", "exact"])
     def test_slabs_match_per_buffer_build(self, mbuf_count, mbuf_size, canary, arenas):
         mem = MemorySystem()
         cfg = PoolConfig(mbuf_count=mbuf_count, mbuf_size=mbuf_size)
-        if arenas == "roomy":
-            shared_size, private_size = 1 << 20, 2 << 20
-        else:  # exactly the footprint: the layout from offset 0 must fill both arenas
-            fp = pool_memory_footprint(cfg)
-            shared_size, private_size = fp["shared"], fp["shadow"] + fp["temporary"]
-        shared = mem.create_arena(RegionKind.SHARED, shared_size)
-        mem.register(shared)
-        private = mem.create_arena(RegionKind.PRIVATE, private_size)
-        pools = init_pools(mem, cfg, shared, private, canary=canary)
-        if arenas == "exact":
-            rooms, temp_meta = pools.shared.data_slab, pools.temporary.meta_slab
-            assert rooms.offset + rooms.length == shared.size
-            assert temp_meta.offset + temp_meta.length == private.size
+        port = port_new(mem, cfg, ring_capacity=256 if arenas == "roomy" else 2, canary=canary)
+        pools = port.pools
+        # the layout from offset 0 fills the pools' share of both arenas:
+        # the rooms end where the TX ring begins, the temporary metadata
+        # ends the private arena
+        shared_rooms, temp_meta = pools.shared.data_slab, pools.temporary.meta_slab
+        assert shared_rooms.offset + shared_rooms.length == port.tx_ring.backing.offset
+        assert temp_meta.offset + temp_meta.length == mem.arena(temp_meta.region).size
         zeros = bytes(APP_PRIVATE_SIZE)
         fill = zeros if canary is None else (canary * APP_PRIVATE_SIZE)[:APP_PRIVATE_SIZE]
-        shared_rooms = pools.shared.data_slab
         expected = [
             (pools.shared, shared_rooms, zeros),
             (pools.shadow, pools.shadow.data_slab, fill),
@@ -617,13 +574,8 @@ class TestTeardown:
 )
 @settings(max_examples=100, deadline=None)
 def test_pool_alloc_free_model(steps):
-    mem = MemorySystem()
-    cfg = PoolConfig(mbuf_count=8, mbuf_size=256)
-    shared = mem.create_arena(RegionKind.SHARED, 1 << 16)
-    mem.register(shared)
-    private = mem.create_arena(RegionKind.PRIVATE, 1 << 16)
-    pools = init_pools(mem, cfg, shared, private)
-    pool = pools.shadow
+    port = port_new(MemorySystem(), PoolConfig(mbuf_count=8, mbuf_size=256), ring_capacity=2)
+    pool = port.pools.shadow
     live = {}
     for is_alloc, pick in steps:
         if is_alloc:
