@@ -31,6 +31,7 @@ from .errors import (
 )
 from .ipsec import ESP_OVERHEAD, OffloadMode, esp_frame_len
 from .pools import PoolConfig
+from .prng import MASK64
 
 log = logging.getLogger("splitio.bench")
 
@@ -144,6 +145,9 @@ def _validate_run(cfg: BenchConfig) -> None:
         raise ConfigInvalid("ring capacity must be a power of two, at least 2")
     if cfg.mbuf_count < 8:
         raise ConfigInvalid("buffer pool too small to run")
+    if not 0 <= cfg.seed <= MASK64:
+        # the generators keep 64 bits of it, so a wider seed would alias one
+        raise ConfigInvalid(f"seed {cfg.seed} lies outside [0, 2^64)")
 
 
 class StageCosts(NamedTuple):

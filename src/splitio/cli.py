@@ -92,6 +92,8 @@ def _read_config_file(path: str) -> dict[str, str]:
             text = fh.read()
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"cannot read config file {path}: not UTF-8 at byte {exc.start}") from None
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

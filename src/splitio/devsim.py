@@ -125,6 +125,8 @@ class AdversaryPlan:
                 text = fh.read()
         except OSError as exc:
             raise BadPlan(f"cannot read plan {path}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise BadPlan(f"cannot read plan {path}: not UTF-8 at byte {exc.start}") from None
         return AdversaryPlan.parse(text)
 
 

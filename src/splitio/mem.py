@@ -67,6 +67,12 @@ class Handle(NamedTuple):
         return Handle(self.region, self.offset + start, length)
 
 
+# Arenas up to this size are heap bytearrays, which reuse what a dropped rig
+# freed and so take no page fault; larger ones are anonymous maps, which cost
+# only the pages a run touches (glibc's M_MMAP_THRESHOLD rule).
+_HEAP_MAX = 128 * 1024
+
+
 class Arena:
     __slots__ = ("id", "kind", "size", "data")
 
@@ -74,9 +80,8 @@ class Arena:
         self.id = arena_id
         self.kind = kind
         self.size = size
-        # an anonymous map: zero until a page is first touched and unmapped
-        # when the arena is dropped, so a rig costs only the pages it touches
-        self.data = mmap.mmap(-1, size)
+        # zero-filled either way; no accessor changes its length
+        self.data = bytearray(size) if size <= _HEAP_MAX else mmap.mmap(-1, size)
 
 
 class MemorySystem:

@@ -102,6 +102,16 @@ class TestEchoCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: inf sends") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("seed", ["18446744073709551621", "-1"])
+    def test_seed_outside_64_bits_exits_two(self, capsys, seed):
+        """The generators keep 64 bits of a seed: 2^64 + 5 would run the
+        same bytes as 5, so it is refused rather than aliased."""
+        code, out, err = run_cli(capsys, "ipsec", "--seed", seed, "--duration", "0.01")
+        assert (code, out) == (2, "")
+        assert err == f"error: seed {seed} lies outside [0, 2^64)\n"
+        code, _, err = run_cli(capsys, "ipsec", "--seed", str(2**64 - 1), "--duration", "0.01")
+        assert (code, err) == (0, "")
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -162,6 +172,13 @@ class TestConfigFile:
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "echo", "--config", str(tmp_path / "absent.cfg"))
         assert code == 2
+
+    def test_file_not_utf8_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00bad")
+        code, out, err = run_cli(capsys, "echo", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read config file {cfg}: not UTF-8 at byte 0\n"
 
 
 class TestLoadCommand:
@@ -298,6 +315,13 @@ class TestAdversaryRuns:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot read plan") and err.count("\n") == 1
+
+    def test_plan_file_not_utf8_exits_two(self, capsys, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_bytes(b"drop_packet target=a\n\xff\xfe\x00bad")
+        code, out, err = run_cli(capsys, "echo", "--adversary", str(plan))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read plan {plan}: not UTF-8 at byte 21\n"
 
     def test_bad_payload_with_plan_exits_two(self, capsys, tmp_path):
         plan = tmp_path / "plan.txt"

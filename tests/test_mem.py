@@ -1,4 +1,6 @@
+import mmap
 import struct
+import weakref
 from contextlib import nullcontext
 
 import pytest
@@ -20,10 +22,16 @@ from splitio.errors import (
     DeviceAccessDenied,
     NotShared,
     OutOfBounds,
+    SplitioError,
     ZeroSize,
 )
-from splitio.mem import Handle, MemorySystem, RegionKind, Side
-from test_security import PRIVATE_REGION
+from splitio.mem import _HEAP_MAX, Handle, MemorySystem, RegionKind, Side
+from test_security import CANARY, PRIVATE_REGION
+
+# one arena size on each side of the line between heap and mapped arenas:
+# the checks below run on both backings
+_SIZES = {"heap": 64, "mapped": _HEAP_MAX + 64}
+_BOTH_BACKINGS = pytest.mark.parametrize("size", list(_SIZES.values()), ids=list(_SIZES))
 
 
 class TestArenaLifecycle:
@@ -45,6 +53,32 @@ class TestArenaLifecycle:
         mem = MemorySystem()
         with pytest.raises(OutOfBounds):
             mem.arena(999)
+
+    @pytest.mark.parametrize(
+        "size, backing",
+        [(1, bytearray), (_HEAP_MAX, bytearray), (_HEAP_MAX + 1, mmap.mmap)],
+    )
+    def test_backing_follows_size(self, size, backing):
+        arena = MemorySystem().create_arena(RegionKind.SHARED, size)
+        assert type(arena.data) is backing
+        assert len(arena.data) == size and is_zero(arena)
+
+    @_BOTH_BACKINGS
+    def test_fresh_arena_shows_no_dropped_bytes(self, size):
+        """The heap may serve a new arena from memory a dropped one freed:
+        none of the dropped arena's bytes show in it."""
+        mem = MemorySystem()
+        arena = mem.create_arena(RegionKind.SHARED, size)
+        canaries = CANARY * (size // len(CANARY))
+        mem.write_at(arena.id, 0, canaries, Side.VM)
+        assert mem.pattern_in_shared(CANARY)
+        dropped = weakref.ref(mem)
+        del mem, arena
+        assert dropped() is None
+        mem = MemorySystem()
+        fresh = mem.create_arena(RegionKind.SHARED, size)
+        assert not mem.pattern_in_shared(CANARY)
+        assert is_zero(fresh)
 
 
 class TestDeviceConfinement:
@@ -103,18 +137,20 @@ class TestDeviceConfinement:
 
 class TestTeardown:
     def test_zero_and_release_scrubs_everything(self):
-        mem = MemorySystem()
-        a = mem.create_arena(RegionKind.SHARED, 64)
-        b = mem.create_arena(RegionKind.SHARED, 64)
-        mem.register(a)
-        mem.register(b)
-        mem.write(Handle(a.id, 0, 5), Side.VM, b"hello")
-        mem.write(Handle(b.id, 10, 5), Side.DEVICE, b"world")
-        mem.zero_and_release()
-        assert is_zero(a) and is_zero(b)
-        assert not mem.registered
-        with pytest.raises(DeviceAccessDenied):
-            mem.read(Handle(a.id, 0, 1), Side.DEVICE)
+        for size in _SIZES.values():
+            mem = MemorySystem()
+            a = mem.create_arena(RegionKind.SHARED, size)
+            b = mem.create_arena(RegionKind.SHARED, size)
+            mem.register(a)
+            mem.register(b)
+            mem.write(Handle(a.id, 0, 5), Side.VM, b"hello")
+            mem.write(Handle(b.id, size - 5, 5), Side.DEVICE, b"world")
+            mem.zero_and_release()
+            assert is_zero(a) and is_zero(b)
+            assert len(a.data) == len(b.data) == size
+            assert not mem.registered
+            with pytest.raises(DeviceAccessDenied):
+                mem.read(Handle(a.id, 0, 1), Side.DEVICE)
 
     def test_teardown_is_one_way(self):
         mem = MemorySystem()
@@ -253,81 +289,137 @@ _ACCESSORS = {
 }
 
 _DENIED = "device {op} of 8 B at region {id}+{off} denied"
-# case -> (arena, offset, side, exception, message); the arena is one that
-# _denial_rig builds, or None for an id no arena has
-_DENIALS = {
-    "unknown_region": (None, 0, Side.VM, OutOfBounds, "no arena with id 999"),
-    "negative_offset": ("shared", -1, Side.VM, OutOfBounds, "[-1, 7) outside arena {id} of size 64"),
-    "past_the_end": ("shared", 60, Side.VM, OutOfBounds, "[60, 68) outside arena {id} of size 64"),
-    "device_on_private": ("private", 0, Side.DEVICE, DeviceAccessDenied, _DENIED),
-    "device_on_unregistered": ("unregistered", 8, Side.DEVICE, DeviceAccessDenied, _DENIED),
-    "device_after_release": ("released", 8, Side.DEVICE, DeviceAccessDenied, _DENIED),
-}
 
 
-def _denial_rig():
+def _denials(size):
+    """case -> (arena, offset, side, exception, message) for arenas of size
+    B; the arena is one that _denial_rig builds, or None for an id no arena
+    has."""
+    return {
+        "unknown_region": (None, 0, Side.VM, OutOfBounds, "no arena with id 999"),
+        "negative_offset": ("shared", -1, Side.VM, OutOfBounds, f"[-1, 7) outside arena {{id}} of size {size}"),
+        "past_the_end": (
+            "shared", size - 4, Side.VM, OutOfBounds,
+            f"[{size - 4}, {size + 4}) outside arena {{id}} of size {size}",
+        ),
+        "device_on_private": ("private", 0, Side.DEVICE, DeviceAccessDenied, _DENIED),
+        "device_on_unregistered": ("unregistered", 8, Side.DEVICE, DeviceAccessDenied, _DENIED),
+        "device_after_release": ("released", 8, Side.DEVICE, DeviceAccessDenied, _DENIED),
+    }
+
+
+def _denial_rig(size):
     """One arena of each kind the cases aim at, each filled with a pattern
     so a stray write would show."""
     mem = MemorySystem()
     arenas = {
-        "shared": mem.create_arena(RegionKind.SHARED, 64),
-        "private": mem.create_arena(RegionKind.PRIVATE, 64),
-        "unregistered": mem.create_arena(RegionKind.SHARED, 64),
+        "shared": mem.create_arena(RegionKind.SHARED, size),
+        "private": mem.create_arena(RegionKind.PRIVATE, size),
+        "unregistered": mem.create_arena(RegionKind.SHARED, size),
     }
     mem.register(arenas["shared"])
+    pattern = bytes(range(1, 65)) * (size // 64)
     for arena in arenas.values():
-        mem.write_at(arena.id, 0, bytes(range(1, 65)), Side.VM)
+        mem.write_at(arena.id, 0, pattern, Side.VM)
     return mem, arenas
 
 
 class TestDeniedAccess:
     """Every accessor refuses the same way with the access recorder off or
-    on: the same exception and message, no byte touched, and recorded, a
-    device denial logged once as a denied record. Out-of-bounds attempts
-    are refused before anything is logged."""
+    on, and on heap and mapped arenas alike: the same exception and
+    message, no byte touched, and recorded, a device denial logged once as a
+    denied record. Out-of-bounds attempts are refused before anything is
+    logged."""
 
     @pytest.mark.parametrize("record", [False, True], ids=["plain", "instrumented"])
     @pytest.mark.parametrize("accessor", list(_ACCESSORS))
-    @pytest.mark.parametrize("case", list(_DENIALS))
+    @pytest.mark.parametrize("case", list(_denials(_SIZES["heap"])))
     def test_denied_access_touches_nothing(self, case, accessor, record):
-        with recording() if record else nullcontext():
-            mem, arenas = _denial_rig()
-            target, offset, side, exc, message = _DENIALS[case]
-            if target == "released":
-                arenas["released"] = arenas["shared"]
-                mem.zero_and_release()
-            region = arenas[target].id if target is not None else 999
-            op, call = _ACCESSORS[accessor]
-            before = {a.id: bytes(a.data) for a in arenas.values()}
-            counts = {a.id: read_counts(mem, a.id) for a in arenas.values() if record}
-            mark = len(access_log(mem)) if record else 0
-            with pytest.raises(exc) as info:
-                call(mem, region, offset, side)
-        assert str(info.value) == message.format(id=region, op=op, off=offset)
-        assert {a.id: bytes(a.data) for a in arenas.values()} == before
-        assert {a.id: read_counts(mem, a.id) for a in arenas.values() if record} == counts
-        logged = access_log(mem)[mark:] if record else []
-        if record and exc is DeviceAccessDenied:
-            assert logged == [AccessRecord(Side.DEVICE, op, region, offset, 8, False)]
-        else:
-            assert logged == []
+        for size in _SIZES.values():
+            with recording() if record else nullcontext():
+                mem, arenas = _denial_rig(size)
+                target, offset, side, exc, message = _denials(size)[case]
+                if target == "released":
+                    arenas["released"] = arenas["shared"]
+                    mem.zero_and_release()
+                region = arenas[target].id if target is not None else 999
+                op, call = _ACCESSORS[accessor]
+                before = {a.id: bytes(a.data) for a in arenas.values()}
+                counts = {a.id: read_counts(mem, a.id) for a in arenas.values() if record}
+                mark = len(access_log(mem)) if record else 0
+                with pytest.raises(exc) as info:
+                    call(mem, region, offset, side)
+            assert str(info.value) == message.format(id=region, op=op, off=offset)
+            assert {a.id: bytes(a.data) for a in arenas.values()} == before
+            assert {a.id: read_counts(mem, a.id) for a in arenas.values() if record} == counts
+            logged = access_log(mem)[mark:] if record else []
+            if record and exc is DeviceAccessDenied:
+                assert logged == [AccessRecord(Side.DEVICE, op, region, offset, 8, False)]
+            else:
+                assert logged == []
 
 
 class TestPatternSearch:
     def test_find_pattern_by_kind(self):
-        mem = MemorySystem()
-        private = mem.create_arena(RegionKind.PRIVATE, 64)
-        shared = mem.create_arena(RegionKind.SHARED, 64)
-        mem.write(Handle(private.id, 3, 6), Side.VM, b"CANARY")
-        assert not mem.pattern_in_shared(b"CANARY")
-        mem.write(Handle(shared.id, 40, 6), Side.VM, b"CANARY")
-        assert mem.pattern_in_shared(b"CANARY")
-        hits = list(mem.find_pattern(b"CANARY"))
-        assert (private.id, 3) in hits and (shared.id, 40) in hits
+        for size in _SIZES.values():
+            mem = MemorySystem()
+            private = mem.create_arena(RegionKind.PRIVATE, size)
+            shared = mem.create_arena(RegionKind.SHARED, size)
+            mem.write(Handle(private.id, 3, 6), Side.VM, b"CANARY")
+            assert not mem.pattern_in_shared(b"CANARY")
+            mem.write(Handle(shared.id, size - 24, 6), Side.VM, b"CANARY")
+            assert mem.pattern_in_shared(b"CANARY")
+            hits = list(mem.find_pattern(b"CANARY"))
+            assert (private.id, 3) in hits and (shared.id, size - 24) in hits
 
     def test_overlapping_occurrences_found(self):
+        for size in _SIZES.values():
+            mem = MemorySystem()
+            arena = mem.create_arena(RegionKind.SHARED, size)
+            mem.write(Handle(arena.id, size - 5, 5), Side.VM, b"aaaaa")
+            hits = [idx for _, idx in mem.find_pattern(b"aaa", RegionKind.SHARED)]
+            assert hits == [size - 5, size - 4, size - 3]
+
+
+# one accessor call: (accessor, arena kind, whether the offset counts from
+# the arena's end, the offset, bytes to write or count to read, side)
+_CALLS = st.tuples(
+    st.sampled_from(["read_at", "write_at", "unpack_at", "pack_at", "write", "zero_and_release"]),
+    st.sampled_from(list(RegionKind)),
+    st.booleans(),
+    st.integers(min_value=-16, max_value=16),
+    st.binary(max_size=24),
+    st.sampled_from(list(Side)),
+)
+
+
+class TestArenaLength:
+    @_BOTH_BACKINGS
+    @given(calls=st.lists(_CALLS, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_no_accessor_changes_an_arena_length(self, size, calls):
+        """A heap arena would grow under a slice assignment of the wrong
+        length where a map refuses it: no accessor call, allowed or refused,
+        changes either's length."""
         mem = MemorySystem()
-        arena = mem.create_arena(RegionKind.SHARED, 16)
-        mem.write(Handle(arena.id, 0, 5), Side.VM, b"aaaaa")
-        hits = [idx for _, idx in mem.find_pattern(b"aaa", RegionKind.SHARED)]
-        assert hits == [0, 1, 2]
+        arenas = {kind: mem.create_arena(kind, size) for kind in RegionKind}
+        mem.register(arenas[RegionKind.SHARED])
+        for name, kind, from_end, delta, data, side in calls:
+            arena = arenas[kind]
+            offset = (size if from_end else 0) + delta
+            try:
+                if name == "read_at":
+                    mem.read_at(arena.id, offset, len(data), side)
+                elif name == "write_at":
+                    mem.write_at(arena.id, offset, data, side)
+                elif name == "unpack_at":
+                    mem.unpack_at(arena.id, offset, _Q, side)
+                elif name == "pack_at":
+                    mem.pack_at(arena.id, offset, _Q, side, len(data))
+                elif name == "write":
+                    mem.write(Handle(arena.id, offset, len(data) // 2 + 4), side, data)
+                else:
+                    mem.zero_and_release()
+            except SplitioError:
+                pass
+            assert [len(a.data) for a in arenas.values()] == [size, size]
