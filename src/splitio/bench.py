@@ -99,8 +99,9 @@ class BenchConfig:
 
 # What an echo run keeps per send until it returns: the payload twice (the
 # server's and the client's copy) and 139-141 B of sample, list and tuple
-# slots (tracemalloc peak over 1,000-2,000 sends of 8-1,500 B, Python 3.11.7
-# on a 2-CPU x86-64 host), against 1 GiB that an echo run may keep.
+# slots, polling or interrupted (tracemalloc peak over 1,000-3,000 sends of
+# 8-1,500 B, Python 3.11.7 on a 2-CPU x86-64 host), against 1 GiB that an
+# echo run may keep.
 ECHO_BYTES_PER_SEND = 160
 ECHO_MEMORY_BUDGET = 1 << 30
 
@@ -146,7 +147,7 @@ def _validate_run(cfg: BenchConfig) -> None:
     if cfg.mbuf_count < 8:
         raise ConfigInvalid("buffer pool too small to run")
     if not 0 <= cfg.seed <= MASK64:
-        # the generators keep 64 bits of it, so a wider seed would alias one
+        # Splitmix64 refuses it too, but the load runner builds no generator
         raise ConfigInvalid(f"seed {cfg.seed} lies outside [0, 2^64)")
 
 

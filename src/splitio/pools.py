@@ -1,18 +1,18 @@
 """Packet buffer pools and the port fast path.
 
-Three pools back every port:
+Two pools back every port, each laid out as [metadata | data rooms] from
+offset 0 of its own arena:
 
-* shared   - metadata and data rooms in a registered shared arena; this is the
-             only packet memory the device ever sees.
-* temporary - metadata in private memory, data rooms bound 1:1 to the
-             shared pool's; the port posts and reclaims these.
-* shadow   - metadata and data both private; the only buffers the application
-             ever holds.
+* shared - in a registered shared arena, the only packet memory the device
+           ever sees. The port takes these buffers to stage TX frames and to
+           arm the RX ring, and after construction never reads or writes
+           their metadata, which the device can write.
+* shadow - in a private arena; the only buffers the application ever holds.
 
 The fast path performs exactly one bulk copy per packet per direction:
 RX copies shared -> shadow after harvest (copy before anything parses the
-bytes), TX copies shadow -> temporary right before posting. Buffer metadata,
-free lists, and ring progress never live in shared memory.
+bytes), TX copies shadow -> shared right before posting. Free lists, ring
+progress and every metadata field the port reads live in private memory.
 
 Buffer metadata occupies a 128-byte block per buffer:
 
@@ -65,7 +65,6 @@ _HEADER = struct.Struct("<HHIHIHII")
 
 class PoolKind(enum.Enum):
     SHARED = "shared"
-    TEMPORARY = "temporary"
     SHADOW = "shadow"
 
 
@@ -87,19 +86,10 @@ class PoolConfig:
 
 
 def pool_memory_footprint(cfg: PoolConfig) -> dict[str, int]:
-    """Bytes each pool occupies. Pure arithmetic, no allocation.
-
-    The shared and shadow pools carry metadata plus data rooms; the temporary
-    pool carries metadata only because its data rooms are the shared pool's.
-    """
+    """Bytes each pool occupies, metadata plus data rooms. Pure arithmetic,
+    no allocation."""
     shared = shadow = cfg.mbuf_count * cfg.mbuf_size
-    temporary = cfg.mbuf_count * METADATA_OVERHEAD
-    return {
-        "shared": shared,
-        "temporary": temporary,
-        "shadow": shadow,
-        "total": shared + temporary + shadow,
-    }
+    return {"shared": shared, "shadow": shadow, "total": shared + shadow}
 
 
 class PacketBuffer:
@@ -115,7 +105,7 @@ class PacketBuffer:
             raise OutOfBounds(f"buffer {index} outside a pool of {pool.count}")
         self.pool = pool
         self.index = index
-        self.meta_at = pool.meta_base + index * METADATA_OVERHEAD
+        self.meta_at = index * METADATA_OVERHEAD
 
     @property
     def data_room(self) -> int:
@@ -123,11 +113,11 @@ class PacketBuffer:
 
     def _get(self, off: int, fmt: struct.Struct) -> int:
         pool = self.pool
-        return pool.mem.unpack_at(pool.meta_region, self.meta_at + off, fmt, _VM)[0]
+        return pool.mem.unpack_at(pool.region, self.meta_at + off, fmt, _VM)[0]
 
     def _set(self, off: int, fmt: struct.Struct, value: int) -> None:
         pool = self.pool
-        pool.mem.pack_at(pool.meta_region, self.meta_at + off, fmt, _VM, value)
+        pool.mem.pack_at(pool.region, self.meta_at + off, fmt, _VM, value)
 
     @property
     def pkt_len(self) -> int:
@@ -172,7 +162,7 @@ class PacketBuffer:
         pool, buf, out = self.pool, self, []
         while True:
             at = buf.meta_at + META_OFF_PKT_LEN
-            length, nxt = pool.mem.unpack_at(pool.meta_region, at, _LEN_NEXT, _VM)
+            length, nxt = pool.mem.unpack_at(pool.region, at, _LEN_NEXT, _VM)
             out.append((buf, length))
             if nxt == META_NEXT_NONE:
                 return out
@@ -210,25 +200,22 @@ class PacketPool:
         self,
         mem: MemorySystem,
         kind: PoolKind,
-        count: int,
-        data_room: int,
-        meta_slab: Handle,
-        data_slab: Handle,
+        region: int,
+        cfg: PoolConfig,
         canary: Optional[bytes] = None,
     ):
-        """data_slab is the slab the pool's data rooms are carved from: its
-        own, but the shared pool's for the temporary pool, 1:1 by index."""
+        """Lay cfg.mbuf_count buffers out from offset 0 of region as
+        [metadata | data rooms] and write the metadata. canary fills every
+        buffer's app-private area, which is zeroed without one."""
         self.mem = mem
         self.kind = kind
-        self.count = count
-        self.data_room = data_room
-        self.meta_slab = meta_slab
-        self.data_slab = data_slab
-        self.meta_region = meta_slab.region
-        self.meta_base = meta_slab.offset
-        self.data_region = data_slab.region
-        self.data_base = data_slab.offset
-        if canary is not None and kind is not PoolKind.SHARED:
+        self.region = region
+        self.count = count = cfg.mbuf_count
+        self.data_room = room = cfg.data_room
+        self.data_base = count * METADATA_OVERHEAD
+        self.meta_slab = Handle(region, 0, self.data_base)
+        self.data_slab = Handle(region, self.data_base, count * room)
+        if canary is not None:
             self._app_fill = (canary * (APP_PRIVATE_SIZE // len(canary) + 1))[:APP_PRIVATE_SIZE]
         else:
             self._app_fill = bytes(APP_PRIVATE_SIZE)
@@ -246,11 +233,9 @@ class PacketPool:
         buffer and offsets only grow, so encoding the last room checks the
         ring-encoding bound for all of them."""
         count, room, base = self.count, self.data_room, self.data_base
-        encode_handle(Handle(self.data_region, base + (count - 1) * room, room))
+        encode_handle(Handle(self.region, base + (count - 1) * room, room))
         block = bytearray(METADATA_OVERHEAD)
-        block[META_OFF_DATA : META_OFF_DATA + 8] = encode_handle(
-            Handle(self.data_region, base, room)
-        )
+        block[META_OFF_DATA : META_OFF_DATA + 8] = encode_handle(Handle(self.region, base, room))
         _U32.pack_into(block, META_OFF_NEXT, META_NEXT_NONE)
         block[META_OFF_APP : META_OFF_APP + APP_PRIVATE_SIZE] = self._app_fill
         slab = block * count
@@ -261,7 +246,7 @@ class PacketPool:
         self.mem.write(self.meta_slab, _VM, slab)
 
     def room_offsets(self, bufs: list[PacketBuffer]) -> list[int]:
-        """Data-room offsets, within data_region, of this pool's bufs."""
+        """Data-room offsets, within region, of this pool's bufs."""
         base, room = self.data_base, self.data_room
         return [base + buf.index * room for buf in bufs]
 
@@ -273,7 +258,7 @@ class PacketPool:
             raise OutOfBounds(f"buffer {index} outside a pool of {self.count}")
         if length > self.data_room:
             raise OutOfBounds(f"{length} B outside a data room of {self.data_room} B")
-        return self.data_region, self.data_base + index * self.data_room
+        return self.region, self.data_base + index * self.data_room
 
     def remaining(self) -> int:
         return len(self._free)
@@ -281,8 +266,8 @@ class PacketPool:
     def take(self) -> PacketBuffer:
         """Allocate without writing metadata: the header still holds what
         its last user left there. For callers that write the whole header
-        themselves (rx_burst), and for the temporary pool, whose metadata
-        nothing writes after construction."""
+        themselves (rx_burst), and for the shared pool, whose metadata the
+        port never touches after construction."""
         if not self._free:
             raise PoolExhausted(f"{self.kind.value} pool empty")
         index = self._free.pop()
@@ -293,7 +278,7 @@ class PacketPool:
         """take(), then reset the header: flags and pkt_len 0, no next
         segment."""
         buf = self.take()
-        mem, region, at = self.mem, self.meta_region, buf.meta_at
+        mem, region, at = self.mem, self.region, buf.meta_at
         # flags and pkt_len are adjacent (2..8): one write clears both
         mem.pack_at(region, at + META_OFF_FLAGS, _FLAGS_PKT_LEN, _VM, 0, 0)
         mem.pack_at(region, at + META_OFF_NEXT, _U32, _VM, META_NEXT_NONE)
@@ -306,7 +291,7 @@ class PacketPool:
             raise ForeignBuffer(f"double free of buffer {buf.index}")
         if self.kind is _SHADOW:
             # cheap scrub: the app-private area may hold secrets
-            self.mem.write_at(self.meta_region, buf.meta_at + META_OFF_APP, self._app_fill, _VM)
+            self.mem.write_at(self.region, buf.meta_at + META_OFF_APP, self._app_fill, _VM)
         self._is_free[buf.index] = True
         self._free.append(buf.index)
 
@@ -314,12 +299,11 @@ class PacketPool:
 @dataclass
 class PoolSet:
     shared: PacketPool
-    temporary: PacketPool
     shadow: PacketPool
 
 
 class PortContext:
-    """One port: a TX/RX ring pair, the three pools, and flow counters.
+    """One port: a TX/RX ring pair, the two pools, and flow counters.
 
     Applications interact through alloc_tx_buffer / tx_burst / rx_burst /
     free_buffer and only ever hold shadow (private) buffers.
@@ -347,7 +331,8 @@ class PortContext:
             "auth_fail": 0,
             "aes_ops": 0,  # AES executed by the application worker itself
         }
-        self._tx_slot_temp: dict[int, PacketBuffer] = {}
+        # TX slot -> the shared buffer staged in it, until reclaim_tx
+        self._tx_staged: dict[int, PacketBuffer] = {}
         self.crypto_worker = None  # set by inline_attach
         self.rx_more = False  # whether the last rx_burst may have left ready slots
         self.destroyed = False
@@ -355,15 +340,13 @@ class PortContext:
     # -- setup -------------------------------------------------------------
 
     def arm_rx(self, slots: int) -> int:
-        """Post up to `slots` temporary buffers to the RX ring. They stay
+        """Post up to `slots` shared buffers to the RX ring. They stay
         taken for the life of the port: the ring's record of each posted
         room is what rx_burst reposts once the room is harvested."""
-        ring, temporary = self.rx_ring, self.pools.temporary
-        count = max(0, min(slots, ring.capacity - ring.occupancy(), temporary.remaining()))
-        temps = [temporary.take() for _ in range(count)]
-        ring.vm_post_rx_rooms(
-            temporary.data_region, temporary.data_room, temporary.room_offsets(temps)
-        )
+        ring, shared = self.rx_ring, self.pools.shared
+        count = max(0, min(slots, ring.capacity - ring.occupancy(), shared.remaining()))
+        rooms = shared.room_offsets([shared.take() for _ in range(count)])
+        ring.vm_post_rx_rooms(shared.region, shared.data_room, rooms)
         return count
 
     # -- fast path ---------------------------------------------------------
@@ -373,8 +356,8 @@ class PortContext:
         buffer (the single RX copy), repost the shared-side buffers, and hand
         the shadow buffers to the caller."""
         mem, counters, rx_ring = self.mem, self.counters, self.rx_ring
-        shadow_pool, temporary = self.pools.shadow, self.pools.temporary
-        meta_region, room = shadow_pool.meta_region, shadow_pool.data_room
+        shadow_pool, shared = self.pools.shadow, self.pools.shared
+        shadow_region, room = shadow_pool.region, shadow_pool.data_room
         out: list[PacketBuffer] = []
         harvested = rx_ring.vm_harvest_rx(max_count)
         # a short harvest stopped at a slot that was not ready
@@ -399,28 +382,26 @@ class PortContext:
             # the whole header in one write, so the raw take needs no reset;
             # the data handle gets the value the slab was built with
             mem.pack_at(
-                meta_region, shadow.meta_at, _HEADER, _VM, rec.packet_info, 0, length,
+                shadow_region, shadow.meta_at, _HEADER, _VM, rec.packet_info, 0, length,
                 dst_region, dst_offset, room, META_NEXT_NONE, rec.rss,
             )
             out.append(shadow)
         if harvested:
             # the harvest freed one slot per room, so every room fits back
             rx_ring.vm_post_rx_rooms(
-                temporary.data_region,
-                temporary.data_room,
-                [rec.packet_address.offset for rec in harvested],
+                shared.region, shared.data_room, [rec.packet_address.offset for rec in harvested]
             )
         return out
 
     def tx_burst(self, bufs: list[PacketBuffer]) -> int:
         """Queue shadow buffers for transmit. Each accepted packet is copied
-        once (shadow -> temporary, flattening any chain) and its shadow
+        once (shadow -> shared, flattening any chain) and its shadow
         buffer(s) freed; returns the length of the accepted prefix.
 
         Every buffer's pool and flattened length are checked before any of
         them is posted, so a bad buffer raises with nothing on the ring."""
         self.reclaim_tx()
-        shadow_pool, temporary = self.pools.shadow, self.pools.temporary
+        shadow_pool, shared = self.pools.shadow, self.pools.shared
         room = self.cfg.data_room
         checked = []
         for buf in bufs:
@@ -436,7 +417,7 @@ class PortContext:
         accepted = 0
         for segments, total in checked:
             try:
-                temp = temporary.take()  # its metadata is never read or written
+                staged = shared.take()  # its metadata is never read or written
             except PoolExhausted:
                 break
             # total fits the room, so each segment's length does too
@@ -446,16 +427,16 @@ class PortContext:
                     for seg, length in segments
                 ]
             )
-            region, offset = temporary.data_at(temp.index, total)
+            region, offset = shared.data_at(staged.index, total)
             try:
                 mem.write_at(region, offset, payload, _VM)
                 address = _new(Handle, (region, offset, total))
                 cmd = (total & ringmod.TX_CMD_LEN_MASK) | ringmod.TX_CMD_EOP
                 slot = self.tx_ring.vm_post_tx(_new(TxDescriptor, (address, cmd, 0)))
             except RingFull:
-                temporary.free(temp)
+                shared.free(staged)
                 break
-            self._tx_slot_temp[slot] = temp
+            self._tx_staged[slot] = staged
             self.counters["copies_tx"] += 1
             self.counters["bytes_copied"] += total
             for seg, _ in segments:
@@ -464,12 +445,12 @@ class PortContext:
         return accepted
 
     def reclaim_tx(self) -> int:
-        """Return completed temporary buffers to their pool."""
+        """Return the shared buffers of completed TX slots to their pool."""
         done = 0
         for slot in self.tx_ring.vm_poll_tx():
-            temp = self._tx_slot_temp.pop(slot, None)
-            if temp is not None:
-                self.pools.temporary.free(temp)
+            staged = self._tx_staged.pop(slot, None)
+            if staged is not None:
+                self.pools.shared.free(staged)
                 done += 1
         return done
 
@@ -511,8 +492,8 @@ def port_new(
     min(ring_capacity, max(1, mbuf_count // 2)) buffers. From offset 0, the
     registered shared arena holds [shared meta | shared rooms | TX ring |
     RX ring], the only bytes the device sees, and the private arena holds
-    [shadow meta | shadow rooms | temporary meta]. Temporary buffer i's data
-    room is shared room i. A refused config leaves mem untouched."""
+    [shadow meta | shadow rooms]. The canary fills the shadow pool's
+    app-private areas only. A refused config leaves mem untouched."""
     if cfg.mbuf_size < METADATA_OVERHEAD + 64:
         raise ArenaTooSmall(
             f"mbuf_size {cfg.mbuf_size} below metadata overhead {METADATA_OVERHEAD} + 64"
@@ -520,29 +501,21 @@ def port_new(
     if cfg.mbuf_count < 1:
         raise ArenaTooSmall("mbuf_count must be at least 1")
     footprint = pool_memory_footprint(cfg)
-    pool_bytes, meta_bytes = footprint["shared"], footprint["temporary"]
+    pool_bytes = footprint["shared"]
     ring_bytes = ring_capacity * ringmod.SLOT_SIZE
     shared = mem.create_arena(RegionKind.SHARED, pool_bytes + 2 * ring_bytes)
     mem.register(shared)
-    private = mem.create_arena(RegionKind.PRIVATE, footprint["shadow"] + meta_bytes)
+    private = mem.create_arena(RegionKind.PRIVATE, footprint["shadow"])
 
     # built in this order, each part writing itself as it is made: the
     # tests hash a port's construction writes
-    count, room = cfg.mbuf_count, cfg.data_room
-    shared_meta = Handle(shared.id, 0, meta_bytes)
-    rooms = Handle(shared.id, meta_bytes, count * room)
-    shared_pool = PacketPool(mem, PoolKind.SHARED, count, room, shared_meta, rooms)
-    shadow_meta = Handle(private.id, 0, meta_bytes)
-    shadow_rooms = Handle(private.id, meta_bytes, count * room)
-    shadow_pool = PacketPool(mem, PoolKind.SHADOW, count, room, shadow_meta, shadow_rooms, canary)
-    temp_meta = Handle(private.id, meta_bytes + count * room, meta_bytes)
-    temp_pool = PacketPool(mem, PoolKind.TEMPORARY, count, room, temp_meta, rooms, canary)
+    shared_pool = PacketPool(mem, PoolKind.SHARED, shared.id, cfg)
+    shadow_pool = PacketPool(mem, PoolKind.SHADOW, private.id, cfg, canary)
     tx_backing = Handle(shared.id, pool_bytes, ring_bytes)
     rx_backing = Handle(shared.id, pool_bytes + ring_bytes, ring_bytes)
     tx_ring = DescriptorRing(mem, tx_backing, ring_capacity, Direction.TX)
     rx_ring = DescriptorRing(mem, rx_backing, ring_capacity, Direction.RX)
 
-    pools = PoolSet(shared=shared_pool, temporary=temp_pool, shadow=shadow_pool)
-    port = PortContext(mem, cfg, pools, tx_ring, rx_ring)
+    port = PortContext(mem, cfg, PoolSet(shared=shared_pool, shadow=shadow_pool), tx_ring, rx_ring)
     port.arm_rx(min(ring_capacity, max(1, cfg.mbuf_count // 2)))
     return port

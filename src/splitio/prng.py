@@ -8,12 +8,17 @@ from this docstring reproduces the stream exactly, which the deterministic
 replay tests rely on.
 """
 
+from .errors import ConfigInvalid
+
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 class Splitmix64:
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        if not 0 <= seed <= MASK64:
+            # the state keeps 64 bits, so a wider seed would alias another
+            raise ConfigInvalid(f"seed {seed} lies outside [0, 2^64)")
+        self.state = seed
 
     def next_u64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64

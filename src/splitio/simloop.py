@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bench import (
-    EXITS_PER_WAKE,
     PACKET_ID_LEN,
     BenchConfig,
     LatencyStats,
@@ -63,7 +62,7 @@ class EchoResult:
     worker_counters_b: Optional[dict]
     link_drops_a: int
     link_drops_b: int
-    exit_events: tuple[tuple[str, float, int], ...]
+    wakes: int  # application wakes; each costs EXITS_PER_WAKE exits under interrupts
     server_payloads: tuple[bytes, ...]
     client_payloads: tuple[bytes, ...]
 
@@ -97,8 +96,6 @@ class _EchoRig(LoopbackSystem):
         # every per-packet charge, priced once; under ESP the sim charges
         # RX copies on the wire frame (see stage_costs)
         self.costs = stage_costs(cfg, rx_on_wire=True)
-        if cfg.interrupt_exit_ns is not None:
-            self.wake_exits = EXITS_PER_WAKE
         if cfg.ipsec is not None:
             self.protect_a, self.protect_b = esp_paths(
                 self.port_a, self.port_b, cfg.ipsec, cfg.seed ^ _KEY_STREAM_TWEAK
@@ -175,7 +172,7 @@ class _EchoRig(LoopbackSystem):
             worker_counters_b=dict(self.b.path.counters) if self.b.inline else None,
             link_drops_a=self.a.nic.drops,
             link_drops_b=self.b.nic.drops,
-            exit_events=tuple(self.exit_events),
+            wakes=self.wakes,
             server_payloads=tuple(self.delivered_b),
             client_payloads=tuple(self.delivered_a),
         )

@@ -17,6 +17,7 @@ from splitio.bench import (
     CSV_HEADER,
     ECHO_BYTES_PER_SEND,
     ECHO_MEMORY_BUDGET,
+    EXITS_PER_WAKE,
     HOLD_S,
     BenchConfig,
     CostProfile,
@@ -403,19 +404,19 @@ class TestEchoClosedForm:
         cfg = bare_cfg(interrupt_exit_ns=500)
         result = run_echo_result(cfg)
         # one wake on each side of the round trip, two exits per wake
-        assert result.stats.mean_ns == 2000.0 + 2 * 2 * 500
-        assert len(result.exit_events) == 2 * result.received
-        assert all(exits == 2 for _, _, exits in result.exit_events)
+        assert result.wakes == 2 * result.received
+        assert result.stats.mean_ns == 2000.0 + 2 * EXITS_PER_WAKE * 500 == 2000.0 + 2 * 2 * 500
 
     @pytest.mark.parametrize("mode", [None, OffloadMode.LOOKASIDE, OffloadMode.INLINE])
     def test_one_wake_per_delivery_in_every_mode(self, mode):
         # 20 connections keep the inline worker busy, so some crypto steps
         # open nothing while earlier frames still wait for the application
         cfg = BenchConfig(duration_s=0.005, connections=20, interrupt_exit_ns=2000, ipsec=mode)
-        result = run_echo_result(cfg)
+        rig = simloop._EchoRig(cfg)
+        result = rig.run()
         assert result.received > 0
-        assert len(result.exit_events) == 2 * result.received
-        assert all(exits == 2 for _, _, exits in result.exit_events)
+        assert result.wakes == 2 * result.received
+        assert rig.costs.wake_ns == EXITS_PER_WAKE * 2000
 
     def test_polling_beats_interrupt_at_every_percentile(self):
         base = BenchConfig(rate_pps=2000.0, duration_s=0.2, seed=3)
@@ -469,7 +470,7 @@ class TestHeapDepth:
     connections + 2 * mbuf_count + 8, for a client that finishes each send
     before its next is due: a tx_b event holds one of B's mbuf_count shadow
     buffers, the polls, wakes and crypto steps queued at once follow the
-    frames in flight, which the temporary buffers bound (mbuf_count more),
+    frames in flight, which the shared buffers bound (mbuf_count more),
     and 8 covers each side's next-arrival poll and wake. Queuing the whole
     schedule up front held every send: 999 and 2,499 entries here."""
 
@@ -586,6 +587,40 @@ class TestAttackedRunMemory:
                 tracemalloc.stop()
         plain, attacked = peaks
         assert attacked - plain <= 1 << 20, f"plain {plain} B, attacked {attacked} B"
+
+
+class TestEchoMemoryPerSend:
+    """Each send of an echo run grows what the run keeps by at most the
+    2 * payload + ECHO_BYTES_PER_SEND that the send ceiling budgets, under
+    polling and under emulated interrupts alike: the slope of the
+    tracemalloc peak between a 50-send and a 250-send run. A run that kept
+    a record per interrupt wake grew by 362-368 B per 8 B send."""
+
+    @staticmethod
+    def peak(cfg):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run_echo_result(cfg)
+            return result.sent, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"interrupt_exit_ns": 2000}, {"interrupt_exit_ns": 2000, "ipsec": OffloadMode.INLINE}],
+        ids=["polling", "interrupt", "interrupt_inline"],
+    )
+    def test_slope_within_the_budget(self, kw):
+        payload_len = 8
+        cfg = BenchConfig(payload_len=payload_len, duration_s=0.002, mbuf_count=64, **kw)
+        run_echo_result(cfg)  # untraced, so one-time allocations are made first
+        (short, short_peak), (long, long_peak) = (
+            self.peak(replace(cfg, duration_s=duration)) for duration in (0.01, 0.05)
+        )
+        assert (short, long) == (50, 250)
+        slope = (long_peak - short_peak) / (long - short)
+        assert slope <= 2 * payload_len + ECHO_BYTES_PER_SEND, f"{slope:.1f} B per send"
 
 
 class TestCallBudget:

@@ -7,7 +7,7 @@ from splitio.devsim import (
     run_adversary,
 )
 from splitio.devsim import _payloads_for_run
-from splitio.errors import BadPlan
+from splitio.errors import BadPlan, ConfigInvalid
 from splitio.ipsec import OffloadMode, esp_paths
 from splitio.mem import Handle, Side
 from splitio.pools import PoolConfig
@@ -166,6 +166,28 @@ class TestLoopback:
         assert run() == run()
 
 
+class TestSeedRange:
+    """Every generator refuses a seed outside [0, 2^64) as it is seeded:
+    reduced to 64 bits, such a seed would replay another seed's run."""
+
+    WIDE = [2**64 + 5, -1]
+
+    @pytest.mark.parametrize("seed", WIDE)
+    def test_adversary_run_refuses_wide_seed(self, seed):
+        with pytest.raises(ConfigInvalid, match=rf"^seed {seed} lies outside \[0, 2\^64\)$"):
+            run_adversary(empty_plan(), packets=4, payload_len=64, seed=seed)
+
+    @pytest.mark.parametrize("seed", WIDE)
+    def test_rig_refuses_wide_jitter_seed(self, seed):
+        with pytest.raises(ConfigInvalid, match=rf"^seed {seed} lies outside"):
+            LoopbackSystem(link=LinkModel(jitter_seed=seed))
+
+    def test_widest_seed_accepted(self):
+        report = run_adversary(empty_plan(), packets=2, seed=2**64 - 1)
+        assert len(report.delivered) == 2
+        LoopbackSystem(link=LinkModel(jitter_seed=2**64 - 1))
+
+
 class TestWakeDrainsReadyFrames:
     """One application wake takes every frame its data path has ready, in
     order, even when that is more than one 64-frame app_rx call returns."""
@@ -222,8 +244,8 @@ def _probe_layout():
     """Discover deterministic construction-time layout facts from a twin
     system so a plan can aim at exact addresses."""
     probe = LoopbackSystem()
-    temp = probe.port_a.pools.temporary
-    next_tx_data = Handle(*temp.data_at(temp._free[-1]), temp.data_room)
+    shared = probe.port_a.pools.shared
+    next_tx_data = Handle(*shared.data_at(shared._free[-1]), shared.data_room)
     private_region = probe.port_a.pools.shadow.meta_slab.region
     return next_tx_data, private_region
 

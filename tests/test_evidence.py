@@ -4,7 +4,8 @@ TestGoldenDigests pins the modeled numbers and the campaign's verdicts; this
 pins the memory accesses behind them, as the access recorder logs them. A
 change that only makes the model faster must leave every access in place:
 none dropped, merged or reordered, and the packet path's records built as
-their own types.
+their own types. The same logs show that the VM never touches the metadata
+the device can write.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from splitio import devsim, simloop
 from splitio.bench import BenchConfig
 from splitio.devsim import AdversaryPlan, LoopbackSystem, run_adversary
 from splitio.ipsec import OffloadMode
-from splitio.mem import Handle
+from splitio.mem import Handle, Side
 from splitio.ring import RxHarvest, RxView, TxDescriptor, TxView
 from test_security import CANARY, PRIVATE_REGION, protect_factory_for, random_plan
 
@@ -43,38 +44,42 @@ def _log_digest(rigs) -> str:
     return h.hexdigest()
 
 
+def _campaign_rigs(monkeypatch) -> list:
+    """The rigs run_adversary builds for 20 seeded plans, half under ESP."""
+    rigs = []
+    judge = devsim.classify_attack
+
+    def keep_rig(system, *args):
+        rigs.append(system)
+        return judge(system, *args)
+
+    monkeypatch.setattr(devsim, "classify_attack", keep_rig)
+    rng = random.Random(0x10C5)
+    for i in range(20):
+        plan, _ = random_plan(rng)
+        factory = secrets = None
+        if i % 2 == 1:
+            factory, secrets = protect_factory_for(rng)
+        run_adversary(
+            plan,
+            packets=4,
+            payload_len=64,
+            ring_capacity=8,
+            canary=CANARY,
+            secret_patterns=secrets,
+            protect_factory=factory,
+            seed=i,
+        )
+    assert len(rigs) == 20
+    return rigs
+
+
 class TestAccessLogDigest:
-    CAMPAIGN = "09d58e36e376ab29bc70403ce6d2397c7af31228f3884a465723f6216d2233ba"
-    ECHO = "773718e1cb3bed25447cf6884c6fbd7de38960f704b63e8b6debcd660d7b85a3"
+    CAMPAIGN = "e7741f7558f9fc86bee4b9b18daa90d268fec3e4ecdbbdd08905bad39b5c93d4"
+    ECHO = "8bb59fe67bbea1d26a638eb3d1d62dca13253782716565c380f2af3fabf2a1c8"
 
     def test_campaign_access_logs(self, monkeypatch):
-        """The rigs run_adversary builds for 20 seeded plans, half under ESP."""
-        rigs = []
-        judge = devsim.classify_attack
-
-        def keep_rig(system, *args):
-            rigs.append(system)
-            return judge(system, *args)
-
-        monkeypatch.setattr(devsim, "classify_attack", keep_rig)
-        rng = random.Random(0x10C5)
-        for i in range(20):
-            plan, _ = random_plan(rng)
-            factory = secrets = None
-            if i % 2 == 1:
-                factory, secrets = protect_factory_for(rng)
-            run_adversary(
-                plan,
-                packets=4,
-                payload_len=64,
-                ring_capacity=8,
-                canary=CANARY,
-                secret_patterns=secrets,
-                protect_factory=factory,
-                seed=i,
-            )
-        assert len(rigs) == 20
-        assert _log_digest(rigs) == self.CAMPAIGN
+        assert _log_digest(_campaign_rigs(monkeypatch)) == self.CAMPAIGN
 
     def test_echo_access_logs(self):
         """One attacked echo rig per offload mode."""
@@ -86,6 +91,41 @@ class TestAccessLogDigest:
             assert rig.port_b.counters["metadata_suspect"] == 1
             rigs.append(rig)
         assert _log_digest(rigs) == self.ECHO
+
+
+class TestSharedMetadataUntouched:
+    """The shared pool's metadata sits in memory the device can write, so
+    the VM writes it once, as the port is built, and never reads or writes
+    it again: the port stages TX frames and arms RX rooms in shared buffers
+    taken raw, and reads every metadata field from the private shadow pool.
+    The device's own accesses there (tampering included) are not the VM's."""
+
+    @staticmethod
+    def _check(rigs):
+        for rig in rigs:
+            for mem, port in ((rig.mem_a, rig.port_a), (rig.mem_b, rig.port_b)):
+                slab = port.pools.shared.meta_slab
+                end = slab.offset + slab.length
+                touched = [
+                    r
+                    for r in access_log(mem)
+                    if r.side is Side.VM
+                    and r.region == slab.region
+                    and r.offset < end
+                    and r.offset + r.length > slab.offset
+                ]
+                built = AccessRecord(Side.VM, "write", *slab, True)
+                assert touched == [built]
+
+    @pytest.mark.parametrize("mode", [None, OffloadMode.LOOKASIDE, OffloadMode.INLINE])
+    def test_echo_run(self, mode):
+        rig = simloop._EchoRig(BenchConfig(duration_s=0.01, ipsec=mode, seed=2))
+        result = rig.run()
+        assert result.received == result.sent > 0
+        self._check([rig])
+
+    def test_campaign(self, monkeypatch):
+        self._check(_campaign_rigs(monkeypatch))
 
 
 class TestRecordShapes:
@@ -151,7 +191,7 @@ class TestRecordShapes:
         assert rig.delivered_a == rig.sent
         # the last send on each side is reclaimed by the next TX burst; do it now
         for port in (rig.port_a, rig.port_b):
-            assert port.reclaim_tx() == 1 and not port._tx_slot_temp
+            assert port.reclaim_tx() == 1 and not port._tx_staged
         self._check_rig(rig, seen)
 
     def test_attacked_echo_run_records(self):

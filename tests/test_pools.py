@@ -64,13 +64,7 @@ class TestFootprint:
         # recomputed from the layout description, not from the function
         shared = 300 * 1024
         shadow = 300 * 1024
-        temporary = 300 * 128
-        assert fp == {
-            "shared": shared,
-            "temporary": temporary,
-            "shadow": shadow,
-            "total": shared + shadow + temporary,
-        }
+        assert fp == {"shared": shared, "shadow": shadow, "total": shared + shadow}
 
     def test_default_pool_sizes(self):
         assert pool_memory_footprint(PoolConfig())["shared"] == 8192 * 2176 == 17_825_792
@@ -92,14 +86,6 @@ class TestInitPools:
         with pytest.raises(ArenaTooSmall):
             port_new(mem, PoolConfig(mbuf_count=0))
         assert mem.arenas == {}
-
-    def test_temporary_data_rooms_are_the_shared_rooms(self):
-        mem, port = small_port(mbuf_count=8, ring_capacity=4)
-        shared = port.pools.shared
-        temp = port.pools.temporary
-        for i in range(8):
-            assert temp.data_at(i) == shared.data_at(i)
-        assert temp.meta_slab.region != shared.meta_slab.region
 
     def test_pool_placement(self):
         mem, port = small_port(mbuf_count=8)
@@ -135,17 +121,16 @@ class TestConstruction:
         port = port_new(mem, cfg, ring_capacity=256 if arenas == "roomy" else 2, canary=canary)
         pools = port.pools
         # the layout from offset 0 fills the pools' share of both arenas:
-        # the rooms end where the TX ring begins, the temporary metadata
-        # ends the private arena
-        shared_rooms, temp_meta = pools.shared.data_slab, pools.temporary.meta_slab
+        # the shared rooms end where the TX ring begins, the shadow rooms
+        # end the private arena
+        shared_rooms, shadow_rooms = pools.shared.data_slab, pools.shadow.data_slab
         assert shared_rooms.offset + shared_rooms.length == port.tx_ring.backing.offset
-        assert temp_meta.offset + temp_meta.length == mem.arena(temp_meta.region).size
+        assert shadow_rooms.offset + shadow_rooms.length == mem.arena(shadow_rooms.region).size
         zeros = bytes(APP_PRIVATE_SIZE)
         fill = zeros if canary is None else (canary * APP_PRIVATE_SIZE)[:APP_PRIVATE_SIZE]
         expected = [
             (pools.shared, shared_rooms, zeros),
-            (pools.shadow, pools.shadow.data_slab, fill),
-            (pools.temporary, shared_rooms, fill),
+            (pools.shadow, shadow_rooms, fill),
         ]
         for pool, rooms, app_fill in expected:
             assert mem.read(pool.meta_slab, Side.VM) == reference_meta_slab(pool, rooms, app_fill)
@@ -153,7 +138,7 @@ class TestConstruction:
                 room = Handle(*pool.data_at(i), pool.data_room)
                 assert room == rooms.sub(i * pool.data_room, pool.data_room)
 
-    @pytest.mark.parametrize("kind", ["shared", "temporary", "shadow"])
+    @pytest.mark.parametrize("kind", ["shared", "shadow"])
     def test_data_room_index_checked(self, kind):
         mem, port = small_port(mbuf_count=8, ring_capacity=4)
         pool = getattr(port.pools, kind)
@@ -197,18 +182,16 @@ class TestFusedMetadataWrites:
     one setter per field."""
 
     @pytest.mark.parametrize("mode", [None, OffloadMode.LOOKASIDE, OffloadMode.INLINE])
-    def test_echo_run_leaves_temporary_metadata_as_built(self, mode):
+    def test_echo_run_leaves_shared_metadata_as_built(self, mode):
         rig = simloop._EchoRig(BenchConfig(duration_s=0.01, ipsec=mode, seed=3))
         ends = (rig.a, rig.b)
-        built = [end.mem.read(end.port.pools.temporary.meta_slab, Side.VM) for end in ends]
+        built = [end.mem.read(end.port.pools.shared.meta_slab, Side.VM) for end in ends]
         result = rig.run()
         assert result.received == result.sent > 0
         for end, image in zip(ends, built):
-            pools = end.port.pools
-            assert image == reference_meta_slab(
-                pools.temporary, pools.shared.data_slab, bytes(APP_PRIVATE_SIZE)
-            )
-            assert end.mem.read(pools.temporary.meta_slab, Side.VM) == image
+            shared = end.port.pools.shared
+            assert image == reference_meta_slab(shared, shared.data_slab, bytes(APP_PRIVATE_SIZE))
+            assert end.mem.read(shared.meta_slab, Side.VM) == image
 
     @staticmethod
     def _dirty_next_shadow(port):
@@ -226,8 +209,7 @@ class TestFusedMetadataWrites:
 
     @staticmethod
     def _header(port, buf):
-        pool = port.pools.shadow
-        return port.mem.read_at(pool.meta_region, buf.meta_at, 24, Side.VM)
+        return port.mem.read_at(port.pools.shadow.region, buf.meta_at, 24, Side.VM)
 
     def test_rx_header_matches_alloc_and_setters(self):
         mem, port = small_port()
@@ -284,7 +266,7 @@ class TestBufferApi:
         mem, port = small_port()
         buf = port.alloc_tx_buffer()
         with pytest.raises(ForeignBuffer):
-            port.pools.temporary.free(buf)
+            port.pools.shared.free(buf)
         port.free_buffer(buf)
 
     def test_chain_totals_and_flatten(self):
@@ -311,10 +293,10 @@ class TestBufferApi:
     def test_chain_across_pools_rejected(self):
         mem, port = small_port()
         a = port.alloc_tx_buffer()
-        foreign = port.pools.temporary.alloc()
+        foreign = port.pools.shared.take()
         with pytest.raises(ForeignBuffer):
             a.chain(foreign)
-        port.pools.temporary.free(foreign)
+        port.pools.shared.free(foreign)
         port.free_buffer(a)
 
     def test_oversize_chain_rejected_by_tx(self):
@@ -329,17 +311,17 @@ class TestBufferApi:
 
     def test_tx_burst_rejects_non_shadow(self):
         mem, port = small_port()
-        temp = port.pools.temporary.alloc()
+        staged = port.pools.shared.take()
         with pytest.raises(ForeignBuffer):
-            port.tx_burst([temp])
-        port.pools.temporary.free(temp)
+            port.tx_burst([staged])
+        port.pools.shared.free(staged)
 
 
 class TestTxBurstValidatesFirst:
     @pytest.mark.parametrize("bad", ["oversize_chain", "foreign"])
     def test_bad_buffer_mid_burst_posts_nothing(self, bad):
         mem, port = small_port()
-        temp_free = port.pools.temporary.remaining()
+        shared_free = port.pools.shared.remaining()
         shadow_free = port.pools.shadow.remaining()
         first, last = port.alloc_tx_buffer(), port.alloc_tx_buffer()
         first.write_data(b"first")
@@ -351,16 +333,16 @@ class TestTxBurstValidatesFirst:
             mid.chain(tail)
             expected, held = OversizePacket, [first, mid, tail, last]
         else:
-            mid = port.pools.temporary.alloc()
+            mid = port.pools.shared.take()
             expected, held = ForeignBuffer, [first, last]
         with pytest.raises(expected):
             port.tx_burst([first, mid, last])
         assert port.tx_ring.occupancy() == 0
         assert port.tx_ring.device_fetch() == []
         assert port.counters["copies_tx"] == 0
-        # no temporary buffer was taken, and the caller still owns every
+        # no shared buffer was staged, and the caller still owns every
         # shadow buffer it passed in
-        assert port.pools.temporary.remaining() == temp_free - (bad == "foreign")
+        assert port.pools.shared.remaining() == shared_free - (bad == "foreign")
         for buf in held:
             port.free_buffer(buf)
         assert port.pools.shadow.remaining() == shadow_free
@@ -415,15 +397,15 @@ class TestSingleCopyPath:
 
     def test_temporary_buffers_reclaimed_after_completion(self):
         mem, port = small_port(mbuf_count=16, ring_capacity=8)
-        free_before = port.pools.temporary.remaining()
+        free_before = port.pools.shared.remaining()
         buf = port.alloc_tx_buffer()
         buf.write_data(b"w" * 16)
         port.tx_burst([buf])
-        assert port.pools.temporary.remaining() == free_before - 1
+        assert port.pools.shared.remaining() == free_before - 1
         for view in port.tx_ring.device_fetch():
             port.tx_ring.device_writeback_tx(view.slot)
         port.reclaim_tx()
-        assert port.pools.temporary.remaining() == free_before
+        assert port.pools.shared.remaining() == free_before
 
 
 class TestBackpressure:
@@ -434,16 +416,16 @@ class TestBackpressure:
             b = port.alloc_tx_buffer()
             b.write_data(bytes([i]))
             bufs.append(b)
-        temp_before = port.pools.temporary.remaining()
+        shared_before = port.pools.shared.remaining()
         assert port.tx_burst(bufs) == 4
         # the failed fifth allocation went back to the pool
-        assert port.pools.temporary.remaining() == temp_before - 4
+        assert port.pools.shared.remaining() == shared_before - 4
         for b in bufs[4:]:
             port.free_buffer(b)
 
     def test_tx_accepts_prefix_on_temp_exhaustion(self):
         mem, port = small_port(mbuf_count=8, ring_capacity=8)
-        # 8 temporaries, 4 armed for RX: only 4 left for TX
+        # 8 shared buffers, 4 armed for RX: only 4 left for TX
         bufs = []
         for i in range(6):
             b = port.alloc_tx_buffer()
@@ -471,7 +453,7 @@ class TestBackpressure:
 
 class TestRunEndConservation:
     """At the end of an echo run every buffer is accounted for: each port's
-    temporaries are free, armed in the RX ring or in flight in the TX ring,
+    shared buffers are free, armed in the RX ring or in flight in the TX ring,
     and every shadow buffer is free again, drops included."""
 
     @pytest.mark.parametrize(
@@ -491,7 +473,7 @@ class TestRunEndConservation:
         for port in (rig.port_a, rig.port_b):
             pools = port.pools
             armed, in_flight = port.rx_ring.occupancy(), port.tx_ring.occupancy()
-            assert pools.temporary.remaining() + armed + in_flight == cfg.mbuf_count
+            assert pools.shared.remaining() + armed + in_flight == cfg.mbuf_count
             assert pools.shadow.remaining() == cfg.mbuf_count
 
 
@@ -527,10 +509,10 @@ class TestCanaryAndScrub:
         mem, port = small_port(canary=CANARY)
         buf = port.alloc_tx_buffer()
         secret = b"do-not-leak-this-state"
-        meta_region, app_at = port.pools.shadow.meta_region, buf.meta_at + META_OFF_APP
-        mem.write_at(meta_region, app_at, secret, Side.VM)
+        region, app_at = port.pools.shadow.region, buf.meta_at + META_OFF_APP
+        mem.write_at(region, app_at, secret, Side.VM)
         port.free_buffer(buf)
-        raw = mem.read_at(meta_region, app_at, APP_PRIVATE_SIZE, Side.VM)
+        raw = mem.read_at(region, app_at, APP_PRIVATE_SIZE, Side.VM)
         assert secret not in raw
         assert raw.startswith(CANARY)
 

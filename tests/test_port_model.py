@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from access_oracle import device_touched_regions, recording
-from port_oracle import check_temporaries
+from port_oracle import check_shared_buffers
 from splitio.devsim import LinkModel, LoopbackSystem
 from splitio.errors import PoolExhausted
 from splitio.pools import PoolConfig
@@ -31,7 +31,7 @@ class PortPairMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         # 12 buffers per pool: the 4 armed RX rooms and up to 4 in-flight TX
-        # frames never exhaust the temporary pool, while the shadow pool can
+        # frames never exhaust the shared pool, while the shadow pool can
         # run dry when the application holds on to what it receives
         # the system is kept: each NIC reaches its peer through a weak proxy
         with ExitStack() as stack:
@@ -124,16 +124,16 @@ class PortPairMachine(RuleBasedStateMachine):
     def buffers_conserved(self):
         for side, end in self.ends.items():
             port, held = end.port, self.held[side]
-            shadow, temporary = port.pools.shadow, port.pools.temporary
+            shadow, shared = port.pools.shadow, port.pools.shared
             assert len({buf.index for buf in held}) == len(held)
             assert shadow.remaining() + len(held) == shadow.count
-            armed, in_flight = port.rx_ring.occupancy(), len(port._tx_slot_temp)
-            assert temporary.remaining() + armed + in_flight == temporary.count
+            armed, in_flight = port.rx_ring.occupancy(), len(port._tx_staged)
+            assert shared.remaining() + armed + in_flight == shared.count
 
     @invariant()
     def rx_slots_owned_once(self):
         for end in self.ends.values():
-            check_temporaries(end.port)
+            check_shared_buffers(end.port)
 
     @invariant()
     def no_breach(self):

@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from access_oracle import access_log, device_touched_regions, is_zero, read_counts
-from port_oracle import check_temporaries
+from port_oracle import check_shared_buffers
 from splitio import simloop
 from splitio.bench import BenchConfig
 from splitio.devsim import AdversaryPlan, LoopbackSystem, run_adversary
@@ -176,9 +176,9 @@ class TestAttackWhilePoolsAreDry:
                 pools = port.pools
                 # the heap has drained, so the applications hold no buffer
                 assert pools.shadow.remaining() == pools.shadow.count, context
-                armed, in_flight = port.rx_ring.occupancy(), len(port._tx_slot_temp)
-                assert pools.temporary.remaining() + armed + in_flight == pools.temporary.count, context
-                check_temporaries(port)
+                armed, in_flight = port.rx_ring.occupancy(), len(port._tx_staged)
+                assert pools.shared.remaining() + armed + in_flight == pools.shared.count, context
+                check_shared_buffers(port)
 
 
 class TestPostCopyTamper:
