@@ -209,17 +209,18 @@ class SimNic:
         except DeviceAccessDenied as exc:
             self._violation("tx_ring_unreachable", now, error=str(exc))
             return
-        for view in views:
-            claimed = view.cmd_type_len & 0xFFFF
-            length = min(claimed, view.address.length)
+        # what every frame of the burst uses, bound once
+        mem, link, prng, peer = self.mem, self.link, self.prng, self.peer
+        jitter_ns, loss_rate = link.jitter_ns, link.loss_rate
+        for slot, (region, offset, room), cmd_type_len, _olinfo in views:
+            claimed = cmd_type_len & 0xFFFF
+            length = claimed if claimed < room else room
             payload: Optional[bytes] = None
             try:
-                payload = self.mem.read_at(
-                    view.address.region, view.address.offset, length, _DEVICE
-                )
+                payload = mem.read_at(region, offset, length, _DEVICE)
             except (DeviceAccessDenied, OutOfBounds) as exc:
                 # a forged descriptor can name private memory or no memory
-                self._violation("dma_read_denied", now, slot=view.slot, error=str(exc))
+                self._violation("dma_read_denied", now, slot=slot, error=str(exc))
             if payload is not None:
                 # an empty frame has no byte to flip; the corruption stays
                 # armed for the next frame that does
@@ -230,9 +231,9 @@ class SimNic:
                     payload = bytes(mutable)
                 # always two draws per packet (jitter, then loss) so runs
                 # replay from the seed regardless of configuration
-                jitter_draw = self.prng.next_u64()
-                jitter = jitter_draw % (self.link.jitter_ns + 1) if self.link.jitter_ns else 0
-                lost = self.prng.chance(self.link.loss_rate)
+                jitter_draw = prng.next_u64()
+                jitter = jitter_draw % (jitter_ns + 1) if jitter_ns else 0
+                lost = prng.chance(loss_rate)
                 if self._forced_drops > 0:
                     self._forced_drops -= 1
                     lost = True
@@ -240,10 +241,10 @@ class SimNic:
                     self.capture.append(payload)
                 if lost:
                     self.drops += 1
-                elif self.peer is not None:
-                    self.peer.enqueue(now + self.link.delay_ns(length, jitter), payload)
+                elif peer is not None:
+                    peer.enqueue(now + link.delay_ns(length, jitter), payload)
             # sender-side completion happens whether or not the frame survived
-            self.port.tx_ring.device_writeback_tx(view.slot)
+            ring.device_writeback_tx(slot)
 
     def _service_rx(self, now: int) -> None:
         ring = self.port.rx_ring
@@ -253,21 +254,22 @@ class SimNic:
         except DeviceAccessDenied as exc:
             self._violation("rx_ring_unreachable", now, error=str(exc))
             return
-        inbox = self.inbox
+        inbox, rx_avail, mem = self.inbox, self._rx_avail, self.mem
         while inbox and inbox[0][0] <= now:
             _arrival, _seq, payload = heapq.heappop(inbox)
-            if not self._rx_avail:
+            if not rx_avail:
                 self.drops += 1
                 continue
-            view = self._rx_avail.popleft()
-            address = view.packet_address
-            n = min(len(payload), address.length)
+            slot, (region, offset, room), _header = rx_avail.popleft()
+            n = len(payload)
+            if n > room:
+                n = room
             try:
-                self.mem.write_at(address.region, address.offset, payload[:n], _DEVICE)
+                mem.write_at(region, offset, payload[:n], _DEVICE)
             except (DeviceAccessDenied, OutOfBounds) as exc:
-                self._violation("dma_write_denied", now, slot=view.slot, error=str(exc))
+                self._violation("dma_write_denied", now, slot=slot, error=str(exc))
                 continue
-            self.port.rx_ring.device_writeback_rx(view.slot, length=n)
+            ring.device_writeback_rx(slot, length=n)
             self.delivered += 1
 
     # -- adversary actions -------------------------------------------------
@@ -463,12 +465,15 @@ class LoopbackSystem:
         key = (side, t)
         if key not in self._pushed_polls:
             self._pushed_polls.add(key)
-            self.push(t, "nic", side)
+            # push's body, without its frame: this runs once per poll
+            heapq.heappush(self.heap, (t, self._seq, "nic", side))
+            self._seq += 1
 
     def _wake(self, side: str, t: float) -> None:
         """Wake side's application worker for what was just delivered."""
         self.wakes += 1
-        self.push(t + self.costs.wake_ns, _APP_EVENT[side])
+        heapq.heappush(self.heap, (t + self.costs.wake_ns, self._seq, _APP_EVENT[side], None))
+        self._seq += 1
 
     def _transmit(self, t: float, buf, side: str = "b") -> None:
         """Hand buf to side's data path, then poll whatever sends it on.

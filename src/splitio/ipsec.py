@@ -54,6 +54,7 @@ from .errors import (
     BadSaConfig,
     ForeignBuffer,
     Malformed,
+    OutOfBounds,
     Oversize,
     SeqExhausted,
     SplitioError,
@@ -163,8 +164,7 @@ def esp_encrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
     if sa.seq > MAX_WIRE_SEQ:
         raise SeqExhausted(f"sequence space of SPI {sa.spi:#x} exhausted")
 
-    mem = sa.mem
-    region, offset = buf.pool.data_at(buf.index, pkt_len)
+    mem, region, offset = sa.mem, buf.pool.region, buf.room_at
     raw = mem.read_at(region, offset, pkt_len, _VM)
     addressing, inner = raw[:ADDR_PREFIX_LEN], raw[ADDR_PREFIX_LEN:]
     pad_len = (-(len(inner) + 2)) % 4
@@ -198,8 +198,10 @@ def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
     frame_len = buf.pkt_len
     if frame_len < MIN_FRAME_LEN:
         raise Malformed(f"frame of {frame_len} B below minimum {MIN_FRAME_LEN}")
-    mem = sa.mem
-    region, offset = buf.pool.data_at(buf.index, frame_len)
+    pool = buf.pool
+    if frame_len > pool.data_room:
+        raise OutOfBounds(f"{frame_len} B outside a data room of {pool.data_room} B")
+    mem, region, offset = sa.mem, pool.region, buf.room_at
     frame = mem.read_at(region, offset, frame_len, _VM)
     addressing = frame[:ADDR_PREFIX_LEN]
     header = frame[8:16]

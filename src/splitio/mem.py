@@ -21,6 +21,7 @@ from typing import Iterator, NamedTuple, NoReturn, Optional
 
 from .errors import (
     AlreadyTornDown,
+    ConfigInvalid,
     DeviceAccessDenied,
     NotShared,
     OutOfBounds,
@@ -229,7 +230,11 @@ class MemorySystem:
 
     def find_pattern(self, pattern: bytes, kind: Optional[RegionKind] = None) -> Iterator[tuple[int, int]]:
         """Yield (region, index) for every occurrence of pattern in arenas of
-        the given kind (all arenas when kind is None)."""
+        the given kind (all arenas when kind is None). An empty pattern
+        occurs everywhere, so it is refused: ConfigInvalid on the first
+        step."""
+        if not pattern:
+            raise ConfigInvalid("an empty pattern matches every offset")
         for arena in self.arenas.values():
             if kind is not None and arena.kind is not kind:
                 continue

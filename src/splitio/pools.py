@@ -30,6 +30,7 @@ from typing import Optional
 
 from .errors import (
     ArenaTooSmall,
+    ConfigInvalid,
     ForeignBuffer,
     OutOfBounds,
     OversizePacket,
@@ -93,12 +94,14 @@ def pool_memory_footprint(cfg: PoolConfig) -> dict[str, int]:
 
 
 class PacketBuffer:
-    """One buffer (metadata block plus data room) in one pool. Field
-    accessors go through the memory system so metadata physically lives in
-    its arena; they address fields by absolute offset, so no Handle is built
-    per access."""
+    """One buffer (metadata block plus data room) in one pool. Its index
+    fixes where both live: meta_at and room_at are their absolute offsets in
+    the pool's region, checked once here, so no access recomputes or
+    re-checks them. Field accessors go through the memory system so
+    metadata physically lives in its arena, and no Handle is built per
+    access."""
 
-    __slots__ = ("pool", "index", "meta_at")
+    __slots__ = ("pool", "index", "meta_at", "room_at")
 
     def __init__(self, pool: "PacketPool", index: int):
         if not 0 <= index < pool.count:
@@ -106,6 +109,7 @@ class PacketBuffer:
         self.pool = pool
         self.index = index
         self.meta_at = index * METADATA_OVERHEAD
+        self.room_at = pool.data_base + index * pool.data_room
 
     @property
     def data_room(self) -> int:
@@ -119,13 +123,16 @@ class PacketBuffer:
         pool = self.pool
         pool.mem.pack_at(pool.region, self.meta_at + off, fmt, _VM, value)
 
+    # pkt_len is read and written on every packet, so it skips _get/_set
     @property
     def pkt_len(self) -> int:
-        return self._get(META_OFF_PKT_LEN, _U32)
+        pool = self.pool
+        return pool.mem.unpack_at(pool.region, self.meta_at + META_OFF_PKT_LEN, _U32, _VM)[0]
 
     @pkt_len.setter
     def pkt_len(self, value: int) -> None:
-        self._set(META_OFF_PKT_LEN, _U32, value)
+        pool = self.pool
+        pool.mem.pack_at(pool.region, self.meta_at + META_OFF_PKT_LEN, _U32, _VM, value)
 
     @property
     def msg_type(self) -> int:
@@ -175,18 +182,19 @@ class PacketBuffer:
 
     def write_data(self, payload: bytes) -> None:
         """App helper: set payload and pkt_len in one go."""
-        if len(payload) > self.data_room:
-            raise OversizePacket(f"{len(payload)} B into a {self.data_room} B room")
-        pool = self.pool
-        region, offset = pool.data_at(self.index)
-        pool.mem.write_at(region, offset, payload, _VM)
-        self.pkt_len = len(payload)
+        pool, length = self.pool, len(payload)
+        if length > pool.data_room:
+            raise OversizePacket(f"{length} B into a {pool.data_room} B room")
+        pool.mem.write_at(pool.region, self.room_at, payload, _VM)
+        self.pkt_len = length
 
     def read_data(self) -> bytes:
         length = self.pkt_len
         pool = self.pool
-        region, offset = pool.data_at(self.index, length)
-        return pool.mem.read_at(region, offset, length, _VM)
+        # pkt_len comes from memory, so it is checked against the room
+        if length > pool.data_room:
+            raise OutOfBounds(f"{length} B outside a data room of {pool.data_room} B")
+        return pool.mem.read_at(pool.region, self.room_at, length, _VM)
 
 
 class PacketPool:
@@ -244,21 +252,6 @@ class PacketPool:
         for lane in range(4):
             slab[column + lane :: METADATA_OVERHEAD] = offsets[lane::4]
         self.mem.write(self.meta_slab, _VM, slab)
-
-    def room_offsets(self, bufs: list[PacketBuffer]) -> list[int]:
-        """Data-room offsets, within region, of this pool's bufs."""
-        base, room = self.data_base, self.data_room
-        return [base + buf.index * room for buf in bufs]
-
-    def data_at(self, index: int, length: int = 0) -> tuple[int, int]:
-        """(region, offset) of buffer index's data room, for an access of
-        length bytes from its start; the index and data-room bounds are
-        checked here."""
-        if not 0 <= index < self.count:
-            raise OutOfBounds(f"buffer {index} outside a pool of {self.count}")
-        if length > self.data_room:
-            raise OutOfBounds(f"{length} B outside a data room of {self.data_room} B")
-        return self.region, self.data_base + index * self.data_room
 
     def remaining(self) -> int:
         return len(self._free)
@@ -345,7 +338,7 @@ class PortContext:
         room is what rx_burst reposts once the room is harvested."""
         ring, shared = self.rx_ring, self.pools.shared
         count = max(0, min(slots, ring.capacity - ring.occupancy(), shared.remaining()))
-        rooms = shared.room_offsets([shared.take() for _ in range(count)])
+        rooms = [shared.take().room_at for _ in range(count)]
         ring.vm_post_rx_rooms(shared.region, shared.data_room, rooms)
         return count
 
@@ -372,18 +365,20 @@ class PortContext:
             except PoolExhausted:
                 counters["drops"] += 1
                 continue
-            # the harvest clamped length to the posted room it names
-            length, src = rec.length, rec.packet_address
-            dst_region, dst_offset = shadow_pool.data_at(shadow.index, length)
+            # the harvest clamped length, read from memory, to the posted
+            # room it names; the shadow room is checked all the same
+            length, src, dst_offset = rec.length, rec.packet_address, shadow.room_at
+            if length > room:
+                raise OutOfBounds(f"{length} B outside a data room of {room} B")
             payload = mem.read_at(src.region, src.offset, length, _VM)
-            mem.write_at(dst_region, dst_offset, payload, _VM)
+            mem.write_at(shadow_region, dst_offset, payload, _VM)
             counters["copies_rx"] += 1
             counters["bytes_copied"] += length
             # the whole header in one write, so the raw take needs no reset;
             # the data handle gets the value the slab was built with
             mem.pack_at(
                 shadow_region, shadow.meta_at, _HEADER, _VM, rec.packet_info, 0, length,
-                dst_region, dst_offset, room, META_NEXT_NONE, rec.rss,
+                shadow_region, dst_offset, room, META_NEXT_NONE, rec.rss,
             )
             out.append(shadow)
         if harvested:
@@ -402,32 +397,32 @@ class PortContext:
         them is posted, so a bad buffer raises with nothing on the ring."""
         self.reclaim_tx()
         shadow_pool, shared = self.pools.shadow, self.pools.shared
-        room = self.cfg.data_room
+        room = shadow_pool.data_room  # the shared pool's rooms are as long
         checked = []
         for buf in bufs:
             if buf.pool is not shadow_pool:
                 raise ForeignBuffer("tx_burst takes shadow-pool buffers")
             segments = buf.segment_lengths()
-            total = sum(length for _, length in segments)
+            total = 0
+            for _, length in segments:
+                total += length
             if total > room:
                 raise OversizePacket(f"{total} B exceeds {room} B data room")
             checked.append((segments, total))
 
-        mem = self.mem
+        mem, region, shadow_region = self.mem, shared.region, shadow_pool.region
         accepted = 0
         for segments, total in checked:
             try:
                 staged = shared.take()  # its metadata is never read or written
             except PoolExhausted:
                 break
-            # total fits the room, so each segment's length does too
-            payload = b"".join(
-                [
-                    mem.read_at(*shadow_pool.data_at(seg.index), length, _VM)
-                    for seg, length in segments
-                ]
-            )
-            region, offset = shared.data_at(staged.index, total)
+            # total fits the room, so each segment's length does too; b"" + x
+            # is x itself, so a one-segment packet is read once and not copied
+            payload = b""
+            for seg, length in segments:
+                payload += mem.read_at(shadow_region, seg.room_at, length, _VM)
+            offset = staged.room_at
             try:
                 mem.write_at(region, offset, payload, _VM)
                 address = _new(Handle, (region, offset, total))
@@ -494,6 +489,8 @@ def port_new(
     RX ring], the only bytes the device sees, and the private arena holds
     [shadow meta | shadow rooms]. The canary fills the shadow pool's
     app-private areas only. A refused config leaves mem untouched."""
+    if canary is not None and not canary:
+        raise ConfigInvalid("a canary must be at least one byte long")
     if cfg.mbuf_size < METADATA_OVERHEAD + 64:
         raise ArenaTooSmall(
             f"mbuf_size {cfg.mbuf_size} below metadata overhead {METADATA_OVERHEAD} + 64"

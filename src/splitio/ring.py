@@ -177,16 +177,6 @@ class DescriptorRing:
             image[TX_OFF_STATUS::SLOT_SIZE] = bytes([TX_STATUS_FREE]) * self.capacity
         self.mem.write_at(self._region, self.backing.offset, image, _VM)
 
-    def _device_slot_at(self, slot: int) -> int:
-        """Absolute offset of a slot the device names. The device may name
-        any number, so it is checked against the backing like a sub-handle."""
-        start = slot * SLOT_SIZE
-        if slot < 0 or start + SLOT_SIZE > self.backing.length:
-            raise OutOfBounds(
-                f"slot {slot} outside ring backing of length {self.backing.length}"
-            )
-        return self.backing.offset + start
-
     def occupancy(self) -> int:
         return (self.head - self.tail) & MASK32
 
@@ -199,7 +189,7 @@ class DescriptorRing:
         mem = self.mem
         a_region, a_offset, a_length = desc.address
         if (
-            not mem.is_device_accessible(a_region)
+            a_region not in mem.registered  # only shared arenas are registered
             or a_offset < 0
             or a_length < 0
             or a_offset + a_length > mem.arenas[a_region].size
@@ -271,9 +261,12 @@ class DescriptorRing:
         if not n:
             return first
         mem = self.mem
-        lo, hi = min(offsets), max(offsets)
+        if n == 1:
+            lo = hi = offsets[0]
+        else:
+            lo, hi = min(offsets), max(offsets)
         if (
-            not mem.is_device_accessible(region)
+            region not in mem.registered  # only shared arenas are registered
             or lo < 0
             or length < 0
             or hi + length > mem.arenas[region].size
@@ -287,17 +280,25 @@ class DescriptorRing:
                 f"rx buffers of {length} B at region {region}+[{lo}, {hi}] do not fit"
                 " the 8-byte ring encoding"
             )
-        if n <= cap - first:
-            runs = ((first, n, offsets),)
-        else:
-            split = cap - first
-            runs = ((first, split, offsets[:split]), (0, n - split, offsets[split:]))
         pack, posted_rx, device_done = _RX_POST.pack, self._posted_rx, self._device_done
-        for start, count, run in runs:
-            image = b"".join([pack(region, off, length, region, off, length) for off in run])
-            mem.write_at(self._region, self._slot_at[start], image, _VM)
-            posted_rx[start : start + count] = [_new(Handle, (region, off, length)) for off in run]
-            device_done[start : start + count] = [False] * count
+        if n == 1:
+            # a lone repost, one per received frame: one slot, no wrap
+            image = pack(region, lo, length, region, lo, length)
+            mem.write_at(self._region, self._slot_at[first], image, _VM)
+            posted_rx[first] = _new(Handle, (region, lo, length))
+            device_done[first] = False
+        else:
+            if n <= cap - first:
+                runs = ((first, n, offsets),)
+            else:
+                split = cap - first
+                runs = ((first, split, offsets[:split]), (0, n - split, offsets[split:]))
+            for start, count, run in runs:
+                image = b"".join([pack(region, off, length, region, off, length) for off in run])
+                mem.write_at(self._region, self._slot_at[start], image, _VM)
+                end = start + count
+                posted_rx[start:end] = [_new(Handle, (region, off, length)) for off in run]
+                device_done[start:end] = [False] * count
         self.head = (self.head + n) & MASK32
         return first
 
@@ -368,27 +369,39 @@ class DescriptorRing:
             self.device_next = (self.device_next + 1) & MASK32
         return views
 
-    def _writeback_window_ok(self, slot: int) -> bool:
-        """Slot must be fetched, not yet completed, and still in flight.
+    def _writeback_slot(self, slot: int) -> tuple[bool, int]:
+        """(verdict, absolute offset) of a slot the device names in a
+        writeback. The device may name any number, so the slot is checked
+        against the backing like a sub-handle, and OutOfBounds raised for
+        one outside it.
 
-        The window is the run of ring positions [tail, device_next); slot
-        lies in it iff its distance from tail, modulo capacity, is shorter
-        than the run. Should a forged status let tail overtake device_next,
-        the run is longer than the ring and every slot lies in it, which is
-        what a walk from tail to device_next would find.
+        The verdict says whether the slot is fetched, not yet completed and
+        still in flight. The window is the run of ring positions [tail,
+        device_next); slot lies in it iff its distance from tail, modulo
+        capacity, is shorter than the run. Should a forged status let tail
+        overtake device_next, the run is longer than the ring and every
+        slot lies in it, which is what a walk from tail to device_next
+        would find.
         """
-        if not 0 <= slot < self.capacity:
-            return False
+        start = slot * SLOT_SIZE
+        if slot < 0 or start + SLOT_SIZE > self.backing.length:
+            raise OutOfBounds(
+                f"slot {slot} outside ring backing of length {self.backing.length}"
+            )
         window = (self.device_next - self.tail) & MASK32
-        return ((slot - self.tail) & (self.capacity - 1)) < window and not self._device_done[slot]
+        ok = (
+            slot < self.capacity
+            and ((slot - self.tail) & (self.capacity - 1)) < window
+            and not self._device_done[slot]
+        )
+        return ok, self.backing.offset + start
 
     def device_writeback_tx(self, slot: int) -> bool:
         """Mark a TX slot complete. Returns False (and logs) for a replayed or
         out-of-window completion; the byte write still happens because shared
         memory cannot be defended, only distrusted."""
         assert self.direction is _TX
-        ok = self._writeback_window_ok(slot)
-        at = self._device_slot_at(slot)
+        ok, at = self._writeback_slot(slot)
         self.mem.pack_at(self._region, at + TX_OFF_STATUS, _U8, _DEVICE, TX_STATUS_FREE)
         if ok:
             self._device_done[slot] = True
@@ -403,10 +416,10 @@ class DescriptorRing:
         claims, with packet_info, rss and vlan_tag 0 (this device model
         computes none of them)."""
         assert self.direction is _RX
-        ok = self._writeback_window_ok(slot)
+        ok, at = self._writeback_slot(slot)
         # one write, so the VM never sees a ready status without its fields
         self.mem.pack_at(
-            self._region, self._device_slot_at(slot) + RX_OFF_INFO, _RX_WRITEBACK, _DEVICE,
+            self._region, at + RX_OFF_INFO, _RX_WRITEBACK, _DEVICE,
             0, 0, status_error & 0xFFFF, 0, length & 0xFFFF,
         )
         if ok:
@@ -414,4 +427,3 @@ class DescriptorRing:
         else:
             self.violations.append(("replayed_rx_writeback", slot))
         return ok
-

@@ -10,7 +10,7 @@ from splitio.devsim import _payloads_for_run
 from splitio.errors import BadPlan, ConfigInvalid
 from splitio.ipsec import OffloadMode, esp_paths
 from splitio.mem import Handle, Side
-from splitio.pools import PoolConfig
+from splitio.pools import PacketBuffer, PoolConfig
 from esp_factory import lookaside_factory
 
 # Reference stream, rebuilt from the generator's documented constants rather
@@ -245,7 +245,8 @@ def _probe_layout():
     system so a plan can aim at exact addresses."""
     probe = LoopbackSystem()
     shared = probe.port_a.pools.shared
-    next_tx_data = Handle(*shared.data_at(shared._free[-1]), shared.data_room)
+    next_room = PacketBuffer(shared, shared._free[-1]).room_at
+    next_tx_data = Handle(shared.region, next_room, shared.data_room)
     private_region = probe.port_a.pools.shadow.meta_slab.region
     return next_tx_data, private_region
 
@@ -416,6 +417,17 @@ class TestBreachDetector:
             assert mem.registered == set()
         assert system.violations() == []
         assert system.breached() is False
+
+    def test_empty_secret_pattern_refused(self):
+        """An empty pattern would be found in any clean run's memory."""
+        with pytest.raises(ConfigInvalid):
+            LoopbackSystem().breached([b""])
+        with pytest.raises(ConfigInvalid):
+            run_adversary(AdversaryPlan.parse(""), secret_patterns=[b""])
+
+    def test_empty_canary_refused(self):
+        with pytest.raises(ConfigInvalid):
+            LoopbackSystem(canary=b"")
 
 
 class TestForgedDescriptorsAndEmptyFrames:

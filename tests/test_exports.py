@@ -49,6 +49,16 @@ def test_no_module_imports_a_name_it_never_reads():
     assert [hit for path in modules for hit in _unread_imports(path)] == []
 
 
+def test_every_module_parses_under_the_oldest_supported_grammar():
+    """pyproject.toml says requires-python >= 3.10, so no file may use
+    syntax newer than 3.10's."""
+    tests = Path(__file__).resolve().parent
+    paths = [p for root in (PACKAGE, tests, PERFBENCH) for p in sorted(root.rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def _unread_private_globals(path: Path) -> list[str]:
     """Private names a module assigns at module level but never reads, such
     as an alias left behind when its last use went."""

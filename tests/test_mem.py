@@ -19,6 +19,7 @@ from access_oracle import (
 from splitio.devsim import AdversaryPlan, run_adversary
 from splitio.errors import (
     AlreadyTornDown,
+    ConfigInvalid,
     DeviceAccessDenied,
     NotShared,
     OutOfBounds,
@@ -379,6 +380,16 @@ class TestPatternSearch:
             mem.write(Handle(arena.id, size - 5, 5), Side.VM, b"aaaaa")
             hits = [idx for _, idx in mem.find_pattern(b"aaa", RegionKind.SHARED)]
             assert hits == [size - 5, size - 4, size - 3]
+
+    def test_empty_pattern_refused(self):
+        """An empty pattern occurs at every offset, so a search for it would
+        find a "secret" in any memory."""
+        mem = MemorySystem()
+        mem.create_arena(RegionKind.SHARED, 64)
+        with pytest.raises(ConfigInvalid):
+            list(mem.find_pattern(b""))
+        with pytest.raises(ConfigInvalid):
+            mem.pattern_in_shared(b"")
 
 
 # one accessor call: (accessor, arena kind, whether the offset counts from

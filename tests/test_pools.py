@@ -11,6 +11,7 @@ from splitio import simloop
 from splitio.bench import BenchConfig
 from splitio.errors import (
     ArenaTooSmall,
+    ConfigInvalid,
     ForeignBuffer,
     OutOfBounds,
     OversizePacket,
@@ -25,6 +26,7 @@ from splitio.pools import (
     META_OFF_DATA,
     META_OFF_NEXT,
     METADATA_OVERHEAD,
+    PacketBuffer,
     PoolConfig,
     PoolKind,
     pool_memory_footprint,
@@ -135,7 +137,7 @@ class TestConstruction:
         for pool, rooms, app_fill in expected:
             assert mem.read(pool.meta_slab, Side.VM) == reference_meta_slab(pool, rooms, app_fill)
             for i in range(pool.count):
-                room = Handle(*pool.data_at(i), pool.data_room)
+                room = Handle(pool.region, PacketBuffer(pool, i).room_at, pool.data_room)
                 assert room == rooms.sub(i * pool.data_room, pool.data_room)
 
     @pytest.mark.parametrize("kind", ["shared", "shadow"])
@@ -144,7 +146,7 @@ class TestConstruction:
         pool = getattr(port.pools, kind)
         for index in (-1, pool.count):
             with pytest.raises(OutOfBounds):
-                pool.data_at(index)
+                PacketBuffer(pool, index)
 
     def test_room_too_long_for_ring_encoding(self):
         with pytest.raises(OutOfBounds):
@@ -515,6 +517,12 @@ class TestCanaryAndScrub:
         raw = mem.read_at(region, app_at, APP_PRIVATE_SIZE, Side.VM)
         assert secret not in raw
         assert raw.startswith(CANARY)
+
+    def test_empty_canary_refused(self):
+        mem = MemorySystem()
+        with pytest.raises(ConfigInvalid):
+            port_new(mem, PoolConfig(mbuf_count=8), ring_capacity=4, canary=b"")
+        assert mem.arenas == {}
 
 
 class TestTeardown:

@@ -595,13 +595,30 @@ def _post(ring: DescriptorRing, buf: Handle) -> None:
         ring.vm_post_rx_buffer(buf)
 
 
-def _assert_window_matches_scan(ring: DescriptorRing) -> None:
+def _writeback_verdict(mem: MemorySystem, ring: DescriptorRing, slot: int) -> bool:
+    """What a device writeback naming slot returns. The ring's state, its
+    violation log and its arena's bytes are put back afterwards, so every
+    slot can be asked about in one state."""
+    arena = mem.arena(ring.backing.region)
+    image, done, logged = bytes(arena.data), ring._device_done[:], len(ring.violations)
+    try:
+        if ring.direction is Direction.TX:
+            return ring.device_writeback_tx(slot)
+        return ring.device_writeback_rx(slot, length=32)
+    finally:
+        arena.data[:] = image
+        ring._device_done[:] = done
+        del ring.violations[logged:]
+
+
+def _assert_window_matches_scan(mem: MemorySystem, ring: DescriptorRing) -> None:
     cap = ring.capacity
     for slot in range(cap):
-        assert ring._writeback_window_ok(slot) == _scan_window_ok(ring, slot), slot
-    if (ring.device_next - ring.tail) & MASK32 <= cap:
-        for slot in (-1, cap, cap + 3):
-            assert ring._writeback_window_ok(slot) is _scan_window_ok(ring, slot) is False
+        assert _writeback_verdict(mem, ring, slot) is _scan_window_ok(ring, slot), slot
+    # a slot outside the backing is refused before any byte is written
+    for slot in (-1, cap, cap + 3):
+        with pytest.raises(OutOfBounds):
+            _writeback_verdict(mem, ring, slot)
 
 
 _WINDOW_OPS = st.lists(
@@ -618,9 +635,9 @@ _WINDOW_OPS = st.lists(
 @given(ops=_WINDOW_OPS)
 @settings(max_examples=150, deadline=None)
 def test_writeback_window_matches_ring_scan(direction, ops):
-    """The constant-time window check gives the walk's answer after every
-    post, fetch, writeback, poll or harvest, forged status and replayed
-    completion, including once a forged status has let tail pass
+    """The verdict each device writeback returns gives the walk's answer
+    after every post, fetch, writeback, poll or harvest, forged status and
+    replayed completion, including once a forged status has let tail pass
     device_next."""
     mem, ring, bufs = make_ring(direction, capacity=4)
     completed: list[int] = []
@@ -648,7 +665,7 @@ def test_writeback_window_matches_ring_scan(direction, ops):
         else:
             # aim at the slots in flight, counted from tail
             _forge_ready(mem, ring, (ring.tail + pick) % 4)
-        _assert_window_matches_scan(ring)
+        _assert_window_matches_scan(mem, ring)
 
 
 @pytest.mark.parametrize("direction", [Direction.TX, Direction.RX])
@@ -666,5 +683,5 @@ def test_writeback_window_after_tail_passes_device_next(direction):
         ring.vm_harvest_rx(4)
     assert ring.tail == 4 and ring.device_next == 3  # tail overtook the device
     assert (ring.device_next - ring.tail) & MASK32 > ring.capacity
-    _assert_window_matches_scan(ring)
-    assert all(ring._writeback_window_ok(slot) for slot in range(4))
+    _assert_window_matches_scan(mem, ring)
+    assert all(_writeback_verdict(mem, ring, slot) for slot in range(4))
