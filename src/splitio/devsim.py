@@ -83,7 +83,8 @@ class AdversaryPlan:
     @staticmethod
     def parse(text: str) -> "AdversaryPlan":
         """Line format: `<action> key=value ...`. Unknown actions or bad
-        values raise BadPlan. Blank lines and #-comments are skipped."""
+        values raise BadPlan, and so do a count below 1 and a forge_address
+        length below 1. Blank lines and #-comments are skipped."""
         actions = []
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -113,9 +114,16 @@ class AdversaryPlan:
                 except ValueError:
                     raise BadPlan(f"line {lineno}: bad value for {key}: {val!r}") from None
             try:
-                actions.append(AdversaryAction(kind=kind, **kwargs))
+                action = AdversaryAction(kind=kind, **kwargs)
             except TypeError:
                 raise BadPlan(f"line {lineno}: keys do not fit action {kind.value}") from None
+            if action.count < 1:
+                raise BadPlan(f"line {lineno}: count must be at least 1, got {action.count}")
+            if kind is ActionKind.FORGE_ADDRESS and action.length < 1:
+                raise BadPlan(
+                    f"line {lineno}: forge_address length must be at least 1, got {action.length}"
+                )
+            actions.append(action)
         return AdversaryPlan(actions)
 
     @staticmethod
@@ -290,7 +298,7 @@ class SimNic:
                 status_error=action.status_error if action.status_error is not None else 0x0001,
             )
         elif kind is ActionKind.FORGE_ADDRESS:
-            target = Handle(action.region, action.offset, max(1, action.length))
+            target = Handle(action.region, action.offset, action.length)
             # a region registered for the device is its own to DMA: a legal
             # access, though the zeroes written may corrupt a frame in flight;
             # reaching any other region would be a violation
@@ -311,7 +319,7 @@ class SimNic:
             # a refused completion is logged by the ring as replayed_tx_completion
             self.port.tx_ring.device_writeback_tx(action.slot % self.port.tx_ring.capacity)
         elif kind is ActionKind.DROP_PACKET:
-            self._forced_drops += max(1, action.count)
+            self._forced_drops += action.count
         elif kind is ActionKind.CORRUPT_CIPHERTEXT:
             self._pending_corrupt.append(action.offset)
 

@@ -17,10 +17,12 @@ single-SA receiver authenticates the received header bytes, so any bit flip
 anywhere in the ESP frame proper (spi through tag) fails authentication; the
 addressing prefix sits outside the protected frame, as outer headers do.
 
-Key and salt bytes live in a private arena and are flowed into the cipher per
-call, so a scan of shared memory or captured wire frames can prove they never
-leak. AES executions are attributed to whoever passes its ops counter, which
-is how the tests prove the app worker does zero AES in inline mode.
+Key and salt bytes live in a private arena, so a scan of shared memory or
+captured wire frames can prove they never leak. The key is read once, when
+an association builds its AES-GCM object on its first transform, and the
+salt is read on every transform to form the nonce. AES executions are
+attributed to whoever passes its ops counter, which is how the tests prove
+the app worker does zero AES in inline mode.
 
 Offload shapes:
 
@@ -41,6 +43,7 @@ esp_open, and never reaches the application.
 from __future__ import annotations
 
 import enum
+import struct
 import weakref
 from collections import deque
 from typing import Optional
@@ -60,7 +63,7 @@ from .errors import (
     SplitioError,
 )
 from .mem import Handle, MemorySystem, RegionKind, Side
-from .pools import PacketBuffer, PortContext
+from .pools import META_OFF_MSG_TYPE, PacketBuffer, PortContext
 from .prng import Splitmix64
 
 ADDR_PREFIX_LEN = 8
@@ -88,6 +91,8 @@ class OffloadMode(enum.Enum):
     LOOKASIDE = "lookaside"
     INLINE = "inline"
 
+
+_U16 = struct.Struct("<H")
 
 # enum members read once (see the note in mem.py)
 _VM = Side.VM
@@ -125,9 +130,6 @@ class SecurityAssociation:
     def key_bytes(self) -> bytes:
         return self.mem.read(self.key_handle, _VM)
 
-    def salt_bytes(self) -> bytes:
-        return self.mem.read(self.salt_handle, _VM)
-
     def _cipher(self) -> AESGCM:
         if self._aead is None:
             self._aead = AESGCM(self.key_bytes())
@@ -156,15 +158,16 @@ def esp_encrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
         raise WrongDirection("encrypt requires an outbound association")
     if buf.pool.mem is not sa.mem:
         raise ForeignBuffer("buffer and association belong to different memory systems")
-    pkt_len = buf.pkt_len
+    pkt_len, pool = buf.pkt_len, buf.pool
+    room = pool.data_room
     if pkt_len < ADDR_PREFIX_LEN:
         raise Malformed(f"packet of {pkt_len} B lacks the {ADDR_PREFIX_LEN} B addressing prefix")
-    if pkt_len > buf.data_room - ESP_OVERHEAD:
-        raise Oversize(f"{pkt_len} B cannot grow by {ESP_OVERHEAD} B in a {buf.data_room} B room")
+    if pkt_len > room - ESP_OVERHEAD:
+        raise Oversize(f"{pkt_len} B cannot grow by {ESP_OVERHEAD} B in a {room} B room")
     if sa.seq > MAX_WIRE_SEQ:
         raise SeqExhausted(f"sequence space of SPI {sa.spi:#x} exhausted")
 
-    mem, region, offset = sa.mem, buf.pool.region, buf.room_at
+    mem, region, offset = sa.mem, pool.region, buf.room_at
     raw = mem.read_at(region, offset, pkt_len, _VM)
     addressing, inner = raw[:ADDR_PREFIX_LEN], raw[ADDR_PREFIX_LEN:]
     pad_len = (-(len(inner) + 2)) % 4
@@ -174,14 +177,16 @@ def esp_encrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
     sa.seq += 1
     iv = seq.to_bytes(IV_LEN, "big")
     header = sa.spi.to_bytes(4, "big") + (seq & MAX_WIRE_SEQ).to_bytes(4, "big")
-    sealed = sa._cipher().encrypt(sa.salt_bytes() + iv, plaintext, header)
+    aead = sa._aead or sa._cipher()  # reads the key on first use, before the salt
+    salt = mem.read_at(*sa.salt_handle, _VM)
+    sealed = aead.encrypt(salt + iv, plaintext, header)
     if ops_counter is not None:
         ops_counter["aes_ops"] = ops_counter.get("aes_ops", 0) + 1
 
     frame = addressing + header + iv + sealed
     mem.write_at(region, offset, frame, _VM)  # fits: checked against ESP_OVERHEAD above
     buf.pkt_len = len(frame)
-    buf.msg_type = MSG_TYPE_ESP
+    mem.pack_at(region, buf.meta_at + META_OFF_MSG_TYPE, _U16, _VM, MSG_TYPE_ESP)
 
 
 def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optional[dict] = None) -> None:
@@ -213,8 +218,10 @@ def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
     # the AES op runs whether or not the tag verifies
     if ops_counter is not None:
         ops_counter["aes_ops"] = ops_counter.get("aes_ops", 0) + 1
+    aead = sa._aead or sa._cipher()  # reads the key on first use, before the salt
+    salt = mem.read_at(*sa.salt_handle, _VM)
     try:
-        plaintext = sa._cipher().decrypt(sa.salt_bytes() + iv, sealed, header)
+        plaintext = aead.decrypt(salt + iv, sealed, header)
     except InvalidTag:
         raise AuthFail(f"integrity check failed for SPI {sa.spi:#x}") from None
 
@@ -226,7 +233,7 @@ def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
     restored = addressing + inner
     mem.write_at(region, offset, restored, _VM)  # shorter than the frame read
     buf.pkt_len = len(restored)
-    buf.msg_type = MSG_TYPE_PLAIN
+    mem.pack_at(region, buf.meta_at + META_OFF_MSG_TYPE, _U16, _VM, MSG_TYPE_PLAIN)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ progress and every metadata field the port reads live in private memory.
 
 Buffer metadata occupies a 128-byte block per buffer:
 
-   0..2  msg_type   2..4 flags   4..8 pkt_len   8..16 data handle
+   0..2  msg_type   2..4 flags   4..8 pkt_len   8..16 reserved (zero)
   16..20 next index (0xFFFFFFFF = none)   20..24 rss   24..64 reserved
   64..128 app-private area (64 B)
 """
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
+    AlreadyTornDown,
     ArenaTooSmall,
     ConfigInvalid,
     ForeignBuffer,
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .mem import Handle, MemorySystem, RegionKind, Side
 from . import ring as ringmod
-from .ring import DescriptorRing, Direction, TxDescriptor, encode_handle
+from .ring import DescriptorRing, Direction, TxDescriptor
 
 METADATA_OVERHEAD = 128
 APP_PRIVATE_SIZE = 64
@@ -49,7 +50,6 @@ DEFAULT_MBUF_COUNT = 8192
 META_OFF_MSG_TYPE = 0
 META_OFF_FLAGS = 2
 META_OFF_PKT_LEN = 4
-META_OFF_DATA = 8
 META_OFF_NEXT = 16
 META_OFF_RSS = 20
 META_OFF_APP = APP_PRIVATE_SIZE
@@ -60,8 +60,8 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _FLAGS_PKT_LEN = struct.Struct("<HI")  # 2..8
 _LEN_NEXT = struct.Struct("<I8xI")  # 4..20: pkt_len, next
-# 0..24: msg_type, flags, pkt_len, data handle, next, rss
-_HEADER = struct.Struct("<HHIHIHII")
+# 0..24: msg_type, flags, pkt_len, 8 reserved zero bytes, next, rss
+_HEADER = struct.Struct("<HHI8xII")
 
 
 class PoolKind(enum.Enum):
@@ -110,10 +110,6 @@ class PacketBuffer:
         self.index = index
         self.meta_at = index * METADATA_OVERHEAD
         self.room_at = pool.data_base + index * pool.data_room
-
-    @property
-    def data_room(self) -> int:
-        return self.pool.data_room
 
     def _get(self, off: int, fmt: struct.Struct) -> int:
         pool = self.pool
@@ -229,29 +225,11 @@ class PacketPool:
             self._app_fill = bytes(APP_PRIVATE_SIZE)
         self._free: list[int] = list(range(count - 1, -1, -1))
         self._is_free = [True] * count
-        self._init_meta_slab()
-
-    def _init_meta_slab(self) -> None:
-        """Build the whole metadata slab locally and write it in one call.
-
-        Every block is the same except the offset of its data handle (bytes
-        10..14, the handle's u32 offset field), so the slab is one block
-        repeated, with that column filled from the packed room offsets one
-        byte lane at a time. Region and room length are the same for every
-        buffer and offsets only grow, so encoding the last room checks the
-        ring-encoding bound for all of them."""
-        count, room, base = self.count, self.data_room, self.data_base
-        encode_handle(Handle(self.region, base + (count - 1) * room, room))
+        # every block is the same, so the slab is one block repeated, in one write
         block = bytearray(METADATA_OVERHEAD)
-        block[META_OFF_DATA : META_OFF_DATA + 8] = encode_handle(Handle(self.region, base, room))
         _U32.pack_into(block, META_OFF_NEXT, META_NEXT_NONE)
-        block[META_OFF_APP : META_OFF_APP + APP_PRIVATE_SIZE] = self._app_fill
-        slab = block * count
-        offsets = struct.pack(f"<{count}I", *range(base, base + count * room, room))
-        column = META_OFF_DATA + 2
-        for lane in range(4):
-            slab[column + lane :: METADATA_OVERHEAD] = offsets[lane::4]
-        self.mem.write(self.meta_slab, _VM, slab)
+        block[META_OFF_APP:] = self._app_fill
+        mem.write(self.meta_slab, _VM, block * count)
 
     def remaining(self) -> int:
         return len(self._free)
@@ -305,13 +283,11 @@ class PortContext:
     def __init__(
         self,
         mem: MemorySystem,
-        cfg: PoolConfig,
         pools: PoolSet,
         tx_ring: DescriptorRing,
         rx_ring: DescriptorRing,
     ):
         self.mem = mem
-        self.cfg = cfg
         self.pools = pools
         self.tx_ring = tx_ring
         self.rx_ring = rx_ring
@@ -374,11 +350,10 @@ class PortContext:
             mem.write_at(shadow_region, dst_offset, payload, _VM)
             counters["copies_rx"] += 1
             counters["bytes_copied"] += length
-            # the whole header in one write, so the raw take needs no reset;
-            # the data handle gets the value the slab was built with
+            # the whole header in one write, so the raw take needs no reset
             mem.pack_at(
-                shadow_region, shadow.meta_at, _HEADER, _VM, rec.packet_info, 0, length,
-                shadow_region, dst_offset, room, META_NEXT_NONE, rec.rss,
+                shadow_region, shadow.meta_at, _HEADER, _VM,
+                rec.packet_info, 0, length, META_NEXT_NONE, rec.rss,
             )
             out.append(shadow)
         if harvested:
@@ -488,7 +463,8 @@ def port_new(
     registered shared arena holds [shared meta | shared rooms | TX ring |
     RX ring], the only bytes the device sees, and the private arena holds
     [shadow meta | shadow rooms]. The canary fills the shadow pool's
-    app-private areas only. A refused config leaves mem untouched."""
+    app-private areas only. Every refusal comes before the first arena is
+    created, so a refused config leaves mem untouched."""
     if canary is not None and not canary:
         raise ConfigInvalid("a canary must be at least one byte long")
     if cfg.mbuf_size < METADATA_OVERHEAD + 64:
@@ -497,8 +473,16 @@ def port_new(
         )
     if cfg.mbuf_count < 1:
         raise ArenaTooSmall("mbuf_count must be at least 1")
+    ringmod.check_capacity(ring_capacity)
     footprint = pool_memory_footprint(cfg)
-    pool_bytes = footprint["shared"]
+    pool_bytes, room = footprint["shared"], cfg.data_room
+    last = pool_bytes - room
+    # the RX ring carries every shared room as region:u16 | offset:u32 |
+    # length:u16; the shared arena's id is the next one mem hands out
+    if room > 0xFFFF or last > ringmod.MASK32 or mem._next_id > 0xFFFF:
+        raise OutOfBounds(f"rooms of {room} B up to offset {last} do not fit the ring encoding")
+    if mem.torn_down:
+        raise AlreadyTornDown("shared regions already torn down")
     ring_bytes = ring_capacity * ringmod.SLOT_SIZE
     shared = mem.create_arena(RegionKind.SHARED, pool_bytes + 2 * ring_bytes)
     mem.register(shared)
@@ -513,6 +497,6 @@ def port_new(
     tx_ring = DescriptorRing(mem, tx_backing, ring_capacity, Direction.TX)
     rx_ring = DescriptorRing(mem, rx_backing, ring_capacity, Direction.RX)
 
-    port = PortContext(mem, cfg, PoolSet(shared=shared_pool, shadow=shadow_pool), tx_ring, rx_ring)
+    port = PortContext(mem, PoolSet(shared=shared_pool, shadow=shadow_pool), tx_ring, rx_ring)
     port.arm_rx(min(ring_capacity, max(1, cfg.mbuf_count // 2)))
     return port

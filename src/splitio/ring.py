@@ -43,7 +43,6 @@ DEFAULT_CAPACITY = 256
 
 MASK32 = 0xFFFFFFFF
 
-_HANDLE_FMT = struct.Struct("<HIH")
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 # multi-field spans read or written as one access
@@ -79,10 +78,10 @@ TX_CMD_LEN_MASK = 0xFFFF
 TX_CMD_EOP = 1 << 24
 
 
-def encode_handle(h: Handle) -> bytes:
-    if not (0 <= h.region <= 0xFFFF and 0 <= h.offset <= 0xFFFFFFFF and 0 <= h.length <= 0xFFFF):
-        raise OutOfBounds(f"handle {h} does not fit the 8-byte ring encoding")
-    return _HANDLE_FMT.pack(h.region, h.offset, h.length)
+def check_capacity(capacity: int) -> None:
+    """Refuse a ring capacity that is not a power of two >= 2."""
+    if capacity < 2 or capacity & (capacity - 1):
+        raise BadCapacity(f"capacity must be a power of two >= 2, got {capacity}")
 
 
 class Direction(enum.Enum):
@@ -137,8 +136,7 @@ class RxHarvest(NamedTuple):
 
 class DescriptorRing:
     def __init__(self, mem: MemorySystem, backing: Handle, capacity: int, direction: Direction):
-        if capacity < 2 or capacity & (capacity - 1):
-            raise BadCapacity(f"capacity must be a power of two >= 2, got {capacity}")
+        check_capacity(capacity)
         arena = mem.arena(backing.region)
         mem.check_backing(backing.region)
         if backing.length < capacity * SLOT_SIZE or not mem.contains(arena, backing):

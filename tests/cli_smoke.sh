@@ -38,10 +38,10 @@ test "$rc" -eq 2
 # traffic flag is refused as it is without a plan
 printf 'drop_packet target=a count=1\n' > "$dir/plan.txt"
 $cli echo --adversary "$dir/plan.txt" --duration 0.01 > "$dir/adversary.json"
-python -c "import json, sys; sys.exit(0 if len(json.load(open(sys.argv[1]))['sent']) == 50 else 1)" "$dir/adversary.json"
+python -c "import json, pathlib, sys; r = json.loads(pathlib.Path(sys.argv[1]).read_text()); sys.exit(0 if len(r['sent']) == 50 else 1)" "$dir/adversary.json"
 # under ESP the breach scan looks for the rig's own SA keys
 $cli ipsec --ipsec inline --adversary "$dir/plan.txt" --duration 0.01 > "$dir/esp-adversary.json"
-python -c "import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))['breach'] is False else 1)" "$dir/esp-adversary.json"
+python -c "import json, pathlib, sys; r = json.loads(pathlib.Path(sys.argv[1]).read_text()); sys.exit(0 if r['breach'] is False else 1)" "$dir/esp-adversary.json"
 rc=0; $cli echo --adversary "$dir/plan.txt" --format csv || rc=$?
 test "$rc" -eq 2
 rc=0; $cli echo --adversary "$dir/plan.txt" --duration abc || rc=$?

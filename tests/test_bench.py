@@ -641,7 +641,7 @@ class TestCallBudget:
     gives its reason in CHANGES.md.
     """
 
-    CEILINGS = {None: 336, OffloadMode.LOOKASIDE: 470, OffloadMode.INLINE: 564}
+    CEILINGS = {None: 336, OffloadMode.LOOKASIDE: 448, OffloadMode.INLINE: 542}
 
     @staticmethod
     def _calls(cfg):

@@ -306,9 +306,11 @@ class TestAdversaryRuns:
 
     def test_bad_plan_exits_two(self, capsys, tmp_path):
         plan = tmp_path / "plan.txt"
-        plan.write_text("summon_gremlins target=a\n")
-        code, _, err = run_cli(capsys, "echo", "--adversary", str(plan))
-        assert code == 2
+        for text in ("summon_gremlins target=a\n", "drop_packet target=a count=0\n"):
+            plan.write_text(text)
+            code, out, err = run_cli(capsys, "echo", "--adversary", str(plan))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: line 1: ") and err.count("\n") == 1
 
     def test_missing_plan_file_exits_two(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "echo", "--adversary", str(tmp_path / "missing"))
@@ -395,10 +397,13 @@ class TestParserBasics:
 
 def test_console_smoke_script(tmp_path):
     """The CI smoke script, run on the source tree: every command it lists
-    exits as it expects and every JSON check holds."""
+    exits as it expects and every JSON check holds. It runs in dev mode,
+    which the interpreter flags of this suite do not reach, and no process
+    it starts may warn of a leaked resource."""
     src = Path(splitio.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env["PYTHONDEVMODE"] = "1"
     # the script's own JSON checks run `python`: the interpreter under test
     env["PATH"] = os.pathsep.join([os.path.dirname(sys.executable), env.get("PATH", "")])
     script = Path(__file__).with_name("cli_smoke.sh")
@@ -410,3 +415,4 @@ def test_console_smoke_script(tmp_path):
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+    assert "ResourceWarning" not in done.stderr, done.stderr

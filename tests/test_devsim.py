@@ -67,6 +67,11 @@ class TestPlanParsing:
             ("tamper_shared data", "key=value"),
             ("forge_writeback slot=abc", "bad value"),
             ("tamper_shared target=c", "target"),
+            ("drop_packet count=1\ndrop_packet count=0", "line 2: count must be at least 1"),
+            ("drop_packet count=-3", "line 1: count must be at least 1"),
+            ("forge_address region=1 length=0", "line 1: forge_address length must be"),
+            ("forge_address region=1 length=-5", "line 1: forge_address length must be"),
+            ("forge_address region=1", "line 1: forge_address length must be"),
         ],
     )
     def test_bad_plans(self, text, fragment):
@@ -238,6 +243,33 @@ class TestBurstsAboveBatch:
         system.pump(10**6)
         assert system.delivered_b == payloads
         assert system.delivered_a == payloads
+
+
+class TestInlineTxBackpressure:
+    """An inline worker keeps the sealed frames a full TX ring refused in
+    cipher_out and sends them as the ring frees: none is dropped or lost."""
+
+    def test_frames_beyond_a_full_ring_are_sent_later(self):
+        system = LoopbackSystem(ring_capacity=2)
+        system.protect_a, system.protect_b = esp_paths(
+            system.port_a, system.port_b, OffloadMode.INLINE, seed=11
+        )
+        payloads = [bytes([i]) * 64 for i in range(6)]
+        bufs = []
+        for p in payloads:
+            buf = system.port_a.alloc_tx_buffer()
+            buf.write_data(p)
+            bufs.append(buf)
+        worker = system.a.path
+        assert system.a.app_tx(bufs) == 6
+        system._do_crypto(system.now, "a")  # one worker step: all six sealed
+        assert system.port_a.tx_ring.occupancy() == 2
+        assert len(worker.cipher_out) == 4
+        system.pump(1000)
+        assert system.delivered_b == payloads
+        assert system.delivered_a == payloads
+        assert not worker.cipher_out
+        assert worker.counters["stage_drops"] == 0
 
 
 def _probe_layout():

@@ -215,7 +215,7 @@ class TestFrameConstruction:
         mem, port = make_port()
         sa_out, sa_in = sa_pair(mem)
         rng = random.Random(1234)
-        room = port.cfg.data_room
+        room = port.pools.shadow.data_room
         buf = port.alloc_tx_buffer()
         for _ in range(1000):
             length = rng.randint(ADDR_PREFIX_LEN, room - ESP_OVERHEAD)
@@ -294,7 +294,7 @@ class TestErrorPaths:
         mem, port = make_port()
         sa_out, _ = sa_pair(mem)
         buf = port.alloc_tx_buffer()
-        buf.write_data(b"z" * (buf.data_room - ESP_OVERHEAD + 1))
+        buf.write_data(b"z" * (buf.pool.data_room - ESP_OVERHEAD + 1))
         with pytest.raises(Oversize):
             esp_encrypt(sa_out, buf)
         port.free_buffer(buf)

@@ -10,7 +10,9 @@ from access_oracle import is_zero
 from splitio import simloop
 from splitio.bench import BenchConfig
 from splitio.errors import (
+    AlreadyTornDown,
     ArenaTooSmall,
+    BadCapacity,
     ConfigInvalid,
     ForeignBuffer,
     OutOfBounds,
@@ -23,7 +25,6 @@ from splitio.pools import (
     APP_PRIVATE_SIZE,
     META_NEXT_NONE,
     META_OFF_APP,
-    META_OFF_DATA,
     META_OFF_NEXT,
     METADATA_OVERHEAD,
     PacketBuffer,
@@ -32,7 +33,7 @@ from splitio.pools import (
     pool_memory_footprint,
     port_new,
 )
-from splitio.ring import RX_OFF_INFO, RX_STATUS_ERROR, RX_STATUS_READY, SLOT_SIZE, encode_handle
+from splitio.ring import RX_OFF_INFO, RX_STATUS_ERROR, RX_STATUS_READY, SLOT_SIZE
 
 CANARY = b"\xc3\x96\xc3\x96"
 
@@ -81,13 +82,30 @@ class TestInitPools:
     """How port_new lays out a port's pools, and the configs it refuses."""
 
     def test_validation(self):
-        """A refused pool config raises before port_new creates an arena."""
-        mem = MemorySystem()
-        with pytest.raises(ArenaTooSmall):
-            port_new(mem, PoolConfig(mbuf_size=128))
-        with pytest.raises(ArenaTooSmall):
-            port_new(mem, PoolConfig(mbuf_count=0))
-        assert mem.arenas == {}
+        """Every refusal comes before port_new creates or registers an
+        arena: a refused port leaves its memory system as it found it."""
+        torn_down = MemorySystem()
+        torn_down.zero_and_release()
+        wide_region = MemorySystem()
+        wide_region._next_id = 0x10000  # the shared arena's id would not fit a u16
+        refused = [
+            (MemorySystem(), PoolConfig(mbuf_count=4), dict(canary=b""), ConfigInvalid),
+            (MemorySystem(), PoolConfig(mbuf_size=128), {}, ArenaTooSmall),
+            (MemorySystem(), PoolConfig(mbuf_count=0), {}, ArenaTooSmall),
+            (MemorySystem(), PoolConfig(mbuf_count=4), dict(ring_capacity=0), BadCapacity),
+            (MemorySystem(), PoolConfig(mbuf_count=4), dict(ring_capacity=1), BadCapacity),
+            (MemorySystem(), PoolConfig(mbuf_count=4), dict(ring_capacity=3), BadCapacity),
+            # a room longer than the ring encoding's u16 length
+            (MemorySystem(), PoolConfig(mbuf_count=2, mbuf_size=70000), {}, OutOfBounds),
+            # a last room offset past the encoding's u32: never allocated
+            (MemorySystem(), PoolConfig(mbuf_count=2**16 + 1, mbuf_size=2**16), {}, OutOfBounds),
+            (wide_region, PoolConfig(mbuf_count=4), {}, OutOfBounds),
+            (torn_down, PoolConfig(mbuf_count=4), {}, AlreadyTornDown),
+        ]
+        for mem, cfg, kw, error in refused:
+            with pytest.raises(error):
+                port_new(mem, cfg, **kw)
+            assert mem.arenas == {} and mem.registered == set(), (cfg, kw)
 
     def test_pool_placement(self):
         mem, port = small_port(mbuf_count=8)
@@ -97,14 +115,12 @@ class TestInitPools:
         assert mem.arena(shadow.data_slab.region).kind is RegionKind.PRIVATE
 
 
-def reference_meta_slab(pool, rooms, app_fill):
-    """The metadata slab built one buffer at a time, through Handle.sub and
-    encode_handle: room i is rooms.sub(i * data_room, data_room)."""
+def reference_meta_slab(pool, app_fill):
+    """The metadata slab built one buffer at a time: every field zero (bytes
+    8..16 reserved) but next, none, and the app-private fill."""
     slab = bytearray(pool.count * METADATA_OVERHEAD)
     for i in range(pool.count):
         base = i * METADATA_OVERHEAD
-        room = rooms.sub(i * pool.data_room, pool.data_room)
-        slab[base + META_OFF_DATA : base + META_OFF_DATA + 8] = encode_handle(room)
         struct.pack_into("<I", slab, base + META_OFF_NEXT, META_NEXT_NONE)
         slab[base + META_OFF_APP : base + META_OFF_APP + APP_PRIVATE_SIZE] = app_fill
     return bytes(slab)
@@ -135,7 +151,7 @@ class TestConstruction:
             (pools.shadow, shadow_rooms, fill),
         ]
         for pool, rooms, app_fill in expected:
-            assert mem.read(pool.meta_slab, Side.VM) == reference_meta_slab(pool, rooms, app_fill)
+            assert mem.read(pool.meta_slab, Side.VM) == reference_meta_slab(pool, app_fill)
             for i in range(pool.count):
                 room = Handle(pool.region, PacketBuffer(pool, i).room_at, pool.data_room)
                 assert room == rooms.sub(i * pool.data_room, pool.data_room)
@@ -192,8 +208,12 @@ class TestFusedMetadataWrites:
         assert result.received == result.sent > 0
         for end, image in zip(ends, built):
             shared = end.port.pools.shared
-            assert image == reference_meta_slab(shared, shared.data_slab, bytes(APP_PRIVATE_SIZE))
+            assert image == reference_meta_slab(shared, bytes(APP_PRIVATE_SIZE))
             assert end.mem.read(shared.meta_slab, Side.VM) == image
+            # every shadow header rx_burst wrote kept its reserved bytes zero
+            shadow = end.mem.read(end.port.pools.shadow.meta_slab, Side.VM)
+            for at in range(0, len(shadow), METADATA_OVERHEAD):
+                assert shadow[at + 8 : at + 16] == bytes(8)
 
     @staticmethod
     def _dirty_next_shadow(port):
@@ -216,6 +236,9 @@ class TestFusedMetadataWrites:
     def test_rx_header_matches_alloc_and_setters(self):
         mem, port = small_port()
         index = self._dirty_next_shadow(port)
+        # and its reserved bytes, which rx_burst writes zero
+        shadow = port.pools.shadow
+        mem.write_at(shadow.region, index * METADATA_OVERHEAD + 8, b"\xff" * 8, Side.VM)
         rx = port.rx_ring.device_fetch()[0]
         mem.write(rx.packet_address.sub(0, 100), Side.DEVICE, bytes(range(100)))
         port.rx_ring.device_writeback_rx(rx.slot, length=100)
@@ -236,6 +259,7 @@ class TestFusedMetadataWrites:
         ref.msg_type = 0x0102
         ref.rss = 0xDEADBEEF
         assert fused == self._header(port, ref)
+        assert fused[8:16] == bytes(8)
         assert ref.flags == 0
         assert [(seg.index, length) for seg, length in ref.segment_lengths()] == [(index, 100)]
         port.free_buffer(ref)
@@ -254,7 +278,7 @@ class TestBufferApi:
         mem, port = small_port()
         buf = port.alloc_tx_buffer()
         with pytest.raises(OversizePacket):
-            buf.write_data(b"x" * (buf.data_room + 1))
+            buf.write_data(b"x" * (buf.pool.data_room + 1))
         port.free_buffer(buf)
 
     def test_double_free(self):

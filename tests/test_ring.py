@@ -26,7 +26,6 @@ from splitio.ring import (
     DescriptorRing,
     Direction,
     TxDescriptor,
-    encode_handle,
 )
 
 
@@ -42,9 +41,9 @@ def make_ring(direction=Direction.TX, capacity=8):
     return mem, ring, bufs
 
 
-def decode_handle(raw: bytes) -> Handle:
+def encoded(h: Handle) -> bytes:
     """Oracle for the on-ring handle encoding: region u16, offset u32, length u16, little endian."""
-    return Handle(*struct.unpack("<HIH", raw))
+    return struct.pack("<HIH", *h)
 
 
 def write_rx_fields(mem, ring, slot, packet_info, rss, vlan_tag):
@@ -60,25 +59,53 @@ def tx_desc(buf: Handle, length: int = 64) -> TxDescriptor:
     return TxDescriptor(address=buf.sub(0, length), cmd_type_len=length, olinfo_status=0)
 
 
-class TestHandleEncoding:
-    def test_roundtrip(self):
-        h = Handle(7, 123456, 2048)
-        assert decode_handle(encode_handle(h)) == h
-        assert len(encode_handle(h)) == 8
+class TestHandleWidths:
+    """Both post paths carry the widest handle the ring encoding holds
+    exactly and refuse one a field too wide, writing nothing. The rooms'
+    arena claims a size past 4 GiB, standing in for one that large: a post
+    checks a room against its arena's size and writes only the ring slot."""
 
-    def test_field_width_limits(self):
-        for h in [
-            Handle(0x10000, 0, 1),
-            Handle(1, 0x1_0000_0000, 1),
-            Handle(1, 0, 0x10000),
-            Handle(-1, 0, 1),
-        ]:
-            with pytest.raises(OutOfBounds):
-                encode_handle(h)
+    @staticmethod
+    def _rig(direction, rooms_region):
+        mem = MemorySystem()
+        ring_arena = mem.create_arena(RegionKind.SHARED, 8 * SLOT_SIZE)
+        mem.register(ring_arena)
+        ring = DescriptorRing(mem, Handle(ring_arena.id, 0, 8 * SLOT_SIZE), 8, direction)
+        mem._next_id = rooms_region
+        rooms = mem.create_arena(RegionKind.SHARED, 16)
+        rooms.size = 2**33
+        mem.register(rooms)
+        return ring_arena, ring
 
-    def test_extremes_fit(self):
-        h = Handle(0xFFFF, 0xFFFFFFFF, 0xFFFF)
-        assert decode_handle(encode_handle(h)) == h
+    @staticmethod
+    def _post(ring, h):
+        if ring.direction is Direction.TX:
+            ring.vm_post_tx(TxDescriptor(h, 0, 0))
+        else:
+            ring.vm_post_rx_buffer(h)
+
+    @pytest.mark.parametrize("direction", [Direction.TX, Direction.RX])
+    def test_widest_handle_fits(self, direction):
+        ring_arena, ring = self._rig(direction, 0xFFFF)
+        widest = Handle(0xFFFF, 0xFFFFFFFF, 0xFFFF)
+        self._post(ring, widest)
+        (view,) = ring.device_fetch()
+        assert (view.address if direction is Direction.TX else view.packet_address) == widest
+        assert ring_arena.data[:8] == encoded(widest)
+
+    @pytest.mark.parametrize("direction", [Direction.TX, Direction.RX])
+    @pytest.mark.parametrize(
+        "handle",
+        [Handle(0x10000, 0, 1), Handle(0xFFFF, 0x1_0000_0000, 1), Handle(0xFFFF, 0, 0x10000)],
+        ids=["region", "offset", "length"],
+    )
+    def test_each_field_too_wide_writes_nothing(self, direction, handle):
+        ring_arena, ring = self._rig(direction, handle.region)
+        image = bytes(ring_arena.data)
+        with pytest.raises(OutOfBounds, match="fit the 8-byte ring encoding"):
+            self._post(ring, handle)
+        assert bytes(ring_arena.data) == image
+        assert (ring.head, ring.occupancy()) == (0, 0)
 
 
 class TestConstruction:
@@ -280,7 +307,7 @@ class TestRxPath:
         )
         # both handles and the 16 writeback bytes: each of the 32 written once
         assert written == list(range(SLOT_SIZE))
-        assert mem.read_at(ring.backing.region, base, 16, Side.VM) == encode_handle(bufs[0]) * 2
+        assert mem.read_at(ring.backing.region, base, 16, Side.VM) == encoded(bufs[0]) * 2
         assert mem.read_at(ring.backing.region, base + 16, 16, Side.VM) == bytes(16)
 
     def test_oversized_length_clamped_and_suspect(self):
@@ -397,7 +424,7 @@ class TestBulkRxPost:
         assert slots == one_mem.read_at(arena.id, 0, 8 * SLOT_SIZE, Side.VM)
         for k, offset in enumerate(rooms):
             slot = (3 + k) % 8
-            raw = encode_handle(Handle(arena.id, offset, ROOM))
+            raw = encoded(Handle(arena.id, offset, ROOM))
             assert slots[slot * SLOT_SIZE : (slot + 1) * SLOT_SIZE] == raw + raw + bytes(16)
         assert bulk._posted_rx == one._posted_rx
         assert bulk.device_fetch() == one.device_fetch()
