@@ -73,6 +73,9 @@ class Handle(NamedTuple):
 # only the pages a run touches (glibc's M_MMAP_THRESHOLD rule).
 _HEAP_MAX = 128 * 1024
 
+# candidates find_pattern checks in one arena before its full-pattern find
+_ANCHOR_BUDGET = 64
+
 
 class Arena:
     __slots__ = ("id", "kind", "size", "data")
@@ -229,18 +232,32 @@ class MemorySystem:
     # -- audit helpers -----------------------------------------------------
 
     def find_pattern(self, pattern: bytes, kind: Optional[RegionKind] = None) -> Iterator[tuple[int, int]]:
-        """Yield (region, index) for every occurrence of pattern in arenas of
-        the given kind (all arenas when kind is None). An empty pattern
-        occurs everywhere, so it is refused: ConfigInvalid on the first
-        step."""
+        """Yield (region, index) for every occurrence of pattern, overlapping
+        ones included, in arenas of the given kind (all when kind is None),
+        in arena order and ascending index. An empty pattern occurs
+        everywhere, so it is refused: ConfigInvalid on the first step.
+        Candidates are the hits of a one-byte find (a memchr) of the first
+        nonzero byte, each confirmed by a slice compare; past _ANCHOR_BUDGET
+        of them, or with no such byte, the full-pattern find takes over."""
         if not pattern:
             raise ConfigInvalid("an empty pattern matches every offset")
+        width, lead = len(pattern), len(pattern) - len(pattern.lstrip(b"\0"))
+        anchor = pattern[lead:lead + 1]
         for arena in self.arenas.values():
             if kind is not None and arena.kind is not kind:
                 continue
-            start = 0
+            data, start = arena.data, 0
+            if anchor:
+                budget, at = _ANCHOR_BUDGET, data.find(anchor, lead)
+                while at >= 0 and budget:
+                    if data[at - lead:at - lead + width] == pattern:
+                        yield (arena.id, at - lead)
+                    budget, at = budget - 1, data.find(anchor, at + 1)
+                if at < 0:
+                    continue
+                start = at - lead
             while True:
-                idx = arena.data.find(pattern, start)
+                idx = data.find(pattern, start)
                 if idx < 0:
                     break
                 yield (arena.id, idx)

@@ -245,6 +245,18 @@ class PacketPool:
         self._is_free[index] = False
         return PacketBuffer(self, index)
 
+    def take_rooms(self, count: int) -> list[int]:
+        """take() count buffers in one slice of the free list, in the order
+        take() would hand them out; returns their room offsets."""
+        free, cut = self._free, len(self._free) - count
+        if cut < 0:
+            raise PoolExhausted(f"{self.kind.value} pool holds fewer than {count} buffers")
+        indices = free[cut:][::-1]
+        del free[cut:]
+        for index in indices:
+            self._is_free[index] = False
+        return [self.data_base + index * self.data_room for index in indices]
+
     def alloc(self) -> PacketBuffer:
         """take(), then reset the header: flags and pkt_len 0, no next
         segment."""
@@ -314,8 +326,7 @@ class PortContext:
         room is what rx_burst reposts once the room is harvested."""
         ring, shared = self.rx_ring, self.pools.shared
         count = max(0, min(slots, ring.capacity - ring.occupancy(), shared.remaining()))
-        rooms = [shared.take().room_at for _ in range(count)]
-        ring.vm_post_rx_rooms(shared.region, shared.data_room, rooms)
+        ring.vm_post_rx_rooms(shared.region, shared.data_room, shared.take_rooms(count))
         return count
 
     # -- fast path ---------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import struct
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -154,7 +155,7 @@ class DescriptorRing:
         cap = capacity
         # fixed layout: every slot's absolute arena offset, computed once
         self._region = backing.region
-        self._slot_at = [backing.offset + slot * SLOT_SIZE for slot in range(cap)]
+        self._slot_at = list(range(backing.offset, backing.offset + cap * SLOT_SIZE, SLOT_SIZE))
         # VM-private shadow state; pointers and progress never live in shared
         # memory, only descriptor bytes do
         self._seen_free = [False] * cap
@@ -291,11 +292,12 @@ class DescriptorRing:
             else:
                 split = cap - first
                 runs = ((first, split, offsets[:split]), (0, n - split, offsets[split:]))
+            regions, lengths = repeat(region), repeat(length)
             for start, count, run in runs:
-                image = b"".join([pack(region, off, length, region, off, length) for off in run])
+                image = b"".join(map(pack, regions, run, lengths, regions, run, lengths))
                 mem.write_at(self._region, self._slot_at[start], image, _VM)
                 end = start + count
-                posted_rx[start:end] = [_new(Handle, (region, off, length)) for off in run]
+                posted_rx[start:end] = map(_new, repeat(Handle), zip(regions, run, lengths))
                 device_done[start:end] = [False] * count
         self.head = (self.head + n) & MASK32
         return first

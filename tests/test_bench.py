@@ -44,7 +44,7 @@ from splitio.errors import (
 )
 from splitio.ipsec import ESP_OVERHEAD, OffloadMode, esp_frame_len, sa_keys
 from splitio.mem import MemorySystem
-from splitio.pools import PoolConfig
+from splitio.pools import PoolConfig, port_new
 
 from esp_factory import lookaside_factory
 
@@ -636,17 +636,22 @@ class TestCallBudget:
     code is no splitio module's), but the builtin tuple.__new__ that builds
     packet-path records without it is.
 
+    PORT_NEW_CEILING holds one whole port_new of 1,024 buffers with a
+    256-slot ring, counted the same way: 1,349 calls when arming the RX
+    ring took and built one buffer per slot and packed each slot in its
+    own call.
+
     Each ceiling is the count measured when it was set (Python 3.11). A
     change that adds calls to a round trip raises the ceiling here and
     gives its reason in CHANGES.md.
     """
 
     CEILINGS = {None: 336, OffloadMode.LOOKASIDE: 448, OffloadMode.INLINE: 542}
+    PORT_NEW_CEILING = 67
 
     @staticmethod
-    def _calls(cfg):
-        """Calls made in splitio code over one echo run of cfg, with the
-        round trips it completed."""
+    def _count(run):
+        """Calls made in splitio code while run() runs, and its result."""
         n = 0
 
         def count(frame, event, arg):
@@ -662,10 +667,16 @@ class TestCallBudget:
         gc.disable()
         sys.setprofile(count)
         try:
-            result = simloop.run_echo_sim(cfg)
+            result = run()
         finally:
             sys.setprofile(None)
             gc.enable()
+        return n, result
+
+    def _calls(self, cfg):
+        """Calls made over one echo run of cfg, with the round trips it
+        completed."""
+        n, result = self._count(lambda: simloop.run_echo_sim(cfg))
         return n, result.received
 
     def test_calls_per_round_trip(self):
@@ -676,6 +687,14 @@ class TestCallBudget:
             assert trips_2d > trips_d > 0
             per_trip = (calls_2d - calls_d) / (trips_2d - trips_d)
             assert per_trip <= ceiling, f"{mode}: {per_trip:.2f} calls per round trip"
+
+    def test_port_construction_calls(self):
+        """Arming the RX ring takes its buffers in one slice of the free list
+        and writes the ring in one call, not one call chain per slot."""
+        mem = MemorySystem()
+        calls, port = self._count(lambda: port_new(mem, PoolConfig(mbuf_count=1024), 256))
+        assert port.rx_ring.occupancy() == 256
+        assert calls <= self.PORT_NEW_CEILING, f"{calls} calls to build a port"
 
 
 class TestDeterminism:

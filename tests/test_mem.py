@@ -26,13 +26,16 @@ from splitio.errors import (
     SplitioError,
     ZeroSize,
 )
-from splitio.mem import _HEAP_MAX, Handle, MemorySystem, RegionKind, Side
+from splitio.mem import _ANCHOR_BUDGET, _HEAP_MAX, Handle, MemorySystem, RegionKind, Side
 from test_security import CANARY, PRIVATE_REGION
 
 # one arena size on each side of the line between heap and mapped arenas:
 # the checks below run on both backings
 _SIZES = {"heap": 64, "mapped": _HEAP_MAX + 64}
 _BOTH_BACKINGS = pytest.mark.parametrize("size", list(_SIZES.values()), ids=list(_SIZES))
+# pattern-search contents and patterns: one to six bytes of an alphabet with
+# zero, so hits, overlaps and leading zeros are common
+_CHUNK = st.lists(st.sampled_from(b"\0\1ab"), min_size=1, max_size=6).map(bytes)
 
 
 class TestArenaLifecycle:
@@ -380,6 +383,89 @@ class TestPatternSearch:
             mem.write(Handle(arena.id, size - 5, 5), Side.VM, b"aaaaa")
             hits = [idx for _, idx in mem.find_pattern(b"aaa", RegionKind.SHARED)]
             assert hits == [size - 5, size - 4, size - 3]
+            # the last hit ends at the arena's last byte
+            hits = [idx for _, idx in mem.find_pattern(b"aa", RegionKind.SHARED)]
+            assert hits == [size - 5, size - 4, size - 3, size - 2]
+
+    @staticmethod
+    def _find_all(mem, pattern, kind=None):
+        """The plain scan: a full-pattern find from one byte past each hit."""
+        hits = []
+        for arena in mem.arenas.values():
+            if kind is not None and arena.kind is not kind:
+                continue
+            at = arena.data.find(pattern)
+            while at >= 0:
+                hits.append((arena.id, at))
+                at = arena.data.find(pattern, at + 1)
+        return hits
+
+    @_BOTH_BACKINGS
+    @given(
+        writes=st.lists(st.tuples(st.integers(min_value=0), _CHUNK), max_size=12),
+        run=st.tuples(st.integers(min_value=0), st.integers(min_value=0, max_value=200)),
+        pattern=_CHUNK.filter(any),
+        kind=st.sampled_from([None, *RegionKind]),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_the_plain_scan(self, size, writes, run, pattern, kind):
+        """Sparse contents from a four-byte alphabet, a run of one byte that
+        can outlast the candidate budget, and a random pattern with an
+        anchor (all-zero ones take the plain scan, and are checked below):
+        the anchored scan yields exactly the plain scan's list."""
+        mem = MemorySystem()
+        for region_kind in (RegionKind.SHARED, RegionKind.PRIVATE, RegionKind.SHARED):
+            arena = mem.create_arena(region_kind, size)
+            for at, chunk in writes + [(run[0], b"a" * run[1])]:
+                at %= size
+                mem.write_at(arena.id, at, chunk[: size - at], Side.VM)
+        assert list(mem.find_pattern(pattern, kind)) == self._find_all(mem, pattern, kind)
+
+    @pytest.mark.parametrize("size", [4 * _ANCHOR_BUDGET, _HEAP_MAX + 64], ids=list(_SIZES))
+    def test_arena_full_of_the_anchor(self, size):
+        """Every offset is a candidate, so the scan outlasts its budget and
+        the full-pattern find takes over at the first unchecked candidate:
+        no hit is lost or repeated at the handover."""
+        mem = MemorySystem()
+        arena = mem.create_arena(RegionKind.SHARED, size)
+        mem.write_at(arena.id, 0, b"a" * size, Side.VM)
+        assert [i for _, i in mem.find_pattern(b"aa")] == list(range(size - 1))
+        mem.write_at(arena.id, size - 1, b"b", Side.VM)
+        assert list(mem.find_pattern(b"ab")) == [(arena.id, size - 2)]
+
+    @_BOTH_BACKINGS
+    def test_leading_zeros_and_all_zero_patterns(self, size):
+        mem = MemorySystem()
+        arena = mem.create_arena(RegionKind.SHARED, size)
+        mem.write_at(arena.id, 1, b"a", Side.VM)  # too near the start for two zeros
+        mem.write_at(arena.id, 20, b"a", Side.VM)
+        mem.write_at(arena.id, size - 1, b"a", Side.VM)
+        assert [i for _, i in mem.find_pattern(b"\0\0a")] == [18, size - 3]
+        zeros = list(mem.find_pattern(b"\0\0\0"))
+        assert zeros == self._find_all(mem, b"\0\0\0") and zeros[0] == (arena.id, 2)
+        assert [i for _, i in mem.find_pattern(b"\0")] == [
+            i for i in range(size) if i not in (1, 20, size - 1)
+        ]
+
+    @_BOTH_BACKINGS
+    def test_pattern_longer_than_the_arena(self, size):
+        """Found nowhere, not even where the arena holds its prefix up to
+        the last byte."""
+        mem = MemorySystem()
+        arena = mem.create_arena(RegionKind.SHARED, size)
+        mem.write_at(arena.id, 0, b"x" * size, Side.VM)
+        assert list(mem.find_pattern(b"x" * (size + 1))) == []
+        assert list(mem.find_pattern(b"x" * size)) == [(arena.id, 0)]
+
+    @_BOTH_BACKINGS
+    def test_kind_filter_keeps_arena_order(self, size):
+        mem = MemorySystem()
+        arenas = [mem.create_arena(kind, size) for kind in (*RegionKind, *RegionKind)]
+        for arena in arenas:
+            mem.write_at(arena.id, size - 9, b"CANARY", Side.VM)
+        for kind in (None, *RegionKind):
+            ids = [a.id for a in arenas if kind is None or a.kind is kind]
+            assert list(mem.find_pattern(b"CANARY", kind)) == [(i, size - 9) for i in ids]
 
     def test_empty_pattern_refused(self):
         """An empty pattern occurs at every offset, so a search for it would

@@ -168,6 +168,26 @@ class TestConstruction:
         with pytest.raises(OutOfBounds):
             port_new(MemorySystem(), PoolConfig(mbuf_count=2, mbuf_size=70000), ring_capacity=2)
 
+    def test_take_rooms_takes_what_take_would(self):
+        """A bulk take hands out the buffers, in the order, that as many
+        take() calls would, and refuses a count above what is free with
+        nothing taken."""
+        pools = []
+        for _ in range(2):
+            mem, port = small_port(mbuf_count=8, ring_capacity=2)
+            pool = port.pools.shared
+            first = pool.take()
+            pool.take()
+            pool.free(first)
+            pools.append(pool)
+        bulk, single = pools
+        assert bulk.take_rooms(3) == [single.take().room_at for _ in range(3)]
+        assert (bulk._free, bulk._is_free) == (single._free, single._is_free)
+        with pytest.raises(PoolExhausted):
+            bulk.take_rooms(bulk.remaining() + 1)
+        assert (bulk._free, bulk._is_free) == (single._free, single._is_free)
+        assert bulk.take_rooms(0) == []
+
     def test_construction_calls_independent_of_pool_size(self):
         def calls(mbuf_count):
             mem = MemorySystem()
