@@ -18,7 +18,6 @@ not measurements taken here.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
@@ -32,8 +31,6 @@ from .errors import (
 from .ipsec import ESP_OVERHEAD, OffloadMode, esp_frame_len
 from .pools import PoolConfig
 from .prng import MASK64
-
-log = logging.getLogger("splitio.bench")
 
 PACKET_ID_LEN = 8  # every benchmark payload starts with a packet serial
 EXITS_PER_WAKE = 2  # VM exits an emulated interrupt costs per application wake
@@ -365,11 +362,6 @@ def run_load(cfg: BenchConfig) -> ThroughputReport:
         )
     target = cfg.connections
     if target > formula_max:
-        log.info(
-            "clamping requested %d connections to the %d the link supports",
-            target,
-            formula_max,
-        )
         clamped_from = target
         target = formula_max
     schedule = RampSchedule(max_connections=target)

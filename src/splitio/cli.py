@@ -188,10 +188,16 @@ def _load_text(report, fmt: str) -> str:
         if report.loss_onset_connections is not None
         else "no loss observed"
     )
+    clamp = (
+        f"clamped    {report.clamped_from} connections to the"
+        f" {report.seconds[-1].connections} the link carries\n"
+        if report.clamped_from is not None
+        else ""
+    )
     return (
         f"achieved   {report.achieved_bps / 1e9:.3f} Gbit/s\n"
         f"capacity   {report.capacity_pps:.0f} packets/s\n"
-        f"{onset}\n"
+        f"{onset}\n{clamp}"
     )
 
 

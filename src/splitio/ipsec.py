@@ -20,9 +20,11 @@ addressing prefix sits outside the protected frame, as outer headers do.
 Key and salt bytes live in a private arena, so a scan of shared memory or
 captured wire frames can prove they never leak. The key is read once, when
 an association builds its AES-GCM object on its first transform, and the
-salt is read on every transform to form the nonce. AES executions are
-attributed to whoever passes its ops counter, which is how the tests prove
-the app worker does zero AES in inline mode.
+salt is read on every transform to form the nonce. The AEAD library itself
+is imported earlier, when the first association is built, so a run that
+protects nothing never loads it. AES executions are attributed to whoever
+passes its ops counter, which is how the tests prove the app worker does
+zero AES in inline mode.
 
 Offload shapes:
 
@@ -47,9 +49,6 @@ import struct
 import weakref
 from collections import deque
 from typing import Optional
-
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import (
     AlreadyAttached,
@@ -98,6 +97,15 @@ _U16 = struct.Struct("<H")
 _VM = Side.VM
 _OUTBOUND, _INBOUND = SaDirection.OUTBOUND, SaDirection.INBOUND
 
+# bound by _load_aead when the first association is built
+AESGCM = InvalidTag = None
+
+
+def _load_aead() -> None:
+    global AESGCM, InvalidTag
+    from cryptography.exceptions import InvalidTag
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
 
 class WrongDirection(SplitioError):
     pass
@@ -126,6 +134,8 @@ class SecurityAssociation:
         mem.write(self.key_handle, _VM, key)
         mem.write(self.salt_handle, _VM, salt)
         self._aead: Optional[AESGCM] = None
+        if AESGCM is None:
+            _load_aead()
 
     def key_bytes(self) -> bytes:
         return self.mem.read(self.key_handle, _VM)

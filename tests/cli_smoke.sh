@@ -17,6 +17,9 @@ $cli echo --duration 0.01 --notification interrupt:2000 --format csv
 $cli ipsec --duration 0.01
 $cli ipsec --ipsec inline --duration 0.01 --format json
 $cli factors-report
+# more connections than the link carries: the text report names the clamp
+$cli load --connections 5000 > "$dir/load.txt"
+grep -qx 'clamped    5000 connections to the 1562 the link carries' "$dir/load.txt"
 # copy = none is a zero-copy profile, by flag or config key; any other
 # config value is refused
 $cli echo --copy none --duration 0.01 --format csv

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-import splitio
+from fresh_interpreter import run_python, source_env
 from splitio import simloop
-from splitio.bench import BenchConfig, CostProfile, emit_report, run_echo
+from splitio.bench import BenchConfig, CostProfile, emit_report, max_connections, run_echo
 from splitio.cli import main
 
 
@@ -187,6 +187,13 @@ class TestLoadCommand:
         assert code == 0
         assert "achieved" in out
         assert "no loss observed" in out
+        assert "clamped" not in out
+
+    def test_text_report_names_the_clamp(self, capsys):
+        carried = max_connections(BenchConfig().bandwidth_bps, 128, 5000.0)
+        code, out, _ = run_cli(capsys, "load", "--connections", "5000")
+        assert code == 0
+        assert out.splitlines()[-1] == f"clamped    5000 connections to the {carried} the link carries"
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "load", "--rate", "100", "--format", "json")
@@ -400,9 +407,7 @@ def test_console_smoke_script(tmp_path):
     exits as it expects and every JSON check holds. It runs in dev mode,
     which the interpreter flags of this suite do not reach, and no process
     it starts may warn of a leaked resource."""
-    src = Path(splitio.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env = source_env()
     env["PYTHONDEVMODE"] = "1"
     # the script's own JSON checks run `python`: the interpreter under test
     env["PATH"] = os.pathsep.join([os.path.dirname(sys.executable), env.get("PATH", "")])
@@ -416,3 +421,24 @@ def test_console_smoke_script(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "ResourceWarning" not in done.stderr, done.stderr
+
+
+_PLAIN_THEN_PROTECTED = """
+import contextlib, io, json, sys
+from splitio.cli import main
+loaded = []
+for argv in (["echo", "--duration", "0.01"], ["ipsec", "--duration", "0.01"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    loaded.append("cryptography" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_plain_run_never_loads_the_cipher_library():
+    """The AEAD library is imported with the first security association: a
+    plain echo run in a fresh interpreter leaves it unloaded, and the ESP
+    run after it loads it."""
+    done = run_python(_PLAIN_THEN_PROTECTED)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, True]

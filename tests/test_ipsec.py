@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fresh_interpreter import run_python
 from gcm_oracle import gcm_decrypt, gcm_encrypt
 from splitio.errors import (
     AuthFail,
@@ -20,6 +22,7 @@ from splitio.ipsec import (
     MIN_FRAME_LEN,
     MSG_TYPE_ESP,
     MSG_TYPE_PLAIN,
+    OffloadMode,
     PortProtect,
     SaDirection,
     SecurityAssociation,
@@ -409,6 +412,34 @@ class TestLookasidePath:
         assert protect.app_rx() == []
         assert port.counters["auth_fail"] == 1
         assert port.pools.shadow.remaining() == port.pools.shadow.count  # refused frame freed
+
+
+# one corrupted frame a to b, its first ciphertext byte flipped, then the
+# receive side's tally and how many frames reached b's application
+_FIRST_REFUSAL = """
+import json, sys
+from splitio.devsim import AdversaryPlan, run_adversary
+from splitio.ipsec import OffloadMode, esp_paths
+mode = OffloadMode(sys.argv[1])
+report = run_adversary(
+    AdversaryPlan.parse("corrupt_ciphertext target=a offset=24 when=0"),
+    packets=1,
+    payload_len=64,
+    protect_factory=lambda system: esp_paths(system.port_a, system.port_b, mode, 5),
+)
+print(json.dumps([report.counters_b["auth_fail"], len(report.delivered)]))
+"""
+
+
+@pytest.mark.parametrize("mode", list(OffloadMode), ids=lambda mode: mode.value)
+def test_first_auth_failure_in_a_process_refused(mode):
+    """The AEAD's failure exception is bound when the first association is
+    built, so in a fresh interpreter the very first open, of a tampered
+    frame, must be counted and refused, look-aside and inline alike, and
+    not fail on an unbound exception name."""
+    done = run_python(_FIRST_REFUSAL, mode.value)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [1, 0]
 
 
 class TestInlinePath:
