@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .bench import StageCosts
-from .errors import BadPlan, DeviceAccessDenied, EventBudgetExhausted, OutOfBounds, SplitioError
+from .errors import (
+    BadPlan,
+    ConfigInvalid,
+    DeviceAccessDenied,
+    EventBudgetExhausted,
+    OutOfBounds,
+    SplitioError,
+)
 from .ipsec import CryptoWorker
 from .mem import Handle, MemorySystem, Side
 from .pools import PoolConfig, PortContext, port_new
@@ -148,8 +155,8 @@ class SimNic:
     """Device side of one port. Fetches TX descriptors, DMAs payloads out of
     shared memory, models the link, and delivers arrivals into posted RX
     buffers. All memory access is device-side and therefore confined.
-    While capture is a list it appends every frame it sends; the loopback
-    rig sets one on each NIC of an attacked run."""
+    While watched holds patterns, leaked records whether a frame it sent
+    held one; the loopback rig sets watched on both NICs of an attacked run."""
 
     def __init__(
         self,
@@ -169,7 +176,8 @@ class SimNic:
         self.inbox: list[tuple[int, int, bytes]] = []
         self._rx_avail: deque[RxView] = deque()
         self._seq = 0
-        self.capture: Optional[list[bytes]] = None
+        self.watched: Optional[list[bytes]] = None
+        self.leaked = False
         self.violations: list[dict] = []
         self.drops = 0
         self.delivered = 0
@@ -245,8 +253,10 @@ class SimNic:
                 if self._forced_drops > 0:
                     self._forced_drops -= 1
                     lost = True
-                if self.capture is not None:
-                    self.capture.append(payload)
+                if self.watched and not self.leaked:
+                    for pattern in self.watched:
+                        if pattern in payload:
+                            self.leaked = True
                 if lost:
                     self.drops += 1
                 elif peer is not None:
@@ -390,8 +400,10 @@ class LoopbackSystem:
     sends, B's records what it receives and echoes it, A's records the
     echoes. Events due at one instant run in the order they were pushed;
     each plan action is pushed at its `when` as the rig is built, so it
-    fires first, then polls its side's NIC and application. Stages take the
-    times in `costs`: none here; simloop prices them for the echo benchmark."""
+    fires first, then polls its side's NIC and application. Under a plan
+    both NICs judge each frame they send against the patterns the rig
+    watches. Stages take the times in `costs`: none here; simloop prices
+    them for the echo benchmark."""
 
     STEP_NS = 1000
     costs = StageCosts(0, 0, 0, 0, 0)
@@ -407,7 +419,7 @@ class LoopbackSystem:
         ring_capacity: int = 8,
         canary: Optional[bytes] = None,
     ):
-        self.canary = canary
+        self.watched: list[bytes] = [canary] if canary else []
         pool_cfg = pool_cfg or PoolConfig(mbuf_count=32)
         # each endpoint on its own MemorySystem with one port
         self.mem_a = MemorySystem()
@@ -418,8 +430,7 @@ class LoopbackSystem:
             self.port_a, self.port_b, link or LinkModel(base_latency_ns=500)
         )
         if plan is not None:
-            # an attacked run keeps every sent frame for the breach scan
-            self.nic_a.capture, self.nic_b.capture = [], []
+            self.nic_a.watched = self.nic_b.watched = self.watched
         self.a = Endpoint(self.mem_a, self.port_a, self.nic_a)
         self.b = Endpoint(self.mem_b, self.port_b, self.nic_b)
         self.now = 0
@@ -434,6 +445,13 @@ class LoopbackSystem:
         self._pushed_polls: set[tuple[str, float]] = set()
         for action in plan.actions if plan is not None else ():
             self.push(action.when, "action", action)
+
+    def watch(self, patterns: Sequence[bytes]) -> None:
+        """Add secret patterns to the breach scan, before the run: frames are
+        judged as they leave. An empty one matches everything, so is refused."""
+        if not all(patterns):
+            raise ConfigInvalid("an empty pattern matches every offset")
+        self.watched.extend(patterns)
 
     def send_from_a(self, payload: bytes) -> None:
         """A's application sends payload at now."""
@@ -586,20 +604,15 @@ class LoopbackSystem:
                 found += [{"kind": k, "slot": s, "ring": name} for k, s in ring.violations]
         return found
 
-    def breached(self, secret_patterns: Sequence[bytes] = ()) -> bool:
-        """The red flag: the device reached private memory, or a secret or the
-        canary is in a shared arena or in a frame an attacked run captured.
+    def breached(self) -> bool:
+        """The red flag: the device reached private memory, or a watched
+        pattern is in a frame an attacked run sent or in a shared arena.
         A device access to an unregistered region is no breach: the accessor
         refuses it before it touches a byte."""
-        if any(v["kind"].startswith("private_") for v in self.violations()):
+        private = any(v["kind"].startswith("private_") for v in self.violations())
+        if private or self.nic_a.leaked or self.nic_b.leaked:
             return True
-        mems = (self.mem_a, self.mem_b)
-        patterns = list(secret_patterns) + ([self.canary] if self.canary else [])
-        frames = (self.nic_a.capture or []) + (self.nic_b.capture or [])
-        return any(
-            any(m.pattern_in_shared(p) for m in mems) or any(p in f for f in frames)
-            for p in patterns
-        )
+        return any(m.pattern_in_shared(p) for p in self.watched for m in (self.mem_a, self.mem_b))
 
 
 @dataclass
@@ -653,6 +666,7 @@ def run_adversary(
     """Send `packets` seeded payloads 1 µs apart through the unpriced
     loopback rig under an adversary plan; classify_attack judges each action."""
     system = LoopbackSystem(plan=plan, ring_capacity=ring_capacity, canary=canary)
+    system.watch(secret_patterns or ())
     if protect_factory is not None:
         system.protect_a, system.protect_b = protect_factory(system)
 
@@ -660,15 +674,10 @@ def run_adversary(
         system.send_from_a(payload)
         system.pump(1)
     system.pump(12 + 2 * packets)
-    return classify_attack(system, plan, system.sent, secret_patterns or ())
+    return classify_attack(system, plan, system.sent)
 
 
-def classify_attack(
-    system: LoopbackSystem,
-    plan: AdversaryPlan,
-    sent: list[bytes],
-    secret_patterns: Sequence[bytes] = (),
-) -> AdversaryReport:
+def classify_attack(system: LoopbackSystem, plan: AdversaryPlan, sent: list[bytes]) -> AdversaryReport:
     """Classify each of plan's actions from the evidence a finished,
     attacked run left on system, which sent the payloads in sent.
 
@@ -730,7 +739,7 @@ def classify_attack(
     return AdversaryReport(
         outcomes=outcomes,
         violations=violations,
-        breach=system.breached(secret_patterns),
+        breach=system.breached(),
         sent=sent,
         delivered=system.delivered_b,
         echoed=system.delivered_a,

@@ -17,8 +17,8 @@ single-SA receiver authenticates the received header bytes, so any bit flip
 anywhere in the ESP frame proper (spi through tag) fails authentication; the
 addressing prefix sits outside the protected frame, as outer headers do.
 
-Key and salt bytes live in a private arena, so a scan of shared memory or
-captured wire frames can prove they never leak. The key is read once, when
+Key and salt bytes live in a private arena, so a scan of shared memory and
+of each frame sent can prove they never leak. The key is read once, when
 an association builds its AES-GCM object on its first transform, and the
 salt is read on every transform to form the nonce. The AEAD library itself
 is imported earlier, when the first association is built, so a run that

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import mmap
 import struct
-from typing import Iterator, NamedTuple, NoReturn, Optional
+from typing import NamedTuple, NoReturn
 
 from .errors import (
     AlreadyTornDown,
@@ -73,7 +73,7 @@ class Handle(NamedTuple):
 # only the pages a run touches (glibc's M_MMAP_THRESHOLD rule).
 _HEAP_MAX = 128 * 1024
 
-# candidates find_pattern checks in one arena before its full-pattern find
+# candidates pattern_in_shared checks in one arena before its full-pattern find
 _ANCHOR_BUDGET = 64
 
 
@@ -231,37 +231,26 @@ class MemorySystem:
 
     # -- audit helpers -----------------------------------------------------
 
-    def find_pattern(self, pattern: bytes, kind: Optional[RegionKind] = None) -> Iterator[tuple[int, int]]:
-        """Yield (region, index) for every occurrence of pattern, overlapping
-        ones included, in arenas of the given kind (all when kind is None),
-        in arena order and ascending index. An empty pattern occurs
-        everywhere, so it is refused: ConfigInvalid on the first step.
-        Candidates are the hits of a one-byte find (a memchr) of the first
-        nonzero byte, each confirmed by a slice compare; past _ANCHOR_BUDGET
-        of them, or with no such byte, the full-pattern find takes over."""
+    def pattern_in_shared(self, pattern: bytes) -> bool:
+        """Whether pattern occurs in a SHARED arena, answered at the first
+        hit. An empty pattern occurs everywhere, so it is refused
+        (ConfigInvalid). Candidates are the hits of a one-byte find (a
+        memchr) of the first nonzero byte, each confirmed by a slice
+        compare; past _ANCHOR_BUDGET of them, or with no such byte, the
+        full-pattern find takes over."""
         if not pattern:
             raise ConfigInvalid("an empty pattern matches every offset")
         width, lead = len(pattern), len(pattern) - len(pattern.lstrip(b"\0"))
         anchor = pattern[lead:lead + 1]
-        for arena in self.arenas.values():
-            if kind is not None and arena.kind is not kind:
-                continue
-            data, start = arena.data, 0
+        for data in [a.data for a in self.arenas.values() if a.kind is RegionKind.SHARED]:
+            start = 0
             if anchor:
                 budget, at = _ANCHOR_BUDGET, data.find(anchor, lead)
                 while at >= 0 and budget:
                     if data[at - lead:at - lead + width] == pattern:
-                        yield (arena.id, at - lead)
+                        return True
                     budget, at = budget - 1, data.find(anchor, at + 1)
-                if at < 0:
-                    continue
-                start = at - lead
-            while True:
-                idx = data.find(pattern, start)
-                if idx < 0:
-                    break
-                yield (arena.id, idx)
-                start = idx + 1
-
-    def pattern_in_shared(self, pattern: bytes) -> bool:
-        return next(self.find_pattern(pattern, RegionKind.SHARED), None) is not None
+                start = at - lead  # negative once every candidate is checked
+            if start >= 0 and data.find(pattern, start) >= 0:
+                return True
+        return False

@@ -190,8 +190,8 @@ def run_echo_attack(
     under ESP, the rig's two SA keys."""
     validate_config(cfg)
     rig = _EchoRig(cfg, plan=plan, canary=canary)
+    rig.watch([end.path.sa_out.key_bytes() for end in (rig.a, rig.b) if end.path is not None])
     rig.run()
-    secrets = [end.path.sa_out.key_bytes() for end in (rig.a, rig.b) if end.path is not None]
     # every serial the schedule sent, as EchoResult.sent counts them
     sent = [rig._payload(serial) for serial in range(rig.sent_count)]
-    return classify_attack(rig, plan, sent, secrets)
+    return classify_attack(rig, plan, sent)

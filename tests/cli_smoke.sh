@@ -45,6 +45,11 @@ python -c "import json, pathlib, sys; r = json.loads(pathlib.Path(sys.argv[1]).r
 # under ESP the breach scan looks for the rig's own SA keys
 $cli ipsec --ipsec inline --adversary "$dir/plan.txt" --duration 0.01 > "$dir/esp-adversary.json"
 python -c "import json, pathlib, sys; r = json.loads(pathlib.Path(sys.argv[1]).read_text()); sys.exit(0 if r['breach'] is False else 1)" "$dir/esp-adversary.json"
+# a device write of the canary into shared memory is a breach: exit 3
+printf 'tamper_shared target=a when=27000 region=1 offset=0 data=c396c396c396c396c396c396c396c396\n' > "$dir/breach.txt"
+rc=0; $cli echo --adversary "$dir/breach.txt" --duration 0.01 > "$dir/breach.json" || rc=$?
+test "$rc" -eq 3
+python -c "import json, pathlib, sys; r = json.loads(pathlib.Path(sys.argv[1]).read_text()); sys.exit(0 if r['breach'] is True else 1)" "$dir/breach.json"
 rc=0; $cli echo --adversary "$dir/plan.txt" --format csv || rc=$?
 test "$rc" -eq 2
 rc=0; $cli echo --adversary "$dir/plan.txt" --duration abc || rc=$?

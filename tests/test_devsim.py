@@ -1,5 +1,6 @@
 import pytest
 
+from splitio import devsim
 from splitio.devsim import (
     AdversaryPlan,
     LinkModel,
@@ -103,15 +104,36 @@ class TestLoopback:
         assert system.delivered_a == payloads
         assert system.nic_a.drops == 0 and system.nic_b.drops == 0
 
-    def test_capture_sees_every_frame(self):
-        system = LoopbackSystem(plan=empty_plan())
-        payloads = [b"frame-%d" % i for i in range(3)]
-        for p in payloads:
-            system.send_from_a(p)
+    @pytest.mark.parametrize(
+        "plan, pattern, leaked",
+        [
+            # a frame the link delivers, judged on the way out and echoed back
+            ("", b"frame-1", (True, True)),
+            # a frame the link then loses is judged as it leaves, never echoed
+            ("drop_packet target=a count=1 when=0", b"frame-0", (True, False)),
+            # a corrupted frame is judged as it leaves, flipped byte included
+            ("corrupt_ciphertext target=a offset=0 when=0", b"\x99rame-0", (True, True)),
+            ("corrupt_ciphertext target=a offset=0 when=0", b"frame-0", (False, False)),
+        ],
+        ids=["delivered", "lost", "corrupted", "corrupted_original"],
+    )
+    def test_each_frame_is_judged_as_it_leaves(self, plan, pattern, leaked):
+        system = LoopbackSystem(plan=AdversaryPlan.parse(plan))
+        system.watch([pattern])
+        for i in range(3):
+            system.send_from_a(b"frame-%d" % i)
             system.pump(1)
         system.pump(20)
-        assert system.nic_a.capture == payloads  # outbound direction
-        assert system.nic_b.capture == payloads  # echoes
+        assert (system.nic_a.leaked, system.nic_b.leaked) == leaked
+        assert system.breached() is any(leaked)
+
+    def test_unattacked_nics_judge_no_frame(self):
+        system = LoopbackSystem()
+        system.watch([b"frame-0"])
+        system.send_from_a(b"frame-0")
+        system.pump(20)
+        assert system.delivered_a == [b"frame-0"]
+        assert system.nic_a.watched is None and not system.nic_a.leaked
 
     def test_loss_and_jitter_replay_draw_for_draw(self):
         n = 30
@@ -450,12 +472,39 @@ class TestBreachDetector:
         assert system.violations() == []
         assert system.breached() is False
 
-    def test_empty_secret_pattern_refused(self):
-        """An empty pattern would be found in any clean run's memory."""
+    def test_empty_secret_pattern_refused(self, monkeypatch):
+        """An empty pattern would be found in any clean run's memory and in
+        every frame, so it is refused before the run sends anything."""
+        system = LoopbackSystem(plan=empty_plan())
         with pytest.raises(ConfigInvalid):
-            LoopbackSystem().breached([b""])
+            system.watch([b"ok", b""])
+        assert system.watched == []
+
+        def no_send(self, payload):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(LoopbackSystem, "send_from_a", no_send)
         with pytest.raises(ConfigInvalid):
             run_adversary(AdversaryPlan.parse(""), secret_patterns=[b""])
+
+    def test_frame_only_positive_control(self, monkeypatch):
+        """A payload prefix crosses the wire in the clear but has left both
+        shared arenas by the run's end, as ten packets recycle the rooms:
+        only the judgment of each frame as it left can flag it."""
+        rigs = []
+        judge = devsim.classify_attack
+
+        def keep_rig(system, *args):
+            rigs.append(system)
+            return judge(system, *args)
+
+        monkeypatch.setattr(devsim, "classify_attack", keep_rig)
+        pattern = _payloads_for_run(1, 64, seed=0)[0][:16]
+        report = run_adversary(empty_plan(), packets=10, payload_len=64, secret_patterns=[pattern])
+        (rig,) = rigs
+        assert not rig.mem_a.pattern_in_shared(pattern)
+        assert not rig.mem_b.pattern_in_shared(pattern)
+        assert report.breach is True
 
     def test_empty_canary_refused(self):
         with pytest.raises(ConfigInvalid):
