@@ -105,30 +105,9 @@ ECHO_MEMORY_BUDGET = 1 << 30
 
 def validate_config(cfg: BenchConfig) -> None:
     """Reject configurations the echo runners cannot execute faithfully."""
-    _validate_run(cfg)
-    per_conn = cfg.rate_pps * cfg.duration_s  # inf if it overflows, which int() refuses
-    sends = int(per_conn) * cfg.connections if per_conn <= ECHO_MEMORY_BUDGET else math.inf
-    if sends * (2 * cfg.payload_len + ECHO_BYTES_PER_SEND) > ECHO_MEMORY_BUDGET:
-        raise ConfigInvalid(
-            f"{sends} sends of {cfg.payload_len} B exceed the 1 GiB an echo run may keep"
-        )
-
-
-def _validate_run(cfg: BenchConfig) -> None:
-    """Reject configurations no runner can execute faithfully. The load
-    runner checks only these: it schedules no sends."""
-    room = PoolConfig(mbuf_count=cfg.mbuf_count).data_room
-    if cfg.payload_len < PACKET_ID_LEN:
-        raise ConfigInvalid(f"payload must be at least {PACKET_ID_LEN} B")
-    limit = room - ESP_OVERHEAD if cfg.ipsec is not None else room
-    if cfg.payload_len > limit:
-        raise ConfigInvalid(f"payload {cfg.payload_len} B exceeds the {limit} B limit")
     if not (math.isfinite(cfg.rate_pps) and math.isfinite(cfg.duration_s)):
         raise ConfigInvalid("rate and duration must be finite")
-    if cfg.rate_pps <= 0:
-        raise ConfigInvalid("rate must be positive")
-    if cfg.connections < 1:
-        raise ConfigInvalid("need at least one connection")
+    _validate_run(cfg)
     if cfg.duration_s <= 0:
         raise ConfigInvalid("duration must be positive")
     if cfg.rate_pps * cfg.duration_s < 1:
@@ -144,8 +123,31 @@ def _validate_run(cfg: BenchConfig) -> None:
     if cfg.mbuf_count < 8:
         raise ConfigInvalid("buffer pool too small to run")
     if not 0 <= cfg.seed <= MASK64:
-        # Splitmix64 refuses it too, but the load runner builds no generator
+        # Splitmix64 refuses it too, but only once the ports are built
         raise ConfigInvalid(f"seed {cfg.seed} lies outside [0, 2^64)")
+    per_conn = cfg.rate_pps * cfg.duration_s  # inf if it overflows, which int() refuses
+    sends = int(per_conn) * cfg.connections if per_conn <= ECHO_MEMORY_BUDGET else math.inf
+    if sends * (2 * cfg.payload_len + ECHO_BYTES_PER_SEND) > ECHO_MEMORY_BUDGET:
+        raise ConfigInvalid(
+            f"{sends} sends of {cfg.payload_len} B exceed the 1 GiB an echo run may keep"
+        )
+
+
+def _validate_run(cfg: BenchConfig) -> None:
+    """Reject a payload, rate or connection count no runner can execute
+    faithfully. The load runner checks only these: besides its costs, they
+    are all it reads."""
+    if cfg.payload_len < PACKET_ID_LEN:
+        raise ConfigInvalid(f"payload must be at least {PACKET_ID_LEN} B")
+    limit = PoolConfig().data_room - (ESP_OVERHEAD if cfg.ipsec is not None else 0)
+    if cfg.payload_len > limit:
+        raise ConfigInvalid(f"payload {cfg.payload_len} B exceeds the {limit} B limit")
+    if not math.isfinite(cfg.rate_pps):
+        raise ConfigInvalid("rate must be finite")
+    if cfg.rate_pps <= 0:
+        raise ConfigInvalid("rate must be positive")
+    if cfg.connections < 1:
+        raise ConfigInvalid("need at least one connection")
 
 
 class StageCosts(NamedTuple):

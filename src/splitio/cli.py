@@ -5,10 +5,12 @@
     splitio load            ramped throughput (fluid model), loss onset
     splitio factors-report  the overhead-factor matrix and latency table
 
-A config file (--config) holds the same keys as the flags, one `key=value`
-per line; explicit flags override file values. Exit status: 0 on success,
-2 for anything wrong with the configuration, 3 when an adversary run
-detects an invariant violation. Adversary reports are JSON only.
+Each command takes only the flags its run reads. A config file (--config)
+holds any of the command's other flags as `key=value` lines; explicit flags
+override file values. Exit status: 0 on success, 2 for anything wrong with
+the command line or the configuration (one `error:` line), 3 when an
+adversary run detects an invariant violation. Adversary reports are JSON
+only.
 """
 
 from __future__ import annotations
@@ -43,50 +45,51 @@ _FORMATS = {
     "adversary": ("json",),
 }
 
-_DEFAULTS = {
-    "payload": "128",
-    "rate": "5000",
-    "connections": "1",
-    "duration": "1.0",
-    "notification": "polling",
-    "copy": "single",
-    "ipsec": None,
-    "seed": "0",
-    "format": None,
-    "out": None,
-    "adversary": None,
+# every flag: its default and its help
+_FLAGS = {
+    "payload": ("128", "payload length in bytes"),
+    "rate": ("5000", "packets per second per connection"),
+    "connections": ("1", "concurrent connections"),
+    "copy": ("single", "copy cost model"),
+    "ipsec": (None, "offload mode"),
+    "format": (None, "output format"),
+    "out": (None, "also write the report to this path"),
+    "duration": ("1.0", "run length in seconds"),
+    "notification": ("polling", "polling or interrupt:<exit cost ns>"),
+    "adversary": (None, "attack the run with this adversary plan file"),
 }
 
-_FLAG_KEYS = tuple(_DEFAULTS)
+# the flags each command's run reads, and its help; --config comes with each
+_LOAD_FLAGS = ("payload", "rate", "connections", "copy", "ipsec", "format", "out")
+_ECHO_FLAGS = _LOAD_FLAGS + ("duration", "notification", "adversary")
+_COMMANDS = {
+    "echo": (_ECHO_FLAGS, "round-trip latency run"),
+    "ipsec": (_ECHO_FLAGS, "latency run with ESP protection"),
+    "load": (_LOAD_FLAGS, "ramped throughput run"),
+    "factors-report": (("format", "out"), "overhead-factor tables"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line as a bad config file is refused: one
+    `error:` line from main, exit 2."""
+
+    def error(self, message: str):
+        raise ConfigInvalid(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--payload", help="payload length in bytes")
-    common.add_argument("--rate", help="packets per second per connection")
-    common.add_argument("--connections", help="concurrent connections")
-    common.add_argument("--duration", help="run length in seconds")
-    common.add_argument(
-        "--notification", help="polling or interrupt:<exit cost ns>"
-    )
-    common.add_argument("--copy", choices=["single", "none"], help="copy cost model")
-    common.add_argument("--ipsec", choices=["lookaside", "inline"], help="offload mode")
-    common.add_argument("--seed", help="PRNG seed")
-    common.add_argument("--format", choices=["text", "json", "csv"], help="output format")
-    common.add_argument("--out", help="also write the report to this path")
-    common.add_argument("--adversary", help="attack the run with this adversary plan file")
-    common.add_argument("--config", help="key=value file mirroring the flags")
-
-    parser = argparse.ArgumentParser(prog="splitio", description=__doc__)
+    parser = _Parser(prog="splitio", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("echo", parents=[common], help="round-trip latency run")
-    sub.add_parser("ipsec", parents=[common], help="latency run with ESP protection")
-    sub.add_parser("load", parents=[common], help="ramped throughput run")
-    sub.add_parser("factors-report", parents=[common], help="overhead-factor tables")
+    for command, (flags, help_text) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        for key in flags:
+            cmd.add_argument(f"--{key}", help=_FLAGS[key][1])
+        cmd.add_argument("--config", help="key=value file holding any of the flags above")
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str, command: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -102,17 +105,19 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigInvalid(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _FLAG_KEYS:
-            raise ConfigInvalid(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in _COMMANDS[command][0]:
+            raise ConfigInvalid(f"{path}:{lineno}: unknown key {key!r} for {command}")
         values[key] = val
     return values
 
 
 def _merged_values(args: argparse.Namespace) -> dict[str, Optional[str]]:
-    values = dict(_DEFAULTS)
+    """Every flag's value: the command's own from its flags or config file,
+    the rest at their defaults."""
+    values = {key: default for key, (default, _) in _FLAGS.items()}
     if args.config:
-        values.update(_read_config_file(args.config))
-    for key in _FLAG_KEYS:
+        values.update(_read_config_file(args.config, args.command))
+    for key in _COMMANDS[args.command][0]:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
@@ -135,8 +140,9 @@ def _offload_mode(values: dict[str, Optional[str]]) -> OffloadMode:
     """The --ipsec mode; look-aside when none is given."""
     try:
         return OffloadMode(values["ipsec"] or OffloadMode.LOOKASIDE.value)
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from None
+    except ValueError:
+        modes = " or ".join(mode.value for mode in OffloadMode)
+        raise ConfigInvalid(f"ipsec must be {modes}, got {values['ipsec']!r}") from None
 
 
 def _copy_profile(copy: Optional[str]) -> CostProfile:
@@ -154,7 +160,6 @@ def _build_config(values: dict[str, Optional[str]], protected: bool) -> BenchCon
         rate = float(values["rate"])
         connections = int(values["connections"], 0)
         duration = float(values["duration"])
-        seed = int(values["seed"], 0)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad numeric value: {exc}") from None
     return BenchConfig(
@@ -164,7 +169,6 @@ def _build_config(values: dict[str, Optional[str]], protected: bool) -> BenchCon
         duration_s=duration,
         interrupt_exit_ns=_parse_notification(values["notification"]),
         ipsec=_offload_mode(values) if protected else None,
-        seed=seed,
         profile=_copy_profile(values["copy"]),
     )
 
@@ -203,8 +207,6 @@ def _load_text(report, fmt: str) -> str:
 
 def _run(command: str, values: dict[str, Optional[str]]) -> tuple[str, int]:
     """The report command prints, and its exit status."""
-    if values["adversary"] and command in ("load", "factors-report"):
-        raise ConfigInvalid(f"--adversary applies to echo and ipsec, not {command}")
     kind = "adversary" if values["adversary"] else _REPORT_KIND[command]
     formats = _FORMATS[kind]
     fmt = values["format"] or formats[0]
@@ -223,8 +225,8 @@ def _run(command: str, values: dict[str, Optional[str]]) -> tuple[str, int]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         values = _merged_values(args)
         text, code = _run(args.command, values)
         print(text, end="")

@@ -71,16 +71,25 @@ class AdversaryAction:
     when: int = 0
     # which endpoint's device side performs the action
     target: str = "a"
-    # tamper_shared / forge_address
+    # the rest belong to the kinds _PLAN_KEYS gives them
     region: int = 0
     offset: int = 0
     data: bytes = b""
     length: int = 0
-    # forge_writeback / replay_descriptor
     slot: int = 0
     status_error: Optional[int] = None
-    # drop_packet
     count: int = 1
+
+
+# the keys each action reads; a plan line may give no other
+_PLAN_KEYS = {
+    ActionKind.TAMPER_SHARED: {"target", "when", "region", "offset", "data"},
+    ActionKind.FORGE_WRITEBACK: {"target", "when", "slot", "length", "status_error"},
+    ActionKind.FORGE_ADDRESS: {"target", "when", "region", "offset", "length"},
+    ActionKind.REPLAY_DESCRIPTOR: {"target", "when", "slot"},
+    ActionKind.DROP_PACKET: {"target", "when", "count"},
+    ActionKind.CORRUPT_CIPHERTEXT: {"target", "when", "offset"},
+}
 
 
 @dataclass
@@ -89,9 +98,10 @@ class AdversaryPlan:
 
     @staticmethod
     def parse(text: str) -> "AdversaryPlan":
-        """Line format: `<action> key=value ...`. Unknown actions or bad
-        values raise BadPlan, and so do a count below 1 and a forge_address
-        length below 1. Blank lines and #-comments are skipped."""
+        """Line format: `<action> key=value ...`. Unknown actions, keys
+        outside the action's _PLAN_KEYS and bad values raise BadPlan, and so
+        do a count or a forge_address length below 1. Blank lines and
+        #-comments are skipped."""
         actions = []
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -107,6 +117,8 @@ class AdversaryPlan:
                 if "=" not in tok:
                     raise BadPlan(f"line {lineno}: expected key=value, got {tok!r}")
                 key, val = tok.split("=", 1)
+                if key not in _PLAN_KEYS[kind]:
+                    raise BadPlan(f"line {lineno}: unknown key {key!r} for {kind.value}")
                 try:
                     if key == "data":
                         kwargs[key] = bytes.fromhex(val)
@@ -114,16 +126,11 @@ class AdversaryPlan:
                         if val not in ("a", "b"):
                             raise BadPlan(f"line {lineno}: target must be a or b")
                         kwargs[key] = val
-                    elif key in ("when", "region", "offset", "length", "slot", "count", "status_error"):
-                        kwargs[key] = int(val, 0)
                     else:
-                        raise BadPlan(f"line {lineno}: unknown key {key!r}")
+                        kwargs[key] = int(val, 0)
                 except ValueError:
                     raise BadPlan(f"line {lineno}: bad value for {key}: {val!r}") from None
-            try:
-                action = AdversaryAction(kind=kind, **kwargs)
-            except TypeError:
-                raise BadPlan(f"line {lineno}: keys do not fit action {kind.value}") from None
+            action = AdversaryAction(kind=kind, **kwargs)
             if action.count < 1:
                 raise BadPlan(f"line {lineno}: count must be at least 1, got {action.count}")
             if kind is ActionKind.FORGE_ADDRESS and action.length < 1:
@@ -312,7 +319,7 @@ class SimNic:
             # a region registered for the device is its own to DMA: a legal
             # access, though the zeroes written may corrupt a frame in flight;
             # reaching any other region would be a violation
-            private = not self.mem.is_device_accessible(action.region)
+            private = action.region not in self.mem.registered
             try:
                 self.mem.read(target, _DEVICE)
                 if private:

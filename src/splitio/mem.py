@@ -51,21 +51,12 @@ _SHARED = RegionKind.SHARED
 
 
 class Handle(NamedTuple):
-    """A (region, offset, length) view into one arena. Plain data, no methods
-    touch memory; resolution happens in MemorySystem."""
+    """A (region, offset, length) view into one arena. Plain data:
+    resolution and bounds checks happen in MemorySystem."""
 
     region: int
     offset: int
     length: int
-
-    def sub(self, start: int, length: int) -> "Handle":
-        """Sub-range relative to this handle. Bounds checked here because a
-        mis-built sub-handle should fail where it is made, not where used."""
-        if start < 0 or length < 0 or start + length > self.length:
-            raise OutOfBounds(
-                f"sub({start}, {length}) outside handle of length {self.length}"
-            )
-        return Handle(self.region, self.offset + start, length)
 
 
 # Arenas up to this size are heap bytearrays, which reuse what a dropped rig
@@ -160,10 +151,6 @@ class MemorySystem:
         if h.region != arena.id:
             return False
         return 0 <= h.offset and 0 <= h.length and h.offset + h.length <= arena.size
-
-    def is_device_accessible(self, region: int) -> bool:
-        # register admits only this system's SHARED arenas
-        return region in self.registered
 
     # -- byte access (the single trust-boundary choke point) ---------------
     #

@@ -23,12 +23,17 @@ grep -qx 'clamped    5000 connections to the 1562 the link carries' "$dir/load.t
 # copy = none is a zero-copy profile, by flag or config key; any other
 # config value is refused
 $cli echo --copy none --duration 0.01 --format csv
-printf 'copy = none\nseed = 4\n' > "$dir/run.cfg"
+printf 'copy = none\n' > "$dir/run.cfg"
 $cli ipsec --config "$dir/run.cfg" --duration 0.01 --format json
 printf 'copy = maybe\n' > "$dir/bad.cfg"
 rc=0; $cli echo --config "$dir/bad.cfg" || rc=$?
 test "$rc" -eq 2
+# a command takes only the flags its run reads
 rc=0; $cli load --adversary /nonexistent || rc=$?
+test "$rc" -eq 2
+rc=0; $cli load --duration 1 || rc=$?
+test "$rc" -eq 2
+rc=0; $cli factors-report --payload 1 || rc=$?
 test "$rc" -eq 2
 # 10^9 sends would keep more memory than an echo run may
 rc=0; $cli echo --rate 1e12 --duration 0.001 || rc=$?
@@ -51,6 +56,10 @@ rc=0; $cli echo --adversary "$dir/breach.txt" --duration 0.01 > "$dir/breach.jso
 test "$rc" -eq 3
 python -c "import json, pathlib, sys; r = json.loads(pathlib.Path(sys.argv[1]).read_text()); sys.exit(0 if r['breach'] is True else 1)" "$dir/breach.json"
 rc=0; $cli echo --adversary "$dir/plan.txt" --format csv || rc=$?
+test "$rc" -eq 2
+# and a plan action takes only the keys it reads
+printf 'drop_packet target=a slot=3\n' > "$dir/bad-plan.txt"
+rc=0; $cli echo --adversary "$dir/bad-plan.txt" --duration 0.01 || rc=$?
 test "$rc" -eq 2
 rc=0; $cli echo --adversary "$dir/plan.txt" --duration abc || rc=$?
 test "$rc" -eq 2

@@ -257,6 +257,25 @@ class TestConfigValidation:
         cfg = BenchConfig(rate_pps=1e6, connections=10, profile=CostProfile.bare())
         assert run_load(cfg).clamped_from == 10
 
+    def test_load_runs_check_only_what_they_read(self):
+        # a run too short to send, with a seed no generator would take: the
+        # echo runners refuse both, and the fluid model reads neither
+        cfg = BenchConfig(rate_pps=1000, duration_s=0.0001, seed=2**64)
+        for echo_check in (validate_config, run_echo_result):
+            with pytest.raises(ConfigInvalid, match="sends no packet"):
+                echo_check(cfg)
+        assert run_load(cfg).capacity_pps > 0
+
+    @pytest.mark.parametrize("seed", [2**64 + 5, -1])
+    def test_seed_outside_64_bits_refused(self, seed):
+        """The generators keep 64 bits of a seed: 2^64 + 5 would run the
+        same bytes as 5, so it is refused rather than aliased."""
+        cfg = BenchConfig(duration_s=0.01, ipsec=OffloadMode.LOOKASIDE)
+        with pytest.raises(ConfigInvalid) as refused:
+            run_echo_result(replace(cfg, seed=seed))
+        assert str(refused.value) == f"seed {seed} lies outside [0, 2^64)"
+        assert run_echo_result(replace(cfg, seed=2**64 - 1)).received == 50
+
 
 class TestServiceModel:
     def test_service_formula_from_first_principles(self):

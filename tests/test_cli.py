@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from fresh_interpreter import run_python, source_env
-from splitio import simloop
+from splitio import cli, simloop
 from splitio.bench import BenchConfig, CostProfile, emit_report, max_connections, run_echo
 from splitio.cli import main
 
@@ -53,7 +54,7 @@ class TestEchoCommand:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_ipsec_command_defaults_to_lookaside(self, capsys, fmt):
-        run = ("--duration", "0.05", "--seed", "7", "--format", fmt)
+        run = ("--duration", "0.05", "--format", fmt)
         code, ipsec_out, _ = run_cli(capsys, "ipsec", *run)
         assert code == 0
         code, lookaside_out, _ = run_cli(capsys, "echo", "--ipsec", "lookaside", *run)
@@ -102,32 +103,39 @@ class TestEchoCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: inf sends") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("seed", ["18446744073709551621", "-1"])
-    def test_seed_outside_64_bits_exits_two(self, capsys, seed):
-        """The generators keep 64 bits of a seed: 2^64 + 5 would run the
-        same bytes as 5, so it is refused rather than aliased."""
-        code, out, err = run_cli(capsys, "ipsec", "--seed", seed, "--duration", "0.01")
-        assert (code, out) == (2, "")
-        assert err == f"error: seed {seed} lies outside [0, 2^64)\n"
-        code, _, err = run_cli(capsys, "ipsec", "--seed", str(2**64 - 1), "--duration", "0.01")
-        assert (code, err) == (0, "")
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--copy", "maybe"), "copy must be single or none, got 'maybe'"),
+            (("--ipsec", "sideways"), "ipsec must be lookaside or inline, got 'sideways'"),
+            (("--format", "xml"), "echo reports render as text or json or csv"),
+            (("--rate",), "argument --rate: expected one argument"),
+        ],
+    )
+    def test_bad_flag_value_is_one_line(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "echo", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _finite_case(argv, message):
+    return pytest.param(argv, message, id="_".join(argv))
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("echo", "--rate", "nan"),
-        ("echo", "--rate", "inf"),
-        ("echo", "--duration", "inf"),
-        ("load", "--rate", "nan"),
-        ("load", "--duration", "nan"),
+        _finite_case(("echo", "--rate", "nan"), "rate and duration must be finite"),
+        _finite_case(("echo", "--rate", "inf"), "rate and duration must be finite"),
+        _finite_case(("echo", "--duration", "inf"), "rate and duration must be finite"),
+        _finite_case(("load", "--rate", "nan"), "rate must be finite"),
+        # a load run reads no duration, so it takes no flag for one
+        _finite_case(("load", "--duration", "nan"), "unrecognized arguments: --duration nan"),
     ],
-    ids="_".join,
 )
-def test_non_finite_rate_or_duration_exits_two(capsys, argv):
+def test_non_finite_rate_or_duration_exits_two(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "error: rate and duration must be finite\n"
+    assert err == f"error: {message}\n"
 
 
 class TestConfigFile:
@@ -152,7 +160,7 @@ class TestConfigFile:
         cfg.write_text("speed=9000\n")
         code, _, err = run_cli(capsys, "echo", "--config", str(cfg))
         assert code == 2
-        assert "unknown key" in err
+        assert "unknown key 'speed' for echo" in err
 
     def test_bad_copy_value_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -235,7 +243,7 @@ class TestAdversaryRuns:
         plan = tmp_path / "plan.txt"
         plan.write_text("forge_address target=a when=1000 region=999 offset=0 length=64\n")
         code, out, _ = run_cli(
-            capsys, "echo", "--adversary", str(plan), "--seed", "4", "--duration", "0.01"
+            capsys, "echo", "--adversary", str(plan), "--duration", "0.01"
         )
         assert code == 0
         report = json.loads(out)
@@ -246,7 +254,7 @@ class TestAdversaryRuns:
         plan = tmp_path / "plan.txt"
         plan.write_text("corrupt_ciphertext target=a when=1000 offset=24\n")
         code, out, _ = run_cli(
-            capsys, "ipsec", "--adversary", str(plan), "--seed", "4", "--duration", "0.01"
+            capsys, "ipsec", "--adversary", str(plan), "--duration", "0.01"
         )
         assert code == 0
         assert json.loads(out)["breach"] is False
@@ -255,8 +263,7 @@ class TestAdversaryRuns:
         plan = tmp_path / "plan.txt"
         plan.write_text("corrupt_ciphertext target=a when=1000 offset=24\n")
         code, out, _ = run_cli(
-            capsys, "echo", "--ipsec", "inline", "--adversary", str(plan), "--seed", "4",
-            "--duration", "0.01",
+            capsys, "echo", "--ipsec", "inline", "--adversary", str(plan), "--duration", "0.01"
         )
         assert code == 0
         report = json.loads(out)
@@ -269,9 +276,8 @@ class TestAdversaryRuns:
         code, out, err = run_cli(
             capsys, "load", "--adversary", "/nonexistent", "--payload", "1000", "--rate", "200"
         )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: --adversary") and err.count("\n") == 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unrecognized arguments: --adversary") and err.count("\n") == 1
 
     def test_factors_report_refuses_a_plan_config_key(self, capsys, tmp_path):
         plan = tmp_path / "plan.txt"
@@ -279,9 +285,8 @@ class TestAdversaryRuns:
         config = tmp_path / "run.conf"
         config.write_text(f"adversary={plan}\n")
         code, out, err = run_cli(capsys, "factors-report", "--config", str(config))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: --adversary") and err.count("\n") == 1
+        assert (code, out) == (2, "")
+        assert err == f"error: {config}:1: unknown key 'adversary' for factors-report\n"
 
     def test_explicit_json_format_accepted(self, capsys, tmp_path):
         plan = tmp_path / "plan.txt"
@@ -313,7 +318,11 @@ class TestAdversaryRuns:
 
     def test_bad_plan_exits_two(self, capsys, tmp_path):
         plan = tmp_path / "plan.txt"
-        for text in ("summon_gremlins target=a\n", "drop_packet target=a count=0\n"):
+        for text in (
+            "summon_gremlins target=a\n",
+            "drop_packet target=a count=0\n",
+            "drop_packet target=a slot=3\n",
+        ):
             plan.write_text(text)
             code, out, err = run_cli(capsys, "echo", "--adversary", str(plan))
             assert (code, out) == (2, "")
@@ -386,7 +395,7 @@ class TestAdversaryRuns:
             f"tamper_shared target=a when=27000 region={region} offset=0 data={'c396' * 8}\n"
         )
         code, out, _ = run_cli(
-            capsys, "echo", "--adversary", str(plan), "--seed", "4", "--duration", "0.01"
+            capsys, "echo", "--adversary", str(plan), "--duration", "0.01"
         )
         assert code == 3
         assert json.loads(out)["breach"] is True
@@ -394,12 +403,127 @@ class TestAdversaryRuns:
 
 class TestParserBasics:
     def test_missing_command(self, capsys):
-        with pytest.raises(SystemExit):
-            main([])
+        code, out, err = run_cli(capsys)
+        assert (code, out, err) == (2, "", "error: the following arguments are required: command\n")
 
     def test_unknown_flag(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["echo", "--warp-speed"])
+        code, out, err = run_cli(capsys, "echo", "--warp-speed")
+        assert (code, out, err) == (2, "", "error: unrecognized arguments: --warp-speed\n")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["echo", "-h"], ["factors-report", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: splitio")
+
+
+_LOAD_FLAGS = {"payload", "rate", "connections", "copy", "ipsec", "format", "out", "config"}
+_ECHO_FLAGS = _LOAD_FLAGS | {"duration", "notification", "adversary"}
+DECLARED = {
+    "echo": _ECHO_FLAGS,
+    "ipsec": _ECHO_FLAGS,
+    "load": _LOAD_FLAGS,
+    "factors-report": {"format", "out", "config"},
+}
+# the flags every command took when each took them all
+EVERY_FLAG = _ECHO_FLAGS | {"seed"}
+DROPPED = [(command, flag) for command in DECLARED for flag in sorted(EVERY_FLAG - DECLARED[command])]
+
+
+def declared_flags():
+    """Each command's flags, read off the parser main builds."""
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {a.dest for a in sub._actions if a.dest != "help"}
+        for name, sub in commands.choices.items()
+    }
+
+
+def drop_one_plan(tmp_path):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("drop_packet target=a count=1\n")
+    return str(plan)
+
+
+class TestDeclaredFlags:
+    def test_each_command_declares_what_its_run_reads(self):
+        declared = declared_flags()
+        assert declared == DECLARED
+        assert {c: len(f) for c, f in declared.items()} == {
+            "echo": 11, "ipsec": 11, "load": 8, "factors-report": 3,
+        }
+        assert sum(map(len, declared.values())) == 33
+        assert len(DROPPED) == 15
+
+    def test_config_keys_are_the_flags_but_config(self, capsys, tmp_path):
+        """A config file takes exactly its command's flags, --config aside:
+        all of them at once run, and any other key is refused by name."""
+        valid = {
+            "payload": "128", "rate": "1000", "connections": "1", "copy": "single",
+            "ipsec": "lookaside", "format": "json", "out": str(tmp_path / "report"),
+            "duration": "0.01", "notification": "polling", "adversary": drop_one_plan(tmp_path),
+            "seed": "4", "config": str(tmp_path / "other.cfg"),
+        }
+        accepted = 0
+        for command, flags in declared_flags().items():
+            keys = flags - {"config"}
+            cfg = tmp_path / f"{command}.cfg"
+            cfg.write_text("".join(f"{key}={valid[key]}\n" for key in sorted(keys)))
+            code, out, err = run_cli(capsys, command, "--config", str(cfg))
+            assert (code, err) == (0, ""), command
+            accepted += len(keys)
+            for key in sorted(EVERY_FLAG - keys):
+                cfg.write_text(f"{key}={valid[key]}\n")
+                code, out, err = run_cli(capsys, command, "--config", str(cfg))
+                assert (code, out) == (2, "")
+                assert err == f"error: {cfg}:1: unknown key {key!r} for {command}\n"
+        assert accepted == 29
+
+    @pytest.mark.parametrize("command, flag", DROPPED)
+    def test_dropped_flag_refused(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, f"--{flag}", "1")
+        assert (code, out, err) == (2, "", f"error: unrecognized arguments: --{flag} 1\n")
+
+
+# a value for each run flag other than the one the base run uses
+_OTHER_VALUE = {
+    "payload": "256",
+    "rate": "1000",
+    "connections": "2",
+    "copy": "none",
+    "format": "json",
+    "duration": "0.02",
+    "notification": "interrupt:2000",
+}
+_OTHER_MODE = {"echo": "lookaside", "ipsec": "inline", "load": "lookaside"}
+_BASE_RUN = {"echo": ("--duration", "0.01"), "ipsec": ("--duration", "0.01")}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (command, flag)
+        for command, flags in DECLARED.items()
+        for flag in sorted(flags - {"out", "config"})
+    ],
+)
+def test_each_run_flag_changes_the_report(capsys, tmp_path, command, flag):
+    """Every flag a command declares, --out and --config aside, reaches its
+    report: no flag is accepted and then ignored."""
+    if flag == "adversary":
+        value = drop_one_plan(tmp_path)
+    elif flag == "ipsec":
+        value = _OTHER_MODE[command]
+    else:
+        value = _OTHER_VALUE[flag]
+    base = _BASE_RUN.get(command, ())
+    code, base_out, _ = run_cli(capsys, command, *base)
+    assert code == 0
+    code, out, err = run_cli(capsys, command, *base, f"--{flag}", value)
+    assert (code, err) == (0, "")
+    assert out != base_out
 
 
 def test_console_smoke_script(tmp_path):

@@ -33,6 +33,29 @@ def empty_plan() -> AdversaryPlan:
     return AdversaryPlan.parse("")
 
 
+# the keys each action kind takes
+PLAN_KEYS = {
+    "tamper_shared": {"target", "when", "region", "offset", "data"},
+    "forge_writeback": {"target", "when", "slot", "length", "status_error"},
+    "forge_address": {"target", "when", "region", "offset", "length"},
+    "replay_descriptor": {"target", "when", "slot"},
+    "drop_packet": {"target", "when", "count"},
+    "corrupt_ciphertext": {"target", "when", "offset"},
+}
+# a value for every key an action has, each other than the field's default
+KEY_VALUES = {
+    "target": "b",
+    "when": "7",
+    "region": "2",
+    "offset": "5",
+    "data": "ff",
+    "length": "3",
+    "slot": "4",
+    "status_error": "3",
+    "count": "2",
+}
+
+
 class TestPlanParsing:
     def test_full_grammar(self):
         text = """
@@ -65,6 +88,8 @@ class TestPlanParsing:
             ("launch_missiles", "line 1"),
             ("drop_packet\ntamper_shared data=xyz", "line 2"),
             ("tamper_shared unknown_key=1", "unknown key"),
+            # refused for the key, before its value is read
+            ("drop_packet slot=abc", "line 1: unknown key 'slot' for drop_packet"),
             ("tamper_shared data", "key=value"),
             ("forge_writeback slot=abc", "bad value"),
             ("tamper_shared target=c", "target"),
@@ -78,6 +103,31 @@ class TestPlanParsing:
     def test_bad_plans(self, text, fragment):
         with pytest.raises(BadPlan, match=fragment):
             AdversaryPlan.parse(text)
+
+    def test_each_kind_declares_the_keys_it_reads(self):
+        declared = {kind.value: set(keys) for kind, keys in devsim._PLAN_KEYS.items()}
+        assert declared == PLAN_KEYS
+        assert sum(map(len, declared.values())) == 24
+
+    @pytest.mark.parametrize("key", sorted(KEY_VALUES))
+    @pytest.mark.parametrize("kind", sorted(PLAN_KEYS))
+    def test_action_takes_only_its_keys(self, kind, key):
+        value = KEY_VALUES[key]
+        line = f"{kind} {key}={value}"
+        if kind == "forge_address" and key != "length":
+            line += " length=1"
+        text = f"drop_packet count=1\n{line}"
+        if key not in PLAN_KEYS[kind]:
+            with pytest.raises(BadPlan, match=f"^line 2: unknown key '{key}' for {kind}$"):
+                AdversaryPlan.parse(text)
+            return
+        action = AdversaryPlan.parse(text).actions[1]
+        if key == "data":
+            assert action.data == bytes.fromhex(value)
+        elif key == "target":
+            assert action.target == value
+        else:
+            assert getattr(action, key) == int(value)
 
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "plan.txt"

@@ -33,7 +33,7 @@ from splitio.ipsec import (
     inline_attach,
 )
 from splitio.errors import AlreadyAttached
-from splitio.mem import MemorySystem, Side
+from splitio.mem import Handle, MemorySystem, Side
 from splitio.pools import PoolConfig, port_new
 
 KEY = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
@@ -63,7 +63,8 @@ def wire_loopback(port, mutate=None):
         if mutate is not None:
             frame = mutate(frame)
         rx = rx_views.pop(0)
-        port.mem.write(rx.packet_address.sub(0, len(frame)), Side.DEVICE, frame)
+        room = rx.packet_address
+        port.mem.write(Handle(room.region, room.offset, len(frame)), Side.DEVICE, frame)
         port.rx_ring.device_writeback_rx(rx.slot, length=len(frame))
         port.tx_ring.device_writeback_tx(view.slot)
     return frames

@@ -53,7 +53,8 @@ def device_loopback(port):
     for view in port.tx_ring.device_fetch():
         payload = port.mem.read(view.address, Side.DEVICE)
         rx = rx_views.pop(0)
-        port.mem.write(rx.packet_address.sub(0, len(payload)), Side.DEVICE, payload)
+        room = rx.packet_address
+        port.mem.write(Handle(room.region, room.offset, len(payload)), Side.DEVICE, payload)
         port.rx_ring.device_writeback_rx(rx.slot, length=len(payload))
         port.tx_ring.device_writeback_tx(view.slot)
         delivered += 1
@@ -154,7 +155,7 @@ class TestConstruction:
             assert mem.read(pool.meta_slab, Side.VM) == reference_meta_slab(pool, app_fill)
             for i in range(pool.count):
                 room = Handle(pool.region, PacketBuffer(pool, i).room_at, pool.data_room)
-                assert room == rooms.sub(i * pool.data_room, pool.data_room)
+                assert room == Handle(rooms.region, rooms.offset + i * pool.data_room, pool.data_room)
 
     @pytest.mark.parametrize("kind", ["shared", "shadow"])
     def test_data_room_index_checked(self, kind):
@@ -260,7 +261,8 @@ class TestFusedMetadataWrites:
         shadow = port.pools.shadow
         mem.write_at(shadow.region, index * METADATA_OVERHEAD + 8, b"\xff" * 8, Side.VM)
         rx = port.rx_ring.device_fetch()[0]
-        mem.write(rx.packet_address.sub(0, 100), Side.DEVICE, bytes(range(100)))
+        room = rx.packet_address
+        mem.write(Handle(room.region, room.offset, 100), Side.DEVICE, bytes(range(100)))
         port.rx_ring.device_writeback_rx(rx.slot, length=100)
         # packet_info and rss as a NIC that computes them would write them;
         # the simulated one writes 0

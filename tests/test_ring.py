@@ -56,7 +56,7 @@ def write_rx_fields(mem, ring, slot, packet_info, rss, vlan_tag):
 
 
 def tx_desc(buf: Handle, length: int = 64) -> TxDescriptor:
-    return TxDescriptor(address=buf.sub(0, length), cmd_type_len=length, olinfo_status=0)
+    return TxDescriptor(address=Handle(buf.region, buf.offset, length), cmd_type_len=length, olinfo_status=0)
 
 
 class TestHandleWidths:
@@ -168,7 +168,7 @@ class TestTxPath:
         slot = ring.vm_post_tx(tx_desc(bufs[0], 100))
         views = ring.device_fetch()
         assert [v.slot for v in views] == [slot]
-        assert views[0].address == bufs[0].sub(0, 100)
+        assert views[0].address == Handle(bufs[0].region, bufs[0].offset, 100)
         assert views[0].cmd_type_len & 0xFFFF == 100
 
     def test_fetch_consumes(self):
