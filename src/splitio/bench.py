@@ -22,12 +22,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import (
-    BadQuantile,
-    ConfigInvalid,
-    EmptySamples,
-    ZeroArgument,
-)
+from .errors import ConfigInvalid, SplitioError
 from .ipsec import ESP_OVERHEAD, OffloadMode, esp_frame_len
 from .pools import PoolConfig
 from .prng import MASK64
@@ -197,9 +192,9 @@ def stage_costs(cfg: BenchConfig, rx_on_wire: bool = False) -> StageCosts:
 def percentile(samples: Sequence[float], q: float) -> float:
     """Nearest-rank percentile: sorted[ceil(q*n) - 1]."""
     if not samples:
-        raise EmptySamples("percentile of an empty sample set")
+        raise SplitioError("percentile of an empty sample set")
     if not 0.0 < q <= 1.0:
-        raise BadQuantile(f"quantile {q} outside (0, 1]")
+        raise SplitioError(f"quantile {q} outside (0, 1]")
     ordered = sorted(samples)
     return ordered[math.ceil(q * len(ordered)) - 1]
 
@@ -273,7 +268,7 @@ def max_connections(bandwidth_bps: float, payload_bytes: int, rate_pps: float) -
     """floor(bandwidth / (payload * 8 * rate)): the connection count at which
     offered load meets the link."""
     if bandwidth_bps <= 0 or payload_bytes <= 0 or rate_pps <= 0:
-        raise ZeroArgument("bandwidth, payload, and rate must all be positive")
+        raise ConfigInvalid("bandwidth, payload, and rate must all be positive")
     return int(bandwidth_bps // (payload_bytes * 8 * rate_pps))
 
 
@@ -404,9 +399,9 @@ def app_cost_sweep(
     crypto cost, taken as given per transform, are priced: copies are free
     and the link is unbounded, so the payload length does not matter."""
     if rate_pps <= 0:
-        raise ZeroArgument("rate must be positive")
+        raise ConfigInvalid("rate must be positive")
     if crypto_cost_ns < 0 or any(c <= 0 for c in app_costs_ns):
-        raise ZeroArgument("app costs must be positive and crypto cost non-negative")
+        raise ConfigInvalid("app costs must be positive and crypto cost non-negative")
     flat = replace(CostProfile.bare(), crypto_fixed_ns=int(crypto_cost_ns))
     cfg = BenchConfig(rate_pps=rate_pps, profile=flat, bandwidth_bps=float("inf"))
     out: dict[OffloadMode, list[int]] = {OffloadMode.LOOKASIDE: [], OffloadMode.INLINE: []}

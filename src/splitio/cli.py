@@ -7,10 +7,10 @@
 
 Each command takes only the flags its run reads. A config file (--config)
 holds any of the command's other flags as `key=value` lines; explicit flags
-override file values. Exit status: 0 on success, 2 for anything wrong with
-the command line or the configuration (one `error:` line), 3 when an
-adversary run detects an invariant violation. Adversary reports are JSON
-only.
+override file values. Exit status: 0 on success; 2 for anything wrong with
+the command line, the configuration or a plan, and 1 for any other refusal,
+each with one `error:` line; 3 when an adversary run detects an invariant
+violation. Adversary reports are JSON only.
 """
 
 from __future__ import annotations
@@ -24,13 +24,7 @@ from typing import Optional
 from . import factors
 from .bench import BenchConfig, CostProfile, emit_report, run_echo, run_load
 from .devsim import AdversaryPlan
-from .errors import (
-    BadPlan,
-    ConfigInvalid,
-    ReportIoError,
-    SplitioError,
-    ZeroArgument,
-)
+from .errors import ConfigInvalid, SplitioError
 from .ipsec import OffloadMode
 from .simloop import run_echo_attack
 
@@ -79,10 +73,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="splitio", description=__doc__)
+    parser = _Parser(
+        prog="splitio",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (flags, help_text) in _COMMANDS.items():
-        cmd = sub.add_parser(command, help=help_text)
+        cmd = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for key in flags:
             cmd.add_argument(f"--{key}", help=_FLAGS[key][1])
         cmd.add_argument("--config", help="key=value file holding any of the flags above")
@@ -180,7 +179,7 @@ def _write_out(text: str, path: Optional[str]) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ReportIoError(f"cannot write {path}: {exc}") from exc
+        raise ConfigInvalid(f"cannot write {path}: {exc}") from exc
 
 
 def _load_text(report, fmt: str) -> str:
@@ -232,7 +231,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(text, end="")
         _write_out(text, values["out"])
         return code
-    except (ConfigInvalid, BadPlan, ZeroArgument, ReportIoError) as exc:
+    except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SplitioError as exc:

@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .bench import StageCosts
-from .errors import (
-    BadPlan,
-    ConfigInvalid,
-    DeviceAccessDenied,
-    EventBudgetExhausted,
-    OutOfBounds,
-    SplitioError,
-)
+from .errors import ConfigInvalid, DeviceAccessDenied, OutOfBounds, SplitioError
 from .ipsec import CryptoWorker
 from .mem import Handle, MemorySystem, Side
 from .pools import PoolConfig, PortContext, port_new
@@ -99,9 +92,10 @@ class AdversaryPlan:
     @staticmethod
     def parse(text: str) -> "AdversaryPlan":
         """Line format: `<action> key=value ...`. Unknown actions, keys
-        outside the action's _PLAN_KEYS and bad values raise BadPlan, and so
-        do a count or a forge_address length below 1. Blank lines and
-        #-comments are skipped."""
+        outside the action's _PLAN_KEYS and bad values raise ConfigInvalid, and
+        so do a count or a forge_address length below 1 and a length or
+        status_error that does not fit its 16-bit device field. Blank lines
+        and #-comments are skipped."""
         actions = []
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -111,32 +105,37 @@ class AdversaryPlan:
             try:
                 kind = ActionKind(parts[0])
             except ValueError:
-                raise BadPlan(f"line {lineno}: unknown action {parts[0]!r}") from None
+                raise ConfigInvalid(f"line {lineno}: unknown action {parts[0]!r}") from None
             kwargs: dict = {}
             for tok in parts[1:]:
                 if "=" not in tok:
-                    raise BadPlan(f"line {lineno}: expected key=value, got {tok!r}")
+                    raise ConfigInvalid(f"line {lineno}: expected key=value, got {tok!r}")
                 key, val = tok.split("=", 1)
                 if key not in _PLAN_KEYS[kind]:
-                    raise BadPlan(f"line {lineno}: unknown key {key!r} for {kind.value}")
+                    raise ConfigInvalid(f"line {lineno}: unknown key {key!r} for {kind.value}")
                 try:
                     if key == "data":
                         kwargs[key] = bytes.fromhex(val)
                     elif key == "target":
                         if val not in ("a", "b"):
-                            raise BadPlan(f"line {lineno}: target must be a or b")
+                            raise ConfigInvalid(f"line {lineno}: target must be a or b")
                         kwargs[key] = val
                     else:
                         kwargs[key] = int(val, 0)
                 except ValueError:
-                    raise BadPlan(f"line {lineno}: bad value for {key}: {val!r}") from None
+                    raise ConfigInvalid(f"line {lineno}: bad value for {key}: {val!r}") from None
             action = AdversaryAction(kind=kind, **kwargs)
             if action.count < 1:
-                raise BadPlan(f"line {lineno}: count must be at least 1, got {action.count}")
+                raise ConfigInvalid(f"line {lineno}: count must be at least 1, got {action.count}")
             if kind is ActionKind.FORGE_ADDRESS and action.length < 1:
-                raise BadPlan(
+                raise ConfigInvalid(
                     f"line {lineno}: forge_address length must be at least 1, got {action.length}"
                 )
+            for key in ("length", "status_error"):
+                if not 0 <= kwargs.get(key, 0) <= 0xFFFF:
+                    raise ConfigInvalid(
+                        f"line {lineno}: {key} must lie in [0, 0xFFFF], got {kwargs[key]}"
+                    )
             actions.append(action)
         return AdversaryPlan(actions)
 
@@ -146,9 +145,9 @@ class AdversaryPlan:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise BadPlan(f"cannot read plan {path}: {exc.strerror or exc}") from None
+            raise ConfigInvalid(f"cannot read plan {path}: {exc.strerror or exc}") from None
         except UnicodeDecodeError as exc:
-            raise BadPlan(f"cannot read plan {path}: not UTF-8 at byte {exc.start}") from None
+            raise ConfigInvalid(f"cannot read plan {path}: not UTF-8 at byte {exc.start}") from None
         return AdversaryPlan.parse(text)
 
 
@@ -481,7 +480,7 @@ class LoopbackSystem:
         budget = 10_000 + (len(heap) + later) * 150
         while heap and heap[0][0] <= until:
             if not budget:
-                raise EventBudgetExhausted(
+                raise SplitioError(
                     f"event budget spent with {len(heap)} events still queued"
                 )
             budget -= 1

@@ -1,7 +1,17 @@
 """Exception types shared across the package.
 
-Every error raised by the public API derives from SplitioError so callers can
-catch the whole family with one clause. Names state the violated condition.
+Every error raised by the public API derives from SplitioError, and its
+message names the violated condition. A subclass exists only where some
+caller reacts to it differently from the rest; every other refusal raises
+SplitioError itself. The catchers:
+
+* SplitioError: the CLI exits 1; SimNic._execute rejects the action.
+* ConfigInvalid: the CLI exits 2 (flags, config file, plan, --out path).
+* DeviceAccessDenied: the NIC's ring fetch and its DMA reject the access.
+* OutOfBounds: the NIC's DMA rejects the access.
+* RingFull: tx_burst frees the buffer it staged.
+* PoolExhausted: tx_burst, rx_burst and the echo app's send stop short.
+* AuthFail: esp_open counts the frame in auth_fail and refuses it.
 """
 
 
@@ -9,17 +19,7 @@ class SplitioError(Exception):
     pass
 
 
-# memory / shared-region lifecycle
-
-class ZeroSize(SplitioError):
-    pass
-
-
-class NotShared(SplitioError):
-    pass
-
-
-class AlreadyTornDown(SplitioError):
+class ConfigInvalid(SplitioError):
     pass
 
 
@@ -31,27 +31,7 @@ class OutOfBounds(SplitioError):
     pass
 
 
-class QuarantinedArena(SplitioError):
-    """Arena left behind by a non-graceful port teardown; must be zeroed first."""
-
-
-# descriptor rings
-
-class BadCapacity(SplitioError):
-    pass
-
-
 class RingFull(SplitioError):
-    pass
-
-
-class AddressNotShared(SplitioError):
-    pass
-
-
-# buffer pools
-
-class ArenaTooSmall(SplitioError):
     pass
 
 
@@ -59,81 +39,5 @@ class PoolExhausted(SplitioError):
     pass
 
 
-class ForeignBuffer(SplitioError):
-    pass
-
-
-class OversizePacket(SplitioError):
-    pass
-
-
-# device simulator
-
-class BadPlan(SplitioError):
-    """Adversary plan file could not be parsed."""
-
-
-# ipsec
-
-class Oversize(SplitioError):
-    pass
-
-
-class SeqExhausted(SplitioError):
-    pass
-
-
 class AuthFail(SplitioError):
-    pass
-
-
-class Malformed(SplitioError):
-    pass
-
-
-class AlreadyAttached(SplitioError):
-    pass
-
-
-class BadSaConfig(SplitioError):
-    pass
-
-
-# overhead factors
-
-class SameConfig(SplitioError):
-    pass
-
-
-class MissingBaseline(SplitioError):
-    pass
-
-
-class ZeroBaseline(SplitioError):
-    pass
-
-
-# bench
-
-class ZeroArgument(SplitioError):
-    pass
-
-
-class EmptySamples(SplitioError):
-    pass
-
-
-class BadQuantile(SplitioError):
-    pass
-
-
-class ConfigInvalid(SplitioError):
-    pass
-
-
-class ReportIoError(SplitioError):
-    pass
-
-
-class EventBudgetExhausted(SplitioError):
-    """The echo rig's event loop hit its safety budget with work still queued."""
+    """A received ESP frame failed verification: bad structure or bad tag."""

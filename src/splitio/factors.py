@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import ConfigInvalid, MissingBaseline, SameConfig, ZeroBaseline
+from .errors import ConfigInvalid, SplitioError
 
 
 class FactorClass(enum.Enum):
@@ -116,7 +116,7 @@ def diff_configs(
     """Factors whose state differs between two configurations, in matrix row
     order. Differencing a configuration against itself is a caller bug."""
     if a is b:
-        raise SameConfig(f"cannot diff {a.value} against itself")
+        raise SplitioError(f"cannot diff {a.value} against itself")
     ia, ib = _CONFIG_ORDER.index(a), _CONFIG_ORDER.index(b)
     out = []
     for factor, row in _MATRIX_ROWS.items():
@@ -180,12 +180,12 @@ def standardize(rows: dict[VmConfiguration, dict[str, float]], baseline: VmConfi
     """Turn absolute per-statistic latencies into baseline-relative ratios,
     rounded to two decimals (the table's printed precision)."""
     if baseline not in rows:
-        raise MissingBaseline(f"no row for baseline {baseline.value}")
+        raise SplitioError(f"no row for baseline {baseline.value}")
     base = rows[baseline]
     out = {}
     for stat in ("mean", "median", "p95", "p99"):
         if base.get(stat, 0.0) == 0.0:
-            raise ZeroBaseline(f"baseline {stat} is zero")
+            raise SplitioError(f"baseline {stat} is zero")
     for config, stats in rows.items():
         out[config] = LatencyRow(
             mean=round(stats["mean"] / base["mean"], 2),

@@ -50,17 +50,7 @@ import weakref
 from collections import deque
 from typing import Optional
 
-from .errors import (
-    AlreadyAttached,
-    AuthFail,
-    BadSaConfig,
-    ForeignBuffer,
-    Malformed,
-    OutOfBounds,
-    Oversize,
-    SeqExhausted,
-    SplitioError,
-)
+from .errors import AuthFail, OutOfBounds, SplitioError
 from .mem import Handle, MemorySystem, RegionKind, Side
 from .pools import META_OFF_MSG_TYPE, PacketBuffer, PortContext
 from .prng import Splitmix64
@@ -107,10 +97,6 @@ def _load_aead() -> None:
     from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 
-class WrongDirection(SplitioError):
-    pass
-
-
 class SecurityAssociation:
     """One direction of one flow. Key material is stored in a private arena;
     the object keeps only its handles and the next outbound sequence number."""
@@ -119,11 +105,11 @@ class SecurityAssociation:
         self, mem: MemorySystem, spi: int, key: bytes, salt: bytes, direction: SaDirection
     ):
         if len(key) != KEY_LEN:
-            raise BadSaConfig(f"key must be {KEY_LEN} bytes, got {len(key)}")
+            raise SplitioError(f"key must be {KEY_LEN} bytes, got {len(key)}")
         if len(salt) != SALT_LEN:
-            raise BadSaConfig(f"salt must be {SALT_LEN} bytes, got {len(salt)}")
+            raise SplitioError(f"salt must be {SALT_LEN} bytes, got {len(salt)}")
         if not 0 <= spi <= 0xFFFFFFFF:
-            raise BadSaConfig(f"spi out of u32 range: {spi}")
+            raise SplitioError(f"spi out of u32 range: {spi}")
         self.mem = mem
         self.spi = spi
         self.direction = direction
@@ -165,17 +151,17 @@ def esp_frame_len(pkt_len: int) -> int:
 def esp_encrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optional[dict] = None) -> None:
     """Protect a shadow buffer in place; pkt_len grows by 34..37 bytes."""
     if sa.direction is not _OUTBOUND:
-        raise WrongDirection("encrypt requires an outbound association")
+        raise SplitioError("encrypt requires an outbound association")
     if buf.pool.mem is not sa.mem:
-        raise ForeignBuffer("buffer and association belong to different memory systems")
+        raise SplitioError("buffer and association belong to different memory systems")
     pkt_len, pool = buf.pkt_len, buf.pool
     room = pool.data_room
     if pkt_len < ADDR_PREFIX_LEN:
-        raise Malformed(f"packet of {pkt_len} B lacks the {ADDR_PREFIX_LEN} B addressing prefix")
+        raise SplitioError(f"packet of {pkt_len} B lacks the {ADDR_PREFIX_LEN} B addressing prefix")
     if pkt_len > room - ESP_OVERHEAD:
-        raise Oversize(f"{pkt_len} B cannot grow by {ESP_OVERHEAD} B in a {room} B room")
+        raise SplitioError(f"{pkt_len} B cannot grow by {ESP_OVERHEAD} B in a {room} B room")
     if sa.seq > MAX_WIRE_SEQ:
-        raise SeqExhausted(f"sequence space of SPI {sa.spi:#x} exhausted")
+        raise SplitioError(f"sequence space of SPI {sa.spi:#x} exhausted")
 
     mem, region, offset = sa.mem, pool.region, buf.room_at
     raw = mem.read_at(region, offset, pkt_len, _VM)
@@ -202,17 +188,17 @@ def esp_encrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
 def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optional[dict] = None) -> None:
     """Verify and unprotect a shadow buffer in place.
 
-    Structural problems raise Malformed; any authentication problem raises
-    AuthFail. The AAD is taken from the received header bytes, so header
-    tampering surfaces as AuthFail, not as a lookup error.
+    A frame that is malformed or fails authentication raises AuthFail. The
+    AAD is taken from the received header bytes, so header tampering
+    surfaces as AuthFail, not as a lookup error.
     """
     if sa.direction is not _INBOUND:
-        raise WrongDirection("decrypt requires an inbound association")
+        raise SplitioError("decrypt requires an inbound association")
     if buf.pool.mem is not sa.mem:
-        raise ForeignBuffer("buffer and association belong to different memory systems")
+        raise SplitioError("buffer and association belong to different memory systems")
     frame_len = buf.pkt_len
     if frame_len < MIN_FRAME_LEN:
-        raise Malformed(f"frame of {frame_len} B below minimum {MIN_FRAME_LEN}")
+        raise AuthFail(f"frame of {frame_len} B below minimum {MIN_FRAME_LEN}")
     pool = buf.pool
     if frame_len > pool.data_room:
         raise OutOfBounds(f"{frame_len} B outside a data room of {pool.data_room} B")
@@ -223,7 +209,7 @@ def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
     iv = frame[16:24]
     sealed = frame[24:]
     if (len(sealed) - ICV_LEN) % 4 != 0:
-        raise Malformed("ciphertext length not 4-byte aligned")
+        raise AuthFail("ciphertext length not 4-byte aligned")
 
     # the AES op runs whether or not the tag verifies
     if ops_counter is not None:
@@ -237,7 +223,7 @@ def esp_decrypt(sa: SecurityAssociation, buf: PacketBuffer, ops_counter: Optiona
 
     pad_len, _next_header = plaintext[-2], plaintext[-1]
     if pad_len + 2 > len(plaintext):
-        raise Malformed(f"pad length {pad_len} exceeds plaintext")
+        raise AuthFail(f"pad length {pad_len} exceeds plaintext")
     inner = plaintext[: len(plaintext) - 2 - pad_len]
 
     restored = addressing + inner
@@ -254,12 +240,12 @@ def esp_open(
     sa: SecurityAssociation, buf: PacketBuffer, port: PortContext, ops_counter: dict
 ) -> bool:
     """Unprotect buf in place, or refuse it. A frame that fails
-    verification (AuthFail or Malformed) counts in port's auth_fail and
-    returns False; the caller still holds it. Every protected receive path
-    refuses frames here and nowhere else."""
+    verification counts in port's auth_fail and returns False; the caller
+    still holds it. Every protected receive path refuses frames here and
+    nowhere else."""
     try:
         esp_decrypt(sa, buf, ops_counter=ops_counter)
-    except (AuthFail, Malformed):
+    except AuthFail:
         port.counters["auth_fail"] += 1
         return False
     return True
@@ -400,7 +386,7 @@ def inline_attach(
     sa_out: SecurityAssociation,
 ) -> CryptoWorker:
     if getattr(port, "crypto_worker", None) is not None:
-        raise AlreadyAttached("port already has a crypto worker")
+        raise SplitioError("port already has a crypto worker")
     worker = CryptoWorker(port, sa_in, sa_out)
     port.crypto_worker = worker
     return worker

@@ -19,15 +19,7 @@ import mmap
 import struct
 from typing import NamedTuple, NoReturn
 
-from .errors import (
-    AlreadyTornDown,
-    ConfigInvalid,
-    DeviceAccessDenied,
-    NotShared,
-    OutOfBounds,
-    QuarantinedArena,
-    ZeroSize,
-)
+from .errors import ConfigInvalid, DeviceAccessDenied, OutOfBounds, SplitioError
 
 
 class RegionKind(enum.Enum):
@@ -101,7 +93,7 @@ class MemorySystem:
 
     def create_arena(self, kind: RegionKind, size: int) -> Arena:
         if size <= 0:
-            raise ZeroSize(f"arena size must be positive, got {size}")
+            raise SplitioError(f"arena size must be positive, got {size}")
         arena = Arena(self._next_id, kind, size)
         self.arenas[arena.id] = arena
         self._next_id += 1
@@ -117,25 +109,25 @@ class MemorySystem:
 
     def register(self, arena: Arena) -> None:
         if self.torn_down:
-            raise AlreadyTornDown("shared regions already torn down")
+            raise SplitioError("shared regions already torn down")
         if self.arenas.get(arena.id) is not arena:
-            raise NotShared(f"arena {arena.id} belongs to another memory system")
+            raise SplitioError(f"arena {arena.id} belongs to another memory system")
         if arena.kind is not _SHARED:
-            raise NotShared(f"arena {arena.id} is {arena.kind.value}")
+            raise SplitioError(f"arena {arena.id} is {arena.kind.value}")
         self.registered.add(arena.id)
 
     def check_backing(self, region: int) -> None:
         """Refuse a region that may not back a ring: it must be registered,
         which only this system's SHARED arenas can be, and not quarantined."""
         if region not in self.registered:
-            raise NotShared(f"arena {region} is not a registered shared arena")
+            raise SplitioError(f"arena {region} is not a registered shared arena")
         if region in self.quarantined:
-            raise QuarantinedArena(f"arena {region} awaits zero_and_release")
+            raise SplitioError(f"arena {region} awaits zero_and_release")
 
     def zero_and_release(self) -> None:
         """Zero every registered arena, unregister all, and tear down."""
         if self.torn_down:
-            raise AlreadyTornDown("shared regions already torn down")
+            raise SplitioError("shared regions already torn down")
         for region in self.registered:
             arena = self.arenas[region]
             arena.data[:] = bytes(arena.size)

@@ -28,16 +28,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    AlreadyTornDown,
-    ArenaTooSmall,
-    ConfigInvalid,
-    ForeignBuffer,
-    OutOfBounds,
-    OversizePacket,
-    PoolExhausted,
-    RingFull,
-)
+from .errors import ConfigInvalid, OutOfBounds, PoolExhausted, RingFull, SplitioError
 from .mem import Handle, MemorySystem, RegionKind, Side
 from . import ring as ringmod
 from .ring import DescriptorRing, Direction, TxDescriptor
@@ -156,7 +147,7 @@ class PacketBuffer:
 
     def chain(self, nxt: Optional["PacketBuffer"]) -> None:
         if nxt is not None and nxt.pool is not self.pool:
-            raise ForeignBuffer("segments of a chain must come from one pool")
+            raise SplitioError("segments of a chain must come from one pool")
         self._set(META_OFF_NEXT, _U32, META_NEXT_NONE if nxt is None else nxt.index)
 
     def segment_lengths(self) -> list[tuple["PacketBuffer", int]]:
@@ -170,7 +161,7 @@ class PacketBuffer:
             if nxt == META_NEXT_NONE:
                 return out
             if len(out) > pool.count:
-                raise OversizePacket("segment chain longer than the pool")
+                raise SplitioError("segment chain longer than the pool")
             buf = PacketBuffer(pool, nxt)
 
     def total_len(self) -> int:
@@ -180,7 +171,7 @@ class PacketBuffer:
         """App helper: set payload and pkt_len in one go."""
         pool, length = self.pool, len(payload)
         if length > pool.data_room:
-            raise OversizePacket(f"{length} B into a {pool.data_room} B room")
+            raise SplitioError(f"{length} B into a {pool.data_room} B room")
         pool.mem.write_at(pool.region, self.room_at, payload, _VM)
         self.pkt_len = length
 
@@ -269,9 +260,9 @@ class PacketPool:
 
     def free(self, buf: PacketBuffer) -> None:
         if buf.pool is not self:
-            raise ForeignBuffer("buffer belongs to another pool")
+            raise SplitioError("buffer belongs to another pool")
         if self._is_free[buf.index]:
-            raise ForeignBuffer(f"double free of buffer {buf.index}")
+            raise SplitioError(f"double free of buffer {buf.index}")
         if self.kind is _SHADOW:
             # cheap scrub: the app-private area may hold secrets
             self.mem.write_at(self.region, buf.meta_at + META_OFF_APP, self._app_fill, _VM)
@@ -387,13 +378,13 @@ class PortContext:
         checked = []
         for buf in bufs:
             if buf.pool is not shadow_pool:
-                raise ForeignBuffer("tx_burst takes shadow-pool buffers")
+                raise SplitioError("tx_burst takes shadow-pool buffers")
             segments = buf.segment_lengths()
             total = 0
             for _, length in segments:
                 total += length
             if total > room:
-                raise OversizePacket(f"{total} B exceeds {room} B data room")
+                raise SplitioError(f"{total} B exceeds {room} B data room")
             checked.append((segments, total))
 
         mem, region, shadow_region = self.mem, shared.region, shadow_pool.region
@@ -479,11 +470,11 @@ def port_new(
     if canary is not None and not canary:
         raise ConfigInvalid("a canary must be at least one byte long")
     if cfg.mbuf_size < METADATA_OVERHEAD + 64:
-        raise ArenaTooSmall(
+        raise SplitioError(
             f"mbuf_size {cfg.mbuf_size} below metadata overhead {METADATA_OVERHEAD} + 64"
         )
     if cfg.mbuf_count < 1:
-        raise ArenaTooSmall("mbuf_count must be at least 1")
+        raise SplitioError("mbuf_count must be at least 1")
     ringmod.check_capacity(ring_capacity)
     footprint = pool_memory_footprint(cfg)
     pool_bytes, room = footprint["shared"], cfg.data_room
@@ -493,7 +484,7 @@ def port_new(
     if room > 0xFFFF or last > ringmod.MASK32 or mem._next_id > 0xFFFF:
         raise OutOfBounds(f"rooms of {room} B up to offset {last} do not fit the ring encoding")
     if mem.torn_down:
-        raise AlreadyTornDown("shared regions already torn down")
+        raise SplitioError("shared regions already torn down")
     ring_bytes = ring_capacity * ringmod.SLOT_SIZE
     shared = mem.create_arena(RegionKind.SHARED, pool_bytes + 2 * ring_bytes)
     mem.register(shared)

@@ -31,12 +31,7 @@ import struct
 from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import (
-    AddressNotShared,
-    BadCapacity,
-    OutOfBounds,
-    RingFull,
-)
+from .errors import OutOfBounds, RingFull, SplitioError
 from .mem import Handle, MemorySystem, Side
 
 SLOT_SIZE = 32
@@ -82,7 +77,7 @@ TX_CMD_EOP = 1 << 24
 def check_capacity(capacity: int) -> None:
     """Refuse a ring capacity that is not a power of two >= 2."""
     if capacity < 2 or capacity & (capacity - 1):
-        raise BadCapacity(f"capacity must be a power of two >= 2, got {capacity}")
+        raise SplitioError(f"capacity must be a power of two >= 2, got {capacity}")
 
 
 class Direction(enum.Enum):
@@ -141,7 +136,7 @@ class DescriptorRing:
         arena = mem.arena(backing.region)
         mem.check_backing(backing.region)
         if backing.length < capacity * SLOT_SIZE or not mem.contains(arena, backing):
-            raise BadCapacity(
+            raise SplitioError(
                 f"backing of {backing.length} B cannot hold {capacity} slots of {SLOT_SIZE} B"
             )
         self.mem = mem
@@ -193,7 +188,7 @@ class DescriptorRing:
             or a_length < 0
             or a_offset + a_length > mem.arenas[a_region].size
         ):
-            raise AddressNotShared(f"tx address {desc.address} not in a registered shared arena")
+            raise SplitioError(f"tx address {desc.address} not in a registered shared arena")
         if a_region > 0xFFFF or a_offset > MASK32 or a_length > 0xFFFF:
             raise OutOfBounds(f"handle {desc.address} does not fit the 8-byte ring encoding")
         slot = self.head & (self.capacity - 1)
@@ -270,7 +265,7 @@ class DescriptorRing:
             or length < 0
             or hi + length > mem.arenas[region].size
         ):
-            raise AddressNotShared(
+            raise SplitioError(
                 f"rx buffers of {length} B at region {region}+[{lo}, {hi}] not in a"
                 " registered shared arena"
             )

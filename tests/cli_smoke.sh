@@ -63,3 +63,13 @@ rc=0; $cli echo --adversary "$dir/bad-plan.txt" --duration 0.01 || rc=$?
 test "$rc" -eq 2
 rc=0; $cli echo --adversary "$dir/plan.txt" --duration abc || rc=$?
 test "$rc" -eq 2
+# a plan value must fit the 16-bit device field it fills
+printf 'forge_address target=a when=0 region=2 offset=0 length=70000\n' > "$dir/wide-plan.txt"
+rc=0; $cli echo --adversary "$dir/wide-plan.txt" --duration 0.01 || rc=$?
+test "$rc" -eq 2
+# a flag is spelled in full, never abbreviated
+rc=0; $cli echo --dur 0.01 || rc=$?
+test "$rc" -eq 2
+# the top-level help keeps the command table as written
+$cli -h > "$dir/help.txt"
+grep -qF '    splitio echo            round-trip latency through the full stack' "$dir/help.txt"

@@ -12,6 +12,7 @@ from fresh_interpreter import run_python, source_env
 from splitio import cli, simloop
 from splitio.bench import BenchConfig, CostProfile, emit_report, max_connections, run_echo
 from splitio.cli import main
+from splitio.errors import SplitioError
 
 
 def run_cli(capsys, *argv):
@@ -416,6 +417,68 @@ class TestParserBasics:
             main(argv)
         assert exited.value.code == 0
         assert capsys.readouterr().out.startswith("usage: splitio")
+
+    def test_help_keeps_the_command_table(self, capsys):
+        table = [line for line in cli.__doc__.splitlines() if line.startswith("    splitio ")]
+        assert len(table) == 4
+        with pytest.raises(SystemExit) as exited:
+            main(["-h"])
+        assert exited.value.code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert all(line in out for line in table)
+
+    def test_abbreviated_flag_refused(self, capsys):
+        code, out, err = run_cli(capsys, "echo", "--dur", "0.01", "--form", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "--dur" in err and err.count("\n") == 1
+
+
+def _exit_case(tmp_path, monkeypatch, case):
+    """The argv of one row of the exit-code table, with its files made."""
+    plan = tmp_path / "plan.txt"
+    if case == "unknown_plan_key":
+        plan.write_text("drop_packet target=a slot=3\n")
+    elif case == "plan_not_utf8":
+        plan.write_bytes(b"drop_packet target=a\n\xff\xfe")
+    elif case == "breach":
+        plan.write_text(f"tamper_shared target=a when=27000 region=1 offset=0 data={'c396' * 8}\n")
+    elif case == "model_refusal":
+        def refuse(cfg):
+            raise SplitioError("x")
+
+        monkeypatch.setattr(cli, "run_echo", refuse)
+    argv = {
+        "echo": [],
+        "bad_payload": ["--payload", "4"],
+        "out_in_missing_dir": ["--out", str(tmp_path / "missing" / "r.txt")],
+        "model_refusal": [],
+    }.get(case, ["--adversary", str(plan)])
+    return ["echo", "--duration", "0.01", *argv]
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        ("echo", 0),
+        ("bad_payload", 2),
+        ("unknown_plan_key", 2),
+        ("plan_not_utf8", 2),
+        ("out_in_missing_dir", 2),
+        ("breach", 3),
+        ("model_refusal", 1),
+    ],
+)
+def test_exit_code_follows_the_error_class(capsys, tmp_path, monkeypatch, case, code):
+    """ConfigInvalid exits 2 and any other SplitioError 1, each with one
+    `error:` line; a breach exits 3 with its report and no error."""
+    got, out, err = run_cli(capsys, *_exit_case(tmp_path, monkeypatch, case))
+    assert got == code
+    if code in (0, 3):
+        assert err == "" and out
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    if case == "model_refusal":
+        assert err == "error: x\n"
 
 
 _LOAD_FLAGS = {"payload", "rate", "connections", "copy", "ipsec", "format", "out", "config"}

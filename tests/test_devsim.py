@@ -8,7 +8,7 @@ from splitio.devsim import (
     run_adversary,
 )
 from splitio.devsim import _payloads_for_run
-from splitio.errors import BadPlan, ConfigInvalid
+from splitio.errors import ConfigInvalid
 from splitio.ipsec import OffloadMode, esp_paths
 from splitio.mem import Handle, Side
 from splitio.pools import PacketBuffer, PoolConfig
@@ -98,11 +98,20 @@ class TestPlanParsing:
             ("forge_address region=1 length=0", "line 1: forge_address length must be"),
             ("forge_address region=1 length=-5", "line 1: forge_address length must be"),
             ("forge_address region=1", "line 1: forge_address length must be"),
+            # each value that fills a 16-bit device field must fit it
+            ("forge_address region=2 length=4000000000", "^line 1: length must lie in"),
+            ("forge_writeback length=-5", r"line 1: length must lie in \[0, 0xFFFF\], got -5$"),
+            ("forge_writeback status_error=0x10000", "^line 1: status_error must lie in"),
         ],
     )
     def test_bad_plans(self, text, fragment):
-        with pytest.raises(BadPlan, match=fragment):
+        with pytest.raises(ConfigInvalid, match=fragment):
             AdversaryPlan.parse(text)
+
+    def test_sixteen_bit_fields_accept_their_whole_range(self):
+        text = "forge_writeback length=0 status_error=0xFFFF\nforge_address length=0xFFFF"
+        first, second = AdversaryPlan.parse(text).actions
+        assert (first.length, first.status_error, second.length) == (0, 0xFFFF, 0xFFFF)
 
     def test_each_kind_declares_the_keys_it_reads(self):
         declared = {kind.value: set(keys) for kind, keys in devsim._PLAN_KEYS.items()}
@@ -118,7 +127,7 @@ class TestPlanParsing:
             line += " length=1"
         text = f"drop_packet count=1\n{line}"
         if key not in PLAN_KEYS[kind]:
-            with pytest.raises(BadPlan, match=f"^line 2: unknown key '{key}' for {kind}$"):
+            with pytest.raises(ConfigInvalid, match=f"^line 2: unknown key '{key}' for {kind}$"):
                 AdversaryPlan.parse(text)
             return
         action = AdversaryPlan.parse(text).actions[1]

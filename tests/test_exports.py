@@ -122,6 +122,62 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     assert sorted(unnamed) == sorted(NAMED_ONLY_IN_TESTS)
 
 
+def _exception_classes(paths: list[Path]) -> dict[str, str]:
+    """label -> name of each class the modules define that derives, by
+    base name and through any chain of them, from Exception."""
+    classes = [
+        (
+            f"{path.name} {node.name}",
+            node.name,
+            {getattr(b, "id", None) or getattr(b, "attr", None) for b in node.bases},
+        )
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    ]
+    found: dict[str, str] = {}
+    known = {"Exception", "BaseException"}
+    while True:
+        new = {label: name for label, name, bases in classes if label not in found and bases & known}
+        if not new:
+            return found
+        found.update(new)
+        known.update(new.values())
+
+
+def _caught(path: Path) -> set[str]:
+    """Every class name an except clause of the module names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for n in ast.walk(node.type):
+                if isinstance(n, (ast.Name, ast.Attribute)):
+                    names.add(getattr(n, "id", None) or n.attr)
+    return names
+
+
+def test_every_exception_class_has_a_catcher():
+    """An exception class exists for a caller that reacts to it: each one
+    under src/ is named by an except clause in src/ or perfbench/. A refusal
+    no caller tells apart raises a class its callers already catch."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    caught = set().union(*map(_caught, modules + sorted(PERFBENCH.glob("*.py"))))
+    uncaught = [label for label, name in _exception_classes(modules).items() if name not in caught]
+    assert uncaught == []
+
+
+def test_errors_module_defines_exactly_the_caught_classes():
+    assert sorted(_exception_classes(sorted(PACKAGE.glob("*.py")))) == [
+        "errors.py AuthFail",
+        "errors.py ConfigInvalid",
+        "errors.py DeviceAccessDenied",
+        "errors.py OutOfBounds",
+        "errors.py PoolExhausted",
+        "errors.py RingFull",
+        "errors.py SplitioError",
+    ]
+
+
 # defaulted parameters that no call in src/ or perfbench/ passes, each kept
 # for a stated reason
 UNPASSED_PARAMETERS = {

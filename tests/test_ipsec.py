@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 
 from fresh_interpreter import run_python
 from gcm_oracle import gcm_decrypt, gcm_encrypt
-from splitio.errors import (
-    AuthFail,
-    BadSaConfig,
-    ForeignBuffer,
-    Malformed,
-    Oversize,
-    SeqExhausted,
-)
+from splitio.errors import AuthFail, SplitioError
 from splitio.ipsec import (
     ADDR_PREFIX_LEN,
     ESP_OVERHEAD,
@@ -26,13 +19,11 @@ from splitio.ipsec import (
     PortProtect,
     SaDirection,
     SecurityAssociation,
-    WrongDirection,
     esp_decrypt,
     esp_encrypt,
     esp_frame_len,
     inline_attach,
 )
-from splitio.errors import AlreadyAttached
 from splitio.mem import Handle, MemorySystem, Side
 from splitio.pools import PoolConfig, port_new
 
@@ -250,7 +241,7 @@ class TestTamperResistance:
                 mutated[byte_idx] ^= 1 << bit
                 buf.write_data(bytes(mutated))
                 buf.msg_type = MSG_TYPE_ESP
-                with pytest.raises(AuthFail):
+                with pytest.raises(AuthFail, match="integrity check failed"):
                     esp_decrypt(sa_in, buf)
                 flips += 1
         assert flips == (len(frame) - ADDR_PREFIX_LEN) * 8
@@ -279,9 +270,9 @@ class TestErrorPaths:
         sa_out, sa_in = sa_pair(mem)
         buf = port.alloc_tx_buffer()
         buf.write_data(b"ADDRPREFxx")
-        with pytest.raises(WrongDirection):
+        with pytest.raises(SplitioError, match="encrypt requires an outbound association"):
             esp_encrypt(sa_in, buf)
-        with pytest.raises(WrongDirection):
+        with pytest.raises(SplitioError, match="decrypt requires an inbound association"):
             esp_decrypt(sa_out, buf)
         port.free_buffer(buf)
 
@@ -290,7 +281,7 @@ class TestErrorPaths:
         sa_out, _ = sa_pair(mem)
         buf = port.alloc_tx_buffer()
         buf.write_data(b"short")
-        with pytest.raises(Malformed):
+        with pytest.raises(SplitioError, match="lacks the 8 B addressing prefix"):
             esp_encrypt(sa_out, buf)
         port.free_buffer(buf)
 
@@ -299,7 +290,7 @@ class TestErrorPaths:
         sa_out, _ = sa_pair(mem)
         buf = port.alloc_tx_buffer()
         buf.write_data(b"z" * (buf.pool.data_room - ESP_OVERHEAD + 1))
-        with pytest.raises(Oversize):
+        with pytest.raises(SplitioError, match="B cannot grow by 40 B in a"):
             esp_encrypt(sa_out, buf)
         port.free_buffer(buf)
 
@@ -309,7 +300,7 @@ class TestErrorPaths:
         sa_out.seq = 0xFFFFFFFF + 1
         buf = port.alloc_tx_buffer()
         buf.write_data(b"ADDRPREFdata")
-        with pytest.raises(SeqExhausted):
+        with pytest.raises(SplitioError, match="sequence space of SPI .* exhausted"):
             esp_encrypt(sa_out, buf)
         port.free_buffer(buf)
 
@@ -318,7 +309,7 @@ class TestErrorPaths:
         _, sa_in = sa_pair(mem)
         buf = port.alloc_tx_buffer()
         buf.write_data(b"x" * (MIN_FRAME_LEN - 1))
-        with pytest.raises(Malformed):
+        with pytest.raises(AuthFail, match="below minimum"):
             esp_decrypt(sa_in, buf)
         port.free_buffer(buf)
 
@@ -330,7 +321,7 @@ class TestErrorPaths:
         esp_encrypt(sa_out, buf)
         frame = buf.read_data()
         buf.write_data(frame + b"\x00")  # one stray byte breaks alignment
-        with pytest.raises(Malformed):
+        with pytest.raises(AuthFail, match="ciphertext length not 4-byte aligned"):
             esp_decrypt(sa_in, buf)
         port.free_buffer(buf)
 
@@ -348,7 +339,7 @@ class TestForeignBuffer:
         buf = port.alloc_tx_buffer()
         buf.write_data(payload)
         ops = {}
-        with pytest.raises(ForeignBuffer):
+        with pytest.raises(SplitioError, match="belong to different memory systems"):
             esp_encrypt(sa_out, buf, ops_counter=ops)
         assert sa_out.seq == 1
         assert ops == {}
@@ -365,7 +356,7 @@ class TestForeignBuffer:
         esp_encrypt(home_out, buf)
         frame = buf.read_data()
         ops = {}
-        with pytest.raises(ForeignBuffer):
+        with pytest.raises(SplitioError, match="belong to different memory systems"):
             esp_decrypt(foreign_in, buf, ops_counter=ops)
         assert foreign_in.seq == 1
         assert ops == {}
@@ -496,18 +487,18 @@ class TestInlinePath:
         mem, port = make_port()
         sa_out, sa_in = sa_pair(mem)
         inline_attach(port, sa_in, sa_out)
-        with pytest.raises(AlreadyAttached):
+        with pytest.raises(SplitioError, match="port already has a crypto worker"):
             inline_attach(port, sa_in, sa_out)
 
 
 class TestSaConfig:
     def test_sa_validation(self):
         mem = MemorySystem()
-        with pytest.raises(BadSaConfig):
+        with pytest.raises(SplitioError, match="key must be 16 bytes"):
             SecurityAssociation(mem, 1, b"short", SALT, SaDirection.OUTBOUND)
-        with pytest.raises(BadSaConfig):
+        with pytest.raises(SplitioError, match="salt must be 4 bytes"):
             SecurityAssociation(mem, 1, KEY, b"toolongsalt", SaDirection.OUTBOUND)
-        with pytest.raises(BadSaConfig):
+        with pytest.raises(SplitioError, match="spi out of u32 range"):
             SecurityAssociation(mem, 0x1_0000_0000, KEY, SALT, SaDirection.OUTBOUND)
 
     @pytest.mark.parametrize(
@@ -523,7 +514,7 @@ class TestSaConfig:
         ids=["key_short", "key_long", "salt_short", "salt_long", "spi_negative", "spi_past_u32"],
     )
     def test_bad_sa_rejected_with_reason(self, spi, key, salt, fragment):
-        with pytest.raises(BadSaConfig, match=fragment):
+        with pytest.raises(SplitioError, match=fragment):
             SecurityAssociation(MemorySystem(), spi, key, salt, SaDirection.OUTBOUND)
 
     @pytest.mark.parametrize("spi", [0, 0xFFFF_FFFF])

@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from access_oracle import access_log, read_counts
-from splitio.errors import (
-    AddressNotShared,
-    BadCapacity,
-    NotShared,
-    OutOfBounds,
-    QuarantinedArena,
-    RingFull,
-)
+from splitio.errors import OutOfBounds, RingFull, SplitioError
 from splitio.mem import Handle, MemorySystem, RegionKind, Side
 from splitio.ring import (
     MASK32,
@@ -114,16 +107,16 @@ class TestConstruction:
         arena = mem.create_arena(RegionKind.SHARED, 4096)
         mem.register(arena)
         for cap in (0, 1, 3, 6, 100):
-            with pytest.raises(BadCapacity):
+            with pytest.raises(SplitioError, match="capacity must be a power of two"):
                 DescriptorRing(mem, Handle(arena.id, 0, 4096), cap, Direction.TX)
 
     def test_backing_must_be_registered_shared(self):
         mem = MemorySystem()
         private = mem.create_arena(RegionKind.PRIVATE, 4096)
-        with pytest.raises(NotShared):
+        with pytest.raises(SplitioError, match="is not a registered shared arena"):
             DescriptorRing(mem, Handle(private.id, 0, 1024), 8, Direction.TX)
         unregistered = mem.create_arena(RegionKind.SHARED, 4096)
-        with pytest.raises(NotShared):
+        with pytest.raises(SplitioError, match="is not a registered shared arena"):
             DescriptorRing(mem, Handle(unregistered.id, 0, 1024), 8, Direction.TX)
 
     def test_quarantined_backing_rejected(self):
@@ -131,14 +124,14 @@ class TestConstruction:
         arena = mem.create_arena(RegionKind.SHARED, 4096)
         mem.register(arena)
         mem.quarantined.add(arena.id)
-        with pytest.raises(QuarantinedArena):
+        with pytest.raises(SplitioError, match="awaits zero_and_release"):
             DescriptorRing(mem, Handle(arena.id, 0, 1024), 8, Direction.TX)
 
     def test_backing_too_small(self):
         mem = MemorySystem()
         arena = mem.create_arena(RegionKind.SHARED, 4096)
         mem.register(arena)
-        with pytest.raises(BadCapacity):
+        with pytest.raises(SplitioError, match="cannot hold 8 slots"):
             DescriptorRing(mem, Handle(arena.id, 0, 8 * SLOT_SIZE - 1), 8, Direction.TX)
 
     @pytest.mark.parametrize("direction", [Direction.TX, Direction.RX])
@@ -197,7 +190,7 @@ class TestTxPath:
             address = Handle(mem.create_arena(RegionKind.SHARED, 4096).id, 0, 64)
         before = mem.read_at(arena.id, 0, 8 * SLOT_SIZE, Side.VM)
         head, mark = ring.head, len(access_log(mem))
-        with pytest.raises(AddressNotShared):
+        with pytest.raises(SplitioError, match="not in a registered shared arena"):
             ring.vm_post_tx(TxDescriptor(address, 64, 0))
         assert vm_writes(mem, mark) == []
         assert ring.head == head
@@ -429,19 +422,26 @@ class TestBulkRxPost:
         assert bulk._posted_rx == one._posted_rx
         assert bulk.device_fetch() == one.device_fetch()
 
+    # each refusal by name: the class it raises and its message's condition
+    REFUSALS = {
+        "AddressNotShared": (SplitioError, "not in a registered shared arena"),
+        "OutOfBounds": (OutOfBounds, "ring encoding"),
+        "RingFull": (RingFull, "has no room for"),
+    }
+
     @pytest.mark.parametrize(
-        "bad, error",
+        "bad, refusal",
         [
-            ("past_arena_end", AddressNotShared),
-            ("negative_offset", AddressNotShared),
-            ("negative_length", AddressNotShared),
-            ("private_arena", AddressNotShared),
-            ("unregistered_arena", AddressNotShared),
-            ("unencodable_length", OutOfBounds),
-            ("more_than_free_slots", RingFull),
+            ("past_arena_end", "AddressNotShared"),
+            ("negative_offset", "AddressNotShared"),
+            ("negative_length", "AddressNotShared"),
+            ("private_arena", "AddressNotShared"),
+            ("unregistered_arena", "AddressNotShared"),
+            ("unencodable_length", "OutOfBounds"),
+            ("more_than_free_slots", "RingFull"),
         ],
     )
-    def test_invalid_post_writes_nothing(self, bad, error, recorded):
+    def test_invalid_post_writes_nothing(self, bad, refusal, recorded):
         mem, ring, arena, rooms = make_rx_ring(8, arena_size=0x30000)
         advance(ring, 2)
         ring.vm_post_rx_buffer(Handle(arena.id, rooms[0], ROOM))
@@ -463,7 +463,8 @@ class TestBulkRxPost:
         before = mem.read_at(arena.id, 0, 8 * SLOT_SIZE, Side.VM)
         head, posted = ring.head, list(ring._posted_rx)
         mark = len(access_log(mem))
-        with pytest.raises(error):
+        error, fragment = self.REFUSALS[refusal]
+        with pytest.raises(error, match=fragment):
             ring.vm_post_rx_rooms(region, length, offsets)
         assert vm_writes(mem, mark) == []
         assert (ring.head, ring._posted_rx) == (head, posted)
@@ -472,9 +473,9 @@ class TestBulkRxPost:
     def test_single_post_keeps_its_checks(self):
         mem, ring, arena, rooms = make_rx_ring(8, arena_size=0x30000)
         private = mem.create_arena(RegionKind.PRIVATE, 256)
-        with pytest.raises(AddressNotShared):
+        with pytest.raises(SplitioError, match="not in a registered shared arena"):
             ring.vm_post_rx_buffer(Handle(private.id, 0, 256))
-        with pytest.raises(AddressNotShared):
+        with pytest.raises(SplitioError, match="not in a registered shared arena"):
             ring.vm_post_rx_buffer(Handle(arena.id, arena.size - 8, 16))
         with pytest.raises(OutOfBounds):
             ring.vm_post_rx_buffer(Handle(arena.id, 0, 0x10000))
